@@ -126,11 +126,16 @@ def _parse_cell(token: str, attr: Attribute, lineno: int):
                 lineno, f"value {name!r} not declared for attribute {attr.name!r}"
             ) from None
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ArffParseError(
             lineno, f"bad numeric value {token!r} for attribute {attr.name!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ArffParseError(
+            lineno, f"non-finite numeric value {token!r} for attribute {attr.name!r}"
+        )
+    return value
 
 
 def _sparse_defaults(attributes: tuple[Attribute, ...]) -> list:

@@ -51,6 +51,7 @@ from .core import MLDataset, dataset_stats
 from .ensemble import (
     COMBINATION_RULES,
     EnsembleSpec,
+    TRANSFORM_NAMES,
     MemberSpec,
     default_ensemble_spec,
     ensemble_fit,
@@ -444,6 +445,10 @@ def _validate_experiments(experiments) -> None:
             if rule not in COMBINATION_RULES:
                 raise UsageError(f"unknown combination rule {rule!r}")
             for mc in exp.get("members") or []:
+                member_transform = mc.get("transform", "ps")
+                if member_transform not in TRANSFORM_NAMES:
+                    raise UsageError(
+                        f"unknown member transform {member_transform!r}")
                 _parse_learner(mc.get("learner"))
         else:
             _parse_learner(exp.get("learner"))
@@ -528,6 +533,8 @@ def _read_predictions(path, n_rows: int, m: int):
             f"predictions shape {scores.shape} does not match "
             f"dataset ({n_rows}, {m})"
         )
+    if not np.isfinite(scores).all():
+        raise DataError("prediction scores must be finite")
     if scores.min() < 0 or scores.max() > 1:
         raise DataError("prediction scores must lie in [0, 1]")
     return scores

@@ -122,6 +122,8 @@ def combine(member_scores: Sequence[np.ndarray], rule: str,
     if len(shapes) != 1:
         raise ValueError(f"member score shapes differ: {sorted(shapes)}")
     arr = np.stack([np.asarray(s, dtype=float) for s in member_scores])
+    if not np.isfinite(arr).all():
+        raise ValueError("member scores must be finite")
     if arr.size and (arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9):
         raise ValueError("member scores must lie in [0, 1]")
     w = None

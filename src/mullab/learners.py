@@ -14,7 +14,11 @@ Three families, each consumed by the problem transformations:
   splits on nominal ones, info-gain or gain-ratio criterion, optional
   per-node random attribute subsets and optional reduced-error pruning on a
   seeded held-out third of the training rows.  Leaf distributions are
-  Laplace-1 smoothed class frequencies.
+  Laplace-1 smoothed class frequencies.  Split search is exhaustive and
+  batched per node: all numeric candidates share one stable sort and one
+  vectorised pass over every cut that ``min_leaf`` allows, with the same
+  float operations (and the same class-axis sums) as a one-attribute-at-a-
+  time search, so it chooses the same splits.
 
 Missing values: numeric cells are imputed with the training mean of the
 attribute; nominal cells go to a dedicated extra category.  Every learner is
@@ -39,6 +43,9 @@ from .rng import Xoshiro256, derive_seed
 ClassDistribution = np.ndarray  # shape (C,), entries in [0,1], sums to 1
 
 _GAIN_EPS = 1e-12
+# Upper bound on the (attrs x rows x classes) elements of one batch in the
+# numeric split search; it bounds the search's peak memory.
+_BATCH_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -362,11 +369,17 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+def _class_entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Entropy of each count vector along the last (class) axis.
+
+    ``totals`` holds the count sums and runs along the second-to-last axis.
+    Every class column is kept, present or not: the float sum over the
+    contiguous class axis is then grouped the same way at every node.
+    """
     p = counts / totals[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, -p * np.log2(p), 0.0)
-    return terms.sum(axis=1)
+    return terms.sum(axis=-1)
 
 
 class TreeClassifier(Classifier):
@@ -415,71 +428,89 @@ class TreeClassifier(Classifier):
         ):
             return node
         parent_h = _entropy(counts)
-        best = None  # (metric, attr, threshold, partition)
-        for a in self._candidate_attrs(self._x.shape[1]):
-            if self._enc.is_nominal[a]:
-                cand = self._eval_nominal(a, idx, parent_h)
-            else:
-                cand = self._eval_numeric(a, idx, parent_h)
-            if cand is not None and (best is None or cand[0] > best[0]):
-                best = (cand[0], a, cand[1], cand[2])
-        if best is None:
+        attrs = self._candidate_attrs(self._x.shape[1])
+        nominal = self._enc.is_nominal[attrs]
+        metric = np.empty(len(attrs))
+        threshold = np.empty(len(attrs))
+        num = np.flatnonzero(~nominal)
+        if num.size:
+            metric[num], threshold[num] = self._eval_numeric_all(
+                np.asarray(attrs)[num], idx, parent_h)
+        for i in np.flatnonzero(nominal):
+            metric[i] = self._eval_nominal(attrs[i], idx, parent_h)
+        pos = int(np.argmax(metric))  # first max: earliest candidate wins ties
+        if metric[pos] <= 0.0:
             return node
-        _, attr, threshold, partition = best
-        node.attr = attr
-        if threshold is not None:
-            node.threshold = threshold
-            left_idx, right_idx = partition
-            node.left = self._build(left_idx, depth + 1)
-            node.right = self._build(right_idx, depth + 1)
-        else:
+        node.attr = attrs[pos]
+        col = self._x[idx, node.attr]
+        if nominal[pos]:
+            cats = col.astype(int)
+            parts = [idx[cats == v]
+                     for v in range(int(self._enc.n_values[node.attr]))]
             node.children = [
                 self._build(part, depth + 1) if len(part) else None
-                for part in partition
+                for part in parts
             ]
+        else:
+            node.threshold = float(threshold[pos])
+            mask = col <= node.threshold
+            node.left = self._build(idx[mask], depth + 1)
+            node.right = self._build(idx[~mask], depth + 1)
         return node
 
-    def _eval_numeric(self, a: int, idx: np.ndarray, parent_h: float):
-        vals = self._x[idx, a]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = self._y[idx][order]
-        n = len(sv)
-        cuts = np.flatnonzero(sv[:-1] != sv[1:])  # split after position cut
-        if cuts.size == 0:
-            return None
-        one_hot = np.zeros((n, self.n_classes))
-        one_hot[np.arange(n), sy] = 1.0
-        cum = one_hot.cumsum(axis=0)
-        nl = cuts + 1
+    def _eval_numeric_all(self, attrs: np.ndarray, idx: np.ndarray,
+                          parent_h: float):
+        """Best binary cut of each numeric attribute in ``attrs`` at one node.
+
+        Returns ``(metric, threshold)`` arrays aligned with ``attrs``; a
+        metric <= 0 means the attribute has no useful cut.  Cut ``i`` sends
+        sorted rows ``0..i`` left; only cuts between distinct values that
+        leave ``min_leaf`` rows on each side count, and the first maximum
+        (lowest threshold) wins.  All attributes share one stable sort and
+        are evaluated together in batches of at most ``_BATCH_ELEMS``
+        (attrs x rows x classes) elements.
+        """
+        n, m = len(idx), self.spec.min_leaf
+        vals = self._x[idx][:, attrs]
+        order = np.argsort(vals, axis=0, kind="stable")
+        sv = np.take_along_axis(vals, order, axis=0).T  # attrs x rows
+        sy = self._y[idx][order].T
+        window = slice(m - 1, n - m)  # cuts that leave min_leaf rows per side
+        nl = np.arange(m, n - m + 1)
         nr = n - nl
-        ok = (nl >= self.spec.min_leaf) & (nr >= self.spec.min_leaf)
-        if not ok.any():
-            return None
-        cuts, nl, nr = cuts[ok], nl[ok], nr[ok]
-        left = cum[cuts]
-        right = cum[-1] - left
-        child_h = (nl * _entropy_rows(left, nl) + nr * _entropy_rows(right, nr)) / n
-        gain = parent_h - child_h
-        if self.spec.criterion == "gain_ratio":
+        admissible = sv[:, window] != sv[:, m:n - m + 1]
+        gain_ratio = self.spec.criterion == "gain_ratio"
+        if gain_ratio:
             pl, pr = nl / n, nr / n
             split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
-            metric = np.where(
-                (gain > _GAIN_EPS) & (split_info > _GAIN_EPS), gain / split_info, -1.0
-            )
-        else:
-            metric = np.where(gain > _GAIN_EPS, gain, -1.0)
-        pos = int(np.argmax(metric))  # first max: lowest threshold wins ties
-        if metric[pos] <= 0.0:
-            return None
-        cut = cuts[pos]
-        threshold = float((sv[cut] + sv[cut + 1]) / 2.0)
-        if threshold >= sv[cut + 1]:  # midpoint of adjacent floats can round up
-            threshold = float(sv[cut])
-        mask = vals <= threshold
-        return float(metric[pos]), threshold, (idx[mask], idx[~mask])
+        classes = np.arange(self.n_classes)
+        metric = np.empty(admissible.shape)
+        step = max(1, _BATCH_ELEMS // (n * self.n_classes))
+        for s in range(0, len(attrs), step):
+            cum = (sy[s:s + step, :, None] == classes).cumsum(axis=1)
+            left = cum[:, window]
+            right = cum[:, -1:] - left
+            child_h = (nl * _class_entropy(left, nl)
+                       + nr * _class_entropy(right, nr)) / n
+            gain = parent_h - child_h
+            ok = admissible[s:s + step] & (gain > _GAIN_EPS)
+            if gain_ratio:
+                metric[s:s + step] = np.where(
+                    ok & (split_info > _GAIN_EPS), gain / split_info, -1.0)
+            else:
+                metric[s:s + step] = np.where(ok, gain, -1.0)
+        rows = np.arange(len(attrs))
+        pos = np.argmax(metric, axis=1)  # first max: lowest threshold wins ties
+        cut = pos + (m - 1)
+        lo, hi = sv[rows, cut], sv[rows, cut + 1]
+        threshold = (lo + hi) / 2.0
+        # the midpoint of adjacent floats can round up to the upper value
+        threshold = np.where(threshold >= hi, lo, threshold)
+        return metric[rows, pos], threshold
 
-    def _eval_nominal(self, a: int, idx: np.ndarray, parent_h: float):
+    def _eval_nominal(self, a: int, idx: np.ndarray, parent_h: float) -> float:
+        """Criterion value of the multiway split on nominal attribute ``a``;
+        -1.0 when the split is not allowed or gains nothing."""
         arity = int(self._enc.n_values[a])
         cats = self._x[idx, a].astype(int)
         table = np.zeros((arity, self.n_classes))
@@ -487,24 +518,21 @@ class TreeClassifier(Classifier):
         sizes = table.sum(axis=1)
         nonempty = sizes > 0
         if nonempty.sum() < 2:
-            return None
+            return -1.0
         if (sizes[nonempty] < self.spec.min_leaf).any():
-            return None
+            return -1.0
         n = len(idx)
-        child_h = (sizes[nonempty] * _entropy_rows(table[nonempty], sizes[nonempty])).sum() / n
+        child_h = (sizes[nonempty] * _class_entropy(table[nonempty], sizes[nonempty])).sum() / n
         gain = parent_h - child_h
         if gain <= _GAIN_EPS:
-            return None
+            return -1.0
         if self.spec.criterion == "gain_ratio":
             p = sizes[nonempty] / n
             split_info = float(-(p * np.log2(p)).sum())
             if split_info <= _GAIN_EPS:
-                return None
-            metric = gain / split_info
-        else:
-            metric = gain
-        partition = [idx[cats == v] for v in range(arity)]
-        return float(metric), None, partition
+                return -1.0
+            return float(gain / split_info)
+        return float(gain)
 
     # -- reduced-error pruning ----------------------------------------------
 

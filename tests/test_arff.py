@@ -58,6 +58,17 @@ def test_empty_data_section_is_parseable():
     assert raw.rows == ()
 
 
+@pytest.mark.parametrize("row", ["3,inf", "3,-Infinity", "3,nan", "3,1e999",
+                                 "{1 NaN}"])
+def test_non_finite_numeric_rejected(row):
+    text = ("@relation r\n@attribute a numeric\n@attribute b numeric\n"
+            f"@data\n1,2\n{row}\n")
+    with pytest.raises(ArffParseError) as err:
+        parse_arff(text)
+    assert err.value.line == 6
+    assert "non-finite numeric value" in str(err.value)
+
+
 MULTILABEL_TEXT = (
     "@relation fake\n"
     "@attribute f1 numeric\n"

@@ -181,6 +181,16 @@ class TestBenchmark:
                            [{"transform": "chains"}])
         assert run_cli(["benchmark", "--config", cfg]) == 1
 
+    def test_unknown_member_transform_exits_1(self, data_files, tmp_path,
+                                              capsys):
+        arff_path, labels_path = data_files
+        members = [{"transform": "lp", "learner": "nb"},
+                   {"transform": "chains", "learner": "nb"}]
+        cfg = write_config(tmp_path, arff_path, labels_path,
+                           [{"transform": "ensemble", "members": members}])
+        assert run_cli(["benchmark", "--config", cfg]) == 1
+        assert "unknown member transform 'chains'" in capsys.readouterr().err
+
     def test_no_experiments_exits_1(self, data_files, tmp_path):
         arff_path, labels_path = data_files
         cfg = write_config(tmp_path, arff_path, labels_path, [])
@@ -254,6 +264,19 @@ class TestEvaluate:
         rc = run_cli(["evaluate", "--dataset", arff_path, "--labels",
                       labels_path, "--predictions", pred_path])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_prediction_exits_2(self, data_files, tmp_path, capsys,
+                                           bad):
+        arff_path, labels_path = data_files
+        pred_path = tmp_path / "preds.csv"
+        rows = ["0.5,0.5,0.5"] * 60
+        rows[7] = f"0.5,{bad},0.5"
+        pred_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = run_cli(["evaluate", "--dataset", arff_path, "--labels",
+                      labels_path, "--predictions", pred_path])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_single_experiment_matches_library(self, data_files, capsys):
         arff_path, labels_path = data_files

@@ -37,6 +37,11 @@ class TestCombine:
         v = np.array([0.3, 0.7, 0.1])
         assert combine([v], "max").tolist() == v.tolist()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            combine([np.array([0.5, bad]), np.array([0.5, 0.5])], "mean")
+
     def test_weighted_mean_normalizes(self):
         out = combine(
             [np.array([1.0, 0.0]), np.array([0.0, 1.0])],

@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from mullab.core import Attribute
+from mullab.rng import Xoshiro256
 from mullab.learners import (
     KnnSpec,
     NaiveBayesSpec,
@@ -242,6 +246,50 @@ class TestTree:
             d.features, y, d.schema.attributes,
         )
         assert plain.root.structure() == randomized.root.structure()
+
+    # SHA-256 of repr(root.structure()) for LP-style data with 31 of 32
+    # classes, nominal columns and tied numeric values.  The thresholds and
+    # class counts in a structure depend on every entropy sum, so regrouping
+    # the float sums over the class axis (dropping absent classes, summing
+    # in another order) changes some of these digests.  A change that alters
+    # splits on purpose records new digests and says so.
+    PINNED_STRUCTURES = {
+        ("j48", 1): "21e5c979bc87f8284d30b817845bd2554aad5256dff4199cee192022af0be5d5",
+        ("j48", 2): "21056a4cf4c44df8bbc4c489089a8e795e2da0f35aeb51c77aa90ac401f70c6e",
+        ("reptree", 1): "da0acceafb493efd8ba6feac7d1db42e5c8e4e68103fe27d179171dbd92740a2",
+        ("reptree", 2): "df83a8da16f079cd5ea001eb1248f1bc1bd1a451e05a29ad2e4420d99bca3d6e",
+        ("random-t", 1): "b5b900a62beb7ad299a357f5e6d85761442a1f6c416a8fd4395e12bf488eaa9e",
+        ("random-t", 2): "0e275ad2c37e769a1ce1abe5dae3aec3be6e724f7dfdeb8964ddaf82f0e84995",
+    }
+
+    @staticmethod
+    def _lp_tree_data(seed=2024, n=200):
+        rng = Xoshiro256(seed)
+        attrs = (Attribute("u0"), Attribute("u1"), Attribute("g0"),
+                 Attribute("g1"), Attribute("c0", ("a", "b", "c")),
+                 Attribute("c1", ("w", "x", "y", "z")))
+        rows, classes = [], []
+        for _ in range(n):
+            u0, u1 = rng.uniform(), rng.uniform()
+            g0, g1 = rng.below(7) / 2.0, rng.below(5) / 4.0  # coarse: ties
+            c0, c1 = rng.below(3), rng.below(4)
+            labels = (u0 + g1 > 0.9, g0 > 1.2, c0 == 1 or u1 > 0.7, c1 >= 2,
+                      u1 + g0 / 3 > 1.0)
+            # each label flips with probability 1/6, so the trees grow deep
+            classes.append(sum((bool(v) ^ (rng.below(6) == 0)) << j
+                               for j, v in enumerate(labels)))
+            rows.append((u0, u1, g0, g1, c0, c1))
+        return rows, classes, attrs
+
+    @pytest.mark.parametrize("name,min_leaf", sorted(PINNED_STRUCTURES))
+    def test_whole_tree_structure_is_pinned(self, name, min_leaf):
+        rows, classes, attrs = self._lp_tree_data()
+        assert len(set(classes)) >= 8
+        seed = {"j48": 0, "reptree": 3, "random-t": 11}[name]
+        spec = dataclasses.replace(preset(name), min_leaf=min_leaf, seed=seed)
+        clf = fit(spec, rows, classes, attrs)
+        digest = hashlib.sha256(repr(clf.root.structure()).encode()).hexdigest()
+        assert digest == self.PINNED_STRUCTURES[(name, min_leaf)]
 
     def test_reduced_error_pruning_never_hurts_prune_fold(self):
         # the defining property, on 50 seeded noisy fixtures

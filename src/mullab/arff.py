@@ -61,6 +61,8 @@ def _unquote(token: str) -> str:
 
 def _split_quoted(text: str, sep: str = ",") -> list[str]:
     """Split on ``sep`` outside single/double quotes."""
+    if "'" not in text and '"' not in text:
+        return text.split(sep)
     parts: list[str] = []
     buf: list[str] = []
     quote = None

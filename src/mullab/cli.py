@@ -36,6 +36,7 @@ flag nor the config provides one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -294,25 +295,15 @@ def _ensemble_spec(exp: dict, seed: int) -> EnsembleSpec:
     base = default_ensemble_spec(
         seed=seed,
         q=int(exp.get("q", 10)),
-        rule=exp.get("rule", "majority_vote"),
         sample_ratio=float(exp.get("sample_ratio", 0.67)),
         prune=prune,
         learner=learner,
     )
-    if exp.get("weights"):
-        base = EnsembleSpec(
-            members=base.members, sample_ratio=base.sample_ratio,
-            with_replacement=base.with_replacement, rule=base.rule,
-            weights=tuple(exp["weights"]), threshold=base.threshold,
-            seed=base.seed,
-        )
-    if exp.get("with_replacement"):
-        base = EnsembleSpec(
-            members=base.members, sample_ratio=base.sample_ratio,
-            with_replacement=True, rule=base.rule, weights=base.weights,
-            threshold=base.threshold, seed=base.seed,
-        )
-    return base
+    # one replace validates the rule together with its weights
+    return dataclasses.replace(
+        base, rule=exp.get("rule", "majority_vote"),
+        weights=tuple(exp["weights"]) if exp.get("weights") else None,
+        with_replacement=bool(exp.get("with_replacement", False)))
 
 
 def config_hash(cfg: dict) -> str:

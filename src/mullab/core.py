@@ -4,7 +4,8 @@ summary statistics.
 Everything here is immutable after construction and safe to share across
 worker threads.  Feature cells are plain Python scalars: ``float`` for
 numeric attributes, ``int`` (category index) for nominal ones, ``None`` for
-a missing value.
+a missing value.  A dataset also holds them as one read-only float matrix
+``X``, built once from the rows; subsets index it rather than rebuild it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 AttributeValue = Union[float, int, None]
 FeatureVector = tuple  # tuple[AttributeValue, ...], arity fixed by the schema
@@ -148,12 +151,17 @@ class MLDataset:
     """Instances paired with their label sets under one schema.
 
     ``rows`` is a tuple of (FeatureVector, LabelSet) pairs; every LabelSet
-    lives in the universe defined by ``schema.label_names``.
+    lives in the universe defined by ``schema.label_names``.  ``X`` is the
+    read-only n x d float64 feature matrix in C order: numeric cells as
+    given, nominal cells as their category index, NaN for a missing value.
     """
 
-    __slots__ = ("schema", "rows")
+    __slots__ = ("schema", "rows", "X")
 
-    def __init__(self, schema: Schema, rows, validate: bool = True):
+    def __init__(self, schema: Schema, rows, validate: bool = True,
+                 X: Optional[np.ndarray] = None):
+        """``X``, when given, is the feature matrix of ``rows`` (as when a
+        subset indexes its parent's matrix) and is not rebuilt."""
         rows = tuple((tuple(fv), ls) for fv, ls in rows)
         if validate:
             m = schema.n_labels
@@ -163,8 +171,12 @@ class MLDataset:
                         f"row labelset universe {ls.universe} != schema labels {m}"
                     )
                 _validate_row(schema, fv)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "rows", rows)
+        if X is None:
+            X = np.array([fv for fv, _ in rows], dtype=float)
+            X = X.reshape(len(rows), schema.n_attributes)
+        X.flags.writeable = False
+        for name, value in zip(self.__slots__, (schema, rows, X)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MLDataset is immutable")
@@ -188,8 +200,10 @@ class MLDataset:
         return self.schema.n_labels
 
     def subset(self, indices: Iterable[int]) -> "MLDataset":
+        idx = list(indices)
         rows = self.rows
-        return MLDataset(self.schema, [rows[i] for i in indices], validate=False)
+        return MLDataset(self.schema, [rows[i] for i in idx], validate=False,
+                         X=self.X[idx])
 
 
 @dataclass(frozen=True)

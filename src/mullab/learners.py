@@ -5,7 +5,8 @@ Three families, each consumed by the problem transformations:
 * k-nearest-neighbours: Euclidean (or Manhattan) distance over standardized
   numeric attributes plus 0/1 mismatch on nominal ones; neighbour class
   frequencies with uniform weights, distance ties broken by lower training
-  row index.
+  row index.  Neighbours come from an exact top-k selection (a partition
+  plus ordered tie filling), not a full sort.
 * Gaussian naive Bayes: per-class Gaussian per numeric attribute with a
   variance floor, Laplace-1 smoothed categorical likelihoods, frequency
   priors, log-space posterior.
@@ -19,6 +20,14 @@ Three families, each consumed by the problem transformations:
   vectorised pass over every cut that ``min_leaf`` allows, with the same
   float operations (and the same class-axis sums) as a one-attribute-at-a-
   time search, so it chooses the same splits.
+
+Input: ``fit`` and ``predict_dist_many`` take a list of feature rows or an
+n x d float matrix such as ``MLDataset.X``, which is built once per dataset;
+a C-ordered float64 matrix is used as is, without a copy or a per-row pass.
+Column kinds come only from the schema ``attributes``: without them every
+column is numeric, and nothing is inferred from the values.  A nominal cell
+must be an integral category index below the attribute's arity; anything
+else is a ``ValueError`` naming the attribute, in training and in queries.
 
 Missing values: numeric cells are imputed with the training mean of the
 attribute; nominal cells go to a dedicated extra category.  Every learner is
@@ -122,90 +131,63 @@ def preset(name: str) -> LearnerSpec:
 # ---------------------------------------------------------------------------
 
 class _Encoder:
-    """Maps FeatureVectors to a float matrix.
+    """Maps feature rows (or an n x d float matrix) to a float matrix.
 
     Numeric columns keep their value (missing -> training mean); nominal
     columns hold the category index as a float, with missing mapped to the
     extra index n_declared.  Category arity is fixed at n_declared + 1 so the
     encoding does not depend on where missing values happen to occur.
+    Without ``attributes`` every column is numeric.
     """
 
-    def __init__(self, features: Sequence[FeatureVector],
-                 attributes: Optional[Sequence[Attribute]] = None):
-        if not features:
-            raise ValueError("cannot encode an empty feature list")
-        d = len(features[0])
-        for row in features:
-            if len(row) != d:
-                raise ValueError("inconsistent feature arity in training data")
-        if attributes is not None:
-            if len(attributes) != d:
-                raise ValueError("attribute list arity does not match data")
-            self.is_nominal = np.array([a.is_nominal for a in attributes])
-            declared = [len(a.values) if a.is_nominal else 0 for a in attributes]
-        else:
-            self.is_nominal, declared = self._infer(features, d)
-        self.n_values = np.array(
-            [c + 1 if nom else 0 for nom, c in zip(self.is_nominal, declared)]
-        )
-        self._declared = declared
-        raw = self._raw_matrix(features)
-        self.means = np.zeros(d)
+    def __init__(self, features, attributes: Optional[Sequence[Attribute]] = None):
+        raw = np.ascontiguousarray(features, dtype=float)
+        if raw.ndim != 2:
+            raise ValueError("features must be a non-empty list of rows")
+        if attributes is None:
+            attributes = [Attribute(f"#{j}") for j in range(raw.shape[1])]
+        if len(attributes) != raw.shape[1]:
+            raise ValueError("attribute list arity does not match data")
+        self._attributes = attributes
+        self.is_nominal = np.array([a.is_nominal for a in attributes], dtype=bool)
+        self._declared = np.array(
+            [len(a.values) if a.is_nominal else 0 for a in attributes])
+        self.n_values = np.where(self.is_nominal, self._declared + 1, 0)
+        self._check_nominal(raw)
+        means = np.zeros(len(attributes))
         for j in np.flatnonzero(~self.is_nominal):
             col = raw[:, j]
             ok = ~np.isnan(col)
-            self.means[j] = col[ok].mean() if ok.any() else 0.0
+            means[j] = col[ok].mean() if ok.any() else 0.0
+        self._fill = np.where(self.is_nominal, self._declared, means)
         self.matrix = self._finish(raw)
 
-    @staticmethod
-    def _infer(features, d):
-        is_nominal = np.zeros(d, dtype=bool)
-        declared = [0] * d
-        for j in range(d):
-            col = [row[j] for row in features if row[j] is not None]
-            if col and all(isinstance(v, int) and not isinstance(v, bool) for v in col):
-                is_nominal[j] = True
-                declared[j] = max(col) + 1
-        return is_nominal, declared
-
-    def _raw_matrix(self, features) -> np.ndarray:
-        n, d = len(features), len(self.is_nominal)
-        raw = np.empty((n, d))
-        for j in range(d):
-            nominal = self.is_nominal[j]
-            cap = self._declared[j]
-            col = raw[:, j]
-            for i, row in enumerate(features):
-                v = row[j]
-                if v is None:
-                    col[i] = np.nan
-                elif nominal:
-                    if not 0 <= int(v) < cap:
-                        raise ValueError(
-                            f"category index {v} out of range at attribute {j}"
-                        )
-                    col[i] = float(int(v))
-                else:
-                    col[i] = float(v)
-        return raw
+    def _check_nominal(self, raw: np.ndarray) -> None:
+        nom = np.flatnonzero(self.is_nominal)
+        v = raw[:, nom]
+        bad = ~np.isnan(v) & ((v != np.floor(v)) | (v < 0)
+                              | (v >= self._declared[nom]))
+        if bad.any():
+            i, pos = np.argwhere(bad)[0]
+            j = nom[pos]
+            raise ValueError(
+                f"attribute {self._attributes[j].name!r} expects an integral "
+                f"category index in [0, {self._declared[j]}), got {v[i, pos]:g}")
 
     def _finish(self, raw: np.ndarray) -> np.ndarray:
-        out = raw.copy()
-        for j in range(out.shape[1]):
-            col = out[:, j]
-            miss = np.isnan(col)
-            if miss.any():
-                col[miss] = self._declared[j] if self.is_nominal[j] else self.means[j]
-        return out
+        miss = np.isnan(raw)
+        return np.where(miss, self._fill, raw) if miss.any() else raw
 
-    def transform(self, features: Sequence[FeatureVector]) -> np.ndarray:
+    def transform(self, features) -> np.ndarray:
         d = len(self.is_nominal)
-        for row in features:
-            if len(row) != d:
-                raise ValueError(
-                    f"query arity {len(row)} does not match training arity {d}"
-                )
-        return self._finish(self._raw_matrix(features))
+        raw = np.ascontiguousarray(features, dtype=float)
+        if raw.size == 0:
+            raw = raw.reshape(0, d)
+        if raw.ndim != 2 or raw.shape[1] != d:
+            raise ValueError(
+                f"query arity {raw.shape[-1]} does not match training arity {d}")
+        self._check_nominal(raw)
+        return self._finish(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +261,20 @@ class KnnClassifier(Classifier):
         return d
 
     def predict_dist_many(self, rows):
-        q = self._enc.transform(rows)
-        dist = self._distances(q)
-        # stable argsort: equal distances keep ascending training-row order
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
-        out = np.zeros((len(rows), self.n_classes))
-        for c in range(self.n_classes):
-            out[:, c] = (self._y[nearest] == c).sum(axis=1)
-        return out / self.k
+        dist = self._distances(self._enc.transform(rows))
+        nq, k, c = dist.shape[0], self.k, self.n_classes
+        # exact top-k, the rows a stable argsort puts first: all rows closer
+        # than the k-th distance, then rows tied with it by ascending index
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        if np.isnan(kth).any():
+            raise ValueError("knn distances are not numbers; rescale the features")
+        chosen, tied = dist < kth, dist == kth
+        spare = k - chosen.sum(axis=1)  # >= 1 slots left for tied rows
+        for i in np.flatnonzero(tied.sum(axis=1) > spare):
+            tied[i, np.flatnonzero(tied[i])[spare[i]:]] = False
+        cols = np.nonzero(chosen | tied)[1].reshape(nq, k)
+        votes = self._y[cols] + c * np.arange(nq)[:, None]
+        return np.bincount(votes.ravel(), minlength=nq * c).reshape(nq, c) / k
 
 
 class NaiveBayesClassifier(Classifier):
@@ -608,13 +596,15 @@ class TreeClassifier(Classifier):
 # fitting entry point
 # ---------------------------------------------------------------------------
 
-def fit(spec: LearnerSpec, features: Sequence[FeatureVector],
+def fit(spec: LearnerSpec, features: Union[Sequence[FeatureVector], np.ndarray],
         classes: Sequence[int],
         attributes: Optional[Sequence[Attribute]] = None) -> Classifier:
     """Train a classifier.  ``classes`` are dense indices in [0, C).
 
-    ``attributes`` carries the schema kinds; when omitted, columns whose
-    observed values are all ints are treated as nominal.
+    ``features`` is a list of rows or an n x d float matrix such as
+    ``MLDataset.X`` (NaN marks a missing cell); a C-ordered float64 matrix
+    is used without a copy.  ``attributes`` carries the schema kinds; when
+    omitted, every column is numeric.
     """
     if len(features) != len(classes):
         raise ValueError("features and classes differ in length")

@@ -173,7 +173,7 @@ def evaluate(model: MultiLabelModel, test: MLDataset,
         raise UniverseMismatch(
             f"model has {model.n_labels} labels, dataset has {test.n_labels}"
         )
-    scores = model.predict_scores_many(test.features)
+    scores = model.predict_scores_many(test.X)
     truths = test.labelsets
     preds = [bipartition(s, t) for s in scores]
     rankings = [rank_labels(s) for s in scores]

@@ -82,7 +82,6 @@ def br_fit(train: MLDataset, spec: LearnerSpec) -> BinaryRelevanceModel:
     scorer rather than an error."""
     if train.n_labels < 1:
         raise ValueError("binary relevance needs at least one label")
-    feats = train.features
     attrs = train.schema.attributes
     scorers = []
     for j in range(train.n_labels):
@@ -92,7 +91,7 @@ def br_fit(train: MLDataset, spec: LearnerSpec) -> BinaryRelevanceModel:
         elif all(v == 0 for v in y):
             scorers.append(_ConstantLabelScorer(0.0))
         else:
-            scorers.append(_BinaryWrapper(learners.fit(spec, feats, y, attrs)))
+            scorers.append(_BinaryWrapper(learners.fit(spec, train.X, y, attrs)))
     return BinaryRelevanceModel(train.schema, scorers)
 
 
@@ -128,7 +127,7 @@ def lp_fit(train: MLDataset, spec: LearnerSpec) -> LabelPowersetModel:
     distinct = sorted({ls.bits for ls in train.labelsets})
     class_of = {bits: c for c, bits in enumerate(distinct)}
     y = [class_of[ls.bits] for ls in train.labelsets]
-    clf = learners.fit(spec, train.features, y, train.schema.attributes)
+    clf = learners.fit(spec, train.X, y, train.schema.attributes)
     m = train.n_labels
     return LabelPowersetModel(
         train.schema, clf, tuple(LabelSet(bits, m) for bits in distinct)
@@ -171,7 +170,7 @@ def _restrict_to_labels(train: MLDataset, label_idx: Sequence[int]) -> MLDataset
             if j in ls:
                 bits |= 1 << pos
         rows.append((fv, LabelSet(bits, k)))
-    return MLDataset(schema, rows, validate=False)
+    return MLDataset(schema, rows, validate=False, X=train.X)
 
 
 def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
@@ -243,12 +242,13 @@ def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsM
     frequent = [bits for bits, c in freq.items() if c >= prune.p]
     frequent.sort(key=lambda bits: (-bits.bit_count(), bits))
     m = train.n_labels
-    kept = []
-    reintroduced = []
+    kept, kept_src = [], []
+    reintroduced, reintroduced_src = [], []
     n_pruned = 0
-    for fv, ls in train.rows:
+    for i, (fv, ls) in enumerate(train.rows):
         if freq[ls.bits] >= prune.p:
             kept.append((fv, ls))
+            kept_src.append(i)
             continue
         n_pruned += 1
         added = 0
@@ -257,11 +257,13 @@ def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsM
                 break
             if bits != ls.bits and bits & ls.bits == bits:  # strict subset
                 reintroduced.append((fv, LabelSet(bits, m)))
+                reintroduced_src.append(i)
                 added += 1
     rows = kept + reintroduced
     if not rows:
         raise ValueError(
             f"pruning with p={prune.p} removed every row; lower p"
         )
-    rewritten = MLDataset(train.schema, rows, validate=False)
+    rewritten = MLDataset(train.schema, rows, validate=False,
+                          X=train.X[kept_src + reintroduced_src])
     return PrunedSetsModel(lp_fit(rewritten, spec), n_pruned, len(reintroduced))

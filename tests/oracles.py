@@ -153,3 +153,49 @@ def best_split_bf(rows, classes, criterion, min_leaf=1):
             if best is None or metric > best[2]:
                 best = (a, t, metric)
     return best
+
+
+# ---------------------------------------------------------------------------
+# k-nearest-neighbour vote oracle (over a given distance matrix)
+# ---------------------------------------------------------------------------
+
+def knn_counts_bf(distances, train_classes, k, n_classes):
+    """Class frequencies among the k nearest training rows of each query.
+
+    ``distances[i][t]`` is the distance from query i to training row t.
+    Neighbours come from a stable sort on distance, so rows tied at the
+    boundary are taken in ascending training-row order.
+    """
+    out = []
+    for row in distances:
+        order = sorted(range(len(row)), key=lambda t: row[t])
+        counts = [0] * n_classes
+        for t in order[:k]:
+            counts[train_classes[t]] += 1
+        out.append([c / k for c in counts])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# ARFF splitting oracle
+# ---------------------------------------------------------------------------
+
+def split_quoted_bf(text, sep=","):
+    """Split on ``sep`` outside single/double quotes, one character at a
+    time; quote characters stay in the pieces."""
+    parts, buf, quote = [], "", None
+    for ch in text:
+        if quote:
+            buf += ch
+            if ch == quote:
+                quote = None
+        elif ch in "'\"":
+            quote = ch
+            buf += ch
+        elif ch == sep:
+            parts.append(buf)
+            buf = ""
+        else:
+            buf += ch
+    parts.append(buf)
+    return parts

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mullab.arff import (
     ArffParseError,
+    _split_quoted,
     LabelSpec,
     SplitSpec,
     bind_labels,
@@ -13,6 +15,7 @@ from mullab.arff import (
 from mullab.core import dataset_stats
 
 from golden_arff import BAD_FIXTURES, GOOD_FIXTURES
+from oracles import split_quoted_bf
 
 
 @pytest.mark.parametrize(
@@ -31,6 +34,13 @@ def test_golden_errors(name, text, line, fragment):
     assert err.value.line == line
     assert fragment in str(err.value)
     assert f"line {line}:" in str(err.value)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.text(alphabet="'\",ab xyZ", max_size=40))
+def test_split_quoted_matches_character_reference(text):
+    # covers both the quote-free fast path and the quoted character loop
+    assert _split_quoted(text) == split_quoted_bf(text)
 
 
 def test_parse_dump_parse_fixed_point():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from mullab.metrics import evaluate
 from mullab.rng import derive_seed
 from mullab.transforms import br_fit
 
-from synth import correlated_dataset, to_arff_text
+from synth import correlated_dataset, random_dataset, to_arff_text
 
 
 @pytest.fixture
@@ -213,6 +214,41 @@ class TestBenchmark:
         assert run_cli(["benchmark", "--config", cfg_path, "--format", "csv",
                         "--seed", 5, "--out", out_flag]) == 0
         assert out_env.read_bytes() == out_flag.read_bytes()
+
+    def test_report_with_missing_and_nominal_cells_is_pinned(self, tmp_path):
+        # the digest was recorded before features were encoded once per
+        # dataset; it covers mean imputation, the missing category and
+        # nominal distances, which the dense benchmark data never reach
+        data = random_dataset(21, n=150, n_labels=4, n_num=4, n_nom=2,
+                              missing_rate=0.1)
+        arff_path = tmp_path / "missing.arff"
+        arff_path.write_text(to_arff_text(data), encoding="utf-8")
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("".join(f"L{j}\n" for j in range(4)),
+                               encoding="utf-8")
+        cfg = write_config(tmp_path, arff_path, labels_path, [
+            {"name": "br-knn", "transform": "br", "learner": "knn"},
+            {"name": "lp-nb", "transform": "lp", "learner": "nb"},
+            {"name": "rakel-j48", "transform": "rakel", "learner": "j48"},
+            {"name": "ps-knn", "transform": "ps", "learner": "knn"},
+            {"name": "ens", "transform": "ensemble", "q": 3},
+        ])
+        out = tmp_path / "report.csv"
+        assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
+                        "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "18d9b45dc5ba9105f33ad8b1eae159209b30e0ef6cc809b2a2366a8b9e98faf8")
+
+
+def test_default_ensemble_takes_weights_and_replacement():
+    spec = cli._ensemble_spec({"transform": "ensemble", "q": 2,
+                               "rule": "weighted_mean", "weights": [1, 3],
+                               "with_replacement": True}, 9)
+    assert spec.members == default_ensemble_spec(seed=9, q=2).members
+    assert (spec.rule, spec.weights, spec.with_replacement, spec.seed) == (
+        "weighted_mean", (1, 3), True, 9)
+    plain = cli._ensemble_spec({"transform": "ensemble", "q": 2}, 9)
+    assert plain == default_ensemble_spec(seed=9, q=2)
 
 
 class TestConfigHash:

@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from mullab.core import (
@@ -166,3 +168,34 @@ class TestDatasetValidation:
         d = tiny_dataset([ls([0], 1)], 1)
         with pytest.raises(AttributeError):
             d.rows = ()
+
+
+class TestFeatureMatrix:
+    def test_matrix_matches_rows(self):
+        d = random_dataset(8, n=25, n_num=2, n_nom=2, missing_rate=0.2)
+        assert d.X.shape == (25, 4) and d.X.dtype == np.float64
+        assert d.X.flags.c_contiguous
+        for i, (fv, _) in enumerate(d.rows):
+            for j, v in enumerate(fv):
+                if v is None:
+                    assert math.isnan(d.X[i, j])
+                else:
+                    assert d.X[i, j] == float(v)
+
+    def test_matrix_is_read_only(self):
+        d = random_dataset(8, n=5)
+        with pytest.raises(ValueError):
+            d.X[0, 0] = 1.0
+
+    def test_subset_indexes_the_matrix(self):
+        d = random_dataset(9, n=12, missing_rate=0.2)
+        idx = [7, 0, 7, 3]
+        sub = d.subset(idx)
+        assert sub.rows == tuple(d.rows[i] for i in idx)
+        assert np.array_equal(sub.X, d.X[idx], equal_nan=True)
+        assert sub.X.flags.c_contiguous and not sub.X.flags.writeable
+        assert d.subset([]).X.shape == (0, d.schema.n_attributes)
+
+    def test_empty_dataset_matrix_has_schema_width(self):
+        schema = Schema((Attribute("a"), Attribute("b")), ("L0",))
+        assert MLDataset(schema, []).X.shape == (0, 2)

@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mullab.core import Attribute
 from mullab.rng import Xoshiro256
@@ -15,7 +16,7 @@ from mullab.learners import (
     PRESET_NAMES,
 )
 
-from oracles import best_split_bf, naive_bayes_posterior_bf
+from oracles import best_split_bf, knn_counts_bf, naive_bayes_posterior_bf
 from synth import random_dataset
 
 NUM2 = (Attribute("a"), Attribute("b"))
@@ -125,6 +126,27 @@ class TestKnn:
         pts = [(0.0, 0.0), (10.0, 10.0)]
         clf = fit(KnnSpec(k=1, distance="manhattan"), pts, [0, 1], NUM2)
         assert clf.predict_dist((1.0, 1.0)).tolist() == [1.0, 0.0]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_votes_match_stable_sort_on_tied_grid(self, data):
+        # integer grid points in few dimensions: distance ties everywhere,
+        # including at the k-th neighbour
+        d = data.draw(st.integers(1, 2))
+        coord = st.integers(-1, 1).map(float)
+        pts = data.draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=14))
+        cls = data.draw(st.lists(st.integers(0, 2), min_size=len(pts),
+                                 max_size=len(pts)))
+        assume(max(cls) >= 1)
+        queries = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                                     max_size=6))
+        k = data.draw(st.integers(1, len(pts)))
+        distance = data.draw(st.sampled_from(["euclidean", "manhattan"]))
+        attrs = tuple(Attribute(f"a{j}") for j in range(d))
+        clf = fit(KnnSpec(k=k, distance=distance), pts, cls, attrs)
+        dist = clf._distances(clf._enc.transform(queries))
+        expected = knn_counts_bf(dist.tolist(), cls, k, max(cls) + 1)
+        assert clf.predict_dist_many(queries).tolist() == expected
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -342,6 +364,54 @@ class TestMissingValues:
         cls = [0, 0, 1, 1]
         clf = fit(KnnSpec(k=1), pts, cls, attrs)
         assert clf.predict_dist((None,)).tolist() == [1.0, 0.0]
+
+
+class TestEncoding:
+    NOM3 = (Attribute("c", ("x", "y", "z")),)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_non_integral_category_rejected_in_fit(self, spec):
+        with pytest.raises(ValueError, match="'c'.*integral"):
+            fit(spec, [(0,), (1.7,), (2,)], [0, 1, 0], self.NOM3)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_non_integral_category_rejected_in_predict(self, spec):
+        clf = fit(spec, [(0,), (1,), (2,)], [0, 1, 0], self.NOM3)
+        with pytest.raises(ValueError, match="'c'.*integral"):
+            clf.predict_dist((1.9,))
+        assert clf.predict_dist((1.0,)).tolist() == clf.predict_dist((1,)).tolist()
+
+    def test_out_of_range_category_rejected(self):
+        with pytest.raises(ValueError, match=r"'c'.*\[0, 3\), got (3|-1)$"):
+            fit(KnnSpec(k=1), [(0,), (3,)], [0, 1], self.NOM3)
+        clf = fit(KnnSpec(k=1), [(0,), (2,)], [0, 1], self.NOM3)
+        with pytest.raises(ValueError, match=r"'c'.*\[0, 3\), got (3|-1)$"):
+            clf.predict_dist((-1,))
+
+    def test_without_attributes_every_column_is_numeric(self):
+        # integer cells are numbers, not categories: 2 is nearer to 1 than 0
+        clf = fit(KnnSpec(k=1), [(0,), (1,)], [0, 1])
+        assert clf.predict_dist((2,)).tolist() == [0.0, 1.0]
+        clf = fit(KnnSpec(k=1), [(0,), (1,)], [0, 1], self.NOM3)
+        assert clf.predict_dist((2,)).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_matrix_and_rows_give_the_same_model(self, spec):
+        d = random_dataset(4, n=40, n_labels=2, n_num=3, n_nom=2,
+                           missing_rate=0.15)
+        probe = random_dataset(5, n=12, n_labels=2, n_num=3, n_nom=2,
+                               missing_rate=0.3)
+        y = [ls.bits for ls in d.labelsets]
+        attrs = d.schema.attributes
+        from_rows = fit(spec, d.features, y, attrs).predict_dist_many(probe.features)
+        from_matrix = fit(spec, d.X, y, attrs).predict_dist_many(probe.X)
+        assert np.array_equal(from_rows, from_matrix)
+
+    def test_matrix_is_not_copied(self):
+        d = random_dataset(6, n=20, n_labels=2, n_num=3, n_nom=0)
+        clf = fit(NaiveBayesSpec(), d.X, [ls.bits % 2 for ls in d.labelsets],
+                  d.schema.attributes)
+        assert clf._enc.matrix is d.X
 
 
 class TestPresets:

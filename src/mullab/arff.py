@@ -25,7 +25,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Attribute, LabelSet, MLDataset, Schema
+import numpy as np
+
+from .core import Attribute, MLDataset, Schema
 from .rng import Xoshiro256
 
 _NUMERIC_KINDS = {"numeric", "real", "integer"}
@@ -304,24 +306,8 @@ def read_label_names(path) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _label_truth(value, attr: Attribute, row_idx: int) -> bool:
-    if value is None:
-        raise ValueError(
-            f"row {row_idx}: label attribute {attr.name!r} is missing ('?')"
-        )
-    if attr.is_nominal:
-        return attr.values[value] == "1"
-    if value == 0.0:
-        return False
-    if value == 1.0:
-        return True
-    raise ValueError(
-        f"row {row_idx}: label attribute {attr.name!r} has non-binary value {value!r}"
-    )
-
-
 def bind_labels(raw: RawTable, spec: LabelSpec) -> MLDataset:
-    """Fold the label attributes of ``raw`` into LabelSets.
+    """Split ``raw`` into the feature matrix and the bool label matrix.
 
     Label attributes must be binary: nominal over a subset of {"0","1"} or
     numeric taking only 0/1 values.  The resulting label universe follows the
@@ -356,15 +342,26 @@ def bind_labels(raw: RawTable, spec: LabelSpec) -> MLDataset:
         attributes=tuple(raw.attributes[i] for i in feat_idx),
         label_names=tuple(raw.attributes[i].name for i in label_idx),
     )
-    m = len(label_idx)
-    rows = []
-    for r, row in enumerate(raw.rows):
-        bits = 0
-        for j, i in enumerate(label_idx):
-            if _label_truth(row[i], raw.attributes[i], r):
-                bits |= 1 << j
-        rows.append((tuple(row[i] for i in feat_idx), LabelSet(bits, m)))
-    return MLDataset(schema, rows, validate=False)
+    table = np.array(raw.rows, dtype=float).reshape(len(raw.rows), n_attrs)
+    cells = table[:, label_idx]
+    for j, i in enumerate(label_idx):
+        values = raw.attributes[i].values
+        if values is not None:  # nominal: category index -> "0" / "1"
+            known = ~np.isnan(cells[:, j])
+            cells[known, j] = np.array(values, dtype=float)[
+                cells[known, j].astype(np.intp)]
+    Y = cells == 1.0
+    bad = np.argwhere(~Y & (cells != 0.0))  # NaN (missing) is bad too
+    if bad.size:
+        r, j = bad[0]
+        name = raw.attributes[label_idx[j]].name
+        if np.isnan(cells[r, j]):
+            raise ValueError(f"row {r}: label attribute {name!r} is missing ('?')")
+        raise ValueError(
+            f"row {r}: label attribute {name!r} has non-binary value "
+            f"{float(cells[r, j])!r}"
+        )
+    return MLDataset.from_arrays(schema, table[:, feat_idx], Y)
 
 
 def load_dataset(arff_path, spec: LabelSpec) -> MLDataset:

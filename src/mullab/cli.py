@@ -36,9 +36,9 @@ flag nor the config provides one.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -61,6 +61,8 @@ from .learners import KnnSpec, NaiveBayesSpec, TreeSpec, preset
 from .metrics import EvaluationReport, evaluate
 from .rng import derive_seed
 from .transforms import PruneSpec, br_fit, lp_fit, ps_fit, rakel_fit
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -253,11 +255,8 @@ def _build_model(exp: dict, train: MLDataset, run_seed: int, index: int,
                           k=int(exp.get("k", 3)), seed=exp_seed)
         if model.uncovered:
             names = [train.schema.label_names[j] for j in model.uncovered]
-            print(
-                f"warning: rakel members cover no subset containing "
-                f"{names}; those labels score a neutral 0.5",
-                file=sys.stderr,
-            )
+            log.warning("rakel members cover no subset containing %s; "
+                        "those labels score a neutral 0.5", names)
         return model
     if transform == "ps":
         return ps_fit(train, learner,
@@ -266,44 +265,36 @@ def _build_model(exp: dict, train: MLDataset, run_seed: int, index: int,
 
 
 def _ensemble_spec(exp: dict, seed: int) -> EnsembleSpec:
+    """One EnsembleSpec for both forms, so every field is read the same way
+    whether the members are listed or default."""
     prune = PruneSpec(int(exp.get("p", 2)), int(exp.get("b", 2)))
-    members_cfg = exp.get("members")
-    if members_cfg:
-        members = []
-        for mc in members_cfg:
-            learner, _ = _parse_learner(mc.get("learner"))
-            members.append(MemberSpec(
-                transform=mc.get("transform", "ps"), learner=learner,
+    if exp.get("members"):
+        members = tuple(
+            MemberSpec(
+                transform=mc.get("transform", "ps"),
+                learner=_parse_learner(mc.get("learner"))[0],
                 prune=PruneSpec(int(mc.get("p", prune.p)), int(mc.get("b", prune.b))),
                 rakel_m=mc.get("m"), rakel_k=int(mc.get("k", 3)),
-            ))
-        return EnsembleSpec(
-            members=tuple(members),
-            sample_ratio=float(exp.get("sample_ratio", 0.67)),
-            with_replacement=bool(exp.get("with_replacement", False)),
-            rule=exp.get("rule", "majority_vote"),
-            weights=tuple(exp["weights"]) if exp.get("weights") else None,
-            threshold=float(exp.get("threshold", 0.5)),
-            seed=seed,
-        )
-    learner = exp.get("learner")
-    if learner is not None and not isinstance(learner, str):
-        raise UsageError(
-            "ensemble 'learner' must be a preset name; use 'members' for "
-            "custom learner specs"
-        )
-    base = default_ensemble_spec(
-        seed=seed,
-        q=int(exp.get("q", 10)),
+            )
+            for mc in exp["members"])
+    else:
+        learner = exp.get("learner")
+        if learner is not None and not isinstance(learner, str):
+            raise UsageError(
+                "ensemble 'learner' must be a preset name; use 'members' for "
+                "custom learner specs"
+            )
+        members = default_ensemble_spec(q=int(exp.get("q", 10)), prune=prune,
+                                        learner=learner).members
+    return EnsembleSpec(
+        members=members,
         sample_ratio=float(exp.get("sample_ratio", 0.67)),
-        prune=prune,
-        learner=learner,
-    )
-    # one replace validates the rule together with its weights
-    return dataclasses.replace(
-        base, rule=exp.get("rule", "majority_vote"),
+        with_replacement=bool(exp.get("with_replacement", False)),
+        rule=exp.get("rule", "majority_vote"),
         weights=tuple(exp["weights"]) if exp.get("weights") else None,
-        with_replacement=bool(exp.get("with_replacement", False)))
+        threshold=float(exp.get("threshold", 0.5)),
+        seed=seed,
+    )
 
 
 def config_hash(cfg: dict) -> str:
@@ -454,29 +445,20 @@ def _run_experiments(cfg: dict, train: MLDataset, test: MLDataset):
     threshold = float(cfg["threshold"])
     workers = max(1, int(cfg["workers"]))
 
-    def run_one(item):
-        index, exp = item
-        model = _build_model(exp, train, seed, index,
-                             workers if len(experiments) == 1 else 1)
-        return evaluate(model, test, threshold)
+    def run_one(index: int):
+        try:
+            model = _build_model(experiments[index], train, seed, index,
+                                 workers if len(experiments) == 1 else 1)
+            return evaluate(model, test, threshold)
+        except Exception as e:  # noqa: BLE001 - row marked failed
+            return e
 
     names = [_experiment_name(exp, i) for i, exp in enumerate(experiments)]
-    results: list = [None] * len(experiments)
     if workers > 1 and len(experiments) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_one, (i, exp))
-                       for i, exp in enumerate(experiments)]
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-            except Exception as e:  # noqa: BLE001 - row marked failed
-                results[i] = e
+            results = list(pool.map(run_one, range(len(experiments))))
     else:
-        for i, exp in enumerate(experiments):
-            try:
-                results[i] = run_one((i, exp))
-            except Exception as e:  # noqa: BLE001
-                results[i] = e
+        results = [run_one(i) for i in range(len(experiments))]
     return list(zip(names, results))
 
 
@@ -506,9 +488,14 @@ def cmd_benchmark(args) -> int:
         "wall_time_s": round(time.monotonic() - started, 3),
     }
     _emit(_render(cfg, reports, meta), cfg.get("out"))
+    return _exit_code(reports)
+
+
+def _exit_code(reports) -> int:
+    """Log every failed experiment; EXIT_EXPERIMENT if there was one."""
     failed = [(n, r) for n, r in reports if not isinstance(r, EvaluationReport)]
     for name, err in failed:
-        print(f"experiment {name!r} failed: {err}", file=sys.stderr)
+        log.error("experiment %r failed: %s", name, err)
     return EXIT_EXPERIMENT if failed else EXIT_OK
 
 
@@ -580,10 +567,7 @@ def cmd_evaluate(args) -> int:
         "config_hash": config_hash(cfg),
     }
     _emit(_render(cfg, reports, meta, include_average=False), cfg.get("out"))
-    failed = [(n, r) for n, r in reports if not isinstance(r, EvaluationReport)]
-    for name, err in failed:
-        print(f"experiment {name!r} failed: {err}", file=sys.stderr)
-    return EXIT_EXPERIMENT if failed else EXIT_OK
+    return _exit_code(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +623,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    # warnings and failed experiments go to stderr; the handler lives only
+    # for this call, so importing mullab sets up no logging
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    logging.getLogger("mullab").addHandler(handler)
     try:
         return args.func(args)
     except UsageError as e:
@@ -647,6 +636,8 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        logging.getLogger("mullab").removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -2,17 +2,18 @@
 summary statistics.
 
 Everything here is immutable after construction and safe to share across
-worker threads.  Feature cells are plain Python scalars: ``float`` for
-numeric attributes, ``int`` (category index) for nominal ones, ``None`` for
-a missing value.  A dataset also holds them as one read-only float matrix
-``X``, built once from the rows; subsets index it rather than rebuild it.
+worker threads.  A dataset is two read-only matrices, the float features
+``X`` and the bool labels ``Y``; subsets, label restrictions and metrics
+index them.  Feature tuples (``float``, ``int`` category index, ``None``)
+appear only when a dataset is built from pairs or ``features`` is read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from itertools import chain
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -127,83 +128,136 @@ class Schema:
         return len(self.label_names)
 
 
-def _validate_row(schema: Schema, vec: FeatureVector) -> None:
-    if len(vec) != schema.n_attributes:
+def label_matrix(labelsets: Sequence[LabelSet], universe: int) -> np.ndarray:
+    """The n x ``universe`` bool matrix of ``labelsets``: entry (i, j) is
+    true when label j belongs to set i."""
+    if {ls.universe for ls in labelsets} - {universe}:
+        raise UniverseMismatch(f"labelsets are not all in universe {universe}")
+    width = (universe + 7) // 8
+    packed = np.frombuffer(
+        b"".join(ls.bits.to_bytes(width, "little") for ls in labelsets),
+        dtype=np.uint8).reshape(len(labelsets), width)
+    return np.unpackbits(packed, axis=1, count=universe,
+                         bitorder="little").astype(bool)
+
+
+def labelsets_of(Y: np.ndarray) -> list[LabelSet]:
+    """The rows of a bool label matrix as LabelSets."""
+    packed = np.packbits(Y, axis=1, bitorder="little")
+    return [LabelSet(int.from_bytes(row, "little"), Y.shape[1])
+            for row in map(bytes, packed)]
+
+
+_NUMBER_TYPES = {float, int, np.float64, type(None)}
+
+
+def _feature_matrix(schema: Schema, features: Sequence[FeatureVector]) -> np.ndarray:
+    """Check the whole table at once and return it as a float matrix: the
+    schema's arity in every row, a number (or None) in every cell and
+    category indices in nominal columns."""
+    n, d = len(features), schema.n_attributes
+    arity = np.fromiter(map(len, features), np.intp, n)
+    if (arity != d).any():
+        i = int(np.argmax(arity != d))
         raise ValueError(
-            f"feature vector arity {len(vec)} != schema arity {schema.n_attributes}"
-        )
-    for attr, v in zip(schema.attributes, vec):
-        if v is None:
-            continue
-        if attr.is_nominal:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"attribute {attr.name!r} expects a category index")
-            if not 0 <= v < len(attr.values):
-                raise ValueError(
-                    f"category index {v} out of range for attribute {attr.name!r}"
-                )
-        else:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"attribute {attr.name!r} expects a numeric value")
+            f"row {i}: feature vector arity {arity[i]} != schema arity {d}")
+    cells = list(chain.from_iterable(features))
+    odd = set(map(type, cells)) - _NUMBER_TYPES
+    if odd:
+        i = next(k for k, v in enumerate(cells) if type(v) in odd)
+        raise ValueError(f"row {i // d}: attribute "
+                         f"{schema.attributes[i % d].name!r} expects a "
+                         f"number, not {cells[i]!r}")
+    X = np.array(cells, dtype=float).reshape(n, d)
+    check_category_indices(X, schema.attributes)
+    return X
+
+
+def check_category_indices(X: np.ndarray,
+                           attributes: Sequence[Attribute]) -> None:
+    """Raise ValueError unless every present cell of a nominal column of
+    ``X`` is an integral category index below the attribute's arity."""
+    nom = [j for j, a in enumerate(attributes) if a.is_nominal]
+    v = X[:, nom]
+    arity = np.array([len(attributes[j].values) for j in nom])
+    bad = ~np.isnan(v) & ((v != np.floor(v)) | (v < 0) | (v >= arity))
+    if bad.any():
+        i, pos = np.argwhere(bad)[0]
+        a = attributes[nom[pos]]
+        raise ValueError(
+            f"row {i}: attribute {a.name!r} expects an integral category "
+            f"index in [0, {len(a.values)}), got {v[i, pos]:g}")
 
 
 class MLDataset:
-    """Instances paired with their label sets under one schema.
+    """Instances and their labels under one schema, as two read-only
+    matrices.
 
-    ``rows`` is a tuple of (FeatureVector, LabelSet) pairs; every LabelSet
-    lives in the universe defined by ``schema.label_names``.  ``X`` is the
-    read-only n x d float64 feature matrix in C order: numeric cells as
+    ``X`` is the n x d float64 feature matrix in C order: numeric cells as
     given, nominal cells as their category index, NaN for a missing value.
+    ``Y`` is the n x m bool label matrix: ``Y[i, j]`` is true when label j
+    of ``schema.label_names`` is relevant to row i.
     """
 
-    __slots__ = ("schema", "rows", "X")
+    __slots__ = ("schema", "X", "Y")
 
-    def __init__(self, schema: Schema, rows, validate: bool = True,
-                 X: Optional[np.ndarray] = None):
-        """``X``, when given, is the feature matrix of ``rows`` (as when a
-        subset indexes its parent's matrix) and is not rebuilt."""
-        rows = tuple((tuple(fv), ls) for fv, ls in rows)
-        if validate:
-            m = schema.n_labels
-            for fv, ls in rows:
-                if ls.universe != m:
-                    raise UniverseMismatch(
-                        f"row labelset universe {ls.universe} != schema labels {m}"
-                    )
-                _validate_row(schema, fv)
-        if X is None:
-            X = np.array([fv for fv, _ in rows], dtype=float)
-            X = X.reshape(len(rows), schema.n_attributes)
+    def __init__(self, schema: Schema,
+                 rows: Iterable[tuple[FeatureVector, LabelSet]]):
+        """Build from (FeatureVector, LabelSet) pairs, checked once as a
+        whole table against the schema's arity and label universe."""
+        rows = list(rows)
+        labels = label_matrix([ls for _, ls in rows], schema.n_labels)
+        self._init(schema, _feature_matrix(schema, [fv for fv, _ in rows]),
+                   labels)
+
+    @classmethod
+    def from_arrays(cls, schema: Schema, X: np.ndarray,
+                    Y: np.ndarray) -> "MLDataset":
+        """Wrap matrices already laid out as described above (parsed,
+        indexed or restricted ones); only their shapes are checked.  A
+        C-ordered matrix of the right dtype is kept, not copied, and
+        becomes read-only."""
+        d = cls.__new__(cls)
+        d._init(schema, X, Y)
+        return d
+
+    def _init(self, schema: Schema, X: np.ndarray, Y: np.ndarray) -> None:
+        X = np.ascontiguousarray(X, dtype=float)
+        Y = np.ascontiguousarray(Y, dtype=bool)
+        n = len(X)
+        if (X.shape, Y.shape) != ((n, schema.n_attributes), (n, schema.n_labels)):
+            raise ValueError(f"matrices of shape {X.shape} and {Y.shape} do "
+                             f"not fit the schema")
         X.flags.writeable = False
-        for name, value in zip(self.__slots__, (schema, rows, X)):
+        Y.flags.writeable = False
+        for name, value in zip(self.__slots__, (schema, X, Y)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MLDataset is immutable")
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[tuple[FeatureVector, LabelSet]]:
-        return iter(self.rows)
+        return self.X.shape[0]
 
     @property
     def features(self) -> list[FeatureVector]:
-        return [fv for fv, _ in self.rows]
+        """The rows of ``X`` as tuples: float for numeric cells, int
+        category index for nominal ones, None for a missing value."""
+        kinds = [int if a.is_nominal else float for a in self.schema.attributes]
+        return [tuple(None if math.isnan(v) else kind(v)
+                      for kind, v in zip(kinds, row)) for row in self.X.tolist()]
 
     @property
     def labelsets(self) -> list[LabelSet]:
-        return [ls for _, ls in self.rows]
+        return labelsets_of(self.Y)
 
     @property
     def n_labels(self) -> int:
         return self.schema.n_labels
 
     def subset(self, indices: Iterable[int]) -> "MLDataset":
-        idx = list(indices)
-        rows = self.rows
-        return MLDataset(self.schema, [rows[i] for i in idx], validate=False,
-                         X=self.X[idx])
+        idx = np.fromiter(indices, np.intp)
+        return MLDataset.from_arrays(self.schema, self.X[idx], self.Y[idx])
 
 
 @dataclass(frozen=True)
@@ -227,7 +281,7 @@ def label_cardinality(d: MLDataset) -> float:
     """Mean number of relevant labels per instance."""
     if len(d) == 0:
         raise ValueError("label_cardinality undefined on an empty dataset")
-    return sum(ls.cardinality() for ls in d.labelsets) / len(d)
+    return int(d.Y.sum()) / len(d)
 
 
 def label_density(d: MLDataset) -> float:
@@ -241,16 +295,12 @@ def dataset_stats(d: MLDataset) -> DatasetStats:
     if len(d) == 0:
         raise ValueError("dataset_stats undefined on an empty dataset")
     lcard = label_cardinality(d)
-    counts = Counter(ls.bits for ls in d.labelsets)
-    observed_union = 0
-    for bits in counts:
-        observed_union |= bits
-    n_observed = observed_union.bit_count()
+    n_observed = int(d.Y.any(axis=0).sum())
     return DatasetStats(
         n_instances=len(d),
         n_labels=d.n_labels,
         lcard=lcard,
         lden=lcard / d.n_labels,
-        distinct_labelsets=len(counts),
+        distinct_labelsets=len(np.unique(d.Y, axis=0)),
         lden_observed=lcard / n_observed if n_observed else 0.0,
     )

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import FeatureVector, LabelSet, MLDataset
 from .learners import LearnerSpec, preset, PRESET_NAMES
+from .metrics import bipartition, rank_labels
 from .rng import Xoshiro256, derive_seed
 from .transforms import (
     MultiLabelModel,
@@ -78,15 +79,25 @@ class EnsembleSpec:
             raise ValueError("sample_ratio must be in (0, 1]")
         if self.rule not in COMBINATION_RULES:
             raise ValueError(f"unknown combination rule {self.rule!r}")
-        if self.weights is not None:
-            if len(self.weights) != len(self.members):
-                raise ValueError("weights length must equal member count")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("weights must be >= 0")
-            if not sum(self.weights) > 0:
-                raise ValueError("weights must not all be zero")
-        if self.rule in _WEIGHTED_RULES and self.weights is None:
-            raise ValueError(f"rule {self.rule!r} requires weights")
+        _checked_weights(self.rule, self.weights, len(self.members))
+
+
+def _checked_weights(rule: str, weights: Optional[Sequence[float]],
+                     q: int) -> Optional[np.ndarray]:
+    """``weights`` as a float array after checking them against ``rule``
+    and the member count ``q``; None when there are none."""
+    if weights is None:
+        if rule in _WEIGHTED_RULES:
+            raise ValueError(f"rule {rule!r} requires weights")
+        return None
+    w = np.asarray(list(weights), dtype=float)
+    if w.shape != (q,):
+        raise ValueError("weights length must equal member count")
+    if (w < 0).any():
+        raise ValueError("weights must be >= 0")
+    if not w.sum() > 0:
+        raise ValueError("weights must not all be zero")
+    return w
 
 
 def default_ensemble_spec(seed: int = 0, q: int = 10,
@@ -126,17 +137,8 @@ def combine(member_scores: Sequence[np.ndarray], rule: str,
         raise ValueError("member scores must be finite")
     if arr.size and (arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9):
         raise ValueError("member scores must lie in [0, 1]")
-    w = None
     if rule in _WEIGHTED_RULES:
-        if weights is None:
-            raise ValueError(f"rule {rule!r} requires weights")
-        w = np.asarray(list(weights), dtype=float)
-        if w.shape != (arr.shape[0],):
-            raise ValueError("weights length must equal member count")
-        if (w < 0).any():
-            raise ValueError("weights must be >= 0")
-        if w.sum() <= 0:
-            raise ValueError("weights must not all be zero")
+        w = _checked_weights(rule, weights, arr.shape[0])
         w = w.reshape((-1,) + (1,) * (arr.ndim - 1))
     if rule == "mean":
         return arr.mean(axis=0)
@@ -150,28 +152,6 @@ def combine(member_scores: Sequence[np.ndarray], rule: str,
     if rule == "majority_vote":
         return votes.mean(axis=0)
     return (w * votes).sum(axis=0) / w.sum()
-
-
-def bipartition(scores: Sequence[float], t: float = 0.5) -> LabelSet:
-    """Labels whose score reaches the threshold (inclusive at exactly t)."""
-    scores = np.asarray(scores, dtype=float)
-    bits = 0
-    for j in range(scores.shape[0]):
-        if scores[j] >= t:
-            bits |= 1 << j
-    return LabelSet(bits, scores.shape[0])
-
-
-def rank_labels(scores: Sequence[float]) -> tuple[int, ...]:
-    """Rank per label, 1 = highest score; equal scores rank by ascending
-    label index."""
-    scores = np.asarray(scores, dtype=float)
-    m = scores.shape[0]
-    order = sorted(range(m), key=lambda j: (-scores[j], j))
-    ranks = [0] * m
-    for pos, j in enumerate(order):
-        ranks[j] = pos + 1
-    return tuple(ranks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Attribute, FeatureVector
+from .core import Attribute, FeatureVector, check_category_indices
 from .rng import Xoshiro256, derive_seed
 
 ClassDistribution = np.ndarray  # shape (C,), entries in [0,1], sums to 1
@@ -153,7 +153,7 @@ class _Encoder:
         self._declared = np.array(
             [len(a.values) if a.is_nominal else 0 for a in attributes])
         self.n_values = np.where(self.is_nominal, self._declared + 1, 0)
-        self._check_nominal(raw)
+        check_category_indices(raw, attributes)
         means = np.zeros(len(attributes))
         for j in np.flatnonzero(~self.is_nominal):
             col = raw[:, j]
@@ -161,18 +161,6 @@ class _Encoder:
             means[j] = col[ok].mean() if ok.any() else 0.0
         self._fill = np.where(self.is_nominal, self._declared, means)
         self.matrix = self._finish(raw)
-
-    def _check_nominal(self, raw: np.ndarray) -> None:
-        nom = np.flatnonzero(self.is_nominal)
-        v = raw[:, nom]
-        bad = ~np.isnan(v) & ((v != np.floor(v)) | (v < 0)
-                              | (v >= self._declared[nom]))
-        if bad.any():
-            i, pos = np.argwhere(bad)[0]
-            j = nom[pos]
-            raise ValueError(
-                f"attribute {self._attributes[j].name!r} expects an integral "
-                f"category index in [0, {self._declared[j]}), got {v[i, pos]:g}")
 
     def _finish(self, raw: np.ndarray) -> np.ndarray:
         miss = np.isnan(raw)
@@ -186,7 +174,7 @@ class _Encoder:
         if raw.ndim != 2 or raw.shape[1] != d:
             raise ValueError(
                 f"query arity {raw.shape[-1]} does not match training arity {d}")
-        self._check_nominal(raw)
+        check_category_indices(raw, self._attributes)
         return self._finish(raw)
 
 
@@ -207,8 +195,9 @@ class Classifier:
         raise NotImplementedError
 
 
-class _ConstantClassifier(Classifier):
-    """Degenerate model for empty or single-class training data."""
+class ConstantClassifier(Classifier):
+    """Degenerate model that always predicts one class: for empty or
+    single-class training data, or a label constant across training."""
 
     def __init__(self, n_classes: int, class_index: int = 0):
         self.n_classes = n_classes
@@ -609,15 +598,15 @@ def fit(spec: LearnerSpec, features: Union[Sequence[FeatureVector], np.ndarray],
     if len(features) != len(classes):
         raise ValueError("features and classes differ in length")
     if len(features) == 0:
-        return _ConstantClassifier(0)
-    y = np.asarray(list(classes), dtype=np.int64)
+        return ConstantClassifier(0)
+    y = np.asarray(classes, dtype=np.int64)
     if (y < 0).any():
         raise ValueError("class indices must be >= 0")
     n_classes = int(y.max()) + 1
     if n_classes == 1:
         # single observed class: degenerate but valid, even with pruning on
         _Encoder(features, attributes)  # still validates arity and domains
-        return _ConstantClassifier(1, 0)
+        return ConstantClassifier(1, 0)
     enc = _Encoder(features, attributes)
     if isinstance(spec, KnnSpec):
         return KnnClassifier(spec, enc, y, n_classes)

@@ -12,6 +12,10 @@ where a ranking metric is undefined (no relevant labels, or none irrelevant
 for ranking loss) are excluded from that metric's denominator and counted,
 never silently zeroed.
 
+Each measure is written once, over n x M matrices: the bool truth ``Y``
+and the bool prediction ``Z`` or the integer ranks ``R``.  Per-instance
+terms add up in row order (average-precision terms in label order).
+
 All functions raise on length or label-universe mismatches.
 """
 
@@ -20,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LabelSet, MLDataset, UniverseMismatch, labelset_symdiff_count
-from .ensemble import bipartition, rank_labels
+import numpy as np
+
+from .core import LabelSet, MLDataset, UniverseMismatch, label_matrix, labelsets_of
 from .transforms import MultiLabelModel
 
 Ranking = Sequence[int]  # permutation of 1..M; ranking[j] is label j's rank
@@ -52,46 +57,120 @@ class EvaluationReport:
         return {f: getattr(self, f) for f in self.METRIC_FIELDS}
 
 
-def _check_pairs(truths: Sequence[LabelSet], others: Sequence, what: str) -> None:
+def rank_matrix(scores: np.ndarray) -> np.ndarray:
+    """Rank of every label in each row of an n x M score matrix, 1 = highest
+    score; equal scores rank by ascending label index."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, scores.shape[1] + 1), axis=1)
+    return ranks
+
+
+def bipartition(scores: Sequence[float], t: float = 0.5) -> LabelSet:
+    """Labels whose score reaches the threshold (inclusive at exactly t)."""
+    return labelsets_of(np.asarray(scores, dtype=float)[None, :] >= t)[0]
+
+
+def rank_labels(scores: Sequence[float]) -> tuple[int, ...]:
+    """Rank per label, as one row of ``rank_matrix``."""
+    return tuple(rank_matrix(np.asarray(scores, dtype=float)[None, :])[0].tolist())
+
+
+def _running_mean(terms: np.ndarray, n: int) -> float:
+    # cumsum adds left to right like a running total; np.sum would pair up
+    total = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+    return total / n
+
+
+def _accuracy(Y: np.ndarray, Z: np.ndarray) -> float:
+    union = (Y | Z).sum(axis=1)
+    terms = np.divide((Y & Z).sum(axis=1), union, out=np.ones(len(Y)),
+                      where=union > 0)
+    return _running_mean(terms, len(Y))
+
+
+def _hamming_loss(Y: np.ndarray, Z: np.ndarray) -> float:
+    if Y.shape[1] < 1:
+        raise ValueError("hamming loss needs at least one label")
+    return int((Y != Z).sum()) / Y.size
+
+
+def _one_error(Y: np.ndarray, R: np.ndarray) -> float:
+    top = np.argmin(R, axis=1)
+    return int((~Y[np.arange(len(Y)), top]).sum()) / len(Y)
+
+
+def _in_rank_order(Y: np.ndarray, R: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(Y, np.argsort(R, axis=1), axis=1)
+
+
+def _ranking_loss(Y: np.ndarray, R: np.ndarray) -> float:
+    n_rel = Y.sum(axis=1)
+    n_irr = Y.shape[1] - n_rel
+    used = (n_rel > 0) & (n_irr > 0)
+    if not used.any():
+        raise ValueError(
+            "ranking loss undefined: every instance has an empty or full truth set"
+        )
+    ordered = _in_rank_order(Y, R)
+    # a relevant label is misordered against every irrelevant one above it
+    bad = (np.cumsum(~ordered, axis=1) * ordered).sum(axis=1)
+    return _running_mean(bad[used] / (n_rel[used] * n_irr[used]),
+                         int(used.sum()))
+
+
+def _average_precision(Y: np.ndarray, R: np.ndarray) -> float:
+    n_rel = Y.sum(axis=1)
+    used = n_rel > 0
+    if not used.any():
+        raise ValueError(
+            "average precision undefined: every instance has an empty truth set"
+        )
+    at_or_above = np.take_along_axis(np.cumsum(_in_rank_order(Y, R), axis=1),
+                                     R - 1, axis=1)
+    # each instance adds its precisions in ascending label order
+    per_instance = np.cumsum(np.where(Y, at_or_above / R, 0.0), axis=1)[:, -1]
+    return _running_mean(per_instance[used] / n_rel[used], int(used.sum()))
+
+
+def _truth_matrix(truths: Sequence[LabelSet], others: Sequence,
+                  what: str) -> np.ndarray:
     if len(truths) != len(others):
         raise ValueError(
             f"{len(truths)} truths vs {len(others)} {what}: lengths must match"
         )
     if len(truths) == 0:
         raise ValueError("metrics are undefined on zero instances")
-    if len({t.universe for t in truths}) > 1:
-        raise UniverseMismatch("truth labelsets disagree on the label universe")
+    return label_matrix(truths, truths[0].universe)
 
 
-def _check_ranking(ranking: Ranking, m: int) -> None:
-    if len(ranking) != m or sorted(ranking) != list(range(1, m + 1)):
-        raise ValueError(f"ranking {tuple(ranking)} is not a permutation of 1..{m}")
+def _with_preds(metric, truths, preds) -> float:
+    Y = _truth_matrix(truths, preds, "predictions")
+    return metric(Y, label_matrix(preds, Y.shape[1]))
+
+
+def _with_rankings(metric, truths, rankings) -> float:
+    Y = _truth_matrix(truths, rankings, "rankings")
+    n, m = Y.shape
+    bad = np.flatnonzero(np.fromiter(map(len, rankings), np.intp, n) != m)
+    if not bad.size:
+        R = np.array(rankings, dtype=float).reshape(n, m)
+        bad = np.flatnonzero((np.sort(R, axis=1) != np.arange(1, m + 1)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"ranking {tuple(rankings[bad[0]])} is not a "
+                         f"permutation of 1..{m}")
+    return metric(Y, R.astype(np.intp))
 
 
 def accuracy(truths: Sequence[LabelSet], preds: Sequence[LabelSet]) -> float:
     """Mean |Y ∩ Z| / |Y ∪ Z|, with the 0/0 (both empty) term := 1."""
-    _check_pairs(truths, preds, "predictions")
-    total = 0.0
-    for y, z in zip(truths, preds):
-        union = y.union(z).cardinality()
-        if union == 0:
-            total += 1.0
-        else:
-            total += y.intersection(z).cardinality() / union
-    return total / len(truths)
+    return _with_preds(_accuracy, truths, preds)
 
 
 def hamming_loss(truths: Sequence[LabelSet], preds: Sequence[LabelSet]) -> float:
     """Mean fraction of the label universe on which truth and prediction
     disagree."""
-    _check_pairs(truths, preds, "predictions")
-    total = 0
-    m = truths[0].universe
-    if m < 1:
-        raise ValueError("hamming loss needs at least one label")
-    for y, z in zip(truths, preds):
-        total += labelset_symdiff_count(y, z)
-    return total / (len(truths) * m)
+    return _with_preds(_hamming_loss, truths, preds)
 
 
 def one_error(truths: Sequence[LabelSet], rankings: Sequence[Ranking]) -> float:
@@ -100,41 +179,14 @@ def one_error(truths: Sequence[LabelSet], rankings: Sequence[Ranking]) -> float:
     A full truth set can never miss (contributes 0); an empty truth set
     always misses (contributes 1).
     """
-    _check_pairs(truths, rankings, "rankings")
-    misses = 0
-    for y, ranking in zip(truths, rankings):
-        _check_ranking(ranking, y.universe)
-        top = ranking.index(1)
-        if top not in y:
-            misses += 1
-    return misses / len(truths)
+    return _with_rankings(_one_error, truths, rankings)
 
 
 def ranking_loss(truths: Sequence[LabelSet], rankings: Sequence[Ranking]) -> float:
     """Mean fraction of (relevant, irrelevant) label pairs where the
     irrelevant label is ranked above the relevant one.  Instances with empty
     or full truth sets have no such pairs and are excluded."""
-    _check_pairs(truths, rankings, "rankings")
-    total = 0.0
-    n_used = 0
-    for y, ranking in zip(truths, rankings):
-        _check_ranking(ranking, y.universe)
-        rel = y.indices()
-        irr = y.complement().indices()
-        if not rel or not irr:
-            continue
-        bad = 0
-        for a in rel:
-            for b in irr:
-                if ranking[a] > ranking[b]:
-                    bad += 1
-        total += bad / (len(rel) * len(irr))
-        n_used += 1
-    if n_used == 0:
-        raise ValueError(
-            "ranking loss undefined: every instance has an empty or full truth set"
-        )
-    return total / n_used
+    return _with_rankings(_ranking_loss, truths, rankings)
 
 
 def average_precision(truths: Sequence[LabelSet],
@@ -142,25 +194,7 @@ def average_precision(truths: Sequence[LabelSet],
     """For each relevant label, the fraction of labels ranked at or above it
     that are relevant; averaged over relevant labels, then over instances.
     Instances with no relevant labels are excluded."""
-    _check_pairs(truths, rankings, "rankings")
-    total = 0.0
-    n_used = 0
-    for y, ranking in zip(truths, rankings):
-        _check_ranking(ranking, y.universe)
-        rel = y.indices()
-        if not rel:
-            continue
-        inst = 0.0
-        for a in rel:
-            at_or_above = sum(1 for b in rel if ranking[b] <= ranking[a])
-            inst += at_or_above / ranking[a]
-        total += inst / len(rel)
-        n_used += 1
-    if n_used == 0:
-        raise ValueError(
-            "average precision undefined: every instance has an empty truth set"
-        )
-    return total / n_used
+    return _with_rankings(_average_precision, truths, rankings)
 
 
 def evaluate(model: MultiLabelModel, test: MLDataset,
@@ -174,18 +208,14 @@ def evaluate(model: MultiLabelModel, test: MLDataset,
             f"model has {model.n_labels} labels, dataset has {test.n_labels}"
         )
     scores = model.predict_scores_many(test.X)
-    truths = test.labelsets
-    preds = [bipartition(s, t) for s in scores]
-    rankings = [rank_labels(s) for s in scores]
-    n_skipped = sum(
-        1 for y in truths if y.cardinality() in (0, y.universe)
-    )
+    Y, Z, R = test.Y, scores >= t, rank_matrix(scores)
+    n_rel = Y.sum(axis=1)
     return EvaluationReport(
-        accuracy=accuracy(truths, preds),
-        hamming_loss=hamming_loss(truths, preds),
-        one_error=one_error(truths, rankings),
-        ranking_loss=ranking_loss(truths, rankings),
-        avg_precision=average_precision(truths, rankings),
+        accuracy=_accuracy(Y, Z),
+        hamming_loss=_hamming_loss(Y, Z),
+        one_error=_one_error(Y, R),
+        ranking_loss=_ranking_loss(Y, R),
+        avg_precision=_average_precision(Y, R),
         n_evaluated=len(test),
-        n_skipped_ranking=n_skipped,
+        n_skipped_ranking=int(((n_rel == 0) | (n_rel == Y.shape[1])).sum()),
     )

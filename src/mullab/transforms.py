@@ -19,7 +19,6 @@ confidences in [0, 1]) and are immutable after fitting.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
@@ -27,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import learners
-from .core import FeatureVector, LabelSet, MLDataset, Schema
+from .core import FeatureVector, LabelSet, MLDataset, Schema, labelsets_of
 from .learners import LearnerSpec
 from .rng import Xoshiro256
 
@@ -44,35 +43,15 @@ class MultiLabelModel:
         raise NotImplementedError
 
 
-class _ConstantLabelScorer:
-    """Stands in for a binary classifier when a label is always (or never)
-    present in training."""
-
-    def __init__(self, score: float):
-        self.score = score
-
-    def positive_scores(self, rows) -> np.ndarray:
-        return np.full(len(rows), self.score)
-
-
-class _BinaryWrapper:
-    def __init__(self, clf: learners.Classifier):
-        self.clf = clf
-
-    def positive_scores(self, rows) -> np.ndarray:
-        return self.clf.predict_dist_many(rows)[:, 1]
-
-
 class BinaryRelevanceModel(MultiLabelModel):
-    def __init__(self, schema: Schema, scorers):
+    def __init__(self, schema: Schema, classifiers):
         self.n_labels = schema.n_labels
-        self._schema = schema
-        self._scorers = scorers
+        self._classifiers = classifiers  # one binary classifier per label
 
     def predict_scores_many(self, rows):
         out = np.empty((len(rows), self.n_labels))
-        for j, scorer in enumerate(self._scorers):
-            out[:, j] = scorer.positive_scores(rows)
+        for j, clf in enumerate(self._classifiers):
+            out[:, j] = clf.predict_dist_many(rows)[:, 1]
         return out
 
 
@@ -83,33 +62,25 @@ def br_fit(train: MLDataset, spec: LearnerSpec) -> BinaryRelevanceModel:
     if train.n_labels < 1:
         raise ValueError("binary relevance needs at least one label")
     attrs = train.schema.attributes
-    scorers = []
-    for j in range(train.n_labels):
-        y = [1 if j in ls else 0 for ls in train.labelsets]
-        if all(v == 1 for v in y):
-            scorers.append(_ConstantLabelScorer(1.0))
-        elif all(v == 0 for v in y):
-            scorers.append(_ConstantLabelScorer(0.0))
-        else:
-            scorers.append(_BinaryWrapper(learners.fit(spec, train.X, y, attrs)))
-    return BinaryRelevanceModel(train.schema, scorers)
+    classifiers = [
+        learners.fit(spec, train.X, y, attrs) if y.any() and not y.all()
+        else learners.ConstantClassifier(2, int(y.all()))
+        for y in train.Y.T
+    ]
+    return BinaryRelevanceModel(train.schema, classifiers)
 
 
 class LabelPowersetModel(MultiLabelModel):
-    """Multiclass model whose classes are the distinct training labelsets,
-    ordered by ascending bit pattern."""
+    """Multiclass model whose classes (bool rows of ``classes``) are the
+    distinct training labelsets, ordered by ascending bit pattern."""
 
     def __init__(self, schema: Schema, clf: learners.Classifier,
-                 class_labelsets: tuple[LabelSet, ...]):
+                 classes: np.ndarray):
         self.n_labels = schema.n_labels
-        self._schema = schema
         self._clf = clf
-        self.class_labelsets = class_labelsets
+        self.class_labelsets = tuple(labelsets_of(classes))
         # incidence[c, j] = 1 iff label j belongs to class c's labelset
-        self._incidence = np.array(
-            [[1.0 if j in ls else 0.0 for j in range(self.n_labels)]
-             for ls in class_labelsets]
-        )
+        self._incidence = classes.astype(float)
 
     def predict_scores_many(self, rows):
         dist = self._clf.predict_dist_many(rows)
@@ -121,17 +92,23 @@ class LabelPowersetModel(MultiLabelModel):
         return self.class_labelsets[int(np.argmax(dist))]
 
 
+def _distinct_rows(Y: np.ndarray):
+    """Distinct rows of ``Y`` in ascending bit order (label 0 least
+    significant, for any label count), each row's index into them, counts."""
+    order = np.lexsort(Y.T) if Y.shape[1] else np.arange(len(Y))
+    ordered = Y[order]
+    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    inverse = np.empty(len(Y), np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse, np.bincount(inverse)
+
+
 def lp_fit(train: MLDataset, spec: LearnerSpec) -> LabelPowersetModel:
     if len(train) == 0:
         raise ValueError("cannot fit label powerset on an empty dataset")
-    distinct = sorted({ls.bits for ls in train.labelsets})
-    class_of = {bits: c for c, bits in enumerate(distinct)}
-    y = [class_of[ls.bits] for ls in train.labelsets]
+    classes, y, _ = _distinct_rows(train.Y)
     clf = learners.fit(spec, train.X, y, train.schema.attributes)
-    m = train.n_labels
-    return LabelPowersetModel(
-        train.schema, clf, tuple(LabelSet(bits, m) for bits in distinct)
-    )
+    return LabelPowersetModel(train.schema, clf, classes)
 
 
 class RakelModel(MultiLabelModel):
@@ -149,10 +126,9 @@ class RakelModel(MultiLabelModel):
         sums = np.zeros((n, self.n_labels))
         cover = np.zeros(self.n_labels)
         for label_idx, model in self.members:
-            member_scores = model.predict_scores_many(rows)
-            for pos, j in enumerate(label_idx):
-                sums[:, j] += member_scores[:, pos]
-                cover[j] += 1.0
+            cols = list(label_idx)
+            sums[:, cols] += model.predict_scores_many(rows)
+            cover[cols] += 1.0
         out = np.full((n, self.n_labels), 0.5)
         covered = cover > 0
         out[:, covered] = sums[:, covered] / cover[covered]
@@ -162,15 +138,7 @@ class RakelModel(MultiLabelModel):
 def _restrict_to_labels(train: MLDataset, label_idx: Sequence[int]) -> MLDataset:
     names = tuple(train.schema.label_names[j] for j in label_idx)
     schema = Schema(train.schema.attributes, names)
-    k = len(label_idx)
-    rows = []
-    for fv, ls in train.rows:
-        bits = 0
-        for pos, j in enumerate(label_idx):
-            if j in ls:
-                bits |= 1 << pos
-        rows.append((fv, LabelSet(bits, k)))
-    return MLDataset(schema, rows, validate=False, X=train.X)
+    return MLDataset.from_arrays(schema, train.X, train.Y[:, list(label_idx)])
 
 
 def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
@@ -197,9 +165,7 @@ def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
                 break
         seen.add(subset)
         members.append((subset, lp_fit(_restrict_to_labels(train, subset), spec)))
-    covered = set()
-    for subset, _ in members:
-        covered.update(subset)
+    covered = set().union(*(subset for subset, _ in members))
     uncovered = tuple(j for j in range(n_labels) if j not in covered)
     return RakelModel(train.schema, members, uncovered)
 
@@ -238,32 +204,24 @@ def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsM
     by ascending bit pattern), and fit label powerset on the rewrite."""
     if len(train) == 0:
         raise ValueError("cannot fit pruned sets on an empty dataset")
-    freq = Counter(ls.bits for ls in train.labelsets)
-    frequent = [bits for bits, c in freq.items() if c >= prune.p]
-    frequent.sort(key=lambda bits: (-bits.bit_count(), bits))
-    m = train.n_labels
-    kept, kept_src = [], []
-    reintroduced, reintroduced_src = [], []
-    n_pruned = 0
-    for i, (fv, ls) in enumerate(train.rows):
-        if freq[ls.bits] >= prune.p:
-            kept.append((fv, ls))
-            kept_src.append(i)
-            continue
-        n_pruned += 1
-        added = 0
-        for bits in frequent:
-            if added == prune.b:
-                break
-            if bits != ls.bits and bits & ls.bits == bits:  # strict subset
-                reintroduced.append((fv, LabelSet(bits, m)))
-                reintroduced_src.append(i)
-                added += 1
-    rows = kept + reintroduced
-    if not rows:
+    distinct, inverse, counts = _distinct_rows(train.Y)
+    kept = counts[inverse] >= prune.p
+    frequent = distinct[counts >= prune.p]
+    # stable sort keeps ascending bit order among equal cardinalities
+    frequent = frequent[np.argsort(-frequent.sum(axis=1), kind="stable")]
+    pruned = np.flatnonzero(~kept)
+    # frequent labelset k is a subset of pruned row i unless it holds a
+    # label the row lacks; it is a strict subset because a pruned row's
+    # labelset is itself infrequent
+    subset = ~(~train.Y[pruned] @ frequent.T)
+    chosen = subset & (np.cumsum(subset, axis=1) <= prune.b)
+    row, cls = np.nonzero(chosen)  # row-major: pruned row order, then rank
+    src = np.concatenate([np.flatnonzero(kept), pruned[row]])
+    if src.size == 0:
         raise ValueError(
             f"pruning with p={prune.p} removed every row; lower p"
         )
-    rewritten = MLDataset(train.schema, rows, validate=False,
-                          X=train.X[kept_src + reintroduced_src])
-    return PrunedSetsModel(lp_fit(rewritten, spec), n_pruned, len(reintroduced))
+    rewritten = MLDataset.from_arrays(
+        train.schema, train.X[src],
+        np.concatenate([train.Y[kept], frequent[cls]]))
+    return PrunedSetsModel(lp_fit(rewritten, spec), pruned.size, row.size)

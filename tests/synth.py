@@ -39,25 +39,13 @@ def correlated_dataset(seed, n_train=200, n_test=100, n_labels=6,
     x = rng.normal(size=(n, n_features))
     margins = x @ dirs.T + noise * rng.normal(size=(n, n_labels))
     labels = margins > 0.0
-    schema = _schema(n_features, n_labels)
-    rows = [
-        (
-            tuple(float(v) for v in x[i]),
-            LabelSet.from_indices(np.flatnonzero(labels[i]).tolist(), n_labels),
-        )
-        for i in range(n)
-    ]
-    full = MLDataset(schema, rows, validate=False)
+    full = MLDataset.from_arrays(_schema(n_features, n_labels), x, labels)
     return full.subset(range(n_train)), full.subset(range(n_train, n))
 
 
 def min_pairwise_label_correlation(dataset) -> float:
     """Smallest Pearson correlation over all label pairs."""
-    y = np.array(
-        [[1.0 if j in ls else 0.0 for j in range(dataset.n_labels)]
-         for ls in dataset.labelsets]
-    )
-    corr = np.corrcoef(y.T)
+    corr = np.corrcoef(dataset.Y.T.astype(float))
     m = dataset.n_labels
     return min(corr[a, b] for a in range(m) for b in range(a + 1, m))
 
@@ -73,7 +61,7 @@ def to_arff_text(dataset, relation="synthetic"):
     for name in dataset.schema.label_names:
         lines.append(f"@attribute {name} {{0,1}}")
     lines.append("@data")
-    for fv, ls in dataset.rows:
+    for fv, y in zip(dataset.features, dataset.Y):
         cells = []
         for attr, v in zip(dataset.schema.attributes, fv):
             if v is None:
@@ -82,15 +70,14 @@ def to_arff_text(dataset, relation="synthetic"):
                 cells.append(attr.values[v])
             else:
                 cells.append(repr(float(v)))
-        for j in range(dataset.n_labels):
-            cells.append("1" if j in ls else "0")
+        cells.extend("1" if v else "0" for v in y)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def random_dataset(seed, n=30, n_labels=3, n_num=2, n_nom=1, nom_arity=3,
-                   missing_rate=0.0):
-    """Unstructured random dataset for property tests."""
+def random_rows(seed, n=30, n_labels=3, n_num=2, n_nom=1, nom_arity=3,
+                missing_rate=0.0):
+    """Schema and (feature tuple, LabelSet) pairs of ``random_dataset``."""
     rng = np.random.default_rng(seed)
     attrs = [Attribute(f"num{j}") for j in range(n_num)]
     attrs += [
@@ -110,4 +97,9 @@ def random_dataset(seed, n=30, n_labels=3, n_num=2, n_nom=1, nom_arity=3,
                 vec.append(int(rng.integers(nom_arity)))
         bits = int(rng.integers(1 << n_labels))
         rows.append((tuple(vec), LabelSet(bits, n_labels)))
-    return MLDataset(schema, rows)
+    return schema, rows
+
+
+def random_dataset(seed, **kwargs):
+    """Unstructured random dataset for property tests."""
+    return MLDataset(*random_rows(seed, **kwargs))

@@ -53,7 +53,8 @@ def load_benchmark(found, label_spec):
     test = bind_labels(load_arff(found["test"]), label_spec)
     from mullab.core import MLDataset
 
-    return MLDataset(train.schema, train.rows + test.rows, validate=False)
+    return MLDataset.from_arrays(train.schema, np.vstack([train.X, test.X]),
+                                 np.vstack([train.Y, test.Y]))
 
 
 def test_criterion_1_dataset_statistics():

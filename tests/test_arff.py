@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,7 +104,8 @@ class TestBindLabels:
         assert [ls.indices() for ls in ds.labelsets] == [
             (0,), (1, 2), (0, 1), ()
         ]
-        assert ds.rows[0][0] == (0.1, 0.2)
+        assert ds.X[0].tolist() == [0.1, 0.2]
+        assert ds.features[0] == (0.1, 0.2)
 
     def test_bind_trailing(self):
         raw = parse_arff(MULTILABEL_TEXT)
@@ -217,12 +219,14 @@ class TestSplit:
         ds = bound_fixture()
         a = split_dataset(ds, SplitSpec(ratio=0.5, seed=11))
         b = split_dataset(ds, SplitSpec(ratio=0.5, seed=11))
-        assert a[0].rows == b[0].rows and a[1].rows == b[1].rows
+        for x, y in zip(a, b):
+            assert np.array_equal(x.X, y.X, equal_nan=True)
+            assert np.array_equal(x.Y, y.Y)
 
     def test_different_seed_differs(self):
         ds = bound_fixture()
         seen = {
-            tuple(r[0] for r in split_dataset(ds, SplitSpec(ratio=0.5, seed=s))[0].rows)
+            split_dataset(ds, SplitSpec(ratio=0.5, seed=s))[0].X.tobytes()
             for s in range(10)
         }
         assert len(seen) > 1
@@ -230,8 +234,10 @@ class TestSplit:
     def test_disjoint_and_exhaustive(self):
         ds = bound_fixture()
         train, test = split_dataset(ds, SplitSpec(ratio=0.5, seed=3))
-        all_rows = sorted(train.rows + test.rows, key=repr)
-        assert all_rows == sorted(ds.rows, key=repr)
+        def rows(d):  # one repr per (features, labels) row
+            return [repr(r) for r in np.hstack([d.X, d.Y]).tolist()]
+
+        assert sorted(rows(train) + rows(test)) == sorted(rows(ds))
         assert dataset_stats(train).n_labels == dataset_stats(test).n_labels == 3
 
     def test_split_spec_validation(self):

@@ -215,10 +215,8 @@ class TestBenchmark:
                         "--seed", 5, "--out", out_flag]) == 0
         assert out_env.read_bytes() == out_flag.read_bytes()
 
-    def test_report_with_missing_and_nominal_cells_is_pinned(self, tmp_path):
-        # the digest was recorded before features were encoded once per
-        # dataset; it covers mean imputation, the missing category and
-        # nominal distances, which the dense benchmark data never reach
+    @staticmethod
+    def _missing_and_nominal_config(tmp_path):
         data = random_dataset(21, n=150, n_labels=4, n_num=4, n_nom=2,
                               missing_rate=0.1)
         arff_path = tmp_path / "missing.arff"
@@ -226,18 +224,39 @@ class TestBenchmark:
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("".join(f"L{j}\n" for j in range(4)),
                                encoding="utf-8")
-        cfg = write_config(tmp_path, arff_path, labels_path, [
+        return write_config(tmp_path, arff_path, labels_path, [
             {"name": "br-knn", "transform": "br", "learner": "knn"},
             {"name": "lp-nb", "transform": "lp", "learner": "nb"},
             {"name": "rakel-j48", "transform": "rakel", "learner": "j48"},
             {"name": "ps-knn", "transform": "ps", "learner": "knn"},
             {"name": "ens", "transform": "ensemble", "q": 3},
         ])
+
+    def test_report_with_missing_and_nominal_cells_is_pinned(self, tmp_path):
+        # the digest was recorded before features were encoded once per
+        # dataset; it covers mean imputation, the missing category and
+        # nominal distances, which the dense benchmark data never reach
+        cfg = self._missing_and_nominal_config(tmp_path)
         out = tmp_path / "report.csv"
         assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
                         "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "18d9b45dc5ba9105f33ad8b1eae159209b30e0ef6cc809b2a2366a8b9e98faf8")
+
+    def test_full_precision_json_is_pinned(self, tmp_path):
+        # CSV rounds to 6 decimals; the JSON rows keep every bit, so a
+        # changed summation order or tie rule shows here.  The q=3
+        # majority-vote ensemble produces tied scores.  ``meta`` holds the
+        # wall time and is left out.
+        cfg = self._missing_and_nominal_config(tmp_path)
+        out = tmp_path / "report.json"
+        assert run_cli(["benchmark", "--config", cfg, "--format", "json",
+                        "--out", out]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        pinned = json.dumps({"rows": payload["rows"],
+                             "average": payload["average"]}, sort_keys=True)
+        assert hashlib.sha256(pinned.encode("utf-8")).hexdigest() == (
+            "7d8aaf43c03ccd2fd68fd4e61012dcc3377e98f1760d2dce83480645c8e5023f")
 
 
 def test_default_ensemble_takes_weights_and_replacement():
@@ -249,6 +268,43 @@ def test_default_ensemble_takes_weights_and_replacement():
         "weighted_mean", (1, 3), True, 9)
     plain = cli._ensemble_spec({"transform": "ensemble", "q": 2}, 9)
     assert plain == default_ensemble_spec(seed=9, q=2)
+
+
+def test_default_ensemble_takes_threshold():
+    exp = {"transform": "ensemble", "q": 2, "threshold": 0.9}
+    assert cli._ensemble_spec(exp, 1).threshold == 0.9
+    members = dict(exp, members=[{"transform": "ps", "learner": "nb"}])
+    assert cli._ensemble_spec(members, 1).threshold == 0.9
+
+
+class TestLogging:
+    def test_uncovered_rakel_labels_are_logged(self, caplog):
+        train, _ = correlated_dataset(5, n_train=30, n_test=0, n_labels=3,
+                                      n_features=2)
+        exp = {"transform": "rakel", "learner": "nb", "m": 1, "k": 1}
+        with caplog.at_level("WARNING", logger="mullab.cli"):
+            model = cli._build_model(exp, train, 0, 0, 1)
+        assert len(model.uncovered) == 2
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        names = [f"L{j}" for j in model.uncovered]
+        assert record.getMessage() == (
+            f"rakel members cover no subset containing {names}; "
+            "those labels score a neutral 0.5")
+
+    @pytest.mark.parametrize("command", ["benchmark", "evaluate"])
+    def test_failed_experiment_is_logged(self, command, data_files, tmp_path,
+                                         caplog):
+        arff_path, labels_path = data_files
+        cfg = write_config(tmp_path, arff_path, labels_path, [
+            {"name": "doomed", "transform": "ps", "learner": "nb", "p": 10000}])
+        with caplog.at_level("WARNING", logger="mullab.cli"):
+            assert run_cli([command, "--config", cfg]) == 3
+        [record] = caplog.records
+        assert record.levelname == "ERROR"
+        assert record.getMessage() == (
+            "experiment 'doomed' failed: pruning with p=10000 removed every "
+            "row; lower p")
 
 
 class TestConfigHash:

@@ -16,7 +16,7 @@ from mullab.core import (
     labelset_symdiff_count,
 )
 
-from synth import random_dataset
+from synth import random_dataset, random_rows
 
 
 def ls(indices, m):
@@ -154,7 +154,8 @@ class TestDatasetValidation:
     def test_missing_allowed(self):
         schema = Schema((Attribute("a"), Attribute("c", ("x", "y"))), ("L0",))
         d = MLDataset(schema, [((None, None), LabelSet(1, 1))])
-        assert d.rows[0][0] == (None, None)
+        assert d.features[0] == (None, None)
+        assert np.isnan(d.X).all() and d.Y.tolist() == [[True]]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -166,21 +167,30 @@ class TestDatasetValidation:
 
     def test_immutable(self):
         d = tiny_dataset([ls([0], 1)], 1)
-        with pytest.raises(AttributeError):
-            d.rows = ()
+        for name in ("X", "Y", "schema"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
+        with pytest.raises(ValueError):
+            d.Y[0, 0] = False
 
 
 class TestFeatureMatrix:
     def test_matrix_matches_rows(self):
-        d = random_dataset(8, n=25, n_num=2, n_nom=2, missing_rate=0.2)
+        schema, rows = random_rows(8, n=25, n_num=2, n_nom=2,
+                                   missing_rate=0.2)
+        d = MLDataset(schema, rows)
         assert d.X.shape == (25, 4) and d.X.dtype == np.float64
         assert d.X.flags.c_contiguous
-        for i, (fv, _) in enumerate(d.rows):
+        assert d.Y.shape == (25, 3) and d.Y.dtype == np.bool_
+        for i, (fv, ls) in enumerate(rows):
             for j, v in enumerate(fv):
                 if v is None:
                     assert math.isnan(d.X[i, j])
                 else:
                     assert d.X[i, j] == float(v)
+            assert d.Y[i].tolist() == [j in ls for j in range(3)]
+        assert d.features == [tuple(fv) for fv, _ in rows]
+        assert d.labelsets == [ls for _, ls in rows]
 
     def test_matrix_is_read_only(self):
         d = random_dataset(8, n=5)
@@ -191,9 +201,12 @@ class TestFeatureMatrix:
         d = random_dataset(9, n=12, missing_rate=0.2)
         idx = [7, 0, 7, 3]
         sub = d.subset(idx)
-        assert sub.rows == tuple(d.rows[i] for i in idx)
+        assert sub.features == [d.features[i] for i in idx]
+        assert sub.labelsets == [d.labelsets[i] for i in idx]
         assert np.array_equal(sub.X, d.X[idx], equal_nan=True)
+        assert np.array_equal(sub.Y, d.Y[idx])
         assert sub.X.flags.c_contiguous and not sub.X.flags.writeable
+        assert not sub.Y.flags.writeable
         assert d.subset([]).X.shape == (0, d.schema.n_attributes)
 
     def test_empty_dataset_matrix_has_schema_width(self):

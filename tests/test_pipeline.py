@@ -44,7 +44,7 @@ def test_arff_round_trip_preserves_dataset(tmp_path):
     assert [ls.bits for ls in reloaded.labelsets] == [
         ls.bits for ls in train.labelsets
     ]
-    assert reloaded.rows[0][0] == pytest.approx(train.rows[0][0])
+    assert reloaded.X[0] == pytest.approx(train.X[0])
 
 
 def test_pre_split_file_pair(tmp_path):

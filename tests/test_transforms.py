@@ -14,7 +14,7 @@ from mullab.transforms import (
 )
 
 from oracles import naive_bayes_posterior_bf
-from synth import random_dataset
+from synth import correlated_dataset, random_dataset
 
 
 def make_dataset(features, labelsets, m, nominal=None):
@@ -261,6 +261,41 @@ class TestPrunedSets:
             PruneSpec(p=-1)
         with pytest.raises(ValueError):
             PruneSpec(b=-1)
+
+
+class TestWideLabelUniverse:
+    """70 labels, more than an int64 bit pattern holds.  The six labels of
+    a narrow dataset sit at columns ``WIDE`` of a wide one and every other
+    column is empty; the map keeps bit order and cardinality, so both must
+    train the same classes in the same order and score alike."""
+
+    WIDE = [0, 1, 2, 64, 65, 69]
+
+    def _narrow_and_wide(self):
+        narrow, test = correlated_dataset(17, n_train=120, n_test=30,
+                                          n_labels=6, n_features=5)
+        Y = np.zeros((len(narrow), 70), dtype=bool)
+        Y[:, self.WIDE] = narrow.Y
+        schema = Schema(narrow.schema.attributes,
+                        tuple(f"W{j}" for j in range(70)))
+        return narrow, MLDataset.from_arrays(schema, narrow.X, Y), test
+
+    @pytest.mark.parametrize("fit", [
+        lambda d: lp_fit(d, NaiveBayesSpec()),
+        lambda d: ps_fit(d, NaiveBayesSpec(), PruneSpec(p=2, b=2)),
+    ], ids=["lp", "ps"])
+    def test_matches_six_label_run(self, fit):
+        narrow, wide, test = self._narrow_and_wide()
+        a, b = fit(narrow), fit(wide)
+        a_classes = getattr(a, "lp", a).class_labelsets
+        b_classes = getattr(b, "lp", b).class_labelsets
+        bits = [ls.bits for ls in b_classes]
+        assert bits == sorted(bits) and bits[-1] >= 1 << 64
+        assert [ls.indices() for ls in b_classes] == [
+            tuple(self.WIDE[j] for j in ls.indices()) for ls in a_classes]
+        sa, sb = a.predict_scores_many(test.X), b.predict_scores_many(test.X)
+        assert np.array_equal(sb[:, self.WIDE], sa)
+        assert not np.delete(sb, self.WIDE, axis=1).any()
 
 
 @pytest.mark.parametrize("builder", [

@@ -42,11 +42,13 @@ from .learners import (
 from .transforms import (
     BinaryRelevanceModel,
     LabelPowersetModel,
+    MemberSpec,
     MultiLabelModel,
     PruneSpec,
     PrunedSetsModel,
     RakelModel,
     br_fit,
+    fit_member,
     lp_fit,
     ps_fit,
     rakel_fit,
@@ -55,7 +57,6 @@ from .ensemble import (
     COMBINATION_RULES,
     EnsembleModel,
     EnsembleSpec,
-    MemberSpec,
     Prediction,
     bipartition,
     combine,

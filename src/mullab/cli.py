@@ -8,8 +8,9 @@ Three subcommands:
 
 Reports come out as markdown (metrics as rows, experiments as columns,
 AVERAGE last), CSV (one experiment per row, 6 decimals) or JSON (full
-precision plus run metadata).  Exit codes: 0 ok, 1 usage/config error,
-2 data error, 3 one or more experiments failed.
+precision plus run metadata).  Exit codes: 0 ok, 1 usage or config error
+(every experiment is parsed before any data is read), 2 data error, 3 one or
+more experiments failed on the data.
 
 Config schema (flags override fields of the same name):
 
@@ -43,24 +44,24 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import arff
 from .arff import ArffParseError, LabelSpec, SplitSpec
 from .core import MLDataset, dataset_stats
-from .ensemble import (
-    COMBINATION_RULES,
-    EnsembleSpec,
-    TRANSFORM_NAMES,
-    MemberSpec,
-    default_ensemble_spec,
-    ensemble_fit,
-)
-from .learners import KnnSpec, NaiveBayesSpec, TreeSpec, preset
+from .ensemble import EnsembleSpec, default_ensemble_spec, ensemble_fit
+from .learners import KnnSpec, LearnerSpec, NaiveBayesSpec, TreeSpec, preset
 from .metrics import EvaluationReport, evaluate
 from .rng import derive_seed
-from .transforms import PruneSpec, br_fit, lp_fit, ps_fit, rakel_fit
+from .transforms import (
+    DEFAULT_LEARNER,
+    TRANSFORM_NAMES,
+    MemberSpec,
+    PruneSpec,
+    fit_member,
+)
 
 log = logging.getLogger(__name__)
 
@@ -103,9 +104,9 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _merge_flags(cfg: dict, args) -> dict:
-    """Command-line flags override config fields."""
-    cfg = dict(cfg)
+def _merge_flags(args) -> dict:
+    """The config file, if any, with command-line flags overriding it."""
+    cfg = _load_config(args.config) if args.config else {}
     ds = dict(cfg.get("dataset") or {})
     if args.dataset:
         ds.pop("train", None)
@@ -120,26 +121,42 @@ def _merge_flags(cfg: dict, args) -> dict:
     cfg["dataset"] = ds
     if args.split:
         cfg["split"] = _parse_split_flag(args.split)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    elif "seed" not in cfg and os.environ.get("MULLAB_SEED"):
+    for key in ("seed", "threshold", "workers", "format", "out"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    if cfg.get("seed") is None and os.environ.get("MULLAB_SEED"):
         try:
             cfg["seed"] = int(os.environ["MULLAB_SEED"])
         except ValueError:
             raise UsageError("MULLAB_SEED must be an integer") from None
-    if args.threshold is not None:
-        cfg["threshold"] = args.threshold
-    if args.workers is not None:
-        cfg["workers"] = args.workers
-    if args.format:
-        cfg["format"] = args.format
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("threshold", 0.5)
-    cfg.setdefault("workers", 1)
+    cfg.update({"seed": 0, "threshold": 0.5, "workers": 1}
+               | _fields(cfg, seed=int, threshold=float, workers=int))
+    if cfg["workers"] < 1:
+        raise UsageError(f"'workers' must be >= 1, not {cfg['workers']}")
     cfg.setdefault("format", "md")
     return cfg
+
+
+# JSON kind -> (the Python types it takes, its name)
+_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+          float: ((int, float), "a finite number"), str: ((str,), "a string")}
+
+
+def _typed(value, kind: type, key: str):
+    """``value`` as a ``kind`` (a bool is no number), or a UsageError that
+    names the config ``key``."""
+    types, name = _KINDS[kind]
+    if (isinstance(value, bool) is (kind is bool) and isinstance(value, types)
+            and (kind is not float or abs(value) <= sys.float_info.max)):
+        return kind(value)
+    raise UsageError(f"{key!r} must be {name}, not {value!r}")
+
+
+def _fields(entry: dict, **kinds) -> dict:
+    """The keys of ``kinds`` that ``entry`` sets, each as its kind; a key
+    that is left out or null keeps its default."""
+    return {key: _typed(entry[key], kind, key)
+            for key, kind in kinds.items() if entry.get(key) is not None}
 
 
 def _parse_split_flag(text: str) -> dict:
@@ -196,117 +213,118 @@ def _resolve_data(cfg: dict) -> tuple[MLDataset, MLDataset]:
         raise UsageError("config needs a 'split' when dataset is one file")
     try:
         if "ratio" in split_cfg:
-            sp = SplitSpec(ratio=float(split_cfg["ratio"]), seed=int(cfg["seed"]))
+            sp = SplitSpec(ratio=float(split_cfg["ratio"]), seed=cfg["seed"])
         else:
-            sp = SplitSpec(
-                counts=(int(split_cfg["train"]), int(split_cfg["test"])),
-                seed=int(cfg["seed"]),
-            )
+            sp = SplitSpec(counts=(int(split_cfg["train"]), int(split_cfg["test"])),
+                           seed=cfg["seed"])
         return arff.split_dataset(full, sp)
     except ValueError as e:
         raise DataError(str(e)) from e
 
 
-def _parse_learner(value):
-    if value is None:
-        return preset("nb"), "nb"
+_LEARNER_KINDS = {"knn": KnnSpec, "nb": NaiveBayesSpec,
+                  "naive_bayes": NaiveBayesSpec, "tree": TreeSpec}
+
+
+def _parse_learner(value) -> LearnerSpec:
     if isinstance(value, str):
-        return preset(value), value.strip().lower()
+        return preset(value)
     if not isinstance(value, dict):
         raise UsageError(f"bad learner spec {value!r}")
-    kind = value.get("kind")
-    opts = {k: v for k, v in value.items() if k != "kind"}
+    opts = dict(value)
+    kind = opts.pop("kind", None)
+    if kind not in _LEARNER_KINDS:
+        raise UsageError(f"unknown learner kind {kind!r}")
+    return _LEARNER_KINDS[kind](**opts)
+
+
+def _parse_spec(entry, seed: int = 0, prune: PruneSpec | None = None):
+    """The frozen spec of one experiment entry: a MemberSpec for br, lp,
+    rakel and ps, an EnsembleSpec seeded with ``seed`` for ensemble.
+
+    An ensemble's member entries are parsed here too, with the ensemble's
+    ``prune``: they inherit its p and b, and their transform defaults to
+    MemberSpec's.  A top-level entry (``prune`` None) must name its
+    transform.  Every mistake is a UsageError."""
+    if not isinstance(entry, dict):
+        raise UsageError(f"an experiment or member must be a JSON object, "
+                         f"not {entry!r}")
+    top = prune is None
     try:
-        if kind == "knn":
-            return KnnSpec(**opts), "knn"
-        if kind in ("nb", "naive_bayes"):
-            return NaiveBayesSpec(**opts), "nb"
-        if kind == "tree":
-            return TreeSpec(**opts), "tree"
+        prune = replace(PruneSpec() if top else prune,
+                        **_fields(entry, p=int, b=int))
+        transform = entry.get("transform")
+        if top and transform == "ensemble":
+            return _ensemble_spec(entry, seed, prune)
+        if top and transform not in TRANSFORM_NAMES:
+            raise UsageError(f"unknown transform {transform!r}")
+        fields = _fields(entry, transform=str, m=int, k=int)
+        if entry.get("learner") is not None:
+            fields["learner"] = _parse_learner(entry["learner"])
+        return MemberSpec(prune=prune, **fields)
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad learner spec {value!r}: {e}") from e
-    raise UsageError(f"unknown learner kind {kind!r}")
+        raise UsageError(f"bad experiment {entry!r}: {e}") from None
 
 
-def _experiment_name(exp: dict, index: int) -> str:
+def _ensemble_spec(entry: dict, seed: int, prune: PruneSpec) -> EnsembleSpec:
+    fields = _fields(entry, sample_ratio=float, with_replacement=bool,
+                     rule=str, threshold=float)
+    if entry.get("weights") is not None:
+        fields["weights"] = tuple(_typed(w, float, "weights")
+                                  for w in entry["weights"])
+    if entry.get("members") is not None:
+        members = tuple(_parse_spec(mc, prune=prune) for mc in entry["members"])
+        return EnsembleSpec(members=members, seed=seed, **fields)
+    # a default ensemble's learner is a preset name; inline learner specs
+    # go in 'members'
+    return default_ensemble_spec(prune=prune, seed=seed, **fields,
+                                 **_fields(entry, q=int, learner=str))
+
+
+def _experiment_name(exp: dict) -> str:
     if exp.get("name"):
         return str(exp["name"])
-    transform = exp.get("transform", "?")
-    learner = exp.get("learner", "nb")
-    lname = learner if isinstance(learner, str) else learner.get("kind", "custom")
-    return f"{transform}-{lname}" if transform != "ensemble" else "ensemble"
+    if exp["transform"] == "ensemble":
+        return "ensemble"
+    learner = exp.get("learner") or DEFAULT_LEARNER
+    lname = learner if isinstance(learner, str) else learner["kind"]
+    return f"{exp['transform']}-{lname}"
 
 
-def _build_model(exp: dict, train: MLDataset, run_seed: int, index: int,
-                 workers: int):
-    transform = exp.get("transform")
-    exp_seed = int(exp.get("seed", derive_seed(run_seed, index)))
-    if transform == "ensemble":
-        spec = _ensemble_spec(exp, exp_seed)
+def _parse_experiments(cfg: dict) -> list:
+    """(spec, seed, name) for every experiment, parsed before any data is
+    read or model trained."""
+    experiments = cfg.get("experiments")
+    if not (isinstance(experiments, list) and experiments
+            and all(isinstance(exp, dict) for exp in experiments)):
+        raise UsageError("config needs 'experiments': a non-empty list of "
+                         "JSON objects")
+    plans = []
+    for index, exp in enumerate(experiments):
+        seed = _fields(exp, seed=int).get("seed",
+                                          derive_seed(cfg["seed"], index))
+        plans.append((_parse_spec(exp, seed), seed, _experiment_name(exp)))
+    return plans
+
+
+def _build_model(spec, train: MLDataset, seed: int, workers: int):
+    """Fit one parsed experiment; ``seed`` drives a RAKEL experiment's
+    subset draws (an ensemble carries its own)."""
+    if isinstance(spec, EnsembleSpec):
         return ensemble_fit(train, spec, workers=workers)
-    learner, _ = _parse_learner(exp.get("learner"))
-    if transform == "br":
-        return br_fit(train, learner)
-    if transform == "lp":
-        return lp_fit(train, learner)
-    if transform == "rakel":
-        m = exp.get("m")
-        model = rakel_fit(train, learner, m=int(m) if m else None,
-                          k=int(exp.get("k", 3)), seed=exp_seed)
-        if model.uncovered:
-            names = [train.schema.label_names[j] for j in model.uncovered]
-            log.warning("rakel members cover no subset containing %s; "
-                        "those labels score a neutral 0.5", names)
-        return model
-    if transform == "ps":
-        return ps_fit(train, learner,
-                      PruneSpec(int(exp.get("p", 2)), int(exp.get("b", 2))))
-    raise UsageError(f"unknown transform {transform!r}")
-
-
-def _ensemble_spec(exp: dict, seed: int) -> EnsembleSpec:
-    """One EnsembleSpec for both forms, so every field is read the same way
-    whether the members are listed or default."""
-    prune = PruneSpec(int(exp.get("p", 2)), int(exp.get("b", 2)))
-    if exp.get("members"):
-        members = tuple(
-            MemberSpec(
-                transform=mc.get("transform", "ps"),
-                learner=_parse_learner(mc.get("learner"))[0],
-                prune=PruneSpec(int(mc.get("p", prune.p)), int(mc.get("b", prune.b))),
-                rakel_m=mc.get("m"), rakel_k=int(mc.get("k", 3)),
-            )
-            for mc in exp["members"])
-    else:
-        learner = exp.get("learner")
-        if learner is not None and not isinstance(learner, str):
-            raise UsageError(
-                "ensemble 'learner' must be a preset name; use 'members' for "
-                "custom learner specs"
-            )
-        members = default_ensemble_spec(q=int(exp.get("q", 10)), prune=prune,
-                                        learner=learner).members
-    return EnsembleSpec(
-        members=members,
-        sample_ratio=float(exp.get("sample_ratio", 0.67)),
-        with_replacement=bool(exp.get("with_replacement", False)),
-        rule=exp.get("rule", "majority_vote"),
-        weights=tuple(exp["weights"]) if exp.get("weights") else None,
-        threshold=float(exp.get("threshold", 0.5)),
-        seed=seed,
-    )
+    model = fit_member(train, spec, seed)
+    if getattr(model, "uncovered", ()):
+        names = [train.schema.label_names[j] for j in model.uncovered]
+        log.warning("rakel members cover no subset containing %s; "
+                    "those labels score a neutral 0.5", names)
+    return model
 
 
 def config_hash(cfg: dict) -> str:
     """Hash of the semantically meaningful fields (those that can change
     metric values); format/out/workers are excluded by design."""
-    semantic = {
-        "dataset": cfg.get("dataset"),
-        "split": cfg.get("split"),
-        "experiments": cfg.get("experiments"),
-        "threshold": cfg.get("threshold"),
-        "seed": cfg.get("seed"),
-    }
+    semantic = {key: cfg.get(key) for key in
+                ("dataset", "split", "experiments", "threshold", "seed")}
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
@@ -415,55 +433,28 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _validate_experiments(experiments) -> None:
-    """Reject malformed experiment configs before any training starts, so
-    config mistakes are usage errors rather than failed rows."""
-    for exp in experiments:
-        transform = exp.get("transform")
-        if transform not in ("br", "lp", "rakel", "ps", "ensemble"):
-            raise UsageError(f"unknown transform {transform!r}")
-        if transform == "ensemble":
-            rule = exp.get("rule", "majority_vote")
-            if rule not in COMBINATION_RULES:
-                raise UsageError(f"unknown combination rule {rule!r}")
-            for mc in exp.get("members") or []:
-                member_transform = mc.get("transform", "ps")
-                if member_transform not in TRANSFORM_NAMES:
-                    raise UsageError(
-                        f"unknown member transform {member_transform!r}")
-                _parse_learner(mc.get("learner"))
-        else:
-            _parse_learner(exp.get("learner"))
+def _run_experiments(cfg: dict, plans: list, train, test):
+    workers = cfg["workers"]
 
-
-def _run_experiments(cfg: dict, train: MLDataset, test: MLDataset):
-    experiments = cfg.get("experiments") or []
-    if not experiments:
-        raise UsageError("config has no experiments")
-    _validate_experiments(experiments)
-    seed = int(cfg["seed"])
-    threshold = float(cfg["threshold"])
-    workers = max(1, int(cfg["workers"]))
-
-    def run_one(index: int):
+    def run_one(plan):
+        spec, seed, _ = plan
         try:
-            model = _build_model(experiments[index], train, seed, index,
-                                 workers if len(experiments) == 1 else 1)
-            return evaluate(model, test, threshold)
+            model = _build_model(spec, train, seed,
+                                 workers if len(plans) == 1 else 1)
+            return evaluate(model, test, cfg["threshold"])
         except Exception as e:  # noqa: BLE001 - row marked failed
             return e
 
-    names = [_experiment_name(exp, i) for i, exp in enumerate(experiments)]
-    if workers > 1 and len(experiments) > 1:
+    if workers > 1 and len(plans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, range(len(experiments))))
+            results = list(pool.map(run_one, plans))
     else:
-        results = [run_one(i) for i in range(len(experiments))]
-    return list(zip(names, results))
+        results = [run_one(plan) for plan in plans]
+    return [(name, result) for (_, _, name), result in zip(plans, results)]
 
 
 def _render(cfg: dict, reports, meta: dict, include_average: bool = True) -> str:
-    fmt = cfg.get("format", "md")
+    fmt = cfg["format"]
     if fmt in ("md", "markdown"):
         return render_markdown(reports, meta, include_average)
     if fmt == "csv":
@@ -474,14 +465,14 @@ def _render(cfg: dict, reports, meta: dict, include_average: bool = True) -> str
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    cfg = _merge_flags(cfg, args)
+    cfg = _merge_flags(args)
+    plans = _parse_experiments(cfg)
     started = time.monotonic()
     train, test = _resolve_data(cfg)
-    reports = _run_experiments(cfg, train, test)
+    reports = _run_experiments(cfg, plans, train, test)
     meta = {
-        "seed": int(cfg["seed"]),
-        "threshold": float(cfg["threshold"]),
+        "seed": cfg["seed"],
+        "threshold": cfg["threshold"],
         "config_hash": config_hash(cfg),
         "n_train": len(train),
         "n_test": len(test),
@@ -530,8 +521,7 @@ class _FileModel:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    cfg = _merge_flags(cfg, args)
+    cfg = _merge_flags(args)
     if args.predictions:
         ds_cfg = cfg.get("dataset") or {}
         spec = _label_spec(ds_cfg)
@@ -541,29 +531,31 @@ def cmd_evaluate(args) -> int:
         if len(data) == 0:
             raise DataError("dataset has no rows")
         scores = _read_predictions(args.predictions, len(data), data.n_labels)
-        rep = evaluate(_FileModel(scores), data, float(cfg["threshold"]))
+        rep = evaluate(_FileModel(scores), data, cfg["threshold"])
         reports = [("predictions", rep)]
     else:
-        exps = cfg.get("experiments") or []
         if args.transform:
             exp = {"transform": args.transform}
             if args.learner:
                 exp["learner"] = args.learner
             if args.params:
                 try:
-                    exp.update(json.loads(args.params))
+                    params = json.loads(args.params)
                 except json.JSONDecodeError as e:
                     raise UsageError(f"--params is not valid JSON: {e}") from e
-            exps = [exp]
-        if len(exps) != 1:
+                if not isinstance(params, dict):
+                    raise UsageError("--params must be a JSON object")
+                exp.update(params)
+            cfg["experiments"] = [exp]
+        plans = _parse_experiments(cfg) if cfg.get("experiments") else []
+        if len(plans) != 1:
             raise UsageError("evaluate needs exactly one experiment "
                              "(--transform or a single-experiment config)")
-        cfg["experiments"] = exps
         train, test = _resolve_data(cfg)
-        reports = _run_experiments(cfg, train, test)
+        reports = _run_experiments(cfg, plans, train, test)
     meta = {
-        "seed": int(cfg["seed"]),
-        "threshold": float(cfg["threshold"]),
+        "seed": cfg["seed"],
+        "threshold": cfg["threshold"],
         "config_hash": config_hash(cfg),
     }
     _emit(_render(cfg, reports, meta, include_average=False), cfg.get("out"))
@@ -607,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="run a single experiment")
     _add_common(p_eval)
-    p_eval.add_argument("--transform", help="br | lp | rakel | ps | ensemble")
+    p_eval.add_argument("--transform",
+                        help=" | ".join(TRANSFORM_NAMES + ("ensemble",)))
     p_eval.add_argument("--learner", help="learner preset name")
     p_eval.add_argument("--params", help="extra experiment params as JSON")
     p_eval.add_argument("--predictions",

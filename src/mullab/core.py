@@ -292,15 +292,13 @@ def label_density(d: MLDataset) -> float:
 
 
 def dataset_stats(d: MLDataset) -> DatasetStats:
-    if len(d) == 0:
-        raise ValueError("dataset_stats undefined on an empty dataset")
     lcard = label_cardinality(d)
     n_observed = int(d.Y.any(axis=0).sum())
     return DatasetStats(
         n_instances=len(d),
         n_labels=d.n_labels,
         lcard=lcard,
-        lden=lcard / d.n_labels,
+        lden=label_density(d),
         distinct_labelsets=len(np.unique(d.Y, axis=0)),
         lden_observed=lcard / n_observed if n_observed else 0.0,
     )

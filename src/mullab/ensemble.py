@@ -15,23 +15,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import FeatureVector, LabelSet, MLDataset
-from .learners import LearnerSpec, preset, PRESET_NAMES
+from .learners import preset, PRESET_NAMES
 from .metrics import bipartition, rank_labels
 from .rng import Xoshiro256, derive_seed
-from .transforms import (
-    MultiLabelModel,
-    PruneSpec,
-    br_fit,
-    lp_fit,
-    ps_fit,
-    rakel_fit,
-)
+from .transforms import MemberSpec, MultiLabelModel, PruneSpec, fit_member
 
 COMBINATION_RULES = (
     "mean",
@@ -43,23 +36,6 @@ COMBINATION_RULES = (
 )
 
 _WEIGHTED_RULES = ("weighted_mean", "weighted_majority_vote")
-
-TRANSFORM_NAMES = ("br", "lp", "rakel", "ps")
-
-
-@dataclass(frozen=True)
-class MemberSpec:
-    """One ensemble member: a transform plus its base learner."""
-
-    transform: str = "ps"
-    learner: LearnerSpec = field(default_factory=lambda: preset("nb"))
-    prune: PruneSpec = PruneSpec(2, 2)  # used by ps
-    rakel_m: Optional[int] = None       # used by rakel
-    rakel_k: int = 3
-
-    def __post_init__(self):
-        if self.transform not in TRANSFORM_NAMES:
-            raise ValueError(f"unknown member transform {self.transform!r}")
 
 
 @dataclass(frozen=True)
@@ -100,20 +76,18 @@ def _checked_weights(rule: str, weights: Optional[Sequence[float]],
     return w
 
 
-def default_ensemble_spec(seed: int = 0, q: int = 10,
-                          rule: str = "majority_vote",
-                          sample_ratio: float = 0.67,
-                          prune: PruneSpec = PruneSpec(2, 2),
-                          learner: Optional[str] = None) -> EnsembleSpec:
+def default_ensemble_spec(*, q: int = 10, prune: PruneSpec = PruneSpec(),
+                          learner: Optional[str] = None,
+                          **spec) -> EnsembleSpec:
     """Default ensemble: q pruned-sets members whose base learners cycle
-    through the five presets (pass ``learner`` for a homogeneous ensemble)."""
-    names = (learner,) * q if learner else PRESET_NAMES
+    through the five presets (pass ``learner`` for a homogeneous ensemble).
+    ``spec`` sets any other EnsembleSpec field, such as ``seed``."""
+    names = (learner,) if learner else PRESET_NAMES
     members = tuple(
-        MemberSpec(transform="ps", learner=preset(names[i % len(names)]), prune=prune)
+        MemberSpec(learner=preset(names[i % len(names)]), prune=prune)
         for i in range(q)
     )
-    return EnsembleSpec(members=members, sample_ratio=sample_ratio,
-                        rule=rule, seed=seed)
+    return EnsembleSpec(members=members, **spec)
 
 
 def combine(member_scores: Sequence[np.ndarray], rule: str,
@@ -200,17 +174,6 @@ def _member_indices(n: int, spec: EnsembleSpec, member_index: int) -> list[int]:
     return sorted(idx)
 
 
-def _fit_member(train: MLDataset, member: MemberSpec, member_seed: int):
-    if member.transform == "br":
-        return br_fit(train, member.learner)
-    if member.transform == "lp":
-        return lp_fit(train, member.learner)
-    if member.transform == "rakel":
-        return rakel_fit(train, member.learner, m=member.rakel_m,
-                         k=member.rakel_k, seed=member_seed)
-    return ps_fit(train, member.learner, member.prune)
-
-
 def ensemble_fit(train: MLDataset, spec: EnsembleSpec,
                  workers: Optional[int] = None) -> EnsembleModel:
     """Train every member on its seeded subsample; ``workers`` > 1 trains
@@ -221,7 +184,7 @@ def ensemble_fit(train: MLDataset, spec: EnsembleSpec,
 
     def build(k: int) -> MultiLabelModel:
         subset = train.subset(_member_indices(n, spec, k))
-        return _fit_member(subset, spec.members[k], derive_seed(spec.seed, k, 1))
+        return fit_member(subset, spec.members[k], derive_seed(spec.seed, k, 1))
 
     q = len(spec.members)
     if workers is not None and workers > 1:

@@ -13,13 +13,14 @@ by the base learners:
 * pruned sets: label powerset after removing rows with rare labelsets and
   reintroducing them under frequent subsets of their labelsets
 
-All trained models expose ``predict_scores`` (one vector of per-label
-confidences in [0, 1]) and are immutable after fitting.
+A ``MemberSpec`` names one of the four with its learner and options;
+``fit_member`` fits it.  All trained models expose ``predict_scores`` (one
+vector of per-label confidences in [0, 1]) and are immutable after fitting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence
 
@@ -225,3 +226,46 @@ def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsM
         train.schema, train.X[src],
         np.concatenate([train.Y[kept], frequent[cls]]))
     return PrunedSetsModel(lp_fit(rewritten, spec), pruned.size, row.size)
+
+
+DEFAULT_LEARNER = "nb"  # a MemberSpec's learner when none is named
+
+
+@dataclass(frozen=True)
+class MemberSpec:
+    """One multi-label model: a transform plus its base learner and the
+    transform's options.  A top-level experiment and an ensemble member
+    are both one of these."""
+
+    transform: str = "ps"
+    learner: LearnerSpec = field(
+        default_factory=lambda: learners.preset(DEFAULT_LEARNER))
+    prune: PruneSpec = PruneSpec()  # used by ps
+    m: Optional[int] = None         # used by rakel (None: 2 * n_labels)
+    k: int = 3                      # used by rakel
+
+    def __post_init__(self):
+        if self.transform not in TRANSFORM_NAMES:
+            raise ValueError(f"unknown member transform {self.transform!r}")
+        if self.m is not None and self.m < 1:
+            raise ValueError("rakel member count m must be >= 1")
+        if self.k < 1:
+            raise ValueError("rakel subset size k must be >= 1")
+
+
+_FITS = {
+    "br": lambda train, spec, seed: br_fit(train, spec.learner),
+    "lp": lambda train, spec, seed: lp_fit(train, spec.learner),
+    "rakel": lambda train, spec, seed: rakel_fit(
+        train, spec.learner, m=spec.m, k=spec.k, seed=seed),
+    "ps": lambda train, spec, seed: ps_fit(train, spec.learner, spec.prune),
+}
+
+TRANSFORM_NAMES = tuple(_FITS)
+
+
+def fit_member(train: MLDataset, spec: MemberSpec,
+               seed: int = 0) -> MultiLabelModel:
+    """Fit the transform ``spec`` names; ``seed`` drives RAKEL's subset
+    draws and is unused by the other three."""
+    return _FITS[spec.transform](train, spec, seed)

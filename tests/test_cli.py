@@ -3,14 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mullab import cli
 from mullab.arff import LabelSpec, SplitSpec, load_arff, bind_labels, split_dataset
-from mullab.ensemble import ensemble_fit, default_ensemble_spec
+from mullab.ensemble import EnsembleSpec, ensemble_fit, default_ensemble_spec
 from mullab.learners import preset
 from mullab.metrics import evaluate
 from mullab.rng import derive_seed
-from mullab.transforms import br_fit
+from mullab.transforms import MemberSpec, br_fit
 
 from synth import correlated_dataset, random_dataset, to_arff_text
 
@@ -260,21 +261,109 @@ class TestBenchmark:
 
 
 def test_default_ensemble_takes_weights_and_replacement():
-    spec = cli._ensemble_spec({"transform": "ensemble", "q": 2,
-                               "rule": "weighted_mean", "weights": [1, 3],
-                               "with_replacement": True}, 9)
+    spec = cli._parse_spec({"transform": "ensemble", "q": 2,
+                            "rule": "weighted_mean", "weights": [1, 3],
+                            "with_replacement": True}, 9)
     assert spec.members == default_ensemble_spec(seed=9, q=2).members
     assert (spec.rule, spec.weights, spec.with_replacement, spec.seed) == (
         "weighted_mean", (1, 3), True, 9)
-    plain = cli._ensemble_spec({"transform": "ensemble", "q": 2}, 9)
+    plain = cli._parse_spec({"transform": "ensemble", "q": 2}, 9)
     assert plain == default_ensemble_spec(seed=9, q=2)
 
 
 def test_default_ensemble_takes_threshold():
     exp = {"transform": "ensemble", "q": 2, "threshold": 0.9}
-    assert cli._ensemble_spec(exp, 1).threshold == 0.9
+    assert cli._parse_spec(exp, 1).threshold == 0.9
     members = dict(exp, members=[{"transform": "ps", "learner": "nb"}])
-    assert cli._ensemble_spec(members, 1).threshold == 0.9
+    assert cli._parse_spec(members, 1).threshold == 0.9
+
+
+BR = {"transform": "br", "learner": "nb"}
+
+
+@pytest.mark.parametrize("fields", [
+    {"experiments": [{"transform": "ps", "p": -1}]},
+    {"experiments": [{"transform": "ensemble", "q": 2,
+                      "rule": "weighted_mean", "weights": [1, 2, 3]}]},
+    {"experiments": [{"transform": "ensemble", "q": 0}]},
+    {"experiments": [{"transform": "ensemble", "sample_ratio": 2}]},
+    {"experiments": [{"transform": "rakel", "k": "x"}]},
+    {"experiments": [{"transform": "rakel", "m": 0}]},
+    {"experiments": [{"transform": "ensemble",
+                      "members": [{"transform": "rakel", "m": 0}]}]},
+    {"experiments": [BR, "br"]},
+    {"experiments": {"br": BR}},
+    {"experiments": [{"learner": "nb"}]},
+    {"experiments": [{"transform": "br", "learner": "bogus"}]},
+    {"experiments": [{"transform": "ensemble", "members": ["ps"]}]},
+    {"experiments": [{"transform": "ensemble", "members": 3}]},
+    {"experiments": [BR], "threshold": "x"},
+    {"experiments": [BR], "workers": "x"},
+    {"experiments": [BR], "workers": 0},
+    {"experiments": [BR], "seed": "x"},
+], ids=["p-negative", "weights-length", "q-zero", "sample-ratio-2", "k-string",
+        "m-zero", "member-m-zero", "entry-not-object", "experiments-not-list",
+        "no-transform", "unknown-preset", "member-not-object",
+        "members-not-list", "threshold-string", "workers-string",
+        "workers-zero", "seed-string"])
+def test_config_mistake_exits_1_before_any_data_is_read(
+        fields, data_files, tmp_path, monkeypatch, capsys):
+    def no_data(cfg):
+        raise AssertionError("data read before the config was checked")
+
+    monkeypatch.setattr(cli, "_resolve_data", no_data)
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, **fields)
+    out = tmp_path / "report.csv"
+    assert run_cli(["benchmark", "--config", cfg, "--out", out]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("params", ["3", "[1]", '"br"'])
+def test_params_that_are_no_object_exit_1(params, data_files, capsys):
+    arff_path, labels_path = data_files
+    rc = run_cli(["evaluate", "--dataset", arff_path, "--labels", labels_path,
+                  "--split", "0.5", "--transform", "br", "--params", params])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --params must be a JSON object\n"
+
+
+# Any JSON value, plus experiment entries whose keys are the config's own
+# and whose values are mostly valid, so that every parse path is reached.
+# Integers stay small because a huge q is a costly request, not a mistake.
+_ATOMS = (st.none() | st.booleans() | st.integers(-1, 4) | st.floats()
+          | st.sampled_from(["br", "ensemble", "nb", "mean", "chains"]))
+_JSON = st.recursive(_ATOMS, lambda inner: (
+    st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=8)
+_VALID = {
+    "m": st.integers(1, 3), "k": st.integers(1, 3), "p": st.integers(0, 3),
+    "b": st.integers(0, 3), "q": st.integers(1, 3),
+    "learner": st.sampled_from(["nb", "knn", "j48"])
+    | st.fixed_dictionaries({"kind": st.sampled_from(["knn", "nb", "tree"])}),
+    "rule": st.sampled_from(["mean", "majority_vote", "weighted_mean"]),
+    "weights": st.lists(st.floats(0, 2), min_size=1, max_size=3),
+    "sample_ratio": st.floats(0.1, 1), "with_replacement": st.booleans(),
+    "threshold": st.floats(0, 1)}
+_ENTRY = st.recursive(_JSON, lambda inner: st.fixed_dictionaries(
+    {"transform": st.sampled_from(["br", "lp", "rakel", "ps", "ensemble"])
+     | _ATOMS},
+    optional={"members": st.lists(inner, min_size=1, max_size=3) | _JSON,
+              **{key: valid | valid | valid | _JSON
+                 for key, valid in _VALID.items()}}), max_leaves=12)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_ENTRY)
+def test_parse_spec_gives_a_spec_or_a_usage_error(entry):
+    try:
+        spec = cli._parse_spec(entry)
+    except cli.UsageError:
+        return
+    assert isinstance(spec, (MemberSpec, EnsembleSpec))
 
 
 class TestLogging:
@@ -283,7 +372,8 @@ class TestLogging:
                                       n_features=2)
         exp = {"transform": "rakel", "learner": "nb", "m": 1, "k": 1}
         with caplog.at_level("WARNING", logger="mullab.cli"):
-            model = cli._build_model(exp, train, 0, 0, 1)
+            model = cli._build_model(cli._parse_spec(exp), train,
+                                     derive_seed(0, 0), 1)
         assert len(model.uncovered) == 2
         [record] = caplog.records
         assert record.levelname == "WARNING"

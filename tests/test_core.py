@@ -103,6 +103,11 @@ class TestStats:
         with pytest.raises(ValueError):
             dataset_stats(d)
 
+    def test_stats_without_labels_raise_value_error(self):
+        d = tiny_dataset([ls([], 0)], 0)
+        with pytest.raises(ValueError, match="at least one label"):
+            dataset_stats(d)
+
     def test_single_row_distinct(self):
         d = tiny_dataset([ls([0, 1], 3)], 3)
         assert dataset_stats(d).distinct_labelsets == 1

@@ -15,7 +15,7 @@ from .core import (
     dataset_stats,
     label_cardinality,
     label_density,
-    labelset_symdiff_count,
+    labelsets_of,
 )
 from .arff import (
     ArffParseError,
@@ -57,20 +57,19 @@ from .ensemble import (
     COMBINATION_RULES,
     EnsembleModel,
     EnsembleSpec,
-    Prediction,
-    bipartition,
     combine,
     default_ensemble_spec,
     ensemble_fit,
-    rank_labels,
 )
 from .metrics import (
     EvaluationReport,
     accuracy,
     average_precision,
+    bipartition,
     evaluate,
     hamming_loss,
     one_error,
+    rank_labels,
     ranking_loss,
 )
 from .rng import Xoshiro256, derive_seed

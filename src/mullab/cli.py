@@ -78,6 +78,8 @@ _METRIC_ROWS = (
     ("AvPre ↑", "avg_precision"),
 )
 
+_FORMATS = ("md", "markdown", "csv", "json")
+
 
 class UsageError(Exception):
     pass
@@ -105,9 +107,13 @@ def _load_config(path) -> dict:
 
 
 def _merge_flags(args) -> dict:
-    """The config file, if any, with command-line flags overriding it."""
+    """The config file, if any, with command-line flags overriding it;
+    every key but 'experiments' is checked here, before any data is read."""
     cfg = _load_config(args.config) if args.config else {}
-    ds = dict(cfg.get("dataset") or {})
+    ds = cfg.get("dataset") or {}
+    if not isinstance(ds, dict):
+        raise UsageError(f"'dataset' must be a JSON object, not {ds!r}")
+    ds = dict(ds)
     if args.dataset:
         ds.pop("train", None)
         ds.pop("test", None)
@@ -129,11 +135,15 @@ def _merge_flags(args) -> dict:
             cfg["seed"] = int(os.environ["MULLAB_SEED"])
         except ValueError:
             raise UsageError("MULLAB_SEED must be an integer") from None
-    cfg.update({"seed": 0, "threshold": 0.5, "workers": 1}
-               | _fields(cfg, seed=int, threshold=float, workers=int))
+    cfg.update({"seed": 0, "threshold": 0.5, "workers": 1, "format": "md"}
+               | _fields(cfg, seed=int, threshold=float, workers=int,
+                         format=str, out=str))
     if cfg["workers"] < 1:
         raise UsageError(f"'workers' must be >= 1, not {cfg['workers']}")
-    cfg.setdefault("format", "md")
+    if cfg["format"] not in _FORMATS:
+        raise UsageError(f"'format' must be one of {', '.join(_FORMATS)}, "
+                         f"not {cfg['format']!r}")
+    _data_specs(cfg)
     return cfg
 
 
@@ -172,17 +182,45 @@ def _parse_split_flag(text: str) -> dict:
         raise UsageError(f"bad --split {text!r}") from None
 
 
-def _label_spec(ds_cfg: dict) -> LabelSpec:
-    if ds_cfg.get("labels"):
+def _data_specs(cfg: dict) -> tuple[dict, SplitSpec | None]:
+    """The typed fields of the ``dataset`` block and the ``split`` as a
+    SplitSpec (None when there is none).  A mistake in either is a
+    UsageError; whether split counts fit the data is checked on the data."""
+    ds = _fields(cfg["dataset"], path=str, train=str, test=str, labels=str,
+                 trailing_labels=int)
+    if ds.get("trailing_labels", 1) < 1:
+        raise UsageError(f"'trailing_labels' must be >= 1, "
+                         f"not {ds['trailing_labels']}")
+    split = cfg.get("split")
+    if split is None:
+        return ds, None
+    if not isinstance(split, dict):
+        raise UsageError(f"'split' must be a JSON object, not {split!r}")
+    if "ratio" in split:
+        fields = {"ratio": _typed(split["ratio"], float, "ratio")}
+    else:
+        counts = _fields(split, train=int, test=int)
+        if len(counts) < 2:
+            raise UsageError(f"'split' needs 'ratio', or 'train' and 'test', "
+                             f"not {split!r}")
+        fields = {"counts": (counts["train"], counts["test"])}
+    try:
+        return ds, SplitSpec(seed=cfg["seed"], **fields)
+    except ValueError as e:
+        raise UsageError(f"bad 'split' {split!r}: {e}") from None
+
+
+def _label_spec(ds: dict) -> LabelSpec:
+    if ds.get("labels"):
         try:
-            names = arff.read_label_names(ds_cfg["labels"])
+            names = arff.read_label_names(ds["labels"])
         except OSError as e:
             raise DataError(f"cannot read label file: {e}") from e
         except ValueError as e:
             raise DataError(str(e)) from e
         return LabelSpec.from_names(names)
-    if ds_cfg.get("trailing_labels"):
-        return LabelSpec.trailing(int(ds_cfg["trailing_labels"]))
+    if ds.get("trailing_labels"):
+        return LabelSpec.trailing(ds["trailing_labels"])
     raise UsageError("dataset needs 'labels' or 'trailing_labels'")
 
 
@@ -197,33 +235,35 @@ def _load_bound(path, spec: LabelSpec) -> MLDataset:
 
 def _resolve_data(cfg: dict) -> tuple[MLDataset, MLDataset]:
     """Produce the train/test pair from a config."""
-    ds_cfg = cfg.get("dataset") or {}
-    spec = _label_spec(ds_cfg)
-    if ds_cfg.get("train") and ds_cfg.get("test"):
-        train = _load_bound(ds_cfg["train"], spec)
-        test = _load_bound(ds_cfg["test"], spec)
+    ds, split = _data_specs(cfg)
+    pair = ds.get("train") and ds.get("test")
+    if not (pair or ds.get("path")):
+        raise UsageError("config needs dataset.path or dataset.train/test")
+    if not pair and split is None:
+        raise UsageError("config needs a 'split' when dataset is one file")
+    spec = _label_spec(ds)
+    if pair:
+        train = _load_bound(ds["train"], spec)
+        test = _load_bound(ds["test"], spec)
         if train.schema != test.schema:
             raise DataError("train and test files disagree on schema")
         return train, test
-    if not ds_cfg.get("path"):
-        raise UsageError("config needs dataset.path or dataset.train/test")
-    full = _load_bound(ds_cfg["path"], spec)
-    split_cfg = cfg.get("split")
-    if not split_cfg:
-        raise UsageError("config needs a 'split' when dataset is one file")
+    full = _load_bound(ds["path"], spec)
     try:
-        if "ratio" in split_cfg:
-            sp = SplitSpec(ratio=float(split_cfg["ratio"]), seed=cfg["seed"])
-        else:
-            sp = SplitSpec(counts=(int(split_cfg["train"]), int(split_cfg["test"])),
-                           seed=cfg["seed"])
-        return arff.split_dataset(full, sp)
+        return arff.split_dataset(full, split)
     except ValueError as e:
         raise DataError(str(e)) from e
 
 
-_LEARNER_KINDS = {"knn": KnnSpec, "nb": NaiveBayesSpec,
-                  "naive_bayes": NaiveBayesSpec, "tree": TreeSpec}
+_NB = (NaiveBayesSpec, {"variance_floor": float})
+# inline learner kind -> (its spec, the JSON kind of each option)
+_LEARNER_KINDS = {
+    "knn": (KnnSpec, {"k": int, "distance": str}),
+    "nb": _NB, "naive_bayes": _NB,
+    "tree": (TreeSpec, {"criterion": str, "random_subset_size": int,
+                        "rep_pruning": bool, "min_leaf": int,
+                        "max_depth": int, "seed": int}),
+}
 
 
 def _parse_learner(value) -> LearnerSpec:
@@ -231,11 +271,15 @@ def _parse_learner(value) -> LearnerSpec:
         return preset(value)
     if not isinstance(value, dict):
         raise UsageError(f"bad learner spec {value!r}")
-    opts = dict(value)
+    opts = {key: v for key, v in value.items() if v is not None}
     kind = opts.pop("kind", None)
     if kind not in _LEARNER_KINDS:
         raise UsageError(f"unknown learner kind {kind!r}")
-    return _LEARNER_KINDS[kind](**opts)
+    spec, kinds = _LEARNER_KINDS[kind]
+    if opts.get("random_subset_size") == "sqrt":
+        kinds = dict(kinds, random_subset_size=str)
+    # an option the spec does not have stays in, so the spec rejects it
+    return spec(**opts | _fields(opts, **kinds))
 
 
 def _parse_spec(entry, seed: int = 0, prune: PruneSpec | None = None):
@@ -416,11 +460,9 @@ def _emit(text: str, out_path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_info(args) -> int:
-    spec = _label_spec({
-        "labels": args.labels,
-        "trailing_labels": args.trailing_labels,
-    })
-    ds = _load_bound(args.dataset, spec)
+    fields, _ = _data_specs({"dataset": {
+        "labels": args.labels, "trailing_labels": args.trailing_labels}})
+    ds = _load_bound(args.dataset, _label_spec(fields))
     try:
         stats = dataset_stats(ds)
     except ValueError as e:
@@ -459,9 +501,7 @@ def _render(cfg: dict, reports, meta: dict, include_average: bool = True) -> str
         return render_markdown(reports, meta, include_average)
     if fmt == "csv":
         return render_csv(reports, include_average)
-    if fmt == "json":
-        return render_json(reports, meta)
-    raise UsageError(f"unknown output format {fmt!r}")
+    return render_json(reports, meta)
 
 
 def cmd_benchmark(args) -> int:
@@ -523,11 +563,10 @@ class _FileModel:
 def cmd_evaluate(args) -> int:
     cfg = _merge_flags(args)
     if args.predictions:
-        ds_cfg = cfg.get("dataset") or {}
-        spec = _label_spec(ds_cfg)
-        if not ds_cfg.get("path"):
+        ds, _ = _data_specs(cfg)
+        if not ds.get("path"):
             raise UsageError("--predictions mode needs --dataset")
-        data = _load_bound(ds_cfg["path"], spec)
+        data = _load_bound(ds["path"], _label_spec(ds))
         if len(data) == 0:
             raise DataError("dataset has no rows")
         scores = _read_predictions(args.predictions, len(data), data.n_labels)

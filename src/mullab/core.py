@@ -86,12 +86,6 @@ class LabelSet:
         return LabelSet(~self.bits & ((1 << self.universe) - 1), self.universe)
 
 
-def labelset_symdiff_count(a: LabelSet, b: LabelSet) -> int:
-    """|a Δ b|: number of labels on which the two sets disagree."""
-    a._check(b)
-    return (a.bits ^ b.bits).bit_count()
-
-
 @dataclass(frozen=True)
 class Attribute:
     """One input attribute: numeric when ``values`` is None, otherwise
@@ -246,10 +240,6 @@ class MLDataset:
         kinds = [int if a.is_nominal else float for a in self.schema.attributes]
         return [tuple(None if math.isnan(v) else kind(v)
                       for kind, v in zip(kinds, row)) for row in self.X.tolist()]
-
-    @property
-    def labelsets(self) -> list[LabelSet]:
-        return labelsets_of(self.Y)
 
     @property
     def n_labels(self) -> int:

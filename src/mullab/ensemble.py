@@ -2,10 +2,10 @@
 
 Each of the q members is a problem-transformation model (pruned sets by
 default) trained on its own seeded random subsample of the training rows.
-Member score vectors are merged by an algebraic rule (mean, weighted mean,
-max, min) or a voting rule (majority, weighted majority) into one score
-vector per instance, from which the bipartition and the label ranking are
-derived.
+Member score matrices are merged by an algebraic rule (mean, weighted mean,
+max, min) or a voting rule (majority, weighted majority) into one n x M
+score matrix, from which ``metrics.evaluate`` derives the bipartitions and
+the label rankings.
 
 Member subsamples depend only on (seed, member index), so training members
 concurrently on any number of workers yields bit-identical results.
@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureVector, LabelSet, MLDataset
+from .core import MLDataset
 from .learners import preset, PRESET_NAMES
-from .metrics import bipartition, rank_labels
 from .rng import Xoshiro256, derive_seed
 from .transforms import MemberSpec, MultiLabelModel, PruneSpec, fit_member
 
@@ -128,20 +127,6 @@ def combine(member_scores: Sequence[np.ndarray], rule: str,
     return (w * votes).sum(axis=0) / w.sum()
 
 
-@dataclass(frozen=True, eq=False)
-class Prediction:
-    """Scores plus the bipartition and ranking they induce."""
-
-    scores: np.ndarray
-    bipartition: LabelSet
-    ranks: tuple[int, ...]
-
-    @classmethod
-    def from_scores(cls, scores, t: float = 0.5) -> "Prediction":
-        scores = np.asarray(scores, dtype=float)
-        return cls(scores, bipartition(scores, t), rank_labels(scores))
-
-
 class EnsembleModel(MultiLabelModel):
     def __init__(self, spec: EnsembleSpec, members: list[MultiLabelModel],
                  n_labels: int):
@@ -153,9 +138,6 @@ class EnsembleModel(MultiLabelModel):
         per_member = [m.predict_scores_many(rows) for m in self.members]
         return combine(per_member, self.spec.rule, self.spec.weights,
                        self.spec.threshold)
-
-    def predict(self, x: FeatureVector) -> Prediction:
-        return Prediction.from_scores(self.predict_scores(x), self.spec.threshold)
 
 
 def _member_indices(n: int, spec: EnsembleSpec, member_index: int) -> list[int]:

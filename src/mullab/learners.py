@@ -49,8 +49,6 @@ import numpy as np
 from .core import Attribute, FeatureVector, check_category_indices
 from .rng import Xoshiro256, derive_seed
 
-ClassDistribution = np.ndarray  # shape (C,), entries in [0,1], sums to 1
-
 _GAIN_EPS = 1e-12
 # Upper bound on the (attrs x rows x classes) elements of one batch in the
 # numeric split search; it bounds the search's peak memory.
@@ -183,15 +181,14 @@ class _Encoder:
 # ---------------------------------------------------------------------------
 
 class Classifier:
-    """Trained base model; yields a probability vector over the training
-    classes for any conforming feature vector."""
+    """Trained base model over ``n_classes`` classes.  Its one prediction
+    method, ``predict_dist_many``, takes an n x d feature matrix (or a list
+    of n rows) and returns the n x n_classes matrix whose rows are class
+    probability distributions."""
 
     n_classes: int
 
-    def predict_dist(self, x: FeatureVector) -> ClassDistribution:
-        return self.predict_dist_many([x])[0]
-
-    def predict_dist_many(self, rows: Sequence[FeatureVector]) -> np.ndarray:
+    def predict_dist_many(self, rows) -> np.ndarray:
         raise NotImplementedError
 
 

@@ -14,8 +14,10 @@ by the base learners:
   reintroducing them under frequent subsets of their labelsets
 
 A ``MemberSpec`` names one of the four with its learner and options;
-``fit_member`` fits it.  All trained models expose ``predict_scores`` (one
-vector of per-label confidences in [0, 1]) and are immutable after fitting.
+``fit_member`` fits it.  Every trained model has one prediction method,
+``predict_scores_many``: an n x d feature matrix (or a list of n rows) in,
+the n x M matrix of per-label confidences in [0, 1] out.  Models are
+immutable after fitting.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import learners
-from .core import FeatureVector, LabelSet, MLDataset, Schema, labelsets_of
+from .core import MLDataset, Schema
 from .learners import LearnerSpec
 from .rng import Xoshiro256
 
@@ -37,10 +39,7 @@ class MultiLabelModel:
 
     n_labels: int
 
-    def predict_scores(self, x: FeatureVector) -> np.ndarray:
-        return self.predict_scores_many([x])[0]
-
-    def predict_scores_many(self, rows: Sequence[FeatureVector]) -> np.ndarray:
+    def predict_scores_many(self, rows) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -79,18 +78,13 @@ class LabelPowersetModel(MultiLabelModel):
                  classes: np.ndarray):
         self.n_labels = schema.n_labels
         self._clf = clf
-        self.class_labelsets = tuple(labelsets_of(classes))
+        self.classes = classes
         # incidence[c, j] = 1 iff label j belongs to class c's labelset
         self._incidence = classes.astype(float)
 
     def predict_scores_many(self, rows):
         dist = self._clf.predict_dist_many(rows)
         return dist @ self._incidence
-
-    def predict_labelset(self, x: FeatureVector) -> LabelSet:
-        """Most probable labelset; by construction one seen in training."""
-        dist = self._clf.predict_dist_many([x])[0]
-        return self.class_labelsets[int(np.argmax(dist))]
 
 
 def _distinct_rows(Y: np.ndarray):
@@ -193,9 +187,6 @@ class PrunedSetsModel(MultiLabelModel):
 
     def predict_scores_many(self, rows):
         return self.lp.predict_scores_many(rows)
-
-    def predict_labelset(self, x: FeatureVector) -> LabelSet:
-        return self.lp.predict_labelset(x)
 
 
 def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsModel:

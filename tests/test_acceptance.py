@@ -100,7 +100,7 @@ def test_criterion_2_metric_oracle_equivalence():
 def test_criterion_3_degeneracy_identities():
     train, probe_ds = correlated_dataset(77, n_train=60, n_test=25,
                                          n_labels=4, n_features=6)
-    probe = probe_ds.features
+    probe = probe_ds.X
     nb = preset("nb")
 
     lp = lp_fit(train, nb).predict_scores_many(probe)

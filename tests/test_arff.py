@@ -13,7 +13,7 @@ from mullab.arff import (
     read_label_names,
     split_dataset,
 )
-from mullab.core import dataset_stats
+from mullab.core import dataset_stats, labelsets_of
 
 from golden_arff import BAD_FIXTURES, GOOD_FIXTURES
 from oracles import split_quoted_bf
@@ -101,7 +101,7 @@ class TestBindLabels:
         ds = bind_labels(raw, LabelSpec.from_names(["tag_a", "tag_b", "tag_c"]))
         assert ds.schema.label_names == ("tag_a", "tag_b", "tag_c")
         assert [a.name for a in ds.schema.attributes] == ["f1", "f2"]
-        assert [ls.indices() for ls in ds.labelsets] == [
+        assert [ls.indices() for ls in labelsets_of(ds.Y)] == [
             (0,), (1, 2), (0, 1), ()
         ]
         assert ds.X[0].tolist() == [0.1, 0.2]
@@ -136,7 +136,7 @@ class TestBindLabels:
         ds = bind_labels(raw, LabelSpec.from_names(["tag_c", "tag_a"]))
         assert ds.schema.label_names == ("tag_c", "tag_a")
         # row 1: tag_c=1 tag_a=0 -> bit 0 set only
-        assert ds.labelsets[1].indices() == (0,)
+        assert ds.Y[1].tolist() == [True, False]
 
     def test_unknown_label_name(self):
         raw = parse_arff(MULTILABEL_TEXT)

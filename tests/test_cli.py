@@ -301,22 +301,63 @@ BR = {"transform": "br", "learner": "nb"}
     {"experiments": [BR], "workers": "x"},
     {"experiments": [BR], "workers": 0},
     {"experiments": [BR], "seed": "x"},
+    {"experiments": [BR], "dataset": 5},
+    {"experiments": [BR], "split": 5},
+    {"experiments": [BR], "split": {"train": 40}},
+    {"experiments": [BR], "split": {"ratio": "x"}},
+    {"experiments": [BR], "split": {"ratio": 1.5}},
+    {"experiments": [BR],
+     "dataset": {"path": "x.arff", "trailing_labels": "x"}},
+    {"experiments": [BR],
+     "dataset": {"path": "x.arff", "trailing_labels": 3.5}},
+    {"experiments": [BR], "format": "xml"},
+    {"experiments": [BR], "out": 1},
+    {"experiments": [BR], "out": True},
+    {"experiments": [{"transform": "br", "learner": {"kind": "knn", "k": 2.5}}]},
+    {"experiments": [{"transform": "br", "learner": {"kind": "knn", "k": True}}]},
+    {"experiments": [{"transform": "br",
+                      "learner": {"kind": "tree", "max_depth": "x"}}]},
+    {"experiments": [{"transform": "br",
+                      "learner": {"kind": "tree", "seed": "x"}}]},
 ], ids=["p-negative", "weights-length", "q-zero", "sample-ratio-2", "k-string",
         "m-zero", "member-m-zero", "entry-not-object", "experiments-not-list",
         "no-transform", "unknown-preset", "member-not-object",
         "members-not-list", "threshold-string", "workers-string",
-        "workers-zero", "seed-string"])
+        "workers-zero", "seed-string", "dataset-not-object",
+        "split-not-object", "split-without-test", "split-ratio-string",
+        "split-ratio-1.5", "trailing-labels-string", "trailing-labels-3.5",
+        "format-xml", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
+        "tree-max-depth-string", "tree-seed-string"])
 def test_config_mistake_exits_1_before_any_data_is_read(
         fields, data_files, tmp_path, monkeypatch, capsys):
-    def no_data(cfg):
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, **fields)
+    # a config's own 'out' is the mistake under test; the flag would hide it
+    flags = [] if "out" in fields else ["--out", tmp_path / "report.csv"]
+    assert_usage_error_before_data(["benchmark", "--config", cfg, *flags],
+                                   tmp_path, monkeypatch, capsys)
+
+
+def test_negative_trailing_labels_flag_exits_1_before_any_data_is_read(
+        data_files, tmp_path, monkeypatch, capsys):
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, [BR])
+    assert_usage_error_before_data(
+        ["benchmark", "--config", cfg, "--trailing-labels", -1,
+         "--out", tmp_path / "report.csv"], tmp_path, monkeypatch, capsys)
+    assert_usage_error_before_data(
+        ["info", "--dataset", arff_path, "--trailing-labels", -1],
+        tmp_path, monkeypatch, capsys)
+
+
+def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys):
+    def no_data(*args):
         raise AssertionError("data read before the config was checked")
 
     monkeypatch.setattr(cli, "_resolve_data", no_data)
-    arff_path, labels_path = data_files
-    cfg = write_config(tmp_path, arff_path, labels_path, **fields)
-    out = tmp_path / "report.csv"
-    assert run_cli(["benchmark", "--config", cfg, "--out", out]) == 1
-    assert not out.exists()
+    monkeypatch.setattr(cli, "_load_bound", no_data)
+    assert run_cli(args) == 1
+    assert not (tmp_path / "report.csv").exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -423,10 +464,7 @@ class TestEvaluate:
         ds = bind_labels(load_arff(arff_path),
                          LabelSpec.from_names(["L0", "L1", "L2"]))
         pred_path = tmp_path / "preds.csv"
-        rows = [
-            ",".join("1.0" if j in ls else "0.0" for j in range(3))
-            for ls in ds.labelsets
-        ]
+        rows = [",".join("1.0" if v else "0.0" for v in y) for y in ds.Y]
         pred_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         rc = run_cli(["evaluate", "--dataset", arff_path, "--labels",
                       labels_path, "--predictions", pred_path,
@@ -436,7 +474,7 @@ class TestEvaluate:
         assert payload["rows"][0]["accuracy"] == 1.0
         assert payload["rows"][0]["hamming_loss"] == 0.0
         # rows with no relevant labels can never place one at rank 1
-        n_empty = sum(1 for s in ds.labelsets if s.cardinality() == 0)
+        n_empty = int((~ds.Y.any(axis=1)).sum())
         assert payload["rows"][0]["one_error"] == n_empty / len(ds)
 
     def test_prediction_shape_mismatch_exits_2(self, data_files, tmp_path):

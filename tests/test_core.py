@@ -13,8 +13,9 @@ from mullab.core import (
     dataset_stats,
     label_cardinality,
     label_density,
-    labelset_symdiff_count,
+    labelsets_of,
 )
+from mullab.metrics import hamming_loss
 
 from synth import random_dataset, random_rows
 
@@ -52,29 +53,33 @@ class TestLabelSet:
 
 
 class TestSymdiff:
+    """|a Δ b|, the number of labels on which two sets disagree, is what a
+    one-row Hamming loss counts (divided by the universe size)."""
+
     def test_identical_sets(self):
         a = ls([1, 3], 5)
-        assert labelset_symdiff_count(a, a) == 0
+        assert hamming_loss([a], [a]) == 0
 
     def test_partial_overlap(self):
-        assert labelset_symdiff_count(ls([0, 2], 3), ls([1, 2], 3)) == 2
+        assert hamming_loss([ls([0, 2], 3)], [ls([1, 2], 3)]) == 2 / 3
 
     def test_full_vs_empty(self):
-        assert labelset_symdiff_count(LabelSet.full(6), LabelSet.empty(6)) == 6
+        assert hamming_loss([LabelSet.full(6)], [LabelSet.empty(6)]) == 1
 
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatch):
-            labelset_symdiff_count(ls([0], 2), ls([0], 3))
+            hamming_loss([ls([0], 2)], [ls([0], 3)])
 
     def test_union_minus_intersection_identity_exhaustive(self):
         # |a Δ b| == |a ∪ b| - |a ∩ b| over every pair of subsets, M <= 6
-        for m in range(7):
+        # (Hamming loss needs at least one label)
+        for m in range(1, 7):
             for abits, bbits in itertools.product(range(1 << m), repeat=2):
                 a, b = LabelSet(abits, m), LabelSet(bbits, m)
                 expected = (
                     a.union(b).cardinality() - a.intersection(b).cardinality()
                 )
-                assert labelset_symdiff_count(a, b) == expected
+                assert hamming_loss([a], [b]) == expected / m
 
 
 def tiny_dataset(labelsets, m):
@@ -195,7 +200,7 @@ class TestFeatureMatrix:
                     assert d.X[i, j] == float(v)
             assert d.Y[i].tolist() == [j in ls for j in range(3)]
         assert d.features == [tuple(fv) for fv, _ in rows]
-        assert d.labelsets == [ls for _, ls in rows]
+        assert labelsets_of(d.Y) == [ls for _, ls in rows]
 
     def test_matrix_is_read_only(self):
         d = random_dataset(8, n=5)
@@ -207,7 +212,7 @@ class TestFeatureMatrix:
         idx = [7, 0, 7, 3]
         sub = d.subset(idx)
         assert sub.features == [d.features[i] for i in idx]
-        assert sub.labelsets == [d.labelsets[i] for i in idx]
+        assert labelsets_of(sub.Y) == [labelsets_of(d.Y)[i] for i in idx]
         assert np.array_equal(sub.X, d.X[idx], equal_nan=True)
         assert np.array_equal(sub.Y, d.Y[idx])
         assert sub.X.flags.c_contiguous and not sub.X.flags.writeable

@@ -6,14 +6,12 @@ from mullab.ensemble import (
     COMBINATION_RULES,
     EnsembleSpec,
     MemberSpec,
-    Prediction,
-    bipartition,
     combine,
     default_ensemble_spec,
     ensemble_fit,
-    rank_labels,
 )
 from mullab.learners import KnnSpec, NaiveBayesSpec, preset
+from mullab.metrics import bipartition, rank_labels
 from mullab.transforms import PruneSpec, lp_fit
 
 from synth import random_dataset
@@ -158,16 +156,6 @@ class TestRankLabels:
                         assert ranks[a] < ranks[b]
 
 
-class TestPrediction:
-    def test_internal_consistency(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            scores = rng.random(5)
-            p = Prediction.from_scores(scores, t=0.4)
-            assert p.bipartition == bipartition(scores, 0.4)
-            assert p.ranks == rank_labels(scores)
-
-
 def lp_member(learner_name="nb"):
     return MemberSpec(transform="lp", learner=preset(learner_name))
 
@@ -181,7 +169,7 @@ class TestEnsembleFit:
         )
         model = ensemble_fit(d, spec)
         solo = lp_fit(d, preset("nb"))
-        probe = random_dataset(60, n=8, n_labels=3, n_num=3, n_nom=0).features
+        probe = random_dataset(60, n=8, n_labels=3, n_num=3, n_nom=0).X
         assert np.abs(
             model.predict_scores_many(probe) - solo.predict_scores_many(probe)
         ).max() <= 1e-12
@@ -189,7 +177,7 @@ class TestEnsembleFit:
     def test_same_seed_reproduces(self):
         d = random_dataset(7, n=30, n_labels=3, n_num=2, n_nom=1)
         spec = default_ensemble_spec(seed=9, q=4, rule="mean")
-        probe = random_dataset(70, n=6, n_labels=3, n_num=2, n_nom=1).features
+        probe = random_dataset(70, n=6, n_labels=3, n_num=2, n_nom=1).X
         a = ensemble_fit(d, spec).predict_scores_many(probe)
         b = ensemble_fit(d, spec).predict_scores_many(probe)
         assert np.array_equal(a, b)
@@ -201,7 +189,7 @@ class TestEnsembleFit:
             sample_ratio=0.8, rule="mean", seed=4,
         )
         model = ensemble_fit(d, spec)
-        probe = random_dataset(80, n=7, n_labels=3, n_num=3, n_nom=0).features
+        probe = random_dataset(80, n=7, n_labels=3, n_num=3, n_nom=0).X
         stacked = np.stack(
             [m.predict_scores_many(probe) for m in model.members]
         )
@@ -212,7 +200,7 @@ class TestEnsembleFit:
     def test_worker_count_does_not_change_results(self):
         d = random_dataset(9, n=30, n_labels=3, n_num=2, n_nom=1)
         spec = default_ensemble_spec(seed=13, q=5, rule="majority_vote")
-        probe = random_dataset(90, n=6, n_labels=3, n_num=2, n_nom=1).features
+        probe = random_dataset(90, n=6, n_labels=3, n_num=2, n_nom=1).X
         serial = ensemble_fit(d, spec, workers=1).predict_scores_many(probe)
         threaded = ensemble_fit(d, spec, workers=8).predict_scores_many(probe)
         assert np.array_equal(serial, threaded)
@@ -233,15 +221,6 @@ class TestEnsembleFit:
         )
         with pytest.raises(ValueError, match="subsample"):
             ensemble_fit(d, spec)
-
-    def test_predict_method_bundles_scores(self):
-        d = random_dataset(12, n=25, n_labels=3, n_num=2, n_nom=0)
-        spec = default_ensemble_spec(seed=2, q=3, rule="mean")
-        model = ensemble_fit(d, spec)
-        p = model.predict(d.features[0])
-        assert p.scores.shape == (3,)
-        assert p.bipartition == bipartition(p.scores, spec.threshold)
-        assert p.ranks == rank_labels(p.scores)
 
 
 class TestEnsembleSpecValidation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mullab.core import Attribute
+from mullab.core import Attribute, labelsets_of
 from mullab.rng import Xoshiro256
 from mullab.learners import (
     KnnSpec,
@@ -40,7 +40,7 @@ ALL_SPECS = [
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__ + str(ALL_SPECS.index(s) if s in ALL_SPECS else ""))
 def test_single_training_point_predicts_its_class(spec):
     clf = fit(spec, [(1.0, 2.0)], [0], NUM2)
-    dist = clf.predict_dist((9.0, -3.0))
+    dist = clf.predict_dist_many([(9.0, -3.0)])[0]
     assert dist.tolist() == [1.0]
 
 
@@ -49,7 +49,7 @@ def test_distributions_sum_to_one_on_random_data(spec):
     for seed in range(3):
         d = random_dataset(seed, n=25, n_labels=2, n_num=2, n_nom=1,
                            missing_rate=0.1)
-        y = [ls.bits % 3 for ls in d.labelsets]
+        y = [ls.bits % 3 for ls in labelsets_of(d.Y)]
         if len(set(y)) < 3:
             continue
         clf = fit(spec, d.features, y, d.schema.attributes)
@@ -62,7 +62,7 @@ def test_distributions_sum_to_one_on_random_data(spec):
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_fit_is_deterministic(spec):
     d = random_dataset(11, n=30, n_labels=2, n_num=3, n_nom=0)
-    y = [ls.bits % 2 for ls in d.labelsets]
+    y = [ls.bits % 2 for ls in labelsets_of(d.Y)]
     probe = random_dataset(12, n=8, n_labels=2, n_num=3, n_nom=0).features
     a = fit(spec, d.features, y, d.schema.attributes).predict_dist_many(probe)
     b = fit(spec, d.features, y, d.schema.attributes).predict_dist_many(probe)
@@ -74,7 +74,7 @@ def test_arity_mismatch_rejected():
         fit(KnnSpec(), [(1.0, 2.0), (1.0,)], [0, 1])
     clf = fit(KnnSpec(k=1), [(1.0, 2.0), (3.0, 4.0)], [0, 1], NUM2)
     with pytest.raises(ValueError):
-        clf.predict_dist((1.0,))
+        clf.predict_dist_many([(1.0,)])
 
 
 def test_empty_training_yields_degenerate_model():
@@ -86,7 +86,7 @@ class TestKnn:
     def test_identical_points_different_classes_split_evenly(self):
         pts = [(1.0, 1.0), (1.0, 1.0)]
         clf = fit(KnnSpec(k=2), pts, [0, 1], NUM2)
-        assert clf.predict_dist((1.0, 1.0)).tolist() == [0.5, 0.5]
+        assert clf.predict_dist_many([(1.0, 1.0)]).tolist() == [[0.5, 0.5]]
 
     def test_three_nearest_vote(self):
         # distances from query (0,0): hand-checked layout; after
@@ -94,12 +94,12 @@ class TestKnn:
         pts = [(0.1, 0.0), (-0.1, 0.0), (0.0, 0.2), (5.0, 5.0), (-5.0, -5.0)]
         cls = [1, 1, 0, 0, 1]
         clf = fit(KnnSpec(k=3), pts, cls, NUM2)
-        dist = clf.predict_dist((0.0, 0.0))
+        dist = clf.predict_dist_many([(0.0, 0.0)])[0]
         assert dist.tolist() == pytest.approx([1 / 3, 2 / 3])
 
     def test_k_equals_n_returns_prior(self):
         d = random_dataset(3, n=20, n_labels=2, n_num=2, n_nom=1)
-        y = [ls.bits % 2 for ls in d.labelsets]
+        y = [ls.bits % 2 for ls in labelsets_of(d.Y)]
         clf = fit(KnnSpec(k=20), d.features, y, d.schema.attributes)
         prior = [y.count(0) / 20, y.count(1) / 20]
         for dist in clf.predict_dist_many(d.features[:5]):
@@ -107,25 +107,25 @@ class TestKnn:
 
     def test_k_larger_than_n_capped(self):
         clf = fit(KnnSpec(k=50), [(0.0, 0.0), (1.0, 1.0)], [0, 1], NUM2)
-        assert clf.predict_dist((0.0, 0.0)).tolist() == [0.5, 0.5]
+        assert clf.predict_dist_many([(0.0, 0.0)]).tolist() == [[0.5, 0.5]]
 
     def test_tie_broken_by_lower_row_index(self):
         # two equidistant neighbours, k=1: the earlier row wins
         pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 3.0), (0.0, -3.0)]
         cls = [0, 1, 0, 1]
         clf = fit(KnnSpec(k=1), pts, cls, NUM2)
-        assert clf.predict_dist((0.0, 0.0)).tolist() == [1.0, 0.0]
+        assert clf.predict_dist_many([(0.0, 0.0)]).tolist() == [[1.0, 0.0]]
 
     def test_nominal_mismatch_distance(self):
         attrs = (Attribute("c", ("x", "y", "z")),)
         pts = [(0,), (1,), (2,)]
         clf = fit(KnnSpec(k=1), pts, [0, 1, 1], attrs)
-        assert clf.predict_dist((0,)).tolist() == [1.0, 0.0]
+        assert clf.predict_dist_many([(0,)]).tolist() == [[1.0, 0.0]]
 
     def test_manhattan_distance_supported(self):
         pts = [(0.0, 0.0), (10.0, 10.0)]
         clf = fit(KnnSpec(k=1, distance="manhattan"), pts, [0, 1], NUM2)
-        assert clf.predict_dist((1.0, 1.0)).tolist() == [1.0, 0.0]
+        assert clf.predict_dist_many([(1.0, 1.0)]).tolist() == [[1.0, 0.0]]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.data())
@@ -160,7 +160,7 @@ class TestNaiveBayes:
         pts = [(-2.0,), (-1.0,), (-3.0,), (2.0,), (1.0,), (3.0,)]
         cls = [0, 0, 0, 1, 1, 1]
         clf = fit(NaiveBayesSpec(), pts, cls, (Attribute("a"),))
-        assert clf.predict_dist((0.0,)).tolist() == pytest.approx([0.5, 0.5])
+        assert clf.predict_dist_many([(0.0,)])[0].tolist() == pytest.approx([0.5, 0.5])
 
     def test_matches_brute_force_posterior(self):
         rng = np.random.default_rng(8)
@@ -169,9 +169,8 @@ class TestNaiveBayes:
         spec = NaiveBayesSpec(variance_floor=1e-6)
         attrs = tuple(Attribute(f"a{j}") for j in range(3))
         clf = fit(spec, pts, cls, attrs)
-        for q in pts[:5]:
+        for q, got in zip(pts[:5], clf.predict_dist_many(pts[:5])):
             expected = naive_bayes_posterior_bf(pts, cls, q, spec.variance_floor)
-            got = clf.predict_dist(q)
             for c, p in expected.items():
                 assert got[c] == pytest.approx(p, abs=1e-9)
 
@@ -179,7 +178,7 @@ class TestNaiveBayes:
         pts = [(1.0,), (1.0,), (2.0,), (2.5,)]
         clf = fit(NaiveBayesSpec(variance_floor=1e-6), pts, [0, 0, 1, 1],
                   (Attribute("a"),))
-        assert_valid_dist(clf.predict_dist((1.0,)))
+        assert_valid_dist(clf.predict_dist_many([(1.0,)])[0])
 
     def test_nominal_laplace_smoothing(self):
         attrs = (Attribute("c", ("x", "y")),)
@@ -187,7 +186,7 @@ class TestNaiveBayes:
         cls = [0, 0, 1]
         clf = fit(NaiveBayesSpec(), pts, cls, attrs)
         # class 1 never saw category x, Laplace keeps it positive
-        dist = clf.predict_dist((0,))
+        dist = clf.predict_dist_many([(0,)])[0]
         assert dist[1] > 0.0
         assert_valid_dist(dist)
 
@@ -219,14 +218,13 @@ class TestTree:
         pts = [(float(i), 0.0) for i in range(6)]
         clf = fit(TreeSpec(), pts, [0] * 6, NUM2)
         # single class: degenerate constant model
-        assert clf.predict_dist((3.0, 0.0)).tolist() == [1.0]
+        assert clf.predict_dist_many([(3.0, 0.0)]).tolist() == [[1.0]]
 
     def test_two_class_pure_regions(self):
         pts = [(float(i), 1.0) for i in range(4)] + [(float(i) + 10, 1.0) for i in range(4)]
         cls = [0] * 4 + [1] * 4
         clf = fit(TreeSpec(min_leaf=1), pts, cls, NUM2)
-        left = clf.predict_dist((0.0, 1.0))
-        right = clf.predict_dist((13.0, 1.0))
+        left, right = clf.predict_dist_many([(0.0, 1.0), (13.0, 1.0)])
         # Laplace smoothing keeps leaves shy of certainty
         assert left[0] == pytest.approx(5 / 6)
         assert right[1] == pytest.approx(5 / 6)
@@ -255,12 +253,12 @@ class TestTree:
         clf = fit(TreeSpec(min_leaf=1, criterion="info_gain"), pts, cls, attrs)
         root = clf.root.structure()
         assert root[0] == "nom"
-        assert clf.predict_dist((0,))[0] > 0.5
-        assert clf.predict_dist((1,))[1] > 0.5
+        dist = clf.predict_dist_many([(0,), (1,)])
+        assert dist[0, 0] > 0.5 and dist[1, 1] > 0.5
 
     def test_full_random_subset_equals_plain_tree(self):
         d = random_dataset(21, n=40, n_labels=2, n_num=4, n_nom=1)
-        y = [ls.bits % 2 for ls in d.labelsets]
+        y = [ls.bits % 2 for ls in labelsets_of(d.Y)]
         plain = fit(TreeSpec(criterion="info_gain"), d.features, y,
                     d.schema.attributes)
         randomized = fit(
@@ -356,14 +354,14 @@ class TestMissingValues:
         cls = [0, 1, 0]
         clf = fit(KnnSpec(k=1), pts, cls, (Attribute("a"),))
         # missing imputed to mean(0, 4) = 2; query at 1.9 is nearest to it
-        assert clf.predict_dist((1.9,)).tolist() == [1.0, 0.0]
+        assert clf.predict_dist_many([(1.9,)]).tolist() == [[1.0, 0.0]]
 
     def test_nominal_missing_is_its_own_category(self):
         attrs = (Attribute("c", ("x", "y")),)
         pts = [(None,), (None,), (0,), (1,)]
         cls = [0, 0, 1, 1]
         clf = fit(KnnSpec(k=1), pts, cls, attrs)
-        assert clf.predict_dist((None,)).tolist() == [1.0, 0.0]
+        assert clf.predict_dist_many([(None,)]).tolist() == [[1.0, 0.0]]
 
 
 class TestEncoding:
@@ -378,22 +376,23 @@ class TestEncoding:
     def test_non_integral_category_rejected_in_predict(self, spec):
         clf = fit(spec, [(0,), (1,), (2,)], [0, 1, 0], self.NOM3)
         with pytest.raises(ValueError, match="'c'.*integral"):
-            clf.predict_dist((1.9,))
-        assert clf.predict_dist((1.0,)).tolist() == clf.predict_dist((1,)).tolist()
+            clf.predict_dist_many([(1.9,)])
+        assert (clf.predict_dist_many([(1.0,)]).tolist()
+                == clf.predict_dist_many([(1,)]).tolist())
 
     def test_out_of_range_category_rejected(self):
         with pytest.raises(ValueError, match=r"'c'.*\[0, 3\), got (3|-1)$"):
             fit(KnnSpec(k=1), [(0,), (3,)], [0, 1], self.NOM3)
         clf = fit(KnnSpec(k=1), [(0,), (2,)], [0, 1], self.NOM3)
         with pytest.raises(ValueError, match=r"'c'.*\[0, 3\), got (3|-1)$"):
-            clf.predict_dist((-1,))
+            clf.predict_dist_many([(-1,)])
 
     def test_without_attributes_every_column_is_numeric(self):
         # integer cells are numbers, not categories: 2 is nearer to 1 than 0
         clf = fit(KnnSpec(k=1), [(0,), (1,)], [0, 1])
-        assert clf.predict_dist((2,)).tolist() == [0.0, 1.0]
+        assert clf.predict_dist_many([(2,)]).tolist() == [[0.0, 1.0]]
         clf = fit(KnnSpec(k=1), [(0,), (1,)], [0, 1], self.NOM3)
-        assert clf.predict_dist((2,)).tolist() == [1.0, 0.0]
+        assert clf.predict_dist_many([(2,)]).tolist() == [[1.0, 0.0]]
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_matrix_and_rows_give_the_same_model(self, spec):
@@ -401,7 +400,7 @@ class TestEncoding:
                            missing_rate=0.15)
         probe = random_dataset(5, n=12, n_labels=2, n_num=3, n_nom=2,
                                missing_rate=0.3)
-        y = [ls.bits for ls in d.labelsets]
+        y = [ls.bits for ls in labelsets_of(d.Y)]
         attrs = d.schema.attributes
         from_rows = fit(spec, d.features, y, attrs).predict_dist_many(probe.features)
         from_matrix = fit(spec, d.X, y, attrs).predict_dist_many(probe.X)
@@ -409,8 +408,8 @@ class TestEncoding:
 
     def test_matrix_is_not_copied(self):
         d = random_dataset(6, n=20, n_labels=2, n_num=3, n_nom=0)
-        clf = fit(NaiveBayesSpec(), d.X, [ls.bits % 2 for ls in d.labelsets],
-                  d.schema.attributes)
+        y = [ls.bits % 2 for ls in labelsets_of(d.Y)]
+        clf = fit(NaiveBayesSpec(), d.X, y, d.schema.attributes)
         assert clf._enc.matrix is d.X
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from mullab.core import Attribute, LabelSet, MLDataset, Schema, UniverseMismatch
-from mullab.ensemble import rank_labels
 from mullab.metrics import (
     accuracy,
     average_precision,
     evaluate,
     hamming_loss,
     one_error,
+    rank_labels,
     ranking_loss,
 )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mullab import learners
-from mullab.core import Attribute, LabelSet, MLDataset, Schema
+from mullab.core import Attribute, LabelSet, MLDataset, Schema, labelsets_of
 from mullab.learners import KnnSpec, NaiveBayesSpec, TreeSpec
 from mullab.transforms import (
     PruneSpec,
@@ -41,17 +41,17 @@ class TestBinaryRelevance:
         )
         model = br_fit(d, KnnSpec(k=2))
         clf = learners.fit(
-            KnnSpec(k=2), d.features, [1, 1, 0, 0], d.schema.attributes
+            KnnSpec(k=2), d.X, [1, 1, 0, 0], d.schema.attributes
         )
-        for x in d.features:
-            assert model.predict_scores(x)[0] == clf.predict_dist(x)[1]
+        assert np.array_equal(model.predict_scores_many(d.X)[:, 0],
+                              clf.predict_dist_many(d.X)[:, 1])
 
     def test_scores_match_hand_naive_bayes(self):
         model = br_fit(BR_FIXTURE, NaiveBayesSpec(variance_floor=1e-6))
-        for x in BR_FIXTURE.features:
-            scores = model.predict_scores(x)
+        for x, scores in zip(BR_FIXTURE.features,
+                             model.predict_scores_many(BR_FIXTURE.X)):
             for j in range(2):
-                y = [1 if j in ls else 0 for ls in BR_FIXTURE.labelsets]
+                y = [1 if j in ls else 0 for ls in labelsets_of(BR_FIXTURE.Y)]
                 expected = naive_bayes_posterior_bf(
                     BR_FIXTURE.features, y, x, 1e-6
                 )
@@ -59,7 +59,7 @@ class TestBinaryRelevance:
 
     def test_label_independence_under_other_label_permutation(self):
         feats = BR_FIXTURE.features
-        base = [ls.indices() for ls in BR_FIXTURE.labelsets]
+        base = [ls.indices() for ls in labelsets_of(BR_FIXTURE.Y)]
         # flip label 1 everywhere; label 0 must be unaffected
         flipped = [
             tuple(sorted(set(idx) ^ {1})) for idx in base
@@ -68,29 +68,29 @@ class TestBinaryRelevance:
         a = br_fit(BR_FIXTURE, NaiveBayesSpec())
         b = br_fit(d2, NaiveBayesSpec())
         probe = [(0.3, 0.4), (-1.0, 1.0)]
-        for x in probe:
-            assert a.predict_scores(x)[0] == b.predict_scores(x)[0]
+        assert np.array_equal(a.predict_scores_many(probe)[:, 0],
+                              b.predict_scores_many(probe)[:, 0])
 
     def test_label_restricted_training_gives_same_scores(self):
         # dropping the other label's column entirely changes nothing
         only_label0 = make_dataset(
             BR_FIXTURE.features,
-            [[0] if 0 in ls else [] for ls in BR_FIXTURE.labelsets],
+            [[0] if 0 in ls else [] for ls in labelsets_of(BR_FIXTURE.Y)],
             1,
         )
         full = br_fit(BR_FIXTURE, NaiveBayesSpec())
         restricted = br_fit(only_label0, NaiveBayesSpec())
-        for x in BR_FIXTURE.features:
-            assert full.predict_scores(x)[0] == restricted.predict_scores(x)[0]
+        assert np.array_equal(full.predict_scores_many(BR_FIXTURE.X)[:, 0],
+                              restricted.predict_scores_many(BR_FIXTURE.X)[:, 0])
 
     def test_constant_label_yields_constant_score(self):
         d = make_dataset(
             [(0.0,), (1.0,)], [[0], [0]], 2
         )
         model = br_fit(d, KnnSpec(k=1))
-        scores = model.predict_scores((0.5,))
-        assert scores[0] == 1.0  # always present
-        assert scores[1] == 0.0  # never present
+        scores = model.predict_scores_many([(0.5,), (-3.0,)])
+        assert (scores[:, 0] == 1.0).all()  # always present
+        assert (scores[:, 1] == 0.0).all()  # never present
 
 
 LP_FIXTURE = make_dataset(
@@ -106,18 +106,19 @@ class TestLabelPowerset:
         model = lp_fit(LP_FIXTURE, spec)
         # rebuild the multiclass problem independently: classes sorted by
         # ascending labelset bit pattern
-        distinct = sorted({ls.bits for ls in LP_FIXTURE.labelsets})
+        distinct = sorted({ls.bits for ls in labelsets_of(LP_FIXTURE.Y)})
         class_of = {bits: c for c, bits in enumerate(distinct)}
-        y = [class_of[ls.bits] for ls in LP_FIXTURE.labelsets]
-        clf = learners.fit(spec, LP_FIXTURE.features, y,
+        y = [class_of[ls.bits] for ls in labelsets_of(LP_FIXTURE.Y)]
+        clf = learners.fit(spec, LP_FIXTURE.X, y,
                            LP_FIXTURE.schema.attributes)
-        for x in [(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5)]:
-            dist = clf.predict_dist(x)
+        probe = [(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5)]
+        for dist, scores in zip(clf.predict_dist_many(probe),
+                                model.predict_scores_many(probe)):
             expected = [
                 sum(p for bits, p in zip(distinct, dist) if bits >> j & 1)
                 for j in range(3)
             ]
-            assert model.predict_scores(x) == pytest.approx(expected, abs=1e-12)
+            assert scores == pytest.approx(expected, abs=1e-12)
 
     def test_distinct_singletons_reduce_to_multiclass(self):
         d = make_dataset(
@@ -126,24 +127,25 @@ class TestLabelPowerset:
             3,
         )
         model = lp_fit(d, KnnSpec(k=2))
-        clf = learners.fit(KnnSpec(k=2), d.features, [0, 0, 1, 1, 2, 2],
+        clf = learners.fit(KnnSpec(k=2), d.X, [0, 0, 1, 1, 2, 2],
                            d.schema.attributes)
-        for x in d.features:
-            assert model.predict_scores(x).tolist() == clf.predict_dist(x).tolist()
+        assert np.array_equal(model.predict_scores_many(d.X),
+                              clf.predict_dist_many(d.X))
 
     def test_argmax_labelset_seen_in_training(self):
         for seed in range(4):
             d = random_dataset(seed, n=30, n_labels=4, n_num=2, n_nom=1)
             model = lp_fit(d, KnnSpec(k=3))
-            training = {ls.bits for ls in d.labelsets}
+            training = {ls.bits for ls in labelsets_of(d.Y)}
             probe = random_dataset(seed + 100, n=12, n_labels=4, n_num=2, n_nom=1)
-            for x in probe.features:
-                assert model.predict_labelset(x).bits in training
+            best = np.argmax(model._clf.predict_dist_many(probe.X), axis=1)
+            for ls in labelsets_of(model.classes[best]):
+                assert ls.bits in training
 
     def test_single_distinct_labelset(self):
         d = make_dataset([(0.0,), (1.0,)], [[0, 1], [0, 1]], 2)
         model = lp_fit(d, NaiveBayesSpec())
-        assert model.predict_scores((0.5,)).tolist() == [1.0, 1.0]
+        assert model.predict_scores_many([(0.5,)]).tolist() == [[1.0, 1.0]]
 
 
 class TestRakel:
@@ -151,22 +153,21 @@ class TestRakel:
         lp = lp_fit(LP_FIXTURE, NaiveBayesSpec())
         rk = rakel_fit(LP_FIXTURE, NaiveBayesSpec(), m=1, k=3, seed=42)
         probe = [(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5), (0.0, 0.0)]
-        for x in probe:
-            assert np.abs(rk.predict_scores(x) - lp.predict_scores(x)).max() <= 1e-12
+        assert np.abs(rk.predict_scores_many(probe)
+                      - lp.predict_scores_many(probe)).max() <= 1e-12
 
     def test_scores_are_mean_of_member_votes(self):
         model = rakel_fit(LP_FIXTURE, KnnSpec(k=2), m=3, k=2, seed=7)
         probe = [(-2.0, 0.1), (0.1, 2.2)]
-        for x in probe:
-            sums = np.zeros(3)
-            cover = np.zeros(3)
-            for labels, member in model.members:
-                member_scores = member.predict_scores(x)
-                for pos, j in enumerate(labels):
-                    sums[j] += member_scores[pos]
-                    cover[j] += 1
-            expected = np.where(cover > 0, sums / np.maximum(cover, 1), 0.5)
-            assert model.predict_scores(x) == pytest.approx(expected.tolist())
+        sums = np.zeros((2, 3))
+        cover = np.zeros(3)
+        for labels, member in model.members:
+            member_scores = member.predict_scores_many(probe)
+            for pos, j in enumerate(labels):
+                sums[:, j] += member_scores[:, pos]
+                cover[j] += 1
+        expected = np.where(cover > 0, sums / np.maximum(cover, 1), 0.5)
+        assert model.predict_scores_many(probe) == pytest.approx(expected)
 
     def test_uncovered_labels_score_half(self):
         stub_schema = LP_FIXTURE.schema
@@ -183,9 +184,9 @@ class TestRakel:
             [((0,), StubMember(1.0)), ((0,), StubMember(0.0))],
             uncovered=(1, 2),
         )
-        scores = model.predict_scores((0.0, 0.0))
-        assert scores[0] == 0.5  # mean of 1.0 and 0.0
-        assert scores[1] == 0.5 and scores[2] == 0.5  # neutral default
+        scores = model.predict_scores_many([(0.0, 0.0), (1.0, 1.0)])
+        assert (scores[:, 0] == 0.5).all()  # mean of 1.0 and 0.0
+        assert (scores[:, 1:] == 0.5).all()  # neutral default
         assert model.uncovered == (1, 2)
 
     def test_k_out_of_range(self):
@@ -213,8 +214,8 @@ class TestRakel:
     def test_deterministic_for_seed(self):
         a = rakel_fit(LP_FIXTURE, KnnSpec(k=2), m=4, k=2, seed=5)
         b = rakel_fit(LP_FIXTURE, KnnSpec(k=2), m=4, k=2, seed=5)
-        x = (0.2, 0.3)
-        assert a.predict_scores(x).tolist() == b.predict_scores(x).tolist()
+        x = [(0.2, 0.3)]
+        assert a.predict_scores_many(x).tolist() == b.predict_scores_many(x).tolist()
         assert [s for s, _ in a.members] == [s for s, _ in b.members]
 
 
@@ -229,8 +230,9 @@ class TestPrunedSets:
     def test_p0_identical_to_lp(self):
         lp = lp_fit(PS_FIXTURE, NaiveBayesSpec())
         ps = ps_fit(PS_FIXTURE, NaiveBayesSpec(), PruneSpec(p=0, b=2))
-        for x in [(-2.0,), (0.05,), (1.8,)]:
-            assert np.abs(ps.predict_scores(x) - lp.predict_scores(x)).max() <= 1e-12
+        probe = [(-2.0,), (0.05,), (1.8,)]
+        assert np.abs(ps.predict_scores_many(probe)
+                      - lp.predict_scores_many(probe)).max() <= 1e-12
         assert ps.n_pruned == 0 and ps.n_reintroduced == 0
 
     def test_rare_labelset_rewritten_into_frequent_subsets(self):
@@ -238,13 +240,13 @@ class TestPrunedSets:
         assert ps.n_pruned == 1
         assert ps.n_reintroduced == 2
         # class universe is exactly {0} and {1}
-        assert [c.bits for c in ps.lp.class_labelsets] == [1, 2]
+        assert ps.lp.classes.tolist() == [[True, False], [False, True]]
 
     def test_reintroduction_capped_by_b(self):
         ps = ps_fit(PS_FIXTURE, NaiveBayesSpec(), PruneSpec(p=2, b=1))
         assert ps.n_reintroduced == 1
         # largest-cardinality first, then ascending bits: {0} comes first
-        assert [c.bits for c in ps.lp.class_labelsets] == [1, 2]
+        assert ps.lp.classes.tolist() == [[True, False], [False, True]]
 
     def test_over_aggressive_p_errors(self):
         with pytest.raises(ValueError, match="lower p"):
@@ -252,9 +254,11 @@ class TestPrunedSets:
 
     def test_argmax_stays_in_rewritten_universe(self):
         ps = ps_fit(PS_FIXTURE, KnnSpec(k=2), PruneSpec(p=2, b=2))
-        universe = {c.bits for c in ps.lp.class_labelsets}
-        for x in [(-3.0,), (0.0,), (3.0,)]:
-            assert ps.predict_labelset(x).bits in universe
+        universe = {ls.bits for ls in labelsets_of(ps.lp.classes)}
+        assert universe == {1, 2}
+        dist = ps.lp._clf.predict_dist_many([(-3.0,), (0.0,), (3.0,)])
+        best = ps.lp.classes[np.argmax(dist, axis=1)]
+        assert {ls.bits for ls in labelsets_of(best)} <= universe
 
     def test_prune_spec_validation(self):
         with pytest.raises(ValueError):
@@ -287,8 +291,8 @@ class TestWideLabelUniverse:
     def test_matches_six_label_run(self, fit):
         narrow, wide, test = self._narrow_and_wide()
         a, b = fit(narrow), fit(wide)
-        a_classes = getattr(a, "lp", a).class_labelsets
-        b_classes = getattr(b, "lp", b).class_labelsets
+        a_classes = labelsets_of(getattr(a, "lp", a).classes)
+        b_classes = labelsets_of(getattr(b, "lp", b).classes)
         bits = [ls.bits for ls in b_classes]
         assert bits == sorted(bits) and bits[-1] >= 1 << 64
         assert [ls.indices() for ls in b_classes] == [

@@ -11,7 +11,9 @@ Supported ARFF subset (the dialect the Mulan benchmark files use):
 * ``?`` is a missing value in both row forms
 
 String and date attributes are out of scope and raise a parse error.  All
-parse errors carry the 1-based line number.
+parse errors carry the 1-based line number of a line in the text: a line
+ends at ``\n``, ``\r\n`` or ``\r``, and a missing ``@data`` is reported at
+the last line.
 
 Label files: either plain text (one label attribute name per line) or the
 Mulan XML form ``<labels><label name="..."/>...</labels>``.
@@ -175,13 +177,17 @@ def _parse_sparse_row(line: str, attributes, lineno: int) -> tuple:
 def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
     """Parse ARFF text (string or text stream) into a RawTable."""
     text = source.read() if hasattr(source, "read") else source
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     relation = ""
     attributes: list[Attribute] = []
     rows: list[tuple] = []
     in_data = False
     saw_relation = False
     lineno = 0
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    # only \n, \r\n and \r end a line, as in a text-mode file read:
+    # str.splitlines would also break at form feeds and other separators
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("%"):
             continue
@@ -220,7 +226,7 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
                 )
             )
     if not in_data:
-        raise ArffParseError(lineno + 1, "missing @data section")
+        raise ArffParseError(lineno, "missing @data section")  # last line
     return RawTable(relation, tuple(attributes), tuple(rows))
 
 
@@ -230,10 +236,15 @@ def load_arff(path) -> RawTable:
 
 
 def dump_arff(raw: RawTable) -> str:
-    """Debug writer producing dense ARFF; parse(dump(t)) == t."""
+    """Debug writer producing dense ARFF; parse(dump(t)) == t for every
+    table whose names hold no line break and at most one kind of quote
+    character (the dialect has no escapes)."""
 
     def quote(name: str) -> str:
-        return f"'{name}'" if (" " in name or "," in name or not name) else name
+        # bare only when no character can split, end or re-read the token
+        if name and not any(ch.isspace() or ch in ",'\"{}%?" for ch in name):
+            return name
+        return f'"{name}"' if "'" in name else f"'{name}'"
 
     out = [f"@relation {quote(raw.relation_name)}"]
     for attr in raw.attributes:

@@ -80,6 +80,17 @@ _METRIC_ROWS = (
 
 _FORMATS = ("md", "markdown", "csv", "json")
 
+# The keys each part of a config may set; any other key is a UsageError.
+_CONFIG_KEYS = ("dataset", "split", "seed", "threshold", "workers", "format",
+                "out", "experiments")
+_DATASET_KEYS = ("path", "train", "test", "labels", "trailing_labels")
+_SPLIT_KEYS = ("ratio", "train", "test")
+_MEMBER_KEYS = ("transform", "learner", "m", "k", "p", "b")
+_EXPERIMENT_KEYS = ("name", "seed") + _MEMBER_KEYS
+_ENSEMBLE_KEYS = ("name", "seed", "transform", "q", "learner", "p", "b",
+                  "sample_ratio", "with_replacement", "rule", "weights",
+                  "threshold", "members")
+
 
 class UsageError(Exception):
     pass
@@ -110,6 +121,7 @@ def _merge_flags(args) -> dict:
     """The config file, if any, with command-line flags overriding it;
     every key but 'experiments' is checked here, before any data is read."""
     cfg = _load_config(args.config) if args.config else {}
+    _known_keys(cfg, _CONFIG_KEYS, "the config")
     ds = cfg.get("dataset") or {}
     if not isinstance(ds, dict):
         raise UsageError(f"'dataset' must be a JSON object, not {ds!r}")
@@ -169,6 +181,15 @@ def _fields(entry: dict, **kinds) -> dict:
             for key, kind in kinds.items() if entry.get(key) is not None}
 
 
+def _known_keys(entry: dict, keys: tuple, where: str) -> None:
+    """A UsageError naming the first key of ``entry`` that is not in
+    ``keys``: a misspelt key must not silently leave its default."""
+    for key in entry:
+        if key not in keys:
+            raise UsageError(f"unknown key {key!r} in {where}; known keys: "
+                             f"{', '.join(keys)}")
+
+
 def _parse_split_flag(text: str) -> dict:
     if ":" in text:
         a, _, b = text.partition(":")
@@ -186,6 +207,7 @@ def _data_specs(cfg: dict) -> tuple[dict, SplitSpec | None]:
     """The typed fields of the ``dataset`` block and the ``split`` as a
     SplitSpec (None when there is none).  A mistake in either is a
     UsageError; whether split counts fit the data is checked on the data."""
+    _known_keys(cfg["dataset"], _DATASET_KEYS, "'dataset'")
     ds = _fields(cfg["dataset"], path=str, train=str, test=str, labels=str,
                  trailing_labels=int)
     if ds.get("trailing_labels", 1) < 1:
@@ -196,6 +218,7 @@ def _data_specs(cfg: dict) -> tuple[dict, SplitSpec | None]:
         return ds, None
     if not isinstance(split, dict):
         raise UsageError(f"'split' must be a JSON object, not {split!r}")
+    _known_keys(split, _SPLIT_KEYS, "'split'")
     if "ratio" in split:
         fields = {"ratio": _typed(split["ratio"], float, "ratio")}
     else:
@@ -294,6 +317,12 @@ def _parse_spec(entry, seed: int = 0, prune: PruneSpec | None = None):
         raise UsageError(f"an experiment or member must be a JSON object, "
                          f"not {entry!r}")
     top = prune is None
+    if not top:
+        _known_keys(entry, _MEMBER_KEYS, "an ensemble member")
+    elif entry.get("transform") == "ensemble":
+        _known_keys(entry, _ENSEMBLE_KEYS, "an ensemble experiment")
+    else:
+        _known_keys(entry, _EXPERIMENT_KEYS, "an experiment")
     try:
         prune = replace(PruneSpec() if top else prune,
                         **_fields(entry, p=int, b=int))

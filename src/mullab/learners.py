@@ -6,10 +6,16 @@ Three families, each consumed by the problem transformations:
   numeric attributes plus 0/1 mismatch on nominal ones; neighbour class
   frequencies with uniform weights, distance ties broken by lower training
   row index.  Neighbours come from an exact top-k selection (a partition
-  plus ordered tie filling), not a full sort.
+  plus ordered tie filling), not a full sort.  A ``KnnIndex`` holds the
+  encoder and the standardised training matrix and finds the neighbours; a
+  ``KnnClassifier`` keeps only its class vector and counts the votes, so
+  classifiers that differ only in their classes can share one index and
+  one search per query matrix.
 * Gaussian naive Bayes: per-class Gaussian per numeric attribute with a
   variance floor, Laplace-1 smoothed categorical likelihoods, frequency
-  priors, log-space posterior.
+  priors, log-space posterior.  Prediction takes the query rows in blocks of
+  at most ``_NB_BLOCK_ELEMS`` (2^18) rows x classes x numeric attributes
+  elements, with the same float operations per row as one block.
 * Decision tree: binary splits on numeric attributes (midpoints between
   consecutive distinct sorted values, "<= threshold" goes left), multiway
   splits on nominal ones, info-gain or gain-ratio criterion, optional
@@ -24,6 +30,9 @@ Three families, each consumed by the problem transformations:
 Input: ``fit`` and ``predict_dist_many`` take a list of feature rows or an
 n x d float matrix such as ``MLDataset.X``, which is built once per dataset;
 a C-ordered float64 matrix is used as is, without a copy or a per-row pass.
+``prepare(spec, X, attributes)`` builds the encoder (and for kNN the index)
+of a training matrix once; ``fit(..., shared=...)`` reuses it, which is how
+one model fits many classifiers on one matrix.
 Column kinds come only from the schema ``attributes``: without them every
 column is numeric, and nothing is inferred from the values.  A nominal cell
 must be an integral category index below the attribute's arity; anything
@@ -53,6 +62,9 @@ _GAIN_EPS = 1e-12
 # Upper bound on the (attrs x rows x classes) elements of one batch in the
 # numeric split search; it bounds the search's peak memory.
 _BATCH_ELEMS = 1 << 15
+# Upper bound on the (query rows x classes x numeric attrs) elements of one
+# block in naive Bayes prediction; it bounds the prediction's peak memory.
+_NB_BLOCK_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -206,18 +218,24 @@ class ConstantClassifier(Classifier):
         return np.tile(self._dist, (len(rows), 1))
 
 
-class KnnClassifier(Classifier):
-    def __init__(self, spec: KnnSpec, enc: _Encoder, y: np.ndarray, n_classes: int):
+class KnnIndex:
+    """The standardised training matrix of one encoder, searched for each
+    query row's ``k`` nearest training rows.
+
+    Every kNN classifier on the same training matrix and ``KnnSpec`` can
+    share one index: binary relevance and RAKEL fit all their labels and
+    members on one, and search it once per query matrix.
+    """
+
+    def __init__(self, spec: KnnSpec, enc: _Encoder):
         self.spec = spec
-        self.n_classes = n_classes
-        self._enc = enc
-        self._y = y
-        num = ~enc.is_nominal
-        self._num_cols = np.flatnonzero(num)
+        self.enc = enc
+        self._num_cols = np.flatnonzero(~enc.is_nominal)
         self._nom_cols = np.flatnonzero(enc.is_nominal)
         x = enc.matrix
-        self._mu = x[:, self._num_cols].mean(axis=0) if self._num_cols.size else None
+        self.n_rows = x.shape[0]
         if self._num_cols.size:
+            self._mu = x[:, self._num_cols].mean(axis=0)
             sd = x[:, self._num_cols].std(axis=0)
             sd[sd == 0.0] = 1.0
             self._sd = sd
@@ -225,11 +243,10 @@ class KnnClassifier(Classifier):
         else:
             self._xn = None
         self._xc = x[:, self._nom_cols]
-        self.k = min(spec.k, len(y))
+        self.k = min(spec.k, self.n_rows)
 
     def _distances(self, q: np.ndarray) -> np.ndarray:
-        nq, nt = q.shape[0], self._y.shape[0]
-        d = np.zeros((nq, nt))
+        d = np.zeros((q.shape[0], self.n_rows))
         if self._xn is not None:
             qn = (q[:, self._num_cols] - self._mu) / self._sd
             if self.spec.distance == "euclidean":
@@ -246,11 +263,14 @@ class KnnClassifier(Classifier):
             d += (q[:, self._nom_cols[j]][:, None] != self._xc[None, :, j])
         return d
 
-    def predict_dist_many(self, rows):
-        dist = self._distances(self._enc.transform(rows))
-        nq, k, c = dist.shape[0], self.k, self.n_classes
-        # exact top-k, the rows a stable argsort puts first: all rows closer
-        # than the k-th distance, then rows tied with it by ascending index
+    def neighbours(self, rows) -> np.ndarray:
+        """The (nq, k) training row indices nearest to each query row, in
+        ascending index order: the rows a stable argsort of the distances
+        puts first."""
+        dist = self._distances(self.enc.transform(rows))
+        nq, k = dist.shape[0], self.k
+        # exact top-k: all rows closer than the k-th distance, then rows
+        # tied with it by ascending index
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
         if np.isnan(kth).any():
             raise ValueError("knn distances are not numbers; rescale the features")
@@ -258,9 +278,25 @@ class KnnClassifier(Classifier):
         spare = k - chosen.sum(axis=1)  # >= 1 slots left for tied rows
         for i in np.flatnonzero(tied.sum(axis=1) > spare):
             tied[i, np.flatnonzero(tied[i])[spare[i]:]] = False
-        cols = np.nonzero(chosen | tied)[1].reshape(nq, k)
-        votes = self._y[cols] + c * np.arange(nq)[:, None]
+        return np.nonzero(chosen | tied)[1].reshape(nq, k)
+
+
+class KnnClassifier(Classifier):
+    """Neighbour class frequencies over a (possibly shared) ``KnnIndex``."""
+
+    def __init__(self, index: KnnIndex, y: np.ndarray, n_classes: int):
+        self.index = index
+        self.n_classes = n_classes
+        self._y = y
+
+    def votes(self, neighbours: np.ndarray) -> np.ndarray:
+        """Class distributions from ``index.neighbours`` of the query rows."""
+        (nq, k), c = neighbours.shape, self.n_classes
+        votes = self._y[neighbours] + c * np.arange(nq)[:, None]
         return np.bincount(votes.ravel(), minlength=nq * c).reshape(nq, c) / k
+
+    def predict_dist_many(self, rows):
+        return self.votes(self.index.neighbours(rows))
 
 
 class NaiveBayesClassifier(Classifier):
@@ -296,11 +332,16 @@ class NaiveBayesClassifier(Classifier):
         log_post = np.tile(self._log_prior, (len(rows), 1))
         if self._num_cols.size:
             qn = q[:, self._num_cols]
-            diff = qn[:, None, :] - self._mean[None, :, :]
-            log_post += (
-                -0.5 * np.log(2.0 * math.pi * self._var)[None, :, :]
-                - diff * diff / (2.0 * self._var)[None, :, :]
-            ).sum(axis=2)
+            log_norm = -0.5 * np.log(2.0 * math.pi * self._var)
+            two_var = 2.0 * self._var
+            # query rows in blocks of at most _NB_BLOCK_ELEMS (classes x d)
+            # elements, each row with the same float operations
+            step = max(1, _NB_BLOCK_ELEMS // self._mean.size)
+            for s in range(0, len(q), step):
+                diff = qn[s:s + step, None, :] - self._mean[None, :, :]
+                log_post[s:s + step] += (
+                    log_norm[None, :, :] - diff * diff / two_var[None, :, :]
+                ).sum(axis=2)
         for pos, j in enumerate(self._nom_cols):
             log_post += self._nom_loglik[pos][:, q[:, j].astype(int)].T
         log_post -= log_post.max(axis=1, keepdims=True)
@@ -582,15 +623,36 @@ class TreeClassifier(Classifier):
 # fitting entry point
 # ---------------------------------------------------------------------------
 
+def prepare(spec: LearnerSpec,
+            features: Union[Sequence[FeatureVector], np.ndarray],
+            attributes: Optional[Sequence[Attribute]] = None):
+    """The training state that every classifier ``fit`` trains with
+    ``spec`` on ``features`` can share: a ``KnnIndex`` for kNN, the feature
+    encoder otherwise.  Building it checks the arity and the category
+    indices of ``features``."""
+    enc = _Encoder(features, attributes)
+    return KnnIndex(spec, enc) if isinstance(spec, KnnSpec) else enc
+
+
+def _prepared_for(shared, spec: LearnerSpec, n_rows: int) -> bool:
+    if isinstance(spec, KnnSpec):
+        return (isinstance(shared, KnnIndex) and shared.spec == spec
+                and shared.n_rows == n_rows)
+    return isinstance(shared, _Encoder) and len(shared.matrix) == n_rows
+
+
 def fit(spec: LearnerSpec, features: Union[Sequence[FeatureVector], np.ndarray],
         classes: Sequence[int],
-        attributes: Optional[Sequence[Attribute]] = None) -> Classifier:
+        attributes: Optional[Sequence[Attribute]] = None,
+        shared=None) -> Classifier:
     """Train a classifier.  ``classes`` are dense indices in [0, C).
 
     ``features`` is a list of rows or an n x d float matrix such as
     ``MLDataset.X`` (NaN marks a missing cell); a C-ordered float64 matrix
     is used without a copy.  ``attributes`` carries the schema kinds; when
-    omitted, every column is numeric.
+    omitted, every column is numeric.  ``shared`` is
+    ``prepare(spec, features, attributes)``, built once and passed to every
+    fit on the same features; without it, each fit builds its own.
     """
     if len(features) != len(classes):
         raise ValueError("features and classes differ in length")
@@ -600,15 +662,18 @@ def fit(spec: LearnerSpec, features: Union[Sequence[FeatureVector], np.ndarray],
     if (y < 0).any():
         raise ValueError("class indices must be >= 0")
     n_classes = int(y.max()) + 1
+    if shared is None:
+        shared = prepare(spec, features, attributes)  # checks arity, domains
+    elif not _prepared_for(shared, spec, len(y)):
+        raise ValueError("shared training state was prepared for another "
+                         "spec or feature matrix")
     if n_classes == 1:
         # single observed class: degenerate but valid, even with pruning on
-        _Encoder(features, attributes)  # still validates arity and domains
         return ConstantClassifier(1, 0)
-    enc = _Encoder(features, attributes)
     if isinstance(spec, KnnSpec):
-        return KnnClassifier(spec, enc, y, n_classes)
+        return KnnClassifier(shared, y, n_classes)
     if isinstance(spec, NaiveBayesSpec):
-        return NaiveBayesClassifier(spec, enc, y, n_classes)
+        return NaiveBayesClassifier(spec, shared, y, n_classes)
     if isinstance(spec, TreeSpec):
-        return TreeClassifier(spec, enc, y, n_classes)
+        return TreeClassifier(spec, shared, y, n_classes)
     raise TypeError(f"unknown learner spec {type(spec).__name__}")

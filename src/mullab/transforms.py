@@ -18,6 +18,13 @@ A ``MemberSpec`` names one of the four with its learner and options;
 ``predict_scores_many``: an n x d feature matrix (or a list of n rows) in,
 the n x M matrix of per-label confidences in [0, 1] out.  Models are
 immutable after fitting.
+
+Binary relevance and RAKEL fit all their classifiers on one training matrix,
+so they build its encoder once (``learners.prepare``), and with kNN one
+``KnnIndex`` that every label or member classifier shares.  A predict call
+then runs one neighbour search per query matrix and lets each kNN
+classifier vote on it.  The neighbours live only for that call, so
+concurrent predicts on one model stay safe.
 """
 
 from __future__ import annotations
@@ -43,31 +50,49 @@ class MultiLabelModel:
         raise NotImplementedError
 
 
+def _dists(classifiers, rows, shared):
+    """Each classifier's class distributions for ``rows``, in order.  The
+    kNN classifiers whose index is ``shared`` vote on one neighbour search,
+    run at the first of them; nothing is kept between calls."""
+    neighbours = None
+    for clf in classifiers:
+        if isinstance(clf, learners.KnnClassifier) and clf.index is shared:
+            if neighbours is None:
+                neighbours = shared.neighbours(rows)
+            yield clf.votes(neighbours)
+        else:
+            yield clf.predict_dist_many(rows)
+
+
 class BinaryRelevanceModel(MultiLabelModel):
-    def __init__(self, schema: Schema, classifiers):
+    def __init__(self, schema: Schema, classifiers, shared=None):
         self.n_labels = schema.n_labels
         self._classifiers = classifiers  # one binary classifier per label
+        self._shared = shared  # learners.prepare of the training matrix
 
     def predict_scores_many(self, rows):
         out = np.empty((len(rows), self.n_labels))
-        for j, clf in enumerate(self._classifiers):
-            out[:, j] = clf.predict_dist_many(rows)[:, 1]
+        for j, dist in enumerate(_dists(self._classifiers, rows, self._shared)):
+            out[:, j] = dist[:, 1]
         return out
 
 
 def br_fit(train: MLDataset, spec: LearnerSpec) -> BinaryRelevanceModel:
     """One binary classifier per label; scores are positive-class
     probabilities.  A label constant across training yields a constant
-    scorer rather than an error."""
+    scorer rather than an error.  The classifiers share one encoder (and
+    one kNN index) of ``train.X``."""
     if train.n_labels < 1:
         raise ValueError("binary relevance needs at least one label")
     attrs = train.schema.attributes
+    varies = train.Y.any(axis=0) & ~train.Y.all(axis=0)
+    shared = learners.prepare(spec, train.X, attrs) if varies.any() else None
     classifiers = [
-        learners.fit(spec, train.X, y, attrs) if y.any() and not y.all()
+        learners.fit(spec, train.X, y, attrs, shared) if v
         else learners.ConstantClassifier(2, int(y.all()))
-        for y in train.Y.T
+        for y, v in zip(train.Y.T, varies)
     ]
-    return BinaryRelevanceModel(train.schema, classifiers)
+    return BinaryRelevanceModel(train.schema, classifiers, shared)
 
 
 class LabelPowersetModel(MultiLabelModel):
@@ -83,7 +108,10 @@ class LabelPowersetModel(MultiLabelModel):
         self._incidence = classes.astype(float)
 
     def predict_scores_many(self, rows):
-        dist = self._clf.predict_dist_many(rows)
+        return self.scores(self._clf.predict_dist_many(rows))
+
+    def scores(self, dist: np.ndarray) -> np.ndarray:
+        """Per-label scores from the classifier's class distributions."""
         return dist @ self._incidence
 
 
@@ -98,11 +126,14 @@ def _distinct_rows(Y: np.ndarray):
     return ordered[starts], inverse, np.bincount(inverse)
 
 
-def lp_fit(train: MLDataset, spec: LearnerSpec) -> LabelPowersetModel:
+def lp_fit(train: MLDataset, spec: LearnerSpec,
+           shared=None) -> LabelPowersetModel:
+    """``shared`` is ``learners.prepare`` of ``train.X``, when several
+    models are fitted on that one matrix."""
     if len(train) == 0:
         raise ValueError("cannot fit label powerset on an empty dataset")
     classes, y, _ = _distinct_rows(train.Y)
-    clf = learners.fit(spec, train.X, y, train.schema.attributes)
+    clf = learners.fit(spec, train.X, y, train.schema.attributes, shared)
     return LabelPowersetModel(train.schema, clf, classes)
 
 
@@ -111,18 +142,22 @@ class RakelModel(MultiLabelModel):
     a random k-subset of the labels.  Labels covered by no member score a
     neutral 0.5 and are listed in ``uncovered``."""
 
-    def __init__(self, schema: Schema, members, uncovered: tuple[int, ...]):
+    def __init__(self, schema: Schema, members, uncovered: tuple[int, ...],
+                 shared=None):
         self.n_labels = schema.n_labels
         self.members = members  # list of (label_indices, LabelPowersetModel)
         self.uncovered = uncovered
+        self._shared = shared  # learners.prepare of the training matrix
 
     def predict_scores_many(self, rows):
         n = len(rows)
         sums = np.zeros((n, self.n_labels))
         cover = np.zeros(self.n_labels)
-        for label_idx, model in self.members:
+        dists = _dists([model._clf for _, model in self.members], rows,
+                       self._shared)
+        for (label_idx, model), dist in zip(self.members, dists):
             cols = list(label_idx)
-            sums[:, cols] += model.predict_scores_many(rows)
+            sums[:, cols] += model.scores(dist)
             cover[cols] += 1.0
         out = np.full((n, self.n_labels), 0.5)
         covered = cover > 0
@@ -150,7 +185,7 @@ def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
     rng = Xoshiro256(seed)
     total = comb(n_labels, k)
     seen: set[tuple[int, ...]] = set()
-    members = []
+    subsets = []
     for _ in range(m):
         if len(seen) == total:
             seen.clear()
@@ -159,10 +194,15 @@ def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
             if subset not in seen:
                 break
         seen.add(subset)
-        members.append((subset, lp_fit(_restrict_to_labels(train, subset), spec)))
-    covered = set().union(*(subset for subset, _ in members))
+        subsets.append(subset)
+    # every member is fitted on train.X: one encoder, one kNN index
+    shared = (learners.prepare(spec, train.X, train.schema.attributes)
+              if len(train) else None)
+    members = [(subset, lp_fit(_restrict_to_labels(train, subset), spec, shared))
+               for subset in subsets]
+    covered = set().union(*subsets)
     uncovered = tuple(j for j in range(n_labels) if j not in covered)
-    return RakelModel(train.schema, members, uncovered)
+    return RakelModel(train.schema, members, uncovered, shared)
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,33 @@ def test_default_ensemble_takes_threshold():
 BR = {"transform": "br", "learner": "nb"}
 
 
+# (the misspelt key, config fields that set it) for every part of a config
+UNKNOWN_KEYS = (
+    ("rulee", {"experiments": [{"transform": "ensemble", "q": 2,
+                                "rulee": "mean"}]}),
+    ("kk", {"experiments": [{"transform": "rakel", "learner": "knn",
+                             "kk": 2}]}),
+    ("mm", {"experiments": [{"transform": "ensemble",
+                             "members": [{"transform": "rakel", "mm": 2}]}]}),
+    ("lables", {"dataset": {"path": "x.arff", "lables": "x.xml"}}),
+    ("shuffle", {"split": {"ratio": 0.5, "shuffle": True}}),
+    ("thresold", {"thresold": 0.9}),
+)
+
+
+@pytest.mark.parametrize("key, fields", UNKNOWN_KEYS,
+                         ids=[key for key, _ in UNKNOWN_KEYS])
+def test_unknown_key_error_names_the_key(key, fields, data_files, tmp_path,
+                                         capsys):
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path,
+                       **{"experiments": [BR]} | fields)
+    assert run_cli(["benchmark", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown key {key!r} in ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fields", [
     {"experiments": [{"transform": "ps", "p": -1}]},
     {"experiments": [{"transform": "ensemble", "q": 2,
@@ -319,6 +346,7 @@ BR = {"transform": "br", "learner": "nb"}
                       "learner": {"kind": "tree", "max_depth": "x"}}]},
     {"experiments": [{"transform": "br",
                       "learner": {"kind": "tree", "seed": "x"}}]},
+    *({"experiments": [BR]} | fields for _, fields in UNKNOWN_KEYS),
 ], ids=["p-negative", "weights-length", "q-zero", "sample-ratio-2", "k-string",
         "m-zero", "member-m-zero", "entry-not-object", "experiments-not-list",
         "no-transform", "unknown-preset", "member-not-object",
@@ -327,7 +355,8 @@ BR = {"transform": "br", "learner": "nb"}
         "split-not-object", "split-without-test", "split-ratio-string",
         "split-ratio-1.5", "trailing-labels-string", "trailing-labels-3.5",
         "format-xml", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
-        "tree-max-depth-string", "tree-seed-string"])
+        "tree-max-depth-string", "tree-seed-string",
+        *(f"unknown-key-{key}" for key, _ in UNKNOWN_KEYS)])
 def test_config_mistake_exits_1_before_any_data_is_read(
         fields, data_files, tmp_path, monkeypatch, capsys):
     arff_path, labels_path = data_files

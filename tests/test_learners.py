@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mullab import learners
 from mullab.core import Attribute, labelsets_of
 from mullab.rng import Xoshiro256
 from mullab.learners import (
@@ -144,9 +145,12 @@ class TestKnn:
         distance = data.draw(st.sampled_from(["euclidean", "manhattan"]))
         attrs = tuple(Attribute(f"a{j}") for j in range(d))
         clf = fit(KnnSpec(k=k, distance=distance), pts, cls, attrs)
-        dist = clf._distances(clf._enc.transform(queries))
+        index = clf.index
+        dist = index._distances(index.enc.transform(queries))
         expected = knn_counts_bf(dist.tolist(), cls, k, max(cls) + 1)
         assert clf.predict_dist_many(queries).tolist() == expected
+        stable = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        assert (index.neighbours(queries) == np.sort(stable, axis=1)).all()
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -156,6 +160,22 @@ class TestKnn:
 
 
 class TestNaiveBayes:
+    @pytest.mark.parametrize("block_elems", [1, 3 * 8 * 4, 1 << 18])
+    def test_blocked_predict_is_bit_identical(self, block_elems, monkeypatch):
+        # 8 classes x 4 numeric attributes: blocks of 1 row, of 3 rows (the
+        # last one short) and of all 40 rows give the bits of one block
+        d = random_dataset(12, n=60, n_labels=3, n_num=4, n_nom=1,
+                           missing_rate=0.1)
+        probe = random_dataset(13, n=40, n_labels=3, n_num=4, n_nom=1,
+                               missing_rate=0.1)
+        y = [ls.bits for ls in labelsets_of(d.Y)]
+        clf = fit(NaiveBayesSpec(), d.X, y, d.schema.attributes)
+        assert clf.n_classes == 8
+        monkeypatch.setattr(learners, "_NB_BLOCK_ELEMS", 1 << 40)
+        whole = clf.predict_dist_many(probe.X)
+        monkeypatch.setattr(learners, "_NB_BLOCK_ELEMS", block_elems)
+        assert np.array_equal(clf.predict_dist_many(probe.X), whole)
+
     def test_mirrored_gaussians_give_even_posterior(self):
         pts = [(-2.0,), (-1.0,), (-3.0,), (2.0,), (1.0,), (3.0,)]
         cls = [0, 0, 0, 1, 1, 1]

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from mullab import learners
 from mullab.core import Attribute, LabelSet, MLDataset, Schema, labelsets_of
 from mullab.learners import KnnSpec, NaiveBayesSpec, TreeSpec
 from mullab.transforms import (
+    LabelPowersetModel,
     PruneSpec,
     RakelModel,
     br_fit,
@@ -171,17 +176,17 @@ class TestRakel:
 
     def test_uncovered_labels_score_half(self):
         stub_schema = LP_FIXTURE.schema
+        one_label = Schema(stub_schema.attributes, stub_schema.label_names[:1])
 
-        class StubMember:
-            def __init__(self, value):
-                self.value = value
-
-            def predict_scores_many(self, rows):
-                return np.full((len(rows), 1), self.value)
+        def constant_member(value):
+            # a one-label powerset model whose classifier always picks the
+            # labelset {label 0} (value 1.0) or the empty one (value 0.0)
+            clf = learners.ConstantClassifier(2, int(value))
+            return LabelPowersetModel(one_label, clf, np.array([[False], [True]]))
 
         model = RakelModel(
             stub_schema,
-            [((0,), StubMember(1.0)), ((0,), StubMember(0.0))],
+            [((0,), constant_member(1.0)), ((0,), constant_member(0.0))],
             uncovered=(1, 2),
         )
         scores = model.predict_scores_many([(0.0, 0.0), (1.0, 1.0)])
@@ -317,3 +322,121 @@ def test_scores_stay_in_unit_interval(builder):
         scores = model.predict_scores_many(probe.features)
         assert scores.shape == (10, 3)
         assert (scores >= 0.0).all() and (scores <= 1.0).all()
+
+
+class TestSharedKnnSearch:
+    """BR and RAKEL fit every kNN classifier on one shared index and run one
+    neighbour search per query matrix; the scores must not change."""
+
+    TRAIN = random_dataset(31, n=80, n_labels=6, n_num=4, n_nom=2,
+                           missing_rate=0.1)
+    PROBE = random_dataset(32, n=25, n_labels=6, n_num=4, n_nom=2,
+                           missing_rate=0.2)
+
+    def test_fixture_labels_all_vary(self):
+        y = self.TRAIN.Y
+        assert (y.any(axis=0) & ~y.all(axis=0)).all()
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    def test_br_scores_equal_each_label_classifier(self, distance):
+        spec = KnnSpec(k=5, distance=distance)
+        model = br_fit(self.TRAIN, spec)
+        attrs = self.TRAIN.schema.attributes
+        expected = np.empty((len(self.PROBE), 6))
+        for j, clf in enumerate(model._classifiers):
+            own = clf.predict_dist_many(self.PROBE.X)
+            # and the same classifier fitted alone, on its own index
+            alone = learners.fit(spec, self.TRAIN.X, self.TRAIN.Y[:, j], attrs)
+            assert np.array_equal(own, alone.predict_dist_many(self.PROBE.X))
+            expected[:, j] = own[:, 1]
+        assert np.array_equal(model.predict_scores_many(self.PROBE.X), expected)
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    def test_rakel_scores_equal_each_member_classifier(self, distance):
+        spec = KnnSpec(k=4, distance=distance)
+        model = rakel_fit(self.TRAIN, spec, m=12, k=3, seed=5)
+        sums = np.zeros((len(self.PROBE), 6))
+        cover = np.zeros(6)
+        for subset, member in model.members:
+            own = member._clf.predict_dist_many(self.PROBE.X)
+            alone = lp_fit(_restricted(self.TRAIN, subset), spec)
+            assert np.array_equal(own, alone._clf.predict_dist_many(self.PROBE.X))
+            sums[:, list(subset)] += member.scores(own)
+            cover[list(subset)] += 1.0
+        expected = np.full_like(sums, 0.5)
+        expected[:, cover > 0] = sums[:, cover > 0] / cover[cover > 0]
+        assert np.array_equal(model.predict_scores_many(self.PROBE.X), expected)
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    def test_one_encoder_one_index_one_search(self, distance, monkeypatch):
+        counts = {"encoders": 0, "indexes": 0, "searches": 0}
+
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(learners._Encoder, "__init__", counting(
+            "encoders", learners._Encoder.__init__))
+        monkeypatch.setattr(learners.KnnIndex, "__init__", counting(
+            "indexes", learners.KnnIndex.__init__))
+        monkeypatch.setattr(learners.KnnIndex, "neighbours", counting(
+            "searches", learners.KnnIndex.neighbours))
+        spec = KnnSpec(k=3, distance=distance)
+        for fit_model, n_models in (
+                (lambda: br_fit(self.TRAIN, spec), 6),
+                (lambda: rakel_fit(self.TRAIN, spec, m=12, k=2, seed=1), 12)):
+            counts.update(encoders=0, indexes=0, searches=0)
+            model = fit_model()
+            classifiers = getattr(model, "_classifiers", None) or [
+                member._clf for _, member in model.members]
+            assert len(classifiers) == n_models
+            assert counts == {"encoders": 1, "indexes": 1, "searches": 0}
+            model.predict_scores_many(self.PROBE.X)
+            model.predict_scores_many(self.PROBE.X[:3])
+            assert counts == {"encoders": 1, "indexes": 1, "searches": 2}
+
+    @pytest.mark.parametrize("fit_model", [
+        lambda d: br_fit(d, KnnSpec(k=3)),
+        lambda d: rakel_fit(d, KnnSpec(k=3), m=12, k=3, seed=2),
+    ], ids=["br", "rakel"])
+    def test_concurrent_predicts_match_serial(self, fit_model):
+        # more threads than cores, each on its own query matrix, with a
+        # short switch interval so that the threads interleave often
+        model = fit_model(self.TRAIN)
+        queries = [self.PROBE.X[i::4] for i in range(4)]
+        serial = [model.predict_scores_many(q) for q in queries]
+        barrier = threading.Barrier(len(queries), timeout=60)
+
+        def run(q):
+            barrier.wait()
+            return [model.predict_scores_many(q) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(queries)) as pool:
+                futures = [pool.submit(run, q) for q in queries]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for expected, got in zip(serial, results):
+            assert all(np.array_equal(expected, g) for g in got)
+
+    def test_shared_state_must_match_the_fit(self):
+        attrs = self.TRAIN.schema.attributes
+        shared = learners.prepare(KnnSpec(k=3), self.TRAIN.X, attrs)
+        y = self.TRAIN.Y[:, 0]
+        with pytest.raises(ValueError, match="prepared for another"):
+            learners.fit(KnnSpec(k=4), self.TRAIN.X, y, attrs, shared)
+        with pytest.raises(ValueError, match="prepared for another"):
+            learners.fit(NaiveBayesSpec(), self.TRAIN.X, y, attrs, shared)
+        with pytest.raises(ValueError, match="prepared for another"):
+            learners.fit(KnnSpec(k=3), self.TRAIN.X[:10], y[:10], attrs, shared)
+
+
+def _restricted(train, subset):
+    names = tuple(train.schema.label_names[j] for j in subset)
+    return MLDataset.from_arrays(Schema(train.schema.attributes, names),
+                                 train.X, train.Y[:, list(subset)])

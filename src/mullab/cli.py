@@ -30,6 +30,7 @@ Config schema (flags override fields of the same name):
       ]
     }
 
+A key this schema does not list, at any level, is a config error (exit 1).
 The environment variable MULLAB_SEED is the seed fallback when neither the
 flag nor the config provides one.
 """

@@ -12,6 +12,7 @@ from mullab.transforms import (
     LabelPowersetModel,
     PruneSpec,
     RakelModel,
+    _restrict_to_labels,
     br_fit,
     lp_fit,
     ps_fit,
@@ -359,7 +360,7 @@ class TestSharedKnnSearch:
         cover = np.zeros(6)
         for subset, member in model.members:
             own = member._clf.predict_dist_many(self.PROBE.X)
-            alone = lp_fit(_restricted(self.TRAIN, subset), spec)
+            alone = lp_fit(_restrict_to_labels(self.TRAIN, subset), spec)
             assert np.array_equal(own, alone._clf.predict_dist_many(self.PROBE.X))
             sums[:, list(subset)] += member.scores(own)
             cover[list(subset)] += 1.0
@@ -434,9 +435,3 @@ class TestSharedKnnSearch:
             learners.fit(NaiveBayesSpec(), self.TRAIN.X, y, attrs, shared)
         with pytest.raises(ValueError, match="prepared for another"):
             learners.fit(KnnSpec(k=3), self.TRAIN.X[:10], y[:10], attrs, shared)
-
-
-def _restricted(train, subset):
-    names = tuple(train.schema.label_names[j] for j in subset)
-    return MLDataset.from_arrays(Schema(train.schema.attributes, names),
-                                 train.X, train.Y[:, list(subset)])

@@ -231,7 +231,7 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
 
 
 def load_arff(path) -> RawTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_arff(fh.read())
 
 
@@ -298,7 +298,7 @@ class LabelSpec:
 
 def read_label_names(path) -> tuple[str, ...]:
     """Read label attribute names from a plain-text or Mulan-XML file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("<"):

@@ -30,7 +30,10 @@ Config schema (flags override fields of the same name):
       ]
     }
 
-A key this schema does not list, at any level, is a config error (exit 1).
+A key this schema does not list, at any level, is a config error (exit 1),
+and so is a key the entry's transform does not take: ``m``/``k`` belong to
+rakel, ``p``/``b`` to ps and ensemble, and an ensemble that lists
+``members`` takes no ``q`` or ``learner``.
 The environment variable MULLAB_SEED is the seed fallback when neither the
 flag nor the config provides one.
 """
@@ -86,11 +89,12 @@ _CONFIG_KEYS = ("dataset", "split", "seed", "threshold", "workers", "format",
                 "out", "experiments")
 _DATASET_KEYS = ("path", "train", "test", "labels", "trailing_labels")
 _SPLIT_KEYS = ("ratio", "train", "test")
-_MEMBER_KEYS = ("transform", "learner", "m", "k", "p", "b")
-_EXPERIMENT_KEYS = ("name", "seed") + _MEMBER_KEYS
-_ENSEMBLE_KEYS = ("name", "seed", "transform", "q", "learner", "p", "b",
-                  "sample_ratio", "with_replacement", "rule", "weights",
-                  "threshold", "members")
+# An experiment or member takes 'transform', 'learner' and its transform's
+# own options; a top-level one also 'name' and 'seed'.
+_TRANSFORM_KEYS = {"br": (), "lp": (), "rakel": ("m", "k"), "ps": ("p", "b")}
+# An ensemble takes 'q' and 'learner' only when it lists no 'members'.
+_ENSEMBLE_KEYS = ("name", "seed", "transform", "p", "b", "sample_ratio",
+                  "with_replacement", "rule", "weights", "threshold", "members")
 
 
 class UsageError(Exception):
@@ -107,7 +111,7 @@ class DataError(Exception):
 
 def _load_config(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}") from e
@@ -318,24 +322,29 @@ def _parse_spec(entry, seed: int = 0, prune: PruneSpec | None = None):
         raise UsageError(f"an experiment or member must be a JSON object, "
                          f"not {entry!r}")
     top = prune is None
-    if not top:
-        _known_keys(entry, _MEMBER_KEYS, "an ensemble member")
-    elif entry.get("transform") == "ensemble":
-        _known_keys(entry, _ENSEMBLE_KEYS, "an ensemble experiment")
+    transform = entry.get("transform")
+    if top and transform == "ensemble":
+        listed = entry.get("members") is not None
+        _known_keys(entry, _ENSEMBLE_KEYS + (() if listed else ("q", "learner")),
+                    "an ensemble experiment" + (" with 'members'" if listed else ""))
     else:
-        _known_keys(entry, _EXPERIMENT_KEYS, "an experiment")
+        if not top and transform is None:
+            transform = MemberSpec.transform
+        if transform not in TRANSFORM_NAMES:
+            raise UsageError(f"unknown {'' if top else 'member '}transform "
+                             f"{transform!r}")
+        _known_keys(entry, (("name", "seed") if top else ())
+                    + ("transform", "learner") + _TRANSFORM_KEYS[transform],
+                    f"a {transform!r} {'experiment' if top else 'member'}")
     try:
         prune = replace(PruneSpec() if top else prune,
                         **_fields(entry, p=int, b=int))
-        transform = entry.get("transform")
-        if top and transform == "ensemble":
+        if transform == "ensemble":
             return _ensemble_spec(entry, seed, prune)
-        if top and transform not in TRANSFORM_NAMES:
-            raise UsageError(f"unknown transform {transform!r}")
-        fields = _fields(entry, transform=str, m=int, k=int)
+        fields = _fields(entry, m=int, k=int)
         if entry.get("learner") is not None:
             fields["learner"] = _parse_learner(entry["learner"])
-        return MemberSpec(prune=prune, **fields)
+        return MemberSpec(transform, prune=prune, **fields)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad experiment {entry!r}: {e}") from None
 

@@ -205,14 +205,14 @@ class Classifier:
 
 
 class ConstantClassifier(Classifier):
-    """Degenerate model that always predicts one class: for empty or
-    single-class training data, or a label constant across training."""
+    """Degenerate model that always predicts class 0: for empty or
+    single-class training data."""
 
-    def __init__(self, n_classes: int, class_index: int = 0):
+    def __init__(self, n_classes: int):
         self.n_classes = n_classes
         self._dist = np.zeros(n_classes)
         if n_classes:
-            self._dist[class_index] = 1.0
+            self._dist[0] = 1.0
 
     def predict_dist_many(self, rows):
         return np.tile(self._dist, (len(rows), 1))
@@ -669,7 +669,7 @@ def fit(spec: LearnerSpec, features: Union[Sequence[FeatureVector], np.ndarray],
                          "spec or feature matrix")
     if n_classes == 1:
         # single observed class: degenerate but valid, even with pruning on
-        return ConstantClassifier(1, 0)
+        return ConstantClassifier(1)
     if isinstance(spec, KnnSpec):
         return KnnClassifier(shared, y, n_classes)
     if isinstance(spec, NaiveBayesSpec):

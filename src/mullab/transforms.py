@@ -3,13 +3,17 @@
 Each transform reduces the multi-label task to single-label problems solved
 by the base learners:
 
-* binary relevance: one independent binary classifier per label
 * label powerset: one multiclass classifier over the distinct training
   labelsets; per-label scores are the summed probabilities of the labelsets
   containing the label, so the argmax labelset is always one seen in
   training
 * RAKEL: an ensemble of label-powerset models over random k-subsets of the
   labels, averaged per label
+* binary relevance: RAKEL over the singleton subsets {0}, {1}, ... in label
+  order.  A one-label powerset has the classes {absent, present} (just one
+  of them when the label is constant in training), so each label scores its
+  present-class probability, and a constant label a constant 1 or 0.  Like
+  label powerset, it raises ``ValueError`` on zero training rows
 * pruned sets: label powerset after removing rows with rare labelsets and
   reintroducing them under frequent subsets of their labelsets
 
@@ -19,12 +23,11 @@ A ``MemberSpec`` names one of the four with its learner and options;
 the n x M matrix of per-label confidences in [0, 1] out.  Models are
 immutable after fitting.
 
-Binary relevance and RAKEL fit all their classifiers on one training matrix,
-so they build its encoder once (``learners.prepare``), and with kNN one
-``KnnIndex`` that every label or member classifier shares.  A predict call
-then runs one neighbour search per query matrix and lets each kNN
-classifier vote on it.  The neighbours live only for that call, so
-concurrent predicts on one model stay safe.
+RAKEL (and so binary relevance) fits every member on one training matrix:
+one encoder (``learners.prepare``) and, with kNN, one shared ``KnnIndex``.
+A predict call runs one neighbour search per query matrix, and each kNN
+member votes on it.  The neighbours live only for that call, so concurrent
+predicts on one model stay safe.
 """
 
 from __future__ import annotations
@@ -48,51 +51,6 @@ class MultiLabelModel:
 
     def predict_scores_many(self, rows) -> np.ndarray:
         raise NotImplementedError
-
-
-def _dists(classifiers, rows, shared):
-    """Each classifier's class distributions for ``rows``, in order.  The
-    kNN classifiers whose index is ``shared`` vote on one neighbour search,
-    run at the first of them; nothing is kept between calls."""
-    neighbours = None
-    for clf in classifiers:
-        if isinstance(clf, learners.KnnClassifier) and clf.index is shared:
-            if neighbours is None:
-                neighbours = shared.neighbours(rows)
-            yield clf.votes(neighbours)
-        else:
-            yield clf.predict_dist_many(rows)
-
-
-class BinaryRelevanceModel(MultiLabelModel):
-    def __init__(self, schema: Schema, classifiers, shared=None):
-        self.n_labels = schema.n_labels
-        self._classifiers = classifiers  # one binary classifier per label
-        self._shared = shared  # learners.prepare of the training matrix
-
-    def predict_scores_many(self, rows):
-        out = np.empty((len(rows), self.n_labels))
-        for j, dist in enumerate(_dists(self._classifiers, rows, self._shared)):
-            out[:, j] = dist[:, 1]
-        return out
-
-
-def br_fit(train: MLDataset, spec: LearnerSpec) -> BinaryRelevanceModel:
-    """One binary classifier per label; scores are positive-class
-    probabilities.  A label constant across training yields a constant
-    scorer rather than an error.  The classifiers share one encoder (and
-    one kNN index) of ``train.X``."""
-    if train.n_labels < 1:
-        raise ValueError("binary relevance needs at least one label")
-    attrs = train.schema.attributes
-    varies = train.Y.any(axis=0) & ~train.Y.all(axis=0)
-    shared = learners.prepare(spec, train.X, attrs) if varies.any() else None
-    classifiers = [
-        learners.fit(spec, train.X, y, attrs, shared) if v
-        else learners.ConstantClassifier(2, int(y.all()))
-        for y, v in zip(train.Y.T, varies)
-    ]
-    return BinaryRelevanceModel(train.schema, classifiers, shared)
 
 
 class LabelPowersetModel(MultiLabelModel):
@@ -153,9 +111,16 @@ class RakelModel(MultiLabelModel):
         n = len(rows)
         sums = np.zeros((n, self.n_labels))
         cover = np.zeros(self.n_labels)
-        dists = _dists([model._clf for _, model in self.members], rows,
-                       self._shared)
-        for (label_idx, model), dist in zip(self.members, dists):
+        neighbours = None  # searched at the first kNN member on the index
+        for label_idx, model in self.members:
+            clf = model._clf
+            if (isinstance(clf, learners.KnnClassifier)
+                    and clf.index is self._shared):
+                if neighbours is None:
+                    neighbours = self._shared.neighbours(rows)
+                dist = clf.votes(neighbours)
+            else:
+                dist = clf.predict_dist_many(rows)
             cols = list(label_idx)
             sums[:, cols] += model.scores(dist)
             cover[cols] += 1.0
@@ -195,14 +160,36 @@ def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
                 break
         seen.add(subset)
         subsets.append(subset)
-    # every member is fitted on train.X: one encoder, one kNN index
+    return _fit_members(RakelModel, train, spec, subsets)
+
+
+def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets):
+    """A ``model_class`` with one label-powerset member per label subset, in
+    order, all fitted on one encoder (and kNN index) of ``train.X``."""
     shared = (learners.prepare(spec, train.X, train.schema.attributes)
               if len(train) else None)
     members = [(subset, lp_fit(_restrict_to_labels(train, subset), spec, shared))
                for subset in subsets]
     covered = set().union(*subsets)
-    uncovered = tuple(j for j in range(n_labels) if j not in covered)
-    return RakelModel(train.schema, members, uncovered, shared)
+    uncovered = tuple(j for j in range(train.n_labels) if j not in covered)
+    return model_class(train.schema, members, uncovered, shared)
+
+
+class BinaryRelevanceModel(RakelModel):
+    """RAKEL whose member j is label j's one-label powerset."""
+
+    # The benchmark tracer hooks each class's own predict_scores_many by
+    # name: inherited, it would go missing; aliased, spans would nest.
+    predict_scores_many = RakelModel.predict_scores_many
+
+
+def br_fit(train: MLDataset, spec: LearnerSpec) -> BinaryRelevanceModel:
+    """One label-powerset member per label, in label order; see the
+    module docstring for constant labels and empty training sets."""
+    if train.n_labels < 1:
+        raise ValueError("binary relevance needs at least one label")
+    return _fit_members(BinaryRelevanceModel, train, spec,
+                        [(j,) for j in range(train.n_labels)])
 
 
 @dataclass(frozen=True)

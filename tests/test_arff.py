@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mullab import cli
 from mullab.arff import (
     ArffParseError,
     _split_quoted,
@@ -9,6 +10,7 @@ from mullab.arff import (
     SplitSpec,
     bind_labels,
     dump_arff,
+    load_arff,
     parse_arff,
     read_label_names,
     split_dataset,
@@ -192,6 +194,38 @@ class TestLabelFiles:
         p.write_text("\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_label_names(p)
+
+
+# (id, loader, file text, the line its parse error names or None)
+BOM_CASES = (
+    ("arff", load_arff, "@relation r\n@attribute a numeric\n"
+     "@attribute L0 {0,1}\n@data\n1.5,1\n-2,0\n", None),
+    ("arff-bad-line-3", load_arff,
+     "@relation r\n@attribute a numeric\n@bogus\n@data\n", 3),
+    ("labels-text", read_label_names, "alpha\nbeta\n", None),
+    ("labels-xml", read_label_names,
+     '<labels xmlns="http://mulan.sourceforge.net/labels">'
+     '<label name="Beach"/></labels>\n', None),
+    ("config", cli._load_config, '{"seed": 3}\n', None),
+)
+
+
+@pytest.mark.parametrize("load, text, bad_line", [c[1:] for c in BOM_CASES],
+                         ids=[c[0] for c in BOM_CASES])
+def test_byte_order_mark_is_not_part_of_line_1(load, text, bad_line,
+                                               tmp_path):
+    # some Windows editors start a UTF-8 file with a byte-order mark
+    def outcome(encoding):
+        path = tmp_path / encoding
+        path.write_text(text, encoding=encoding)
+        try:
+            return load(path)
+        except ArffParseError as e:
+            return e.line, str(e)
+
+    plain = outcome("utf-8")
+    assert outcome("utf-8-sig") == plain
+    assert (plain[0] if bad_line else None) == bad_line
 
 
 def bound_fixture():

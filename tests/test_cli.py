@@ -177,6 +177,18 @@ class TestBenchmark:
         assert lines[2] == "doomed,,,,,"
         assert "doomed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("transform", ["br", "lp"])
+    def test_zero_training_rows_fail_the_experiment(self, transform,
+                                                    data_files, tmp_path,
+                                                    capsys):
+        arff_path, labels_path = data_files
+        cfg = write_config(tmp_path, arff_path, labels_path,
+                           [{"transform": transform}],
+                           split={"train": 0, "test": 60})
+        assert run_cli(["benchmark", "--config", cfg, "--format", "csv"]) == 3
+        assert ("failed: cannot fit label powerset on an empty dataset"
+                in capsys.readouterr().err)
+
     def test_unknown_transform_exits_1(self, data_files, tmp_path):
         arff_path, labels_path = data_files
         cfg = write_config(tmp_path, arff_path, labels_path,
@@ -274,7 +286,8 @@ def test_default_ensemble_takes_weights_and_replacement():
 def test_default_ensemble_takes_threshold():
     exp = {"transform": "ensemble", "q": 2, "threshold": 0.9}
     assert cli._parse_spec(exp, 1).threshold == 0.9
-    members = dict(exp, members=[{"transform": "ps", "learner": "nb"}])
+    members = {"transform": "ensemble", "threshold": 0.9,
+               "members": [{"transform": "ps", "learner": "nb"}]}
     assert cli._parse_spec(members, 1).threshold == 0.9
 
 
@@ -306,6 +319,44 @@ def test_unknown_key_error_names_the_key(key, fields, data_files, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: unknown key {key!r} in ")
     assert err.count("\n") == 1
+
+
+# (test id, a key the entry's transform does not take, config fields that
+# set it)
+UNUSED_KEYS = (
+    ("br-m", "m", {"experiments": [{"transform": "br", "m": 3, "p": 9}]}),
+    ("lp-k", "k", {"experiments": [{"transform": "lp", "k": 2}]}),
+    ("rakel-p", "p", {"experiments": [{"transform": "rakel", "p": 2}]}),
+    ("ps-m", "m", {"experiments": [{"transform": "ps", "m": 4}]}),
+    ("member-lp-b", "b", {"experiments": [{"transform": "ensemble",
+                                            "members": [{"transform": "lp",
+                                                         "b": 1}]}]}),
+    ("member-name", "name", {"experiments": [{"transform": "ensemble",
+                                              "members": [{"name": "x"}]}]}),
+    ("members-with-q", "q", {"experiments": [{
+        "transform": "ensemble", "q": 7, "members": [{"transform": "lp"}]}]}),
+    ("members-with-learner", "learner", {"experiments": [{
+        "transform": "ensemble", "learner": "knn",
+        "members": [{"transform": "lp"}]}]}),
+)
+
+
+@pytest.mark.parametrize("key, fields", [c[1:] for c in UNUSED_KEYS],
+                         ids=[c[0] for c in UNUSED_KEYS])
+def test_key_the_transform_does_not_take_is_named(key, fields, data_files,
+                                                  tmp_path, capsys):
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, **fields)
+    assert run_cli(["benchmark", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown key {key!r} in ")
+    assert err.count("\n") == 1
+
+
+def test_ensemble_members_null_takes_the_default_members():
+    spec = cli._parse_spec({"transform": "ensemble", "q": 2,
+                            "learner": "knn", "members": None}, 9)
+    assert spec == default_ensemble_spec(seed=9, q=2, learner="knn")
 
 
 @pytest.mark.parametrize("fields", [
@@ -347,6 +398,7 @@ def test_unknown_key_error_names_the_key(key, fields, data_files, tmp_path,
     {"experiments": [{"transform": "br",
                       "learner": {"kind": "tree", "seed": "x"}}]},
     *({"experiments": [BR]} | fields for _, fields in UNKNOWN_KEYS),
+    *(fields for _, _, fields in UNUSED_KEYS),
 ], ids=["p-negative", "weights-length", "q-zero", "sample-ratio-2", "k-string",
         "m-zero", "member-m-zero", "entry-not-object", "experiments-not-list",
         "no-transform", "unknown-preset", "member-not-object",
@@ -356,7 +408,8 @@ def test_unknown_key_error_names_the_key(key, fields, data_files, tmp_path,
         "split-ratio-1.5", "trailing-labels-string", "trailing-labels-3.5",
         "format-xml", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
         "tree-max-depth-string", "tree-seed-string",
-        *(f"unknown-key-{key}" for key, _ in UNKNOWN_KEYS)])
+        *(f"unknown-key-{key}" for key, _ in UNKNOWN_KEYS),
+        *(f"unused-key-{name}" for name, _, _ in UNUSED_KEYS)])
 def test_config_mistake_exits_1_before_any_data_is_read(
         fields, data_files, tmp_path, monkeypatch, capsys):
     arff_path, labels_path = data_files

@@ -89,6 +89,39 @@ class TestBinaryRelevance:
         assert np.array_equal(full.predict_scores_many(BR_FIXTURE.X)[:, 0],
                               restricted.predict_scores_many(BR_FIXTURE.X)[:, 0])
 
+    @pytest.mark.parametrize("learner", ["nb", "knn", "j48"])
+    def test_is_rakel_over_the_singleton_subsets(self, learner):
+        # label 1 is always present and label 2 never is
+        d = random_dataset(8, n=40, n_labels=4, n_num=3, n_nom=1,
+                           missing_rate=0.1)
+        Y = d.Y.copy()
+        Y[:, 1], Y[:, 2] = True, False
+        train = MLDataset.from_arrays(d.schema, d.X, Y)
+        probe = random_dataset(9, n=15, n_labels=4, n_num=3, n_nom=1,
+                               missing_rate=0.2).X
+        spec = learners.preset(learner)
+        singletons = RakelModel(train.schema, [
+            ((j,), lp_fit(_restrict_to_labels(train, (j,)), spec))
+            for j in range(4)], ())
+        scores = br_fit(train, spec).predict_scores_many(probe)
+        assert np.array_equal(scores, singletons.predict_scores_many(probe))
+        # and each varying label scores its own binary classifier's
+        # present-class probability, as a per-label BR fit would
+        for j in (0, 3):
+            clf = learners.fit(spec, train.X, Y[:, j], train.schema.attributes)
+            assert np.array_equal(scores[:, j],
+                                  clf.predict_dist_many(probe)[:, 1])
+        assert (scores[:, 1] == 1.0).all() and (scores[:, 2] == 0.0).all()
+
+    def test_zero_rows_raise_like_label_powerset(self):
+        empty = MLDataset.from_arrays(BR_FIXTURE.schema, BR_FIXTURE.X[:0],
+                                      BR_FIXTURE.Y[:0])
+        with pytest.raises(ValueError) as lp_error:
+            lp_fit(empty, NaiveBayesSpec())
+        with pytest.raises(ValueError) as br_error:
+            br_fit(empty, NaiveBayesSpec())
+        assert str(br_error.value) == str(lp_error.value)
+
     def test_constant_label_yields_constant_score(self):
         d = make_dataset(
             [(0.0,), (1.0,)], [[0], [0]], 2
@@ -180,10 +213,11 @@ class TestRakel:
         one_label = Schema(stub_schema.attributes, stub_schema.label_names[:1])
 
         def constant_member(value):
-            # a one-label powerset model whose classifier always picks the
-            # labelset {label 0} (value 1.0) or the empty one (value 0.0)
-            clf = learners.ConstantClassifier(2, int(value))
-            return LabelPowersetModel(one_label, clf, np.array([[False], [True]]))
+            # a one-label powerset model, as for a constant label, whose
+            # one class is the labelset {label 0} (value 1.0) or the empty
+            # one (value 0.0)
+            return LabelPowersetModel(one_label, learners.ConstantClassifier(1),
+                                      np.array([[bool(value)]]))
 
         model = RakelModel(
             stub_schema,
@@ -344,8 +378,9 @@ class TestSharedKnnSearch:
         model = br_fit(self.TRAIN, spec)
         attrs = self.TRAIN.schema.attributes
         expected = np.empty((len(self.PROBE), 6))
-        for j, clf in enumerate(model._classifiers):
-            own = clf.predict_dist_many(self.PROBE.X)
+        assert [subset for subset, _ in model.members] == [(j,) for j in range(6)]
+        for j, (_, member) in enumerate(model.members):
+            own = member._clf.predict_dist_many(self.PROBE.X)
             # and the same classifier fitted alone, on its own index
             alone = learners.fit(spec, self.TRAIN.X, self.TRAIN.Y[:, j], attrs)
             assert np.array_equal(own, alone.predict_dist_many(self.PROBE.X))
@@ -390,8 +425,7 @@ class TestSharedKnnSearch:
                 (lambda: rakel_fit(self.TRAIN, spec, m=12, k=2, seed=1), 12)):
             counts.update(encoders=0, indexes=0, searches=0)
             model = fit_model()
-            classifiers = getattr(model, "_classifiers", None) or [
-                member._clf for _, member in model.members]
+            classifiers = [member._clf for _, member in model.members]
             assert len(classifiers) == n_models
             assert counts == {"encoders": 1, "indexes": 1, "searches": 0}
             model.predict_scores_many(self.PROBE.X)

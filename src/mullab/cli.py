@@ -25,7 +25,7 @@ Config schema (flags override fields of the same name):
         {"name": "rakel-knn", "transform": "rakel", "learner": "knn",
          "m": 12, "k": 3},
         {"transform": "ps", "learner": {"kind": "tree", "criterion":
-         "gain_ratio"}, "p": 2, "b": 2},
+         "c45"}, "p": 2, "b": 2},
         {"transform": "ensemble", "q": 10, "rule": "majority_vote"}
       ]
     }
@@ -571,7 +571,7 @@ def _exit_code(reports) -> int:
 
 def _read_predictions(path, n_rows: int, m: int):
     try:
-        scores = np.loadtxt(path, delimiter=",", ndmin=2)
+        scores = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot read predictions {path}: {e}") from e
     except ValueError as e:

@@ -18,10 +18,15 @@ Three families, each consumed by the problem transformations:
   elements, with the same float operations per row as one block.
 * Decision tree: binary splits on numeric attributes (midpoints between
   consecutive distinct sorted values, "<= threshold" goes left), multiway
-  splits on nominal ones, info-gain or gain-ratio criterion, optional
-  per-node random attribute subsets and optional reduced-error pruning on a
-  seeded held-out third of the training rows.  Leaf distributions are
-  Laplace-1 smoothed class frequencies.  Split search is exhaustive and
+  splits on nominal ones, optional per-node random attribute subsets and
+  optional reduced-error pruning on a seeded held-out third of the training
+  rows.  The criterion is info gain, gain ratio, or ``c45`` (the ``j48``
+  preset): C4.5's rules, where each numeric threshold is chosen by gain
+  less the MDL cost log2(admissible cuts) / n (Quinlan 1996), and the
+  attribute by the best gain ratio among candidates whose gain is at least
+  the average (Quinlan 1993).  Plain gain ratio favours cuts that peel
+  ``min_leaf`` rows off one side and grows deep trees.  Leaf distributions
+  are Laplace-1 smoothed class frequencies.  Split search is exhaustive and
   batched per node: all numeric candidates share one stable sort and one
   vectorised pass over every cut that ``min_leaf`` allows, with the same
   float operations (and the same class-axis sums) as a one-attribute-at-a-
@@ -90,7 +95,7 @@ class NaiveBayesSpec:
 
 @dataclass(frozen=True)
 class TreeSpec:
-    criterion: str = "gain_ratio"  # gain_ratio | info_gain
+    criterion: str = "gain_ratio"  # gain_ratio | info_gain | c45
     random_subset_size: Union[int, str, None] = None  # int, "sqrt", or None (all)
     rep_pruning: bool = False
     min_leaf: int = 2
@@ -98,12 +103,18 @@ class TreeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.criterion not in ("gain_ratio", "info_gain"):
+        if self.criterion not in ("gain_ratio", "info_gain", "c45"):
             raise ValueError(f"unknown tree criterion {self.criterion!r}")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
-        if isinstance(self.random_subset_size, str) and self.random_subset_size != "sqrt":
-            raise ValueError("random_subset_size must be an int, 'sqrt' or None")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, not {self.max_depth}")
+        if isinstance(self.random_subset_size, str):
+            if self.random_subset_size != "sqrt":
+                raise ValueError("random_subset_size must be an int, 'sqrt' or None")
+        elif self.random_subset_size is not None and self.random_subset_size < 1:
+            raise ValueError(f"random_subset_size must be >= 1, "
+                             f"not {self.random_subset_size}")
 
 
 LearnerSpec = Union[KnnSpec, NaiveBayesSpec, TreeSpec]
@@ -133,7 +144,7 @@ def preset(name: str) -> LearnerSpec:
         return TreeSpec(criterion="info_gain", random_subset_size="sqrt")
     if key == "reptree":
         return TreeSpec(criterion="info_gain", rep_pruning=True)
-    return TreeSpec(criterion="gain_ratio")  # j48
+    return TreeSpec(criterion="c45")  # j48
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +440,7 @@ class TreeClassifier(Classifier):
             return list(range(d))
         if size == "sqrt":
             size = math.ceil(math.sqrt(d))
-        size = max(1, min(int(size), d))
+        size = min(size, d)
         return sorted(self._rng.sample(d, size))
 
     def _build(self, idx: np.ndarray, depth: int) -> _Node:
@@ -445,16 +456,17 @@ class TreeClassifier(Classifier):
         parent_h = _entropy(counts)
         attrs = self._candidate_attrs(self._x.shape[1])
         nominal = self._enc.is_nominal[attrs]
-        metric = np.empty(len(attrs))
+        gain = np.empty(len(attrs))
+        ratio = np.empty(len(attrs))
         threshold = np.empty(len(attrs))
         num = np.flatnonzero(~nominal)
         if num.size:
-            metric[num], threshold[num] = self._eval_numeric_all(
+            gain[num], ratio[num], threshold[num] = self._eval_numeric_all(
                 np.asarray(attrs)[num], idx, parent_h)
         for i in np.flatnonzero(nominal):
-            metric[i] = self._eval_nominal(attrs[i], idx, parent_h)
-        pos = int(np.argmax(metric))  # first max: earliest candidate wins ties
-        if metric[pos] <= 0.0:
+            gain[i], ratio[i] = self._eval_nominal(attrs[i], idx, parent_h)
+        pos = self._choose(gain, ratio)
+        if pos is None:
             return node
         node.attr = attrs[pos]
         col = self._x[idx, node.attr]
@@ -473,17 +485,47 @@ class TreeClassifier(Classifier):
             node.right = self._build(idx[~mask], depth + 1)
         return node
 
+    def _choose(self, gain: np.ndarray, ratio: np.ndarray) -> Optional[int]:
+        """Position of the candidate split the criterion picks, or None when
+        no candidate is useful; the first maximum (earliest candidate) wins
+        ties.
+
+        ``c45`` averages the gains of the candidates whose gain is positive
+        and picks the best gain ratio among those whose gain is at least
+        that average (Quinlan 1993, C4.5), less ``_GAIN_EPS`` so that equal
+        gains all qualify whatever the rounding of their mean.
+        """
+        criterion = self.spec.criterion
+        if criterion == "info_gain":
+            score = gain
+        elif criterion == "gain_ratio":
+            score = ratio
+        else:
+            useful = gain > 0.0
+            if not useful.any():
+                return None
+            average = gain[useful].mean()
+            score = np.where(useful & (gain >= average - _GAIN_EPS), ratio, -1.0)
+        pos = int(np.argmax(score))
+        return pos if score[pos] > 0.0 else None
+
     def _eval_numeric_all(self, attrs: np.ndarray, idx: np.ndarray,
                           parent_h: float):
         """Best binary cut of each numeric attribute in ``attrs`` at one node.
 
-        Returns ``(metric, threshold)`` arrays aligned with ``attrs``; a
-        metric <= 0 means the attribute has no useful cut.  Cut ``i`` sends
-        sorted rows ``0..i`` left; only cuts between distinct values that
-        leave ``min_leaf`` rows on each side count, and the first maximum
-        (lowest threshold) wins.  All attributes share one stable sort and
-        are evaluated together in batches of at most ``_BATCH_ELEMS``
-        (attrs x rows x classes) elements.
+        Returns ``(gain, ratio, threshold)`` arrays aligned with ``attrs``:
+        the information gain, gain ratio and threshold of each attribute's
+        chosen cut; a gain or ratio <= 0 means the attribute has no useful
+        cut.  Cut ``i`` sends sorted rows ``0..i`` left; only cuts between
+        distinct values that leave ``min_leaf`` rows on each side count, and
+        the first maximum (lowest threshold) wins.  ``gain_ratio`` picks the
+        cut by gain ratio, the other criteria by gain.  ``c45`` then
+        subtracts log2(admissible cuts) / n, the cost of choosing the
+        threshold (Quinlan 1996, "Improved use of continuous attributes in
+        C4.5"), from the gain, and computes the split info only at the
+        chosen cut.  All attributes share one stable sort and are evaluated
+        together in batches of at most ``_BATCH_ELEMS`` (attrs x rows x
+        classes) elements.
         """
         n, m = len(idx), self.spec.min_leaf
         vals = self._x[idx][:, attrs]
@@ -494,12 +536,13 @@ class TreeClassifier(Classifier):
         nl = np.arange(m, n - m + 1)
         nr = n - nl
         admissible = sv[:, window] != sv[:, m:n - m + 1]
-        gain_ratio = self.spec.criterion == "gain_ratio"
-        if gain_ratio:
+        by_ratio = self.spec.criterion == "gain_ratio"
+        if by_ratio:
             pl, pr = nl / n, nr / n
             split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
+            score = np.empty(admissible.shape)
         classes = np.arange(self.n_classes)
-        metric = np.empty(admissible.shape)
+        gains = np.empty(admissible.shape)
         step = max(1, _BATCH_ELEMS // (n * self.n_classes))
         for s in range(0, len(attrs), step):
             cum = (sy[s:s + step, :, None] == classes).cumsum(axis=1)
@@ -509,23 +552,38 @@ class TreeClassifier(Classifier):
                        + nr * _class_entropy(right, nr)) / n
             gain = parent_h - child_h
             ok = admissible[s:s + step] & (gain > _GAIN_EPS)
-            if gain_ratio:
-                metric[s:s + step] = np.where(
+            gains[s:s + step] = np.where(ok, gain, -1.0)
+            if by_ratio:
+                score[s:s + step] = np.where(
                     ok & (split_info > _GAIN_EPS), gain / split_info, -1.0)
-            else:
-                metric[s:s + step] = np.where(ok, gain, -1.0)
+        if not by_ratio:
+            score = gains
         rows = np.arange(len(attrs))
-        pos = np.argmax(metric, axis=1)  # first max: lowest threshold wins ties
+        pos = np.argmax(score, axis=1)  # first max: lowest threshold wins ties
         cut = pos + (m - 1)
         lo, hi = sv[rows, cut], sv[rows, cut + 1]
         threshold = (lo + hi) / 2.0
         # the midpoint of adjacent floats can round up to the upper value
         threshold = np.where(threshold >= hi, lo, threshold)
-        return metric[rows, pos], threshold
+        gain = gains[rows, pos]
+        if by_ratio:
+            return gain, score[rows, pos], threshold
+        if self.spec.criterion == "c45":
+            # without an admissible cut the gain is -1 already; the floor
+            # only keeps log2 finite
+            tested = np.maximum(admissible.sum(axis=1), 1)
+            gain = gain - np.log2(tested) / n
+            gain = np.where(gain > 0.0, gain, -1.0)
+        pl, pr = nl[pos] / n, nr[pos] / n
+        split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
+        ratio = np.where((gain > 0.0) & (split_info > _GAIN_EPS),
+                         gain / split_info, -1.0)
+        return gain, ratio, threshold
 
-    def _eval_nominal(self, a: int, idx: np.ndarray, parent_h: float) -> float:
-        """Criterion value of the multiway split on nominal attribute ``a``;
-        -1.0 when the split is not allowed or gains nothing."""
+    def _eval_nominal(self, a: int, idx: np.ndarray, parent_h: float):
+        """``(gain, ratio)`` of the multiway split on nominal attribute
+        ``a``: its information gain and gain ratio, each -1.0 when the split
+        is not allowed or gains nothing."""
         arity = int(self._enc.n_values[a])
         cats = self._x[idx, a].astype(int)
         table = np.zeros((arity, self.n_classes))
@@ -533,21 +591,18 @@ class TreeClassifier(Classifier):
         sizes = table.sum(axis=1)
         nonempty = sizes > 0
         if nonempty.sum() < 2:
-            return -1.0
+            return -1.0, -1.0
         if (sizes[nonempty] < self.spec.min_leaf).any():
-            return -1.0
+            return -1.0, -1.0
         n = len(idx)
         child_h = (sizes[nonempty] * _class_entropy(table[nonempty], sizes[nonempty])).sum() / n
         gain = parent_h - child_h
         if gain <= _GAIN_EPS:
-            return -1.0
-        if self.spec.criterion == "gain_ratio":
-            p = sizes[nonempty] / n
-            split_info = float(-(p * np.log2(p)).sum())
-            if split_info <= _GAIN_EPS:
-                return -1.0
-            return float(gain / split_info)
-        return float(gain)
+            return -1.0, -1.0
+        p = sizes[nonempty] / n
+        split_info = float(-(p * np.log2(p)).sum())
+        ratio = gain / split_info if split_info > _GAIN_EPS else -1.0
+        return float(gain), float(ratio)
 
     # -- reduced-error pruning ----------------------------------------------
 

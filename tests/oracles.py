@@ -107,7 +107,7 @@ def naive_bayes_posterior_bf(train_rows, train_classes, query, variance_floor):
 
 
 # ---------------------------------------------------------------------------
-# decision-tree split oracle (numeric attributes only)
+# decision-tree split oracles
 # ---------------------------------------------------------------------------
 
 def _entropy_of(counts):
@@ -152,6 +152,69 @@ def best_split_bf(rows, classes, criterion, min_leaf=1):
                 metric = gain
             if best is None or metric > best[2]:
                 best = (a, t, metric)
+    return best
+
+
+def best_split_c45_bf(rows, classes, min_leaf=1, nominal=()):
+    """The root split C4.5's two rules choose, as (attr, threshold, ratio);
+    the threshold is None for a nominal attribute.
+
+    A numeric attribute's cut is its highest-gain midpoint (the lowest on
+    ties) among those that leave ``min_leaf`` rows per side, and its gain
+    loses log2(number of such midpoints) / n.  An attribute in ``nominal``
+    splits multiway, one branch per value present, with its gain
+    unpenalised.  Among the attributes whose gain is positive, those whose
+    gain is at least the average gain (less 1e-12) compete on gain ratio;
+    ties keep the lowest attribute."""
+    n = len(rows)
+    n_classes = max(classes) + 1
+
+    def entropy(part):
+        return _entropy_of([part.count(c) for c in range(n_classes)])
+
+    def split_info(parts):
+        return -sum(len(p) / n * math.log2(len(p) / n) for p in parts)
+
+    parent = entropy(classes)
+    candidates = []  # (attr, threshold, gain, ratio)
+    for a in range(len(rows[0])):
+        if a in nominal:
+            groups = {}
+            for r, c in zip(rows, classes):
+                groups.setdefault(r[a], []).append(c)
+            parts = list(groups.values())
+            if len(parts) < 2 or min(len(p) for p in parts) < min_leaf:
+                continue
+            gain = parent - sum(len(p) * entropy(p) for p in parts) / n
+            if gain > 1e-12:
+                candidates.append((a, None, gain, gain / split_info(parts)))
+            continue
+        vals = sorted(set(r[a] for r in rows))
+        best, tested = None, 0
+        for lo, hi in zip(vals, vals[1:]):
+            t = (lo + hi) / 2
+            left = [c for r, c in zip(rows, classes) if r[a] <= t]
+            right = [c for r, c in zip(rows, classes) if r[a] > t]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            tested += 1
+            gain = parent - (len(left) * entropy(left)
+                             + len(right) * entropy(right)) / n
+            if gain > 1e-12 and (best is None or gain > best[1]):
+                best = (t, gain, (left, right))
+        if best is None:
+            continue
+        t, gain, parts = best
+        gain -= math.log2(tested) / n
+        if gain > 0:
+            candidates.append((a, t, gain, gain / split_info(parts)))
+    if not candidates:
+        return None
+    average = sum(c[2] for c in candidates) / len(candidates)
+    best = None
+    for a, t, gain, ratio in candidates:
+        if gain >= average - 1e-12 and (best is None or ratio > best[2]):
+            best = (a, t, ratio)
     return best
 
 

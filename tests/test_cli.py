@@ -254,7 +254,7 @@ class TestBenchmark:
         assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
                         "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "18d9b45dc5ba9105f33ad8b1eae159209b30e0ef6cc809b2a2366a8b9e98faf8")
+            "bfd5f485044ed985c5e21c5537b1f0558bd1063619fc3e8e43cbbb70f55385f3")
 
     def test_full_precision_json_is_pinned(self, tmp_path):
         # CSV rounds to 6 decimals; the JSON rows keep every bit, so a
@@ -269,7 +269,7 @@ class TestBenchmark:
         pinned = json.dumps({"rows": payload["rows"],
                              "average": payload["average"]}, sort_keys=True)
         assert hashlib.sha256(pinned.encode("utf-8")).hexdigest() == (
-            "7d8aaf43c03ccd2fd68fd4e61012dcc3377e98f1760d2dce83480645c8e5023f")
+            "0d8c4357560a789e3f42aa993088f488f7fffc0115f7eb237b40e231a751d81b")
 
 
 def test_default_ensemble_takes_weights_and_replacement():
@@ -397,6 +397,12 @@ def test_ensemble_members_null_takes_the_default_members():
                       "learner": {"kind": "tree", "max_depth": "x"}}]},
     {"experiments": [{"transform": "br",
                       "learner": {"kind": "tree", "seed": "x"}}]},
+    {"experiments": [{"transform": "br",
+                      "learner": {"kind": "tree", "max_depth": -1}}]},
+    {"experiments": [{"transform": "br",
+                      "learner": {"kind": "tree", "random_subset_size": 0}}]},
+    {"experiments": [{"transform": "br",
+                      "learner": {"kind": "tree", "random_subset_size": -3}}]},
     *({"experiments": [BR]} | fields for _, fields in UNKNOWN_KEYS),
     *(fields for _, _, fields in UNUSED_KEYS),
 ], ids=["p-negative", "weights-length", "q-zero", "sample-ratio-2", "k-string",
@@ -407,7 +413,8 @@ def test_ensemble_members_null_takes_the_default_members():
         "split-not-object", "split-without-test", "split-ratio-string",
         "split-ratio-1.5", "trailing-labels-string", "trailing-labels-3.5",
         "format-xml", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
-        "tree-max-depth-string", "tree-seed-string",
+        "tree-max-depth-string", "tree-seed-string", "tree-max-depth-negative",
+        "tree-subset-zero", "tree-subset-negative",
         *(f"unknown-key-{key}" for key, _ in UNKNOWN_KEYS),
         *(f"unused-key-{name}" for name, _, _ in UNUSED_KEYS)])
 def test_config_mistake_exits_1_before_any_data_is_read(
@@ -558,6 +565,20 @@ class TestEvaluate:
         # rows with no relevant labels can never place one at rank 1
         n_empty = int((~ds.Y.any(axis=1)).sum())
         assert payload["rows"][0]["one_error"] == n_empty / len(ds)
+
+    def test_predictions_with_byte_order_mark_score_the_same(
+            self, data_files, tmp_path, capsys):
+        arff_path, labels_path = data_files
+        rows = "".join(f"{i % 2},{i % 3 // 2},0.5\n" for i in range(60))
+        payloads = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            pred_path = tmp_path / f"{encoding}.csv"
+            pred_path.write_text(rows, encoding=encoding)
+            assert run_cli(["evaluate", "--dataset", arff_path, "--labels",
+                            labels_path, "--predictions", pred_path,
+                            "--format", "json"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out)["rows"])
+        assert payloads[0] == payloads[1]
 
     def test_prediction_shape_mismatch_exits_2(self, data_files, tmp_path):
         arff_path, labels_path = data_files

@@ -17,7 +17,8 @@ from mullab.learners import (
     PRESET_NAMES,
 )
 
-from oracles import best_split_bf, knn_counts_bf, naive_bayes_posterior_bf
+from oracles import (best_split_bf, best_split_c45_bf, knn_counts_bf,
+                     naive_bayes_posterior_bf)
 from synth import random_dataset
 
 NUM2 = (Attribute("a"), Attribute("b"))
@@ -35,6 +36,7 @@ ALL_SPECS = [
     TreeSpec(criterion="gain_ratio"),
     TreeSpec(criterion="info_gain", rep_pruning=True, seed=5),
     TreeSpec(criterion="info_gain", random_subset_size=1, seed=2),
+    TreeSpec(criterion="c45"),
 ]
 
 
@@ -234,6 +236,45 @@ class TestTree:
             assert root[1] == expect_attr
             assert root[2] == pytest.approx(expect_thr)
 
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    def test_c45_root_split_matches_oracle(self, min_leaf):
+        # coarse columns g and h tie, c is nominal; c is the root of some
+        attrs = (Attribute("u"), Attribute("g"), Attribute("c", ("x", "y", "z")),
+                 Attribute("h"))
+        nominal_roots = 0
+        for seed in range(30):
+            rng = Xoshiro256(seed)
+            rows, cls = [], []
+            for _ in range(24):
+                u, g, c, h = rng.uniform(), rng.below(4) / 2, rng.below(3), rng.below(6)
+                rows.append((u, g, c, float(h)))
+                label = int(u + g / 2 > 0.9) + int(c == 1 and rng.below(2) == 0)
+                cls.append(label if rng.below(5) else rng.below(3))
+            clf = fit(TreeSpec(criterion="c45", min_leaf=min_leaf), rows, cls, attrs)
+            root = clf.root.structure()
+            expect = best_split_c45_bf(rows, cls, min_leaf, nominal={2})
+            if expect is None:
+                assert root[0] == "leaf"
+                continue
+            assert root[1] == expect[0]
+            if expect[1] is None:
+                assert root[0] == "nom"
+                nominal_roots += 1
+            else:
+                assert root[0] == "num" and root[2] == pytest.approx(expect[1])
+        assert nominal_roots > 0
+
+    def test_c45_does_not_peel_min_leaf_rows(self):
+        rows = [(float(i),) for i in range(10)]
+        cls = [0, 0, 0, 0, 1, 1, 0, 0, 1, 1]
+        attrs = (Attribute("a"),)
+        # plain gain ratio cuts the last min_leaf rows off; c45 takes the
+        # balanced cut with the higher gain
+        plain = fit(TreeSpec(criterion="gain_ratio", min_leaf=2), rows, cls, attrs)
+        assert plain.root.structure()[2] == best_split_bf(rows, cls, "gain_ratio", 2)[1] == 7.5
+        c45 = fit(TreeSpec(criterion="c45", min_leaf=2), rows, cls, attrs)
+        assert c45.root.structure()[2] == best_split_c45_bf(rows, cls, 2)[1] == 3.5
+
     def test_pure_training_data_yields_confident_leaf(self):
         pts = [(float(i), 0.0) for i in range(6)]
         clf = fit(TreeSpec(), pts, [0] * 6, NUM2)
@@ -292,10 +333,13 @@ class TestTree:
     # class counts in a structure depend on every entropy sum, so regrouping
     # the float sums over the class axis (dropping absent classes, summing
     # in another order) changes some of these digests.  A change that alters
-    # splits on purpose records new digests and says so.
+    # splits on purpose records new digests and says so.  "gain_ratio" is
+    # the plain gain-ratio tree, without j48's C4.5 rules.
     PINNED_STRUCTURES = {
-        ("j48", 1): "21e5c979bc87f8284d30b817845bd2554aad5256dff4199cee192022af0be5d5",
-        ("j48", 2): "21056a4cf4c44df8bbc4c489089a8e795e2da0f35aeb51c77aa90ac401f70c6e",
+        ("gain_ratio", 1): "21e5c979bc87f8284d30b817845bd2554aad5256dff4199cee192022af0be5d5",
+        ("gain_ratio", 2): "21056a4cf4c44df8bbc4c489089a8e795e2da0f35aeb51c77aa90ac401f70c6e",
+        ("j48", 1): "949951d9a6635caf6e0970afda77e82c61456b6da22af5abe3c152f5320f661e",
+        ("j48", 2): "4aee12262fb43a730521aac758071be572bf2e55978904a851812e33467fcc9d",
         ("reptree", 1): "da0acceafb493efd8ba6feac7d1db42e5c8e4e68103fe27d179171dbd92740a2",
         ("reptree", 2): "df83a8da16f079cd5ea001eb1248f1bc1bd1a451e05a29ad2e4420d99bca3d6e",
         ("random-t", 1): "b5b900a62beb7ad299a357f5e6d85761442a1f6c416a8fd4395e12bf488eaa9e",
@@ -325,8 +369,9 @@ class TestTree:
     def test_whole_tree_structure_is_pinned(self, name, min_leaf):
         rows, classes, attrs = self._lp_tree_data()
         assert len(set(classes)) >= 8
-        seed = {"j48": 0, "reptree": 3, "random-t": 11}[name]
-        spec = dataclasses.replace(preset(name), min_leaf=min_leaf, seed=seed)
+        seed = {"gain_ratio": 0, "j48": 0, "reptree": 3, "random-t": 11}[name]
+        base = TreeSpec(criterion=name) if name == "gain_ratio" else preset(name)
+        spec = dataclasses.replace(base, min_leaf=min_leaf, seed=seed)
         clf = fit(spec, rows, classes, attrs)
         digest = hashlib.sha256(repr(clf.root.structure()).encode()).hexdigest()
         assert digest == self.PINNED_STRUCTURES[(name, min_leaf)]
@@ -366,6 +411,10 @@ class TestTree:
             TreeSpec(min_leaf=0)
         with pytest.raises(ValueError):
             TreeSpec(random_subset_size="log")
+        for bad in ({"max_depth": -1}, {"random_subset_size": 0},
+                    {"random_subset_size": -3}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TreeSpec(**bad)
 
 
 class TestMissingValues:
@@ -451,7 +500,7 @@ class TestPresets:
         assert preset("knn") == KnnSpec(k=5)
         assert preset("nb") == NaiveBayesSpec(variance_floor=1e-6)
         j48 = preset("j48")
-        assert j48.criterion == "gain_ratio" and not j48.rep_pruning
+        assert j48.criterion == "c45" and not j48.rep_pruning
         rep = preset("reptree")
         assert rep.criterion == "info_gain" and rep.rep_pruning
         rnd = preset("random-t")

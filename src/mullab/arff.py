@@ -3,17 +3,26 @@
 Supported ARFF subset (the dialect the Mulan benchmark files use):
 
 * ``%`` comment lines and blank lines are ignored
-* ``@relation <name>`` (keywords case-insensitive, names may be quoted)
+* ``@relation <name>`` once (keywords case-insensitive and followed by
+  whitespace or the end of the line, names may be quoted)
 * ``@attribute <name> numeric|real|integer`` or ``@attribute <name> {v1,v2}``
 * ``@data`` followed by dense comma-separated rows, or sparse rows of the
-  form ``{index value, index value, ...}`` where omitted cells default to
-  0 / the first category
+  form ``{index value, index value, ...}`` where each index appears at most
+  once and omitted cells default to 0 / the first category
 * ``?`` is a missing value in both row forms
 
 String and date attributes are out of scope and raise a parse error.  All
 parse errors carry the 1-based line number of a line in the text: a line
 ends at ``\n``, ``\r\n`` or ``\r``, and a missing ``@data`` is reported at
 the last line.
+
+``_parse_cell`` defines what a cell means (missing, padding, quotes,
+non-finite numbers) and what each bad cell's error says.  Dense rows take a
+faster path first: each cell goes through builtin ``float`` (numeric) or a
+dict of the nominal values ``_parse_cell`` maps to their own index, and the
+row is kept when no cell raises and the row's sum is finite.  Every other
+dense row, and every sparse cell, is parsed by ``_parse_cell``, so both
+paths give the same rows and the same errors.
 
 Label files: either plain text (one label attribute name per line) or the
 Mulan XML form ``<labels><label name="..."/>...</labels>``.
@@ -156,6 +165,7 @@ def _parse_sparse_row(line: str, attributes, lineno: int) -> tuple:
     body = line[1:-1].strip()
     if not body:
         return tuple(row)
+    seen = set()
     for entry in _split_quoted(body):
         entry = entry.strip()
         if not entry:
@@ -170,8 +180,27 @@ def _parse_sparse_row(line: str, attributes, lineno: int) -> tuple:
             raise ArffParseError(lineno, f"bad sparse index {idx_tok!r}") from None
         if not 0 <= idx < len(attributes):
             raise ArffParseError(lineno, f"sparse index {idx} out of range")
+        if idx in seen:
+            raise ArffParseError(lineno, f"repeated sparse index {idx}")
+        seen.add(idx)
         row[idx] = _parse_cell(val_tok, attributes[idx], lineno)
     return tuple(row)
+
+
+def _cell_converters(attributes) -> list:
+    """One converter per attribute for the dense-row fast path: builtin
+    ``float`` for numeric, a dict lookup for nominal.  The dict holds only
+    the values ``_parse_cell`` maps to their own index; any other token
+    raises ``KeyError`` and sends its row to ``_parse_cell``."""
+    convs = []
+    for attr in attributes:
+        if attr.is_nominal:
+            index = {v: i for i, v in enumerate(attr.values)
+                     if v != "?" and _unquote(v) == v}
+            convs.append(index.__getitem__)
+        else:
+            convs.append(float)
+    return convs
 
 
 def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
@@ -191,40 +220,49 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
         line = raw_line.strip()
         if not line or line.startswith("%"):
             continue
-        low = line.lower()
-        if not in_data:
-            if low.startswith("@relation"):
-                relation = _unquote(line[len("@relation"):].strip())
-                saw_relation = True
-            elif low.startswith("@attribute"):
-                attr = _parse_attribute(line, lineno)
-                if any(a.name == attr.name for a in attributes):
-                    raise ArffParseError(lineno, f"duplicate attribute {attr.name!r}")
-                attributes.append(attr)
-            elif low == "@data":
-                if not saw_relation:
-                    raise ArffParseError(lineno, "@data before @relation")
-                if not attributes:
-                    raise ArffParseError(lineno, "@data with no attributes declared")
-                in_data = True
-            else:
-                raise ArffParseError(lineno, f"unexpected header line {line!r}")
-            continue
-        if line.startswith("{"):
-            rows.append(_parse_sparse_row(line, tuple(attributes), lineno))
-        else:
+        if in_data:
+            if line.startswith("{"):
+                rows.append(_parse_sparse_row(line, attrs, lineno))
+                continue
             cells = _split_quoted(line)
-            if len(cells) != len(attributes):
+            if len(cells) != len(attrs):
                 raise ArffParseError(
                     lineno,
-                    f"row has {len(cells)} values, expected {len(attributes)}",
+                    f"row has {len(cells)} values, expected {len(attrs)}",
                 )
-            rows.append(
-                tuple(
+            try:
+                row = tuple([conv(tok) for conv, tok in zip(convs, cells)])
+                clean = math.isfinite(sum(row))
+            except (ValueError, KeyError):
+                clean = False
+            if not clean:
+                row = tuple(
                     _parse_cell(tok, attr, lineno)
-                    for tok, attr in zip(cells, attributes)
+                    for tok, attr in zip(cells, attrs)
                 )
-            )
+            rows.append(row)
+            continue
+        keyword = line.split(None, 1)[0].lower()  # ends at whitespace
+        if keyword == "@relation":
+            if saw_relation:
+                raise ArffParseError(lineno, "duplicate @relation")
+            relation = _unquote(line[len("@relation"):])
+            saw_relation = True
+        elif keyword == "@attribute":
+            attr = _parse_attribute(line, lineno)
+            if any(a.name == attr.name for a in attributes):
+                raise ArffParseError(lineno, f"duplicate attribute {attr.name!r}")
+            attributes.append(attr)
+        elif line.lower() == "@data":
+            if not saw_relation:
+                raise ArffParseError(lineno, "@data before @relation")
+            if not attributes:
+                raise ArffParseError(lineno, "@data with no attributes declared")
+            in_data = True
+            attrs = tuple(attributes)
+            convs = _cell_converters(attrs)
+        else:
+            raise ArffParseError(lineno, f"unexpected header line {line!r}")
     if not in_data:
         raise ArffParseError(lineno, "missing @data section")  # last line
     return RawTable(relation, tuple(attributes), tuple(rows))
@@ -333,12 +371,21 @@ def bind_labels(raw: RawTable, spec: LabelSpec) -> MLDataset:
             )
         label_idx = list(range(n_attrs - q, n_attrs))
     else:
-        by_name = {a.name.strip(): i for i, a in enumerate(raw.attributes)}
+        by_name: dict[str, list[int]] = {}
+        for i, a in enumerate(raw.attributes):
+            by_name.setdefault(a.name.strip(), []).append(i)
         label_idx = []
         for name in spec.names:
             if name not in by_name:
                 raise ValueError(f"label attribute {name!r} not found in ARFF header")
-            label_idx.append(by_name[name])
+            if len(by_name[name]) > 1:
+                matches = ", ".join(repr(raw.attributes[i].name)
+                                    for i in by_name[name])
+                raise ValueError(
+                    f"label name {name!r} matches more than one attribute: "
+                    f"{matches}"
+                )
+            label_idx.append(by_name[name][0])
     for i in label_idx:
         attr = raw.attributes[i]
         if attr.is_nominal and not set(attr.values) <= {"0", "1"}:

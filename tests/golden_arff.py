@@ -1,4 +1,4 @@
-"""Golden ARFF fixtures: 12 hand-written inputs with their exact expected
+"""Golden ARFF fixtures: 13 hand-written inputs with their exact expected
 parse results or errors (line numbers included)."""
 
 from mullab.core import Attribute
@@ -140,6 +140,17 @@ BAD_FIXTURES = [
         "sparse index",
     ),
     (
+        "sparse_repeated_index",
+        "@relation bad\n"
+        "@attribute a numeric\n"
+        "@attribute b numeric\n"
+        "@data\n"
+        "{0 1}\n"
+        "{1 2, 1 3}\n",
+        6,
+        "repeated sparse index 1",
+    ),
+    (
         "missing_data_section",
         "@relation bad\n"
         "@attribute a numeric\n"
@@ -149,4 +160,4 @@ BAD_FIXTURES = [
     ),
 ]
 
-assert len(GOOD_FIXTURES) + len(BAD_FIXTURES) == 12
+assert len(GOOD_FIXTURES) + len(BAD_FIXTURES) == 13

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mullab import cli
+from mullab import arff, cli
 from mullab.arff import (
     ArffParseError,
     _split_quoted,
@@ -82,6 +82,96 @@ def test_non_finite_numeric_rejected(row):
     assert "non-finite numeric value" in str(err.value)
 
 
+def _arff_text(attributes, data_lines, header="@relation r\n"):
+    return (header + "".join(f"@attribute {a}\n" for a in attributes)
+            + "@data\n" + "".join(f"{line}\n" for line in data_lines))
+
+
+_TWO_NUMERIC = ["a numeric", "b numeric"]
+
+# (id, attribute declarations, data lines, the parsed rows or the error's
+# (line, message)).  Every expectation was recorded with the cell-by-cell
+# parser alone, before dense rows had a faster path.
+DENSE_ROW_CASES = [
+    # the per-cell path strips 'a ' to 'a', index 1; a plain lookup gives 0
+    ("nominal-padded-declared-value", ["c {'a ',a}", "x numeric"],
+     ["a ,1.5", "'a ',2", "a,3"], ((1, 1.5), (0, 2.0), (1, 3.0))),
+    ("nominal-value-named-question-mark", ["c {'?',a}"],
+     ["?", "'?'", "a"], ((None,), (0,), (1,))),
+    ("padded-and-underscored-numbers", _TWO_NUMERIC,
+     ["1_0 , 1.5", "\t-2 ,3e-2\t", "-0.0,7"],
+     ((10.0, 1.5), (-2.0, 0.03), (-0.0, 7.0))),
+    ("missing-numeric-and-nominal", ["a numeric", "c {0,1}"],
+     ["?,?", " ? , ? ", "1,0"], ((None, None), (None, None), (1.0, 0))),
+    ("nan", _TWO_NUMERIC, ["1,2", "nan,2"],
+     (6, "line 6: non-finite numeric value 'nan' for attribute 'a'")),
+    ("inf", _TWO_NUMERIC, ["1,2", "1,-inf"],
+     (6, "line 6: non-finite numeric value '-inf' for attribute 'b'")),
+    ("overflow-to-inf", _TWO_NUMERIC, ["1,2", "1e999,2"],
+     (6, "line 6: non-finite numeric value '1e999' for attribute 'a'")),
+    ("sum-overflows-cells-finite", _TWO_NUMERIC,
+     ["1e308,1e308", "-1e308,-1e308"], ((1e308, 1e308), (-1e308, -1e308))),
+    ("quoted-nominal-tokens", ["c {'first val',b}", "x numeric"],
+     ["'first val',1", '"b",2', " 'b' ,3"], ((0, 1.0), (1, 2.0), (1, 3.0))),
+    ("undeclared-nominal-value", ["c {0,1}", "x numeric"], ["1,1", "2,1"],
+     (6, "line 6: value '2' not declared for attribute 'c'")),
+    ("bad-cell-before-wrong-count", _TWO_NUMERIC, ["1,2", "1,x", "1,2,3"],
+     (6, "line 6: bad numeric value 'x' for attribute 'b'")),
+    ("wrong-count-before-bad-cell", _TWO_NUMERIC, ["1,2", "1,2,3", "1,x"],
+     (6, "line 6: row has 3 values, expected 2")),
+]
+
+
+@pytest.mark.parametrize("attributes, data_lines, expected",
+                         [c[1:] for c in DENSE_ROW_CASES],
+                         ids=[c[0] for c in DENSE_ROW_CASES])
+def test_dense_rows_parse_as_cell_by_cell(attributes, data_lines, expected):
+    try:
+        got = parse_arff(_arff_text(attributes, data_lines)).rows
+    except ArffParseError as e:
+        assert (e.line, str(e)) == expected
+    else:
+        assert repr(got) == repr(expected)  # repr tells 1 from 1.0 and -0.0
+
+
+def test_clean_dense_rows_skip_the_per_cell_parser(monkeypatch):
+    calls = []
+    per_cell = arff._parse_cell
+    monkeypatch.setattr(arff, "_parse_cell",
+                        lambda *args: calls.append(args) or per_cell(*args))
+    assert len(parse_arff(MULTILABEL_TEXT).rows) == 4  # numeric and {0,1}
+    assert calls == []
+    parse_arff(_arff_text(_TWO_NUMERIC, ["1,?"]))  # the counter does count
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text, line, fragment", [
+    ("@relationfoo\n@attribute a numeric\n@data\n", 1,
+     "unexpected header line"),
+    ("@relation r\n@attributea numeric\n@data\n", 2,
+     "unexpected header line"),
+    ("@relation a\n@attribute x numeric\n@relation b\n@data\n", 3,
+     "duplicate @relation"),
+    ("@relation a\n@relation a\n@attribute x numeric\n@data\n", 2,
+     "duplicate @relation"),
+], ids=["relation-glued", "attribute-glued", "relation-repeated",
+        "relation-repeated-same-name"])
+def test_header_keyword_mistakes(text, line, fragment):
+    with pytest.raises(ArffParseError) as err:
+        parse_arff(text)
+    assert err.value.line == line
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("relation_line, name", [
+    ("@relation", ""), ("@relation\tfoo", "foo"), ("@RELATION 'a b'", "a b"),
+])
+def test_relation_keyword_then_whitespace_or_end(relation_line, name):
+    raw = parse_arff(_arff_text(["a numeric"], ["1"],
+                                header=relation_line + "\n"))
+    assert raw.relation_name == name
+
+
 MULTILABEL_TEXT = (
     "@relation fake\n"
     "@attribute f1 numeric\n"
@@ -139,6 +229,14 @@ class TestBindLabels:
         assert ds.schema.label_names == ("tag_c", "tag_a")
         # row 1: tag_c=1 tag_a=0 -> bit 0 set only
         assert ds.Y[1].tolist() == [True, False]
+
+    def test_label_name_matching_two_attributes(self):
+        # names match after strip(), so 'y ' and y both answer to "y"
+        text = ("@relation r\n@attribute f numeric\n@attribute 'y ' {0,1}\n"
+                "@attribute y {0,1}\n@data\n1,0,1\n")
+        with pytest.raises(ValueError,
+                           match="'y' matches more than one attribute: 'y ', 'y'"):
+            bind_labels(parse_arff(text), LabelSpec.from_names(["y"]))
 
     def test_unknown_label_name(self):
         raw = parse_arff(MULTILABEL_TEXT)

@@ -8,14 +8,12 @@ evaluation measures, ARFF/Mulan dataset ingestion and a benchmark CLI.
 from .core import (
     Attribute,
     DatasetStats,
-    LabelSet,
     MLDataset,
     Schema,
     UniverseMismatch,
     dataset_stats,
     label_cardinality,
     label_density,
-    labelsets_of,
 )
 from .arff import (
     ArffParseError,
@@ -65,11 +63,10 @@ from .metrics import (
     EvaluationReport,
     accuracy,
     average_precision,
-    bipartition,
     evaluate,
     hamming_loss,
     one_error,
-    rank_labels,
+    rank_matrix,
     ranking_loss,
 )
 from .rng import Xoshiro256, derive_seed

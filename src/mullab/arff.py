@@ -22,7 +22,10 @@ faster path first: each cell goes through builtin ``float`` (numeric) or a
 dict of the nominal values ``_parse_cell`` maps to their own index, and the
 row is kept when no cell raises and the row's sum is finite.  Every other
 dense row, and every sparse cell, is parsed by ``_parse_cell``, so both
-paths give the same rows and the same errors.
+paths give the same rows and the same errors.  Every ``_BLOCK_ROWS`` parsed
+rows become one float array, so only that many rows are ever held as Python
+numbers, and the arrays become one matrix, ``RawTable.X``, when the text
+ends.  No text is parsed with numpy.
 
 Label files: either plain text (one label attribute name per line) or the
 Mulan XML form ``<labels><label name="..."/>...</labels>``.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import io
 import math
 import xml.etree.ElementTree as ET
+from xml.parsers import expat
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -42,6 +46,9 @@ from .core import Attribute, MLDataset, Schema
 from .rng import Xoshiro256
 
 _NUMERIC_KINDS = {"numeric", "real", "integer"}
+# Parsed rows held as Python numbers at once; it bounds the parse's peak
+# memory (a Python float takes 24 bytes, a float64 cell 8).
+_BLOCK_ROWS = 512
 
 
 class ArffParseError(ValueError):
@@ -52,17 +59,18 @@ class ArffParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawTable:
     """Parsed ARFF contents before any label binding.
 
-    Row cells are ``float`` (numeric), ``int`` category index (nominal) or
-    ``None`` (missing).
+    ``X`` is the read-only n x d float64 matrix of the data section, one
+    column per attribute: the number of a numeric cell, the category index
+    of a nominal one, NaN for a missing one.
     """
 
     relation_name: str
     attributes: tuple[Attribute, ...]
-    rows: tuple[tuple, ...]
+    X: np.ndarray
 
 
 def _unquote(token: str) -> str:
@@ -153,18 +161,13 @@ def _parse_cell(token: str, attr: Attribute, lineno: int):
     return value
 
 
-def _sparse_defaults(attributes: tuple[Attribute, ...]) -> list:
-    # ARFF sparse convention: unmentioned cells are 0 / the first category.
-    return [0 if a.is_nominal else 0.0 for a in attributes]
-
-
-def _parse_sparse_row(line: str, attributes, lineno: int) -> tuple:
+def _parse_sparse_row(line: str, attributes, lineno: int) -> list:
     if not line.endswith("}"):
         raise ArffParseError(lineno, "unterminated sparse row")
-    row = _sparse_defaults(attributes)
+    row = [0.0] * len(attributes)  # unmentioned: 0 / the first category
     body = line[1:-1].strip()
     if not body:
-        return tuple(row)
+        return row
     seen = set()
     for entry in _split_quoted(body):
         entry = entry.strip()
@@ -184,7 +187,7 @@ def _parse_sparse_row(line: str, attributes, lineno: int) -> tuple:
             raise ArffParseError(lineno, f"repeated sparse index {idx}")
         seen.add(idx)
         row[idx] = _parse_cell(val_tok, attributes[idx], lineno)
-    return tuple(row)
+    return row
 
 
 def _cell_converters(attributes) -> list:
@@ -210,7 +213,8 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     relation = ""
     attributes: list[Attribute] = []
-    rows: list[tuple] = []
+    rows: list[list] = []
+    blocks: list[np.ndarray] = []
     in_data = False
     saw_relation = False
     lineno = 0
@@ -221,6 +225,9 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
         if not line or line.startswith("%"):
             continue
         if in_data:
+            if len(rows) == _BLOCK_ROWS:
+                blocks.append(np.array(rows, dtype=float))
+                rows = []
             if line.startswith("{"):
                 rows.append(_parse_sparse_row(line, attrs, lineno))
                 continue
@@ -231,15 +238,13 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
                     f"row has {len(cells)} values, expected {len(attrs)}",
                 )
             try:
-                row = tuple([conv(tok) for conv, tok in zip(convs, cells)])
+                row = [conv(tok) for conv, tok in zip(convs, cells)]
                 clean = math.isfinite(sum(row))
             except (ValueError, KeyError):
                 clean = False
             if not clean:
-                row = tuple(
-                    _parse_cell(tok, attr, lineno)
-                    for tok, attr in zip(cells, attrs)
-                )
+                row = [_parse_cell(tok, attr, lineno)
+                       for tok, attr in zip(cells, attrs)]
             rows.append(row)
             continue
         keyword = line.split(None, 1)[0].lower()  # ends at whitespace
@@ -265,7 +270,11 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
             raise ArffParseError(lineno, f"unexpected header line {line!r}")
     if not in_data:
         raise ArffParseError(lineno, "missing @data section")  # last line
-    return RawTable(relation, tuple(attributes), tuple(rows))
+    # a missing cell's None becomes NaN in each block
+    blocks.append(np.array(rows, dtype=float).reshape(len(rows), len(attributes)))
+    X = np.concatenate(blocks)
+    X.flags.writeable = False
+    return RawTable(relation, tuple(attributes), X)
 
 
 def load_arff(path) -> RawTable:
@@ -274,9 +283,10 @@ def load_arff(path) -> RawTable:
 
 
 def dump_arff(raw: RawTable) -> str:
-    """Debug writer producing dense ARFF; parse(dump(t)) == t for every
-    table whose names hold no line break and at most one kind of quote
-    character (the dialect has no escapes)."""
+    """Debug writer producing dense ARFF; parse(dump(t)) gives back the
+    relation name, attributes and ``X`` of every table whose names hold no
+    line break and at most one kind of quote character (the dialect has no
+    escapes)."""
 
     def quote(name: str) -> str:
         # bare only when no character can split, end or re-read the token
@@ -292,15 +302,15 @@ def dump_arff(raw: RawTable) -> str:
         else:
             out.append(f"@attribute {quote(attr.name)} numeric")
     out.append("@data")
-    for row in raw.rows:
+    for row in raw.X.tolist():
         cells = []
         for v, attr in zip(row, raw.attributes):
-            if v is None:
+            if math.isnan(v):
                 cells.append("?")
             elif attr.is_nominal:
-                cells.append(quote(attr.values[v]))
+                cells.append(quote(attr.values[int(v)]))
             else:
-                cells.append(repr(float(v)))
+                cells.append(repr(v))
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
 
@@ -340,7 +350,12 @@ def read_label_names(path) -> tuple[str, ...]:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("<"):
-        root = ET.fromstring(text)
+        try:
+            root = ET.fromstring(text)
+        except ET.ParseError as e:
+            line, column = e.position
+            raise ValueError(f"{path} line {line}, column {column}: malformed "
+                             f"label XML: {expat.ErrorString(e.code)}") from None
         names = []
         for el in root.iter():
             tag = el.tag.rsplit("}", 1)[-1]  # drop any xml namespace
@@ -400,8 +415,7 @@ def bind_labels(raw: RawTable, spec: LabelSpec) -> MLDataset:
         attributes=tuple(raw.attributes[i] for i in feat_idx),
         label_names=tuple(raw.attributes[i].name for i in label_idx),
     )
-    table = np.array(raw.rows, dtype=float).reshape(len(raw.rows), n_attrs)
-    cells = table[:, label_idx]
+    cells = raw.X.take(label_idx, axis=1)  # a copy, in C order
     for j, i in enumerate(label_idx):
         values = raw.attributes[i].values
         if values is not None:  # nominal: category index -> "0" / "1"
@@ -419,7 +433,7 @@ def bind_labels(raw: RawTable, spec: LabelSpec) -> MLDataset:
             f"row {r}: label attribute {name!r} has non-binary value "
             f"{float(cells[r, j])!r}"
         )
-    return MLDataset.from_arrays(schema, table[:, feat_idx], Y)
+    return MLDataset(schema, raw.X.take(feat_idx, axis=1), Y)
 
 
 def load_dataset(arff_path, spec: LabelSpec) -> MLDataset:

@@ -113,7 +113,7 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise UsageError(f"config {path} is not valid JSON: {e}") from e
@@ -488,8 +488,11 @@ def render_json(reports, meta: dict) -> str:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write report {out_path}: {e}") from e
     else:
         sys.stdout.write(text)
 

@@ -1,89 +1,25 @@
-"""Core domain types: label sets, attribute schemas, datasets and their
-summary statistics.
+"""Core domain types: attribute schemas, datasets and their summary
+statistics.
 
 Everything here is immutable after construction and safe to share across
 worker threads.  A dataset is two read-only matrices, the float features
 ``X`` and the bool labels ``Y``; subsets, label restrictions and metrics
 index them.  Feature tuples (``float``, ``int`` category index, ``None``)
-appear only when a dataset is built from pairs or ``features`` is read.
+appear only when ``features`` is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-AttributeValue = Union[float, int, None]
-FeatureVector = tuple  # tuple[AttributeValue, ...], arity fixed by the schema
-
 
 class UniverseMismatch(ValueError):
-    """Two label sets (or a model and a dataset) disagree on the number of
-    labels and cannot be compared."""
-
-
-@dataclass(frozen=True)
-class LabelSet:
-    """A subset of a fixed universe of ``universe`` labels, stored as a
-    bitmask: bit j set means label j is relevant."""
-
-    bits: int
-    universe: int
-
-    def __post_init__(self):
-        if self.universe < 0:
-            raise ValueError("label universe must be >= 0")
-        if not 0 <= self.bits < (1 << self.universe):
-            raise ValueError(
-                f"bits 0x{self.bits:x} out of range for universe {self.universe}"
-            )
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], universe: int) -> "LabelSet":
-        bits = 0
-        for j in indices:
-            if not 0 <= j < universe:
-                raise ValueError(f"label index {j} outside universe {universe}")
-            bits |= 1 << j
-        return cls(bits, universe)
-
-    @classmethod
-    def empty(cls, universe: int) -> "LabelSet":
-        return cls(0, universe)
-
-    @classmethod
-    def full(cls, universe: int) -> "LabelSet":
-        return cls((1 << universe) - 1, universe)
-
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.universe) if self.bits >> j & 1)
-
-    def __contains__(self, j: int) -> bool:
-        return 0 <= j < self.universe and bool(self.bits >> j & 1)
-
-    def _check(self, other: "LabelSet") -> None:
-        if self.universe != other.universe:
-            raise UniverseMismatch(
-                f"label universes differ: {self.universe} vs {other.universe}"
-            )
-
-    def union(self, other: "LabelSet") -> "LabelSet":
-        self._check(other)
-        return LabelSet(self.bits | other.bits, self.universe)
-
-    def intersection(self, other: "LabelSet") -> "LabelSet":
-        self._check(other)
-        return LabelSet(self.bits & other.bits, self.universe)
-
-    def complement(self) -> "LabelSet":
-        return LabelSet(~self.bits & ((1 << self.universe) - 1), self.universe)
+    """Two label matrices (or a model and a dataset) disagree on the number
+    of labels and cannot be compared."""
 
 
 @dataclass(frozen=True)
@@ -122,51 +58,6 @@ class Schema:
         return len(self.label_names)
 
 
-def label_matrix(labelsets: Sequence[LabelSet], universe: int) -> np.ndarray:
-    """The n x ``universe`` bool matrix of ``labelsets``: entry (i, j) is
-    true when label j belongs to set i."""
-    if {ls.universe for ls in labelsets} - {universe}:
-        raise UniverseMismatch(f"labelsets are not all in universe {universe}")
-    width = (universe + 7) // 8
-    packed = np.frombuffer(
-        b"".join(ls.bits.to_bytes(width, "little") for ls in labelsets),
-        dtype=np.uint8).reshape(len(labelsets), width)
-    return np.unpackbits(packed, axis=1, count=universe,
-                         bitorder="little").astype(bool)
-
-
-def labelsets_of(Y: np.ndarray) -> list[LabelSet]:
-    """The rows of a bool label matrix as LabelSets."""
-    packed = np.packbits(Y, axis=1, bitorder="little")
-    return [LabelSet(int.from_bytes(row, "little"), Y.shape[1])
-            for row in map(bytes, packed)]
-
-
-_NUMBER_TYPES = {float, int, np.float64, type(None)}
-
-
-def _feature_matrix(schema: Schema, features: Sequence[FeatureVector]) -> np.ndarray:
-    """Check the whole table at once and return it as a float matrix: the
-    schema's arity in every row, a number (or None) in every cell and
-    category indices in nominal columns."""
-    n, d = len(features), schema.n_attributes
-    arity = np.fromiter(map(len, features), np.intp, n)
-    if (arity != d).any():
-        i = int(np.argmax(arity != d))
-        raise ValueError(
-            f"row {i}: feature vector arity {arity[i]} != schema arity {d}")
-    cells = list(chain.from_iterable(features))
-    odd = set(map(type, cells)) - _NUMBER_TYPES
-    if odd:
-        i = next(k for k, v in enumerate(cells) if type(v) in odd)
-        raise ValueError(f"row {i // d}: attribute "
-                         f"{schema.attributes[i % d].name!r} expects a "
-                         f"number, not {cells[i]!r}")
-    X = np.array(cells, dtype=float).reshape(n, d)
-    check_category_indices(X, schema.attributes)
-    return X
-
-
 def check_category_indices(X: np.ndarray,
                            attributes: Sequence[Attribute]) -> None:
     """Raise ValueError unless every present cell of a nominal column of
@@ -195,27 +86,10 @@ class MLDataset:
 
     __slots__ = ("schema", "X", "Y")
 
-    def __init__(self, schema: Schema,
-                 rows: Iterable[tuple[FeatureVector, LabelSet]]):
-        """Build from (FeatureVector, LabelSet) pairs, checked once as a
-        whole table against the schema's arity and label universe."""
-        rows = list(rows)
-        labels = label_matrix([ls for _, ls in rows], schema.n_labels)
-        self._init(schema, _feature_matrix(schema, [fv for fv, _ in rows]),
-                   labels)
-
-    @classmethod
-    def from_arrays(cls, schema: Schema, X: np.ndarray,
-                    Y: np.ndarray) -> "MLDataset":
-        """Wrap matrices already laid out as described above (parsed,
-        indexed or restricted ones); only their shapes are checked.  A
-        C-ordered matrix of the right dtype is kept, not copied, and
-        becomes read-only."""
-        d = cls.__new__(cls)
-        d._init(schema, X, Y)
-        return d
-
-    def _init(self, schema: Schema, X: np.ndarray, Y: np.ndarray) -> None:
+    def __init__(self, schema: Schema, X: np.ndarray, Y: np.ndarray):
+        """Wrap matrices laid out as described above; only their shapes
+        are checked.  A C-ordered matrix of the right dtype is kept, not
+        copied, and becomes read-only."""
         X = np.ascontiguousarray(X, dtype=float)
         Y = np.ascontiguousarray(Y, dtype=bool)
         n = len(X)
@@ -234,7 +108,7 @@ class MLDataset:
         return self.X.shape[0]
 
     @property
-    def features(self) -> list[FeatureVector]:
+    def features(self) -> list[tuple]:
         """The rows of ``X`` as tuples: float for numeric cells, int
         category index for nominal ones, None for a missing value."""
         kinds = [int if a.is_nominal else float for a in self.schema.attributes]
@@ -247,7 +121,7 @@ class MLDataset:
 
     def subset(self, indices: Iterable[int]) -> "MLDataset":
         idx = np.fromiter(indices, np.intp)
-        return MLDataset.from_arrays(self.schema, self.X[idx], self.Y[idx])
+        return MLDataset(self.schema, self.X[idx], self.Y[idx])
 
 
 @dataclass(frozen=True)

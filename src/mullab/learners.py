@@ -32,8 +32,8 @@ Three families, each consumed by the problem transformations:
   float operations (and the same class-axis sums) as a one-attribute-at-a-
   time search, so it chooses the same splits.
 
-Input: ``fit`` and ``predict_dist_many`` take a list of feature rows or an
-n x d float matrix such as ``MLDataset.X``, which is built once per dataset;
+Input: ``fit`` and ``predict_dist_many`` take an n x d float matrix such as
+``MLDataset.X`` (NaN marks a missing cell), which is built once per dataset;
 a C-ordered float64 matrix is used as is, without a copy or a per-row pass.
 ``prepare(spec, X, attributes)`` builds the encoder (and for kNN the index)
 of a training matrix once; ``fit(..., shared=...)`` reuses it, which is how
@@ -60,7 +60,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Attribute, FeatureVector, check_category_indices
+from .core import Attribute, check_category_indices
 from .rng import Xoshiro256, derive_seed
 
 _GAIN_EPS = 1e-12
@@ -152,7 +152,7 @@ def preset(name: str) -> LearnerSpec:
 # ---------------------------------------------------------------------------
 
 class _Encoder:
-    """Maps feature rows (or an n x d float matrix) to a float matrix.
+    """Maps an n x d feature matrix to the float matrix the learners use.
 
     Numeric columns keep their value (missing -> training mean); nominal
     columns hold the category index as a float, with missing mapped to the
@@ -164,7 +164,7 @@ class _Encoder:
     def __init__(self, features, attributes: Optional[Sequence[Attribute]] = None):
         raw = np.ascontiguousarray(features, dtype=float)
         if raw.ndim != 2:
-            raise ValueError("features must be a non-empty list of rows")
+            raise ValueError("features must be an n x d matrix")
         if attributes is None:
             attributes = [Attribute(f"#{j}") for j in range(raw.shape[1])]
         if len(attributes) != raw.shape[1]:
@@ -678,8 +678,7 @@ class TreeClassifier(Classifier):
 # fitting entry point
 # ---------------------------------------------------------------------------
 
-def prepare(spec: LearnerSpec,
-            features: Union[Sequence[FeatureVector], np.ndarray],
+def prepare(spec: LearnerSpec, features: np.ndarray,
             attributes: Optional[Sequence[Attribute]] = None):
     """The training state that every classifier ``fit`` trains with
     ``spec`` on ``features`` can share: a ``KnnIndex`` for kNN, the feature
@@ -696,18 +695,17 @@ def _prepared_for(shared, spec: LearnerSpec, n_rows: int) -> bool:
     return isinstance(shared, _Encoder) and len(shared.matrix) == n_rows
 
 
-def fit(spec: LearnerSpec, features: Union[Sequence[FeatureVector], np.ndarray],
-        classes: Sequence[int],
+def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
         attributes: Optional[Sequence[Attribute]] = None,
         shared=None) -> Classifier:
     """Train a classifier.  ``classes`` are dense indices in [0, C).
 
-    ``features`` is a list of rows or an n x d float matrix such as
-    ``MLDataset.X`` (NaN marks a missing cell); a C-ordered float64 matrix
-    is used without a copy.  ``attributes`` carries the schema kinds; when
-    omitted, every column is numeric.  ``shared`` is
-    ``prepare(spec, features, attributes)``, built once and passed to every
-    fit on the same features; without it, each fit builds its own.
+    ``features`` is an n x d float matrix such as ``MLDataset.X`` (NaN
+    marks a missing cell); a C-ordered float64 matrix is used without a
+    copy.  ``attributes`` carries the schema kinds; when omitted, every
+    column is numeric.  ``shared`` is ``prepare(spec, features,
+    attributes)``, built once and passed to every fit on the same features;
+    without it, each fit builds its own.
     """
     if len(features) != len(classes):
         raise ValueError("features and classes differ in length")

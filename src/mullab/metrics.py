@@ -12,24 +12,25 @@ where a ranking metric is undefined (no relevant labels, or none irrelevant
 for ranking loss) are excluded from that metric's denominator and counted,
 never silently zeroed.
 
-Each measure is written once, over n x M matrices: the bool truth ``Y``
-and the bool prediction ``Z`` or the integer ranks ``R``.  Per-instance
-terms add up in row order (average-precision terms in label order).
+Each measure takes n x M matrices: the bool truth ``Y`` and the bool
+prediction ``Z`` or the integer ranks ``R`` (``R[i, j]`` is label j's rank
+in row i; ``rank_matrix`` turns scores into ranks).  Per-instance terms add
+up in row order (average-precision terms in label order).
 
-All functions raise on length or label-universe mismatches.
+All functions raise ``ValueError`` on zero rows, on row-count mismatches,
+on non-bool truth or predictions and on rank rows that are not
+permutations of 1..M, and ``UniverseMismatch`` when the label counts
+differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import LabelSet, MLDataset, UniverseMismatch, label_matrix, labelsets_of
+from .core import MLDataset, UniverseMismatch
 from .transforms import MultiLabelModel
-
-Ranking = Sequence[int]  # permutation of 1..M; ranking[j] is label j's rank
 
 
 @dataclass(frozen=True)
@@ -64,16 +65,6 @@ def rank_matrix(scores: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(1, scores.shape[1] + 1), axis=1)
     return ranks
-
-
-def bipartition(scores: Sequence[float], t: float = 0.5) -> LabelSet:
-    """Labels whose score reaches the threshold (inclusive at exactly t)."""
-    return labelsets_of(np.asarray(scores, dtype=float)[None, :] >= t)[0]
-
-
-def rank_labels(scores: Sequence[float]) -> tuple[int, ...]:
-    """Rank per label, as one row of ``rank_matrix``."""
-    return tuple(rank_matrix(np.asarray(scores, dtype=float)[None, :])[0].tolist())
 
 
 def _running_mean(terms: np.ndarray, n: int) -> float:
@@ -133,68 +124,75 @@ def _average_precision(Y: np.ndarray, R: np.ndarray) -> float:
     return _running_mean(per_instance[used] / n_rel[used], int(used.sum()))
 
 
-def _truth_matrix(truths: Sequence[LabelSet], others: Sequence,
-                  what: str) -> np.ndarray:
-    if len(truths) != len(others):
+def _checked(Y, other, what: str, dtype: type):
+    """``Y`` and ``other`` as arrays, once both are matrices of one shape,
+    ``Y`` of bool and ``other`` of ``dtype``."""
+    Y, other = np.asarray(Y), np.asarray(other)
+    if Y.ndim != 2 or other.ndim != 2:
+        raise ValueError(f"truths and {what} must be n x M matrices")
+    if len(Y) != len(other):
         raise ValueError(
-            f"{len(truths)} truths vs {len(others)} {what}: lengths must match"
+            f"{len(Y)} truths vs {len(other)} {what}: lengths must match"
         )
-    if len(truths) == 0:
+    if len(Y) == 0:
         raise ValueError("metrics are undefined on zero instances")
-    return label_matrix(truths, truths[0].universe)
+    if Y.shape[1] != other.shape[1]:
+        raise UniverseMismatch(
+            f"label universes differ: {Y.shape[1]} vs {other.shape[1]}"
+        )
+    if Y.dtype != bool or not np.issubdtype(other.dtype, dtype):
+        raise ValueError(f"truths must be bool and {what} {dtype.__name__}, "
+                         f"not {Y.dtype} and {other.dtype}")
+    return Y, other
 
 
-def _with_preds(metric, truths, preds) -> float:
-    Y = _truth_matrix(truths, preds, "predictions")
-    return metric(Y, label_matrix(preds, Y.shape[1]))
+def _with_preds(metric, Y, Z) -> float:
+    return metric(*_checked(Y, Z, "predictions", np.bool_))
 
 
-def _with_rankings(metric, truths, rankings) -> float:
-    Y = _truth_matrix(truths, rankings, "rankings")
-    n, m = Y.shape
-    bad = np.flatnonzero(np.fromiter(map(len, rankings), np.intp, n) != m)
-    if not bad.size:
-        R = np.array(rankings, dtype=float).reshape(n, m)
-        bad = np.flatnonzero((np.sort(R, axis=1) != np.arange(1, m + 1)).any(axis=1))
+def _with_ranks(metric, Y, R) -> float:
+    Y, R = _checked(Y, R, "rankings", np.integer)
+    m = Y.shape[1]
+    bad = np.flatnonzero((np.sort(R, axis=1) != np.arange(1, m + 1)).any(axis=1))
     if bad.size:
-        raise ValueError(f"ranking {tuple(rankings[bad[0]])} is not a "
+        raise ValueError(f"ranking {tuple(R[bad[0]].tolist())} is not a "
                          f"permutation of 1..{m}")
-    return metric(Y, R.astype(np.intp))
+    return metric(Y, R)
 
 
-def accuracy(truths: Sequence[LabelSet], preds: Sequence[LabelSet]) -> float:
-    """Mean |Y ∩ Z| / |Y ∪ Z|, with the 0/0 (both empty) term := 1."""
-    return _with_preds(_accuracy, truths, preds)
+def accuracy(Y: np.ndarray, Z: np.ndarray) -> float:
+    """Mean |Y ∩ Z| / |Y ∪ Z| over the rows, with the 0/0 (both empty)
+    term := 1."""
+    return _with_preds(_accuracy, Y, Z)
 
 
-def hamming_loss(truths: Sequence[LabelSet], preds: Sequence[LabelSet]) -> float:
+def hamming_loss(Y: np.ndarray, Z: np.ndarray) -> float:
     """Mean fraction of the label universe on which truth and prediction
     disagree."""
-    return _with_preds(_hamming_loss, truths, preds)
+    return _with_preds(_hamming_loss, Y, Z)
 
 
-def one_error(truths: Sequence[LabelSet], rankings: Sequence[Ranking]) -> float:
+def one_error(Y: np.ndarray, R: np.ndarray) -> float:
     """Fraction of instances whose rank-1 label is not relevant.
 
     A full truth set can never miss (contributes 0); an empty truth set
     always misses (contributes 1).
     """
-    return _with_rankings(_one_error, truths, rankings)
+    return _with_ranks(_one_error, Y, R)
 
 
-def ranking_loss(truths: Sequence[LabelSet], rankings: Sequence[Ranking]) -> float:
+def ranking_loss(Y: np.ndarray, R: np.ndarray) -> float:
     """Mean fraction of (relevant, irrelevant) label pairs where the
     irrelevant label is ranked above the relevant one.  Instances with empty
     or full truth sets have no such pairs and are excluded."""
-    return _with_rankings(_ranking_loss, truths, rankings)
+    return _with_ranks(_ranking_loss, Y, R)
 
 
-def average_precision(truths: Sequence[LabelSet],
-                      rankings: Sequence[Ranking]) -> float:
+def average_precision(Y: np.ndarray, R: np.ndarray) -> float:
     """For each relevant label, the fraction of labels ranked at or above it
     that are relevant; averaged over relevant labels, then over instances.
     Instances with no relevant labels are excluded."""
-    return _with_rankings(_average_precision, truths, rankings)
+    return _with_ranks(_average_precision, Y, R)
 
 
 def evaluate(model: MultiLabelModel, test: MLDataset,

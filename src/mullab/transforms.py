@@ -133,7 +133,7 @@ class RakelModel(MultiLabelModel):
 def _restrict_to_labels(train: MLDataset, label_idx: Sequence[int]) -> MLDataset:
     names = tuple(train.schema.label_names[j] for j in label_idx)
     schema = Schema(train.schema.attributes, names)
-    return MLDataset.from_arrays(schema, train.X, train.Y[:, list(label_idx)])
+    return MLDataset(schema, train.X, train.Y[:, list(label_idx)])
 
 
 def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
@@ -240,7 +240,7 @@ def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsM
         raise ValueError(
             f"pruning with p={prune.p} removed every row; lower p"
         )
-    rewritten = MLDataset.from_arrays(
+    rewritten = MLDataset(
         train.schema, train.X[src],
         np.concatenate([train.Y[kept], frequent[cls]]))
     return PrunedSetsModel(lp_fit(rewritten, spec), pruned.size, row.size)

@@ -1,8 +1,24 @@
 """Golden ARFF fixtures: 13 hand-written inputs with their exact expected
 parse results or errors (line numbers included)."""
 
+import numpy as np
+
 from mullab.core import Attribute
 from mullab.arff import RawTable
+
+
+def raw_table(relation_name, attributes, rows):
+    """A RawTable written row by row, None for a missing cell."""
+    X = np.array(rows, dtype=float).reshape(len(rows), len(attributes))
+    return RawTable(relation_name, attributes, X)
+
+
+def same_table(a: RawTable, b: RawTable) -> bool:
+    """Equal relation names, attributes and matrices (NaN equals NaN)."""
+    return (a.relation_name == b.relation_name
+            and a.attributes == b.attributes and a.X.shape == b.X.shape
+            and np.array_equal(a.X, b.X, equal_nan=True))
+
 
 # Each entry: (name, text, expected RawTable) for the good cases.
 GOOD_FIXTURES = [
@@ -13,7 +29,7 @@ GOOD_FIXTURES = [
         "@attribute b numeric\n"
         "@data\n"
         "1.0,2.0\n",
-        RawTable("tiny", (Attribute("a"), Attribute("b")), ((1.0, 2.0),)),
+        raw_table("tiny", (Attribute("a"), Attribute("b")), ((1.0, 2.0),)),
     ),
     (
         "nominal_resolves_to_index",
@@ -23,7 +39,7 @@ GOOD_FIXTURES = [
         "@data\n"
         "b,3.5\n"
         "a,1.0\n",
-        RawTable(
+        raw_table(
             "nom",
             (Attribute("c", ("a", "b")), Attribute("x")),
             ((1, 3.5), (0, 1.0)),
@@ -37,7 +53,7 @@ GOOD_FIXTURES = [
         "@attribute c numeric\n"
         "@data\n"
         "{0 1.5}\n",
-        RawTable("sp", (Attribute("a"), Attribute("b"), Attribute("c")),
+        raw_table("sp", (Attribute("a"), Attribute("b"), Attribute("c")),
                  ((1.5, 0.0, 0.0),)),
     ),
     (
@@ -50,7 +66,7 @@ GOOD_FIXTURES = [
         "{0 green, 2 4.0}\n"
         "{1 ?}\n"
         "{}\n",
-        RawTable(
+        raw_table(
             "sp2",
             (Attribute("c", ("red", "green")), Attribute("x"), Attribute("y")),
             ((1, 0.0, 4.0), (0, None, 0.0), (0, 0.0, 0.0)),
@@ -64,7 +80,7 @@ GOOD_FIXTURES = [
         "@data\n"
         "?,v\n"
         "2.0,?\n",
-        RawTable("miss", (Attribute("a"), Attribute("c", ("u", "v"))),
+        raw_table("miss", (Attribute("a"), Attribute("c", ("u", "v"))),
                  ((None, 1), (2.0, None))),
     ),
     (
@@ -79,7 +95,7 @@ GOOD_FIXTURES = [
         "\n"
         "1.0,2.0\n"
         "% trailing comment\n",
-        RawTable("shouty", (Attribute("a"), Attribute("b")), ((1.0, 2.0),)),
+        raw_table("shouty", (Attribute("a"), Attribute("b")), ((1.0, 2.0),)),
     ),
     (
         "quoted_names_and_values",
@@ -89,7 +105,7 @@ GOOD_FIXTURES = [
         "@data\n"
         "1.0,'first val'\n"
         "2.5,second\n",
-        RawTable(
+        raw_table(
             "my rel",
             (Attribute("att one"), Attribute("col", ("first val", "second"))),
             ((1.0, 0), (2.5, 1)),

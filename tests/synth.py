@@ -7,7 +7,7 @@ positively correlated by construction.
 
 import numpy as np
 
-from mullab.core import Attribute, LabelSet, MLDataset, Schema
+from mullab.core import Attribute, MLDataset, Schema
 
 
 def _schema(n_features, n_labels):
@@ -39,7 +39,7 @@ def correlated_dataset(seed, n_train=200, n_test=100, n_labels=6,
     x = rng.normal(size=(n, n_features))
     margins = x @ dirs.T + noise * rng.normal(size=(n, n_labels))
     labels = margins > 0.0
-    full = MLDataset.from_arrays(_schema(n_features, n_labels), x, labels)
+    full = MLDataset(_schema(n_features, n_labels), x, labels)
     return full.subset(range(n_train)), full.subset(range(n_train, n))
 
 
@@ -77,7 +77,10 @@ def to_arff_text(dataset, relation="synthetic"):
 
 def random_rows(seed, n=30, n_labels=3, n_num=2, n_nom=1, nom_arity=3,
                 missing_rate=0.0):
-    """Schema and (feature tuple, LabelSet) pairs of ``random_dataset``."""
+    """Schema and the feature and label matrices of ``random_dataset``.
+
+    Cells are drawn row by row, left to right, then the row's labels as one
+    integer whose bit j is label j; pinned reports depend on that order."""
     rng = np.random.default_rng(seed)
     attrs = [Attribute(f"num{j}") for j in range(n_num)]
     attrs += [
@@ -85,21 +88,35 @@ def random_rows(seed, n=30, n_labels=3, n_num=2, n_nom=1, nom_arity=3,
         for j in range(n_nom)
     ]
     schema = Schema(tuple(attrs), tuple(f"L{j}" for j in range(n_labels)))
-    rows = []
-    for _ in range(n):
-        vec = []
+    X = np.empty((n, n_num + n_nom))
+    Y = np.empty((n, n_labels), dtype=bool)
+    for i in range(n):
         for j in range(n_num + n_nom):
             if missing_rate and rng.random() < missing_rate:
-                vec.append(None)
+                X[i, j] = np.nan
             elif j < n_num:
-                vec.append(float(rng.normal()))
+                X[i, j] = rng.normal()
             else:
-                vec.append(int(rng.integers(nom_arity)))
-        bits = int(rng.integers(1 << n_labels))
-        rows.append((tuple(vec), LabelSet(bits, n_labels)))
-    return schema, rows
+                X[i, j] = rng.integers(nom_arity)
+        Y[i] = int(rng.integers(1 << n_labels)) >> np.arange(n_labels) & 1
+    return schema, X, Y
 
 
 def random_dataset(seed, **kwargs):
     """Unstructured random dataset for property tests."""
     return MLDataset(*random_rows(seed, **kwargs))
+
+
+def label_rows(index_lists, m):
+    """The bool label matrix whose row i holds the labels ``index_lists[i]``
+    of a universe of ``m``."""
+    Y = np.zeros((len(index_lists), m), dtype=bool)
+    for i, idx in enumerate(index_lists):
+        Y[i, list(idx)] = True
+    return Y
+
+
+def bits(Y):
+    """Each row of a bool label matrix as an integer whose bit j is label j
+    (a Python int, so wider than 64 labels too)."""
+    return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in Y]

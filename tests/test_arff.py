@@ -7,6 +7,7 @@ from mullab.arff import (
     ArffParseError,
     _split_quoted,
     LabelSpec,
+    RawTable,
     SplitSpec,
     bind_labels,
     dump_arff,
@@ -15,17 +16,20 @@ from mullab.arff import (
     read_label_names,
     split_dataset,
 )
-from mullab.core import dataset_stats, labelsets_of
+from mullab.core import dataset_stats
 
-from golden_arff import BAD_FIXTURES, GOOD_FIXTURES
+from golden_arff import BAD_FIXTURES, GOOD_FIXTURES, same_table
 from oracles import split_quoted_bf
+from synth import random_dataset, to_arff_text
 
 
 @pytest.mark.parametrize(
     "name,text,expected", GOOD_FIXTURES, ids=[f[0] for f in GOOD_FIXTURES]
 )
 def test_golden_parse(name, text, expected):
-    assert parse_arff(text) == expected
+    got = parse_arff(text)
+    assert same_table(got, expected)
+    assert got.X.dtype == np.float64 and not got.X.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -50,7 +54,7 @@ def test_parse_dump_parse_fixed_point():
     for name, text, _ in GOOD_FIXTURES:
         once = parse_arff(text)
         again = parse_arff(dump_arff(once))
-        assert again == once, name
+        assert same_table(again, once), name
 
 
 def test_missing_data_at_eof():
@@ -68,7 +72,7 @@ def test_duplicate_attribute_rejected():
 
 def test_empty_data_section_is_parseable():
     raw = parse_arff("@relation r\n@attribute a numeric\n@data\n")
-    assert raw.rows == ()
+    assert raw.X.shape == (0, 1)
 
 
 @pytest.mark.parametrize("row", ["3,inf", "3,-Infinity", "3,nan", "3,1e999",
@@ -89,9 +93,10 @@ def _arff_text(attributes, data_lines, header="@relation r\n"):
 
 _TWO_NUMERIC = ["a numeric", "b numeric"]
 
-# (id, attribute declarations, data lines, the parsed rows or the error's
-# (line, message)).  Every expectation was recorded with the cell-by-cell
-# parser alone, before dense rows had a faster path.
+# (id, attribute declarations, data lines, the parsed rows (None for a
+# missing cell) or the error's (line, message)).  Every expectation was
+# recorded with the cell-by-cell parser alone, before dense rows had a
+# faster path.
 DENSE_ROW_CASES = [
     # the per-cell path strips 'a ' to 'a', index 1; a plain lookup gives 0
     ("nominal-padded-declared-value", ["c {'a ',a}", "x numeric"],
@@ -127,11 +132,12 @@ DENSE_ROW_CASES = [
                          ids=[c[0] for c in DENSE_ROW_CASES])
 def test_dense_rows_parse_as_cell_by_cell(attributes, data_lines, expected):
     try:
-        got = parse_arff(_arff_text(attributes, data_lines)).rows
+        got = parse_arff(_arff_text(attributes, data_lines)).X
     except ArffParseError as e:
         assert (e.line, str(e)) == expected
     else:
-        assert repr(got) == repr(expected)  # repr tells 1 from 1.0 and -0.0
+        want = np.array(expected, dtype=float)
+        assert repr(got.tolist()) == repr(want.tolist())  # -0.0 is not 0.0
 
 
 def test_clean_dense_rows_skip_the_per_cell_parser(monkeypatch):
@@ -139,10 +145,23 @@ def test_clean_dense_rows_skip_the_per_cell_parser(monkeypatch):
     per_cell = arff._parse_cell
     monkeypatch.setattr(arff, "_parse_cell",
                         lambda *args: calls.append(args) or per_cell(*args))
-    assert len(parse_arff(MULTILABEL_TEXT).rows) == 4  # numeric and {0,1}
+    assert len(parse_arff(MULTILABEL_TEXT).X) == 4  # numeric and {0,1}
     assert calls == []
     parse_arff(_arff_text(_TWO_NUMERIC, ["1,?"]))  # the counter does count
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 512])
+def test_rows_become_the_same_matrix_in_any_block_size(block_rows,
+                                                       monkeypatch):
+    monkeypatch.setattr(arff, "_BLOCK_ROWS", block_rows)
+    data = random_dataset(3, n=1100, n_labels=2, n_num=3, n_nom=2,
+                          missing_rate=0.1)
+    raw = parse_arff(to_arff_text(data))  # labels are the last columns
+    assert np.array_equal(raw.X[:, :5], data.X, equal_nan=True)
+    assert np.array_equal(raw.X[:, 5:], data.Y)
+    for name, text, expected in GOOD_FIXTURES:
+        assert same_table(parse_arff(text), expected), name
 
 
 @pytest.mark.parametrize("text, line, fragment", [
@@ -193,9 +212,8 @@ class TestBindLabels:
         ds = bind_labels(raw, LabelSpec.from_names(["tag_a", "tag_b", "tag_c"]))
         assert ds.schema.label_names == ("tag_a", "tag_b", "tag_c")
         assert [a.name for a in ds.schema.attributes] == ["f1", "f2"]
-        assert [ls.indices() for ls in labelsets_of(ds.Y)] == [
-            (0,), (1, 2), (0, 1), ()
-        ]
+        assert ds.Y.tolist() == [[True, False, False], [False, True, True],
+                                 [True, True, False], [False, False, False]]
         assert ds.X[0].tolist() == [0.1, 0.2]
         assert ds.features[0] == (0.1, 0.2)
 
@@ -287,6 +305,14 @@ class TestLabelFiles:
         )
         assert read_label_names(p) == ("Beach", "Sunset")
 
+    def test_malformed_xml_names_file_and_line(self, tmp_path):
+        p = tmp_path / "labels.xml"
+        p.write_text('<labels>\n<label name="L0"></labels>\n', encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_label_names(p)
+        assert str(err.value) == (f"{p} line 2, column 19: malformed label "
+                                  f"XML: mismatched tag")
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text("\n", encoding="utf-8")
@@ -317,9 +343,12 @@ def test_byte_order_mark_is_not_part_of_line_1(load, text, bad_line,
         path = tmp_path / encoding
         path.write_text(text, encoding=encoding)
         try:
-            return load(path)
+            got = load(path)
         except ArffParseError as e:
             return e.line, str(e)
+        if isinstance(got, RawTable):  # its == compares no matrices
+            return got.relation_name, got.attributes, got.X.tolist()
+        return got
 
     plain = outcome("utf-8")
     assert outcome("utf-8-sig") == plain

@@ -37,7 +37,7 @@ import numpy as np
 from mullab import transforms
 from mullab.core import Attribute, MLDataset, Schema
 from mullab.learners import preset
-train = MLDataset.from_arrays(
+train = MLDataset(
     Schema((Attribute("a"),), ("L0", "L1")), np.arange(6.0).reshape(6, 1),
     np.array([[1, 0], [1, 1], [0, 1], [0, 0], [1, 0], [0, 1]], bool))
 names = []

@@ -58,6 +58,15 @@ class TestInfo:
         rc = run_cli(["info", "--dataset", empty, "--trailing-labels", "1"])
         assert rc == 2
 
+    def test_malformed_label_xml_exits_2(self, data_files, tmp_path, capsys):
+        arff_path, _ = data_files
+        bad = tmp_path / "bad.xml"
+        bad.write_text('<labels><label name="L0"></labels>', encoding="utf-8")
+        assert run_cli(["info", "--dataset", arff_path, "--labels", bad]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad} line 1, column 27: malformed label XML: "
+            f"mismatched tag\n")
+
     def test_missing_file_exits_2(self, tmp_path):
         rc = run_cli(["info", "--dataset", tmp_path / "nope.arff",
                       "--trailing-labels", "1"])
@@ -405,6 +414,7 @@ def test_ensemble_members_null_takes_the_default_members():
                       "learner": {"kind": "tree", "random_subset_size": -3}}]},
     *({"experiments": [BR]} | fields for _, fields in UNKNOWN_KEYS),
     *(fields for _, _, fields in UNUSED_KEYS),
+    b'\xff\xfe{"seed": 1}',  # the bytes of the file: not UTF-8
 ], ids=["p-negative", "weights-length", "q-zero", "sample-ratio-2", "k-string",
         "m-zero", "member-m-zero", "entry-not-object", "experiments-not-list",
         "no-transform", "unknown-preset", "member-not-object",
@@ -416,13 +426,19 @@ def test_ensemble_members_null_takes_the_default_members():
         "tree-max-depth-string", "tree-seed-string", "tree-max-depth-negative",
         "tree-subset-zero", "tree-subset-negative",
         *(f"unknown-key-{key}" for key, _ in UNKNOWN_KEYS),
-        *(f"unused-key-{name}" for name, _, _ in UNUSED_KEYS)])
+        *(f"unused-key-{name}" for name, _, _ in UNUSED_KEYS),
+        "config-not-utf-8"])
 def test_config_mistake_exits_1_before_any_data_is_read(
         fields, data_files, tmp_path, monkeypatch, capsys):
     arff_path, labels_path = data_files
-    cfg = write_config(tmp_path, arff_path, labels_path, **fields)
+    if isinstance(fields, bytes):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(fields)
+    else:
+        cfg = write_config(tmp_path, arff_path, labels_path, **fields)
     # a config's own 'out' is the mistake under test; the flag would hide it
-    flags = [] if "out" in fields else ["--out", tmp_path / "report.csv"]
+    flags = ([] if isinstance(fields, dict) and "out" in fields
+             else ["--out", tmp_path / "report.csv"])
     assert_usage_error_before_data(["benchmark", "--config", cfg, *flags],
                                    tmp_path, monkeypatch, capsys)
 
@@ -450,6 +466,17 @@ def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["benchmark", "evaluate"])
+def test_unwritable_out_exits_1(command, data_files, tmp_path, capsys):
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, [BR])
+    out = tmp_path / "missing-dir" / "report.md"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report {out}: ")
 
 
 @pytest.mark.parametrize("params", ["3", "[1]", '"br"'])

@@ -6,50 +6,16 @@ import pytest
 
 from mullab.core import (
     Attribute,
-    LabelSet,
     MLDataset,
     Schema,
     UniverseMismatch,
     dataset_stats,
     label_cardinality,
     label_density,
-    labelsets_of,
 )
 from mullab.metrics import hamming_loss
 
-from synth import random_dataset, random_rows
-
-
-def ls(indices, m):
-    return LabelSet.from_indices(indices, m)
-
-
-class TestLabelSet:
-    def test_bits_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            LabelSet(8, 3)
-        with pytest.raises(ValueError):
-            LabelSet(-1, 3)
-
-    def test_from_indices_and_membership(self):
-        s = ls([0, 2], 4)
-        assert s.cardinality() == 2
-        assert 0 in s and 2 in s
-        assert 1 not in s and 3 not in s
-        assert s.indices() == (0, 2)
-
-    def test_from_indices_out_of_universe(self):
-        with pytest.raises(ValueError):
-            ls([5], 3)
-
-    def test_set_algebra(self):
-        a, b = ls([0, 1], 3), ls([1, 2], 3)
-        assert a.union(b) == ls([0, 1, 2], 3)
-        assert a.intersection(b) == ls([1], 3)
-        assert a.complement() == ls([2], 3)
-
-    def test_hashable_for_distinct_counting(self):
-        assert len({ls([0], 2), ls([0], 2), ls([1], 2)}) == 2
+from synth import label_rows, random_dataset, random_rows
 
 
 class TestSymdiff:
@@ -57,48 +23,46 @@ class TestSymdiff:
     one-row Hamming loss counts (divided by the universe size)."""
 
     def test_identical_sets(self):
-        a = ls([1, 3], 5)
-        assert hamming_loss([a], [a]) == 0
+        a = label_rows([[1, 3]], 5)
+        assert hamming_loss(a, a) == 0
 
     def test_partial_overlap(self):
-        assert hamming_loss([ls([0, 2], 3)], [ls([1, 2], 3)]) == 2 / 3
+        assert hamming_loss(label_rows([[0, 2]], 3), label_rows([[1, 2]], 3)) == 2 / 3
 
     def test_full_vs_empty(self):
-        assert hamming_loss([LabelSet.full(6)], [LabelSet.empty(6)]) == 1
+        assert hamming_loss(np.ones((1, 6), bool), np.zeros((1, 6), bool)) == 1
 
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatch):
-            hamming_loss([ls([0], 2)], [ls([0], 3)])
+            hamming_loss(label_rows([[0]], 2), label_rows([[0]], 3))
 
     def test_union_minus_intersection_identity_exhaustive(self):
         # |a Δ b| == |a ∪ b| - |a ∩ b| over every pair of subsets, M <= 6
         # (Hamming loss needs at least one label)
         for m in range(1, 7):
-            for abits, bbits in itertools.product(range(1 << m), repeat=2):
-                a, b = LabelSet(abits, m), LabelSet(bbits, m)
-                expected = (
-                    a.union(b).cardinality() - a.intersection(b).cardinality()
-                )
-                assert hamming_loss([a], [b]) == expected / m
+            subsets = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+            for a, b in itertools.product(subsets, repeat=2):
+                expected = (a | b).sum() - (a & b).sum()
+                assert hamming_loss(a[None], b[None]) == expected / m
 
 
 def tiny_dataset(labelsets, m):
     schema = Schema((Attribute("x"),), tuple(f"L{j}" for j in range(m)))
-    rows = [((float(i),), s) for i, s in enumerate(labelsets)]
-    return MLDataset(schema, rows)
+    x = np.arange(len(labelsets), dtype=float)[:, None]
+    return MLDataset(schema, x, label_rows(labelsets, m))
 
 
 class TestStats:
     def test_cardinality_single_label_rows(self):
-        d = tiny_dataset([ls([0], 3), ls([1], 3), ls([2], 3)], 3)
+        d = tiny_dataset([[0], [1], [2]], 3)
         assert label_cardinality(d) == 1.0
 
     def test_cardinality_mixed(self):
-        d = tiny_dataset([ls([0, 1], 4), ls([2], 4)], 4)
+        d = tiny_dataset([[0, 1], [2]], 4)
         assert label_cardinality(d) == pytest.approx(1.5)
 
     def test_density_single_label_universe(self):
-        d = tiny_dataset([ls([0], 1), ls([0], 1)], 1)
+        d = tiny_dataset([[0], [0]], 1)
         assert label_density(d) == 1.0
 
     def test_empty_dataset_errors(self):
@@ -109,12 +73,12 @@ class TestStats:
             dataset_stats(d)
 
     def test_stats_without_labels_raise_value_error(self):
-        d = tiny_dataset([ls([], 0)], 0)
+        d = tiny_dataset([[]], 0)
         with pytest.raises(ValueError, match="at least one label"):
             dataset_stats(d)
 
     def test_single_row_distinct(self):
-        d = tiny_dataset([ls([0, 1], 3)], 3)
+        d = tiny_dataset([[0, 1]], 3)
         assert dataset_stats(d).distinct_labelsets == 1
 
     def test_cardinality_density_relation(self):
@@ -132,7 +96,7 @@ class TestStats:
 
     def test_observed_density_diagnostic(self):
         # only label 0 of 4 ever used: observed universe has size 1
-        d = tiny_dataset([ls([0], 4), ls([0], 4)], 4)
+        d = tiny_dataset([[0], [0]], 4)
         stats = dataset_stats(d)
         assert stats.lden == pytest.approx(0.25)
         assert stats.lden_observed == pytest.approx(1.0)
@@ -141,29 +105,22 @@ class TestStats:
 class TestDatasetValidation:
     def test_arity_mismatch(self):
         schema = Schema((Attribute("a"), Attribute("b")), ("L0",))
-        with pytest.raises(ValueError):
-            MLDataset(schema, [((1.0,), LabelSet(0, 1))])
+        with pytest.raises(ValueError, match="do not fit the schema"):
+            MLDataset(schema, [[1.0]], [[False]])
 
     def test_universe_mismatch(self):
         schema = Schema((Attribute("a"),), ("L0", "L1"))
-        with pytest.raises(UniverseMismatch):
-            MLDataset(schema, [((1.0,), LabelSet(0, 3))])
-
-    def test_nominal_index_range(self):
-        schema = Schema((Attribute("c", ("x", "y")),), ("L0",))
-        with pytest.raises(ValueError):
-            MLDataset(schema, [((5,), LabelSet(0, 1))])
-        ok = MLDataset(schema, [((1,), LabelSet(1, 1))])
-        assert len(ok) == 1
+        with pytest.raises(ValueError, match="do not fit the schema"):
+            MLDataset(schema, [[1.0]], [[False, False, False]])
 
     def test_numeric_cell_must_be_number(self):
         schema = Schema((Attribute("a"),), ("L0",))
         with pytest.raises(ValueError):
-            MLDataset(schema, [(("oops",), LabelSet(0, 1))])
+            MLDataset(schema, [["oops"]], [[False]])
 
     def test_missing_allowed(self):
         schema = Schema((Attribute("a"), Attribute("c", ("x", "y"))), ("L0",))
-        d = MLDataset(schema, [((None, None), LabelSet(1, 1))])
+        d = MLDataset(schema, [[np.nan, np.nan]], [[True]])
         assert d.features[0] == (None, None)
         assert np.isnan(d.X).all() and d.Y.tolist() == [[True]]
 
@@ -176,7 +133,7 @@ class TestDatasetValidation:
             Schema((Attribute("a"),), ("a",))
 
     def test_immutable(self):
-        d = tiny_dataset([ls([0], 1)], 1)
+        d = tiny_dataset([[0]], 1)
         for name in ("X", "Y", "schema"):
             with pytest.raises(AttributeError):
                 setattr(d, name, None)
@@ -186,21 +143,17 @@ class TestDatasetValidation:
 
 class TestFeatureMatrix:
     def test_matrix_matches_rows(self):
-        schema, rows = random_rows(8, n=25, n_num=2, n_nom=2,
+        schema, X, Y = random_rows(8, n=25, n_num=2, n_nom=2,
                                    missing_rate=0.2)
-        d = MLDataset(schema, rows)
+        d = MLDataset(schema, X, Y)
+        assert d.X is X and d.Y is Y  # C-ordered: kept, not copied
         assert d.X.shape == (25, 4) and d.X.dtype == np.float64
-        assert d.X.flags.c_contiguous
         assert d.Y.shape == (25, 3) and d.Y.dtype == np.bool_
-        for i, (fv, ls) in enumerate(rows):
-            for j, v in enumerate(fv):
-                if v is None:
-                    assert math.isnan(d.X[i, j])
-                else:
-                    assert d.X[i, j] == float(v)
-            assert d.Y[i].tolist() == [j in ls for j in range(3)]
-        assert d.features == [tuple(fv) for fv, _ in rows]
-        assert labelsets_of(d.Y) == [ls for _, ls in rows]
+        kinds = (float, float, int, int)
+        assert d.features == [
+            tuple(None if math.isnan(v) else kind(v) for kind, v in zip(kinds, row))
+            for row in X.tolist()]
+        assert isinstance(d.features[0][2], int)
 
     def test_matrix_is_read_only(self):
         d = random_dataset(8, n=5)
@@ -212,7 +165,6 @@ class TestFeatureMatrix:
         idx = [7, 0, 7, 3]
         sub = d.subset(idx)
         assert sub.features == [d.features[i] for i in idx]
-        assert labelsets_of(sub.Y) == [labelsets_of(d.Y)[i] for i in idx]
         assert np.array_equal(sub.X, d.X[idx], equal_nan=True)
         assert np.array_equal(sub.Y, d.Y[idx])
         assert sub.X.flags.c_contiguous and not sub.X.flags.writeable
@@ -221,4 +173,7 @@ class TestFeatureMatrix:
 
     def test_empty_dataset_matrix_has_schema_width(self):
         schema = Schema((Attribute("a"), Attribute("b")), ("L0",))
-        assert MLDataset(schema, []).X.shape == (0, 2)
+        no_labels = np.zeros((0, 1), bool)
+        assert MLDataset(schema, np.zeros((0, 2)), no_labels).X.shape == (0, 2)
+        with pytest.raises(ValueError):
+            MLDataset(schema, np.zeros((0, 3)), no_labels)

@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or defines a
+private module-level name that nothing in the module reads.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
-with the standard ``ast`` module.  The package ``__init__`` is exempt: its
-imports are the public re-exports.
+with the standard ``ast`` module.  The package ``__init__`` is exempt from
+the import check: its imports are the public re-exports.
 """
 
 import ast
@@ -33,6 +34,30 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Functions, classes and constants bound at module level under a
+    private name (one leading underscore) that no expression of the module
+    reads.  Tests may still reach such a name; the module must use it."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items()
+            if name not in read]
+
+
 def test_every_module_is_checked():
     assert {"cli.py", "core.py", "learners.py", "transforms.py"} <= set(MODULES)
 
@@ -41,6 +66,20 @@ def test_every_module_is_checked():
 def test_no_unused_imports(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_private_names(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert unused_private_names(source) == []
+
+
+def test_checker_finds_an_unused_private_name():
+    source = ("_USED = 1\n_STRAY = {float}\n_a, _b = 2, 3\n__dunder__ = 4\n"
+              "def _helper(): return _USED + _a\nclass _Gone: pass\n"
+              "def public(): _Gone = 5\n")
+    assert unused_private_names(source) == [
+        "line 2: _STRAY", "line 3: _b", "line 5: _helper", "line 6: _Gone"]
 
 
 def test_checker_finds_an_unused_import():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mullab import learners
-from mullab.core import Attribute, labelsets_of
+from mullab.core import Attribute
 from mullab.rng import Xoshiro256
 from mullab.learners import (
     KnnSpec,
@@ -19,7 +19,7 @@ from mullab.learners import (
 
 from oracles import (best_split_bf, best_split_c45_bf, knn_counts_bf,
                      naive_bayes_posterior_bf)
-from synth import random_dataset
+from synth import bits, random_dataset
 
 NUM2 = (Attribute("a"), Attribute("b"))
 
@@ -52,23 +52,23 @@ def test_distributions_sum_to_one_on_random_data(spec):
     for seed in range(3):
         d = random_dataset(seed, n=25, n_labels=2, n_num=2, n_nom=1,
                            missing_rate=0.1)
-        y = [ls.bits % 3 for ls in labelsets_of(d.Y)]
+        y = [b % 3 for b in bits(d.Y)]
         if len(set(y)) < 3:
             continue
-        clf = fit(spec, d.features, y, d.schema.attributes)
+        clf = fit(spec, d.X, y, d.schema.attributes)
         probe = random_dataset(seed + 50, n=10, n_labels=2, n_num=2, n_nom=1,
                                missing_rate=0.2)
-        for dist in clf.predict_dist_many(probe.features):
+        for dist in clf.predict_dist_many(probe.X):
             assert_valid_dist(dist)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_fit_is_deterministic(spec):
     d = random_dataset(11, n=30, n_labels=2, n_num=3, n_nom=0)
-    y = [ls.bits % 2 for ls in labelsets_of(d.Y)]
-    probe = random_dataset(12, n=8, n_labels=2, n_num=3, n_nom=0).features
-    a = fit(spec, d.features, y, d.schema.attributes).predict_dist_many(probe)
-    b = fit(spec, d.features, y, d.schema.attributes).predict_dist_many(probe)
+    y = [b % 2 for b in bits(d.Y)]
+    probe = random_dataset(12, n=8, n_labels=2, n_num=3, n_nom=0).X
+    a = fit(spec, d.X, y, d.schema.attributes).predict_dist_many(probe)
+    b = fit(spec, d.X, y, d.schema.attributes).predict_dist_many(probe)
     assert np.array_equal(a, b)
 
 
@@ -102,10 +102,10 @@ class TestKnn:
 
     def test_k_equals_n_returns_prior(self):
         d = random_dataset(3, n=20, n_labels=2, n_num=2, n_nom=1)
-        y = [ls.bits % 2 for ls in labelsets_of(d.Y)]
-        clf = fit(KnnSpec(k=20), d.features, y, d.schema.attributes)
+        y = [b % 2 for b in bits(d.Y)]
+        clf = fit(KnnSpec(k=20), d.X, y, d.schema.attributes)
         prior = [y.count(0) / 20, y.count(1) / 20]
-        for dist in clf.predict_dist_many(d.features[:5]):
+        for dist in clf.predict_dist_many(d.X[:5]):
             assert dist.tolist() == pytest.approx(prior)
 
     def test_k_larger_than_n_capped(self):
@@ -170,7 +170,7 @@ class TestNaiveBayes:
                            missing_rate=0.1)
         probe = random_dataset(13, n=40, n_labels=3, n_num=4, n_nom=1,
                                missing_rate=0.1)
-        y = [ls.bits for ls in labelsets_of(d.Y)]
+        y = bits(d.Y)
         clf = fit(NaiveBayesSpec(), d.X, y, d.schema.attributes)
         assert clf.n_classes == 8
         monkeypatch.setattr(learners, "_NB_BLOCK_ELEMS", 1 << 40)
@@ -319,12 +319,12 @@ class TestTree:
 
     def test_full_random_subset_equals_plain_tree(self):
         d = random_dataset(21, n=40, n_labels=2, n_num=4, n_nom=1)
-        y = [ls.bits % 2 for ls in labelsets_of(d.Y)]
-        plain = fit(TreeSpec(criterion="info_gain"), d.features, y,
+        y = [b % 2 for b in bits(d.Y)]
+        plain = fit(TreeSpec(criterion="info_gain"), d.X, y,
                     d.schema.attributes)
         randomized = fit(
             TreeSpec(criterion="info_gain", random_subset_size=5, seed=123),
-            d.features, y, d.schema.attributes,
+            d.X, y, d.schema.attributes,
         )
         assert plain.root.structure() == randomized.root.structure()
 
@@ -469,7 +469,7 @@ class TestEncoding:
                            missing_rate=0.15)
         probe = random_dataset(5, n=12, n_labels=2, n_num=3, n_nom=2,
                                missing_rate=0.3)
-        y = [ls.bits for ls in labelsets_of(d.Y)]
+        y = bits(d.Y)
         attrs = d.schema.attributes
         from_rows = fit(spec, d.features, y, attrs).predict_dist_many(probe.features)
         from_matrix = fit(spec, d.X, y, attrs).predict_dist_many(probe.X)
@@ -477,7 +477,7 @@ class TestEncoding:
 
     def test_matrix_is_not_copied(self):
         d = random_dataset(6, n=20, n_labels=2, n_num=3, n_nom=0)
-        y = [ls.bits % 2 for ls in labelsets_of(d.Y)]
+        y = [b % 2 for b in bits(d.Y)]
         clf = fit(NaiveBayesSpec(), d.X, y, d.schema.attributes)
         assert clf._enc.matrix is d.X
 

@@ -3,175 +3,179 @@ import random
 import numpy as np
 import pytest
 
-from mullab.core import Attribute, LabelSet, MLDataset, Schema, UniverseMismatch
+from mullab.core import Attribute, MLDataset, Schema, UniverseMismatch
 from mullab.metrics import (
     accuracy,
     average_precision,
     evaluate,
     hamming_loss,
     one_error,
-    rank_labels,
+    rank_matrix,
     ranking_loss,
 )
 
 import oracles
+from synth import label_rows
 
 
-def ls(indices, m):
-    return LabelSet.from_indices(indices, m)
+def ranks(*rows):
+    return np.array(rows, dtype=np.intp)
 
 
 class TestAccuracy:
     def test_perfect(self):
-        t = [ls([0], 3), ls([1, 2], 3)]
+        t = label_rows([[0], [1, 2]], 3)
         assert accuracy(t, t) == 1.0
 
     def test_disjoint(self):
-        assert accuracy([ls([0], 3)], [ls([1, 2], 3)]) == 0.0
+        assert accuracy(label_rows([[0]], 3), label_rows([[1, 2]], 3)) == 0.0
 
     def test_partial_overlap(self):
-        assert accuracy([ls([1, 2], 4)], [ls([2, 3], 4)]) == pytest.approx(1 / 3)
+        assert accuracy(label_rows([[1, 2]], 4),
+                        label_rows([[2, 3]], 4)) == pytest.approx(1 / 3)
 
     def test_both_empty_counts_as_match(self):
-        assert accuracy([ls([], 3)], [ls([], 3)]) == 1.0
+        assert accuracy(label_rows([[]], 3), label_rows([[]], 3)) == 1.0
 
     def test_perfect_iff_equal(self):
-        rng = random.Random(0)
+        rng = np.random.default_rng(0)
         for _ in range(100):
-            m = rng.randint(1, 6)
-            t = [LabelSet(rng.randrange(1 << m), m) for _ in range(5)]
-            p = [LabelSet(rng.randrange(1 << m), m) for _ in range(5)]
-            if accuracy(t, p) == 1.0:
-                assert t == p
-            if t == p:
-                assert accuracy(t, p) == 1.0
+            m = int(rng.integers(1, 7))
+            t = rng.random((5, m)) < 0.5
+            p = rng.random((5, m)) < 0.5
+            assert (accuracy(t, p) == 1.0) == np.array_equal(t, p)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            accuracy([ls([0], 2)], [])
+            accuracy(label_rows([[0]], 2), label_rows([], 2))
 
     def test_mixed_truth_universes_rejected(self):
         with pytest.raises(UniverseMismatch):
-            accuracy([ls([0], 2), ls([0], 3)], [ls([0], 2), ls([0], 3)])
+            accuracy(label_rows([[0], [0]], 2), label_rows([[0], [0]], 3))
+
+
+def test_non_bool_and_non_matrix_inputs_rejected():
+    t = label_rows([[0]], 2)
+    with pytest.raises(ValueError, match="truths must be bool and predictions bool"):
+        accuracy(t, np.array([[0.9, 0.1]]))
+    with pytest.raises(ValueError, match="truths must be bool"):
+        hamming_loss(t.astype(int), t)
+    with pytest.raises(ValueError, match="rankings integer"):
+        one_error(t, np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="n x M matrices"):
+        accuracy(t[0], t[0])
 
 
 class TestHammingLoss:
     def test_perfect(self):
-        t = [ls([0, 1], 3)]
+        t = label_rows([[0, 1]], 3)
         assert hamming_loss(t, t) == 0.0
 
     def test_complement_is_worst(self):
-        t = [ls([0], 3), ls([1, 2], 3)]
-        p = [s.complement() for s in t]
-        assert hamming_loss(t, p) == 1.0
+        t = label_rows([[0], [1, 2]], 3)
+        assert hamming_loss(t, ~t) == 1.0
 
     def test_two_instances(self):
-        t = [ls([0], 3), ls([1], 3)]
-        p = [ls([0, 1], 3), ls([1, 2], 3)]  # one disagreement each
+        t = label_rows([[0], [1]], 3)
+        p = label_rows([[0, 1], [1, 2]], 3)  # one disagreement each
         assert hamming_loss(t, p) == pytest.approx(1 / 3)
 
     def test_symmetry(self):
-        rng = random.Random(1)
+        rng = np.random.default_rng(1)
         for _ in range(50):
-            m = rng.randint(1, 7)
-            t = [LabelSet(rng.randrange(1 << m), m) for _ in range(4)]
-            p = [LabelSet(rng.randrange(1 << m), m) for _ in range(4)]
+            m = int(rng.integers(1, 8))
+            t = rng.random((4, m)) < 0.5
+            p = rng.random((4, m)) < 0.5
             assert hamming_loss(t, p) == hamming_loss(p, t)
 
 
 class TestOneError:
     def test_always_hit(self):
-        t = [ls([0], 3), ls([1], 3)]
-        r = [(1, 2, 3), (2, 1, 3)]
-        assert one_error(t, r) == 0.0
+        t = label_rows([[0], [1]], 3)
+        assert one_error(t, ranks((1, 2, 3), (2, 1, 3))) == 0.0
 
     def test_always_miss(self):
-        t = [ls([1], 3), ls([2], 3)]
-        r = [(1, 2, 3), (1, 2, 3)]
-        assert one_error(t, r) == 1.0
+        t = label_rows([[1], [2]], 3)
+        assert one_error(t, ranks((1, 2, 3), (1, 2, 3))) == 1.0
 
     def test_quarter_miss(self):
-        t = [ls([0], 2)] * 3 + [ls([1], 2)]
-        r = [(1, 2)] * 4
-        assert one_error(t, r) == 0.25
+        t = label_rows([[0]] * 3 + [[1]], 2)
+        assert one_error(t, ranks(*[(1, 2)] * 4)) == 0.25
 
     def test_empty_truth_counts_as_miss(self):
-        assert one_error([ls([], 2)], [(1, 2)]) == 1.0
+        assert one_error(label_rows([[]], 2), ranks((1, 2))) == 1.0
 
     def test_full_truth_never_misses(self):
-        assert one_error([ls([0, 1], 2)], [(2, 1)]) == 0.0
+        assert one_error(label_rows([[0, 1]], 2), ranks((2, 1))) == 0.0
 
     def test_malformed_permutation(self):
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not a permutation"):
+            one_error(label_rows([[0]], 2), ranks((1, 1)))
         with pytest.raises(ValueError):
-            one_error([ls([0], 2)], [(1, 1)])
-        with pytest.raises(ValueError):
-            one_error([ls([0], 2)], [(0, 1)])
+            one_error(label_rows([[0]], 2), ranks((0, 1)))
 
 
 class TestRankingLoss:
     def test_perfect_ranking(self):
-        t = [ls([0, 1], 4)]
-        r = [(1, 2, 3, 4)]
-        assert ranking_loss(t, r) == 0.0
+        assert ranking_loss(label_rows([[0, 1]], 4), ranks((1, 2, 3, 4))) == 0.0
 
     def test_reversed_ranking(self):
-        t = [ls([2, 3], 4)]
-        r = [(1, 2, 3, 4)]
-        assert ranking_loss(t, r) == 1.0
+        assert ranking_loss(label_rows([[2, 3]], 4), ranks((1, 2, 3, 4))) == 1.0
 
     def test_single_misordered_pair(self):
         # relevant label 0 at rank 2 of 3: one bad pair out of two
-        t = [ls([0], 3)]
-        r = [(2, 1, 3)]
-        assert ranking_loss(t, r) == 0.5
+        assert ranking_loss(label_rows([[0]], 3), ranks((2, 1, 3))) == 0.5
 
     def test_empty_and_full_skipped(self):
-        t = [ls([], 3), ls([0, 1, 2], 3), ls([0], 3)]
-        r = [(1, 2, 3)] * 3
+        t = label_rows([[], [0, 1, 2], [0]], 3)
+        r = ranks(*[(1, 2, 3)] * 3)
         assert ranking_loss(t, r) == 0.0  # only the third instance counts
 
     def test_all_skipped_raises(self):
         with pytest.raises(ValueError, match="undefined"):
-            ranking_loss([ls([], 2), ls([0, 1], 2)], [(1, 2), (1, 2)])
+            ranking_loss(label_rows([[], [0, 1]], 2), ranks((1, 2), (1, 2)))
 
 
 class TestAveragePrecision:
     def test_top_ranked_relevant(self):
-        t = [ls([0, 1], 4)]
-        r = [(1, 2, 3, 4)]
-        assert average_precision(t, r) == 1.0
+        t = label_rows([[0, 1]], 4)
+        assert average_precision(t, ranks((1, 2, 3, 4))) == 1.0
 
     def test_single_relevant_at_rank_two(self):
-        t = [ls([1], 3)]
-        r = [(1, 2, 3)]
-        assert average_precision(t, r) == 0.5
+        assert average_precision(label_rows([[1]], 3), ranks((1, 2, 3))) == 0.5
 
     def test_relevant_at_ranks_one_and_three(self):
-        t = [ls([0, 2], 3)]
-        r = [(1, 2, 3)]
-        assert average_precision(t, r) == pytest.approx(5 / 6)
+        t = label_rows([[0, 2]], 3)
+        assert average_precision(t, ranks((1, 2, 3))) == pytest.approx(5 / 6)
 
     def test_empty_skipped(self):
-        t = [ls([], 3), ls([0], 3)]
-        r = [(1, 2, 3)] * 2
-        assert average_precision(t, r) == 1.0
+        t = label_rows([[], [0]], 3)
+        assert average_precision(t, ranks((1, 2, 3), (1, 2, 3))) == 1.0
 
     def test_all_skipped_raises(self):
         with pytest.raises(ValueError, match="undefined"):
-            average_precision([ls([], 3)], [(1, 2, 3)])
+            average_precision(label_rows([[]], 3), ranks((1, 2, 3)))
 
 
 def random_case(rng):
     m = rng.randint(1, 8)
     n = rng.randint(1, 20)
-    truths = [LabelSet(rng.randrange(1 << m), m) for _ in range(n)]
-    preds = [LabelSet(rng.randrange(1 << m), m) for _ in range(n)]
+    truths = [rng.randrange(1 << m) for _ in range(n)]
+    preds = [rng.randrange(1 << m) for _ in range(n)]
     rankings = []
     for _ in range(n):
         perm = list(range(1, m + 1))
         rng.shuffle(perm)
         rankings.append(tuple(perm))
-    return m, truths, preds, rankings
+
+    def matrix(codes):  # bit j of a code is label j
+        return (np.array(codes)[:, None] >> np.arange(m) & 1).astype(bool)
+
+    return m, matrix(truths), matrix(preds), np.array(rankings)
+
+
+def index_sets(Y):
+    return [set(np.flatnonzero(row).tolist()) for row in Y]
 
 
 def run_oracle_equivalence(n_cases, seed=20240501, tol=1e-12):
@@ -181,8 +185,7 @@ def run_oracle_equivalence(n_cases, seed=20240501, tol=1e-12):
     compared = 0
     for _ in range(n_cases):
         m, truths, preds, rankings = random_case(rng)
-        t_sets = [set(t.indices()) for t in truths]
-        p_sets = [set(p.indices()) for p in preds]
+        t_sets, p_sets = index_sets(truths), index_sets(preds)
         assert abs(
             accuracy(truths, preds) - oracles.accuracy_bf(t_sets, p_sets)
         ) <= tol
@@ -227,8 +230,8 @@ def test_metrics_bounded_and_permutation_invariant():
             assert 0.0 <= v <= 1.0
         order = list(range(len(truths)))
         rng.shuffle(order)
-        assert accuracy([truths[i] for i in order], [preds[i] for i in order]) == pytest.approx(accuracy(truths, preds))
-        assert one_error([truths[i] for i in order], [rankings[i] for i in order]) == pytest.approx(one_error(truths, rankings))
+        assert accuracy(truths[order], preds[order]) == pytest.approx(accuracy(truths, preds))
+        assert one_error(truths[order], rankings[order]) == pytest.approx(one_error(truths, rankings))
 
 
 def test_ranking_metrics_depend_only_on_induced_order():
@@ -236,7 +239,8 @@ def test_ranking_metrics_depend_only_on_induced_order():
     for _ in range(25):
         scores = rng.random(6)
         squeezed = 0.25 * scores + 0.5  # order-preserving, ties preserved
-        assert rank_labels(scores) == rank_labels(squeezed)
+        assert np.array_equal(rank_matrix(scores[None]),
+                              rank_matrix(squeezed[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +249,8 @@ def test_ranking_metrics_depend_only_on_induced_order():
 
 def eval_fixture(labelsets, m):
     schema = Schema((Attribute("x"),), tuple(f"L{j}" for j in range(m)))
-    rows = [((float(i),), s) for i, s in enumerate(labelsets)]
-    return MLDataset(schema, rows)
+    x = np.arange(len(labelsets), dtype=float)[:, None]
+    return MLDataset(schema, x, label_rows(labelsets, m))
 
 
 class _MatrixModel:
@@ -260,7 +264,7 @@ class _MatrixModel:
 
 class TestEvaluate:
     def test_oracle_model_is_perfect(self):
-        truths = [ls([0], 3), ls([1, 2], 3), ls([0, 2], 3)]
+        truths = [[0], [1, 2], [0, 2]]
         test = eval_fixture(truths, 3)
         scores = [[1.0 if j in t else 0.0 for j in range(3)] for t in truths]
         rep = evaluate(_MatrixModel(scores), test, t=0.5)
@@ -270,7 +274,7 @@ class TestEvaluate:
         assert rep.n_evaluated == 3
 
     def test_constant_half_model_hand_values(self):
-        truths = [ls([0], 3), ls([1, 2], 3)]
+        truths = [[0], [1, 2]]
         test = eval_fixture(truths, 3)
         rep = evaluate(_MatrixModel([[0.5] * 3] * 2), test, t=0.5)
         # 0.5 >= t, so the bipartition is the full set; ranks are 1,2,3
@@ -282,14 +286,14 @@ class TestEvaluate:
         assert rep.n_skipped_ranking == 0
 
     def test_skip_counting(self):
-        truths = [ls([], 3), ls([0, 1, 2], 3), ls([0], 3)]
+        truths = [[], [0, 1, 2], [0]]
         test = eval_fixture(truths, 3)
         rep = evaluate(_MatrixModel([[0.9, 0.4, 0.1]] * 3), test)
         assert rep.n_skipped_ranking == 2
         assert rep.n_evaluated == 3
 
     def test_universe_mismatch(self):
-        test = eval_fixture([ls([0], 2)], 2)
+        test = eval_fixture([[0]], 2)
         with pytest.raises(UniverseMismatch):
             evaluate(_MatrixModel([[0.5, 0.5, 0.5]]), test)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mullab import learners
-from mullab.core import Attribute, LabelSet, MLDataset, Schema, labelsets_of
+from mullab.core import Attribute, MLDataset, Schema
 from mullab.learners import KnnSpec, NaiveBayesSpec, TreeSpec
 from mullab.transforms import (
     LabelPowersetModel,
@@ -20,7 +20,7 @@ from mullab.transforms import (
 )
 
 from oracles import naive_bayes_posterior_bf
-from synth import correlated_dataset, random_dataset
+from synth import bits, correlated_dataset, label_rows, random_dataset
 
 
 def make_dataset(features, labelsets, m, nominal=None):
@@ -29,8 +29,8 @@ def make_dataset(features, labelsets, m, nominal=None):
         Attribute(f"a{j}", nominal.get(j) if nominal else None) for j in range(d)
     )
     schema = Schema(attrs, tuple(f"L{j}" for j in range(m)))
-    rows = [(fv, LabelSet.from_indices(idx, m)) for fv, idx in zip(features, labelsets)]
-    return MLDataset(schema, rows)
+    return MLDataset(schema, np.array(features, dtype=float),
+                     label_rows(labelsets, m))
 
 
 BR_FIXTURE = make_dataset(
@@ -54,36 +54,28 @@ class TestBinaryRelevance:
 
     def test_scores_match_hand_naive_bayes(self):
         model = br_fit(BR_FIXTURE, NaiveBayesSpec(variance_floor=1e-6))
-        for x, scores in zip(BR_FIXTURE.features,
-                             model.predict_scores_many(BR_FIXTURE.X)):
+        rows = BR_FIXTURE.X.tolist()
+        for x, scores in zip(rows, model.predict_scores_many(BR_FIXTURE.X)):
             for j in range(2):
-                y = [1 if j in ls else 0 for ls in labelsets_of(BR_FIXTURE.Y)]
-                expected = naive_bayes_posterior_bf(
-                    BR_FIXTURE.features, y, x, 1e-6
-                )
+                y = BR_FIXTURE.Y[:, j].astype(int).tolist()
+                expected = naive_bayes_posterior_bf(rows, y, x, 1e-6)
                 assert scores[j] == pytest.approx(expected.get(1, 0.0), abs=1e-9)
 
     def test_label_independence_under_other_label_permutation(self):
-        feats = BR_FIXTURE.features
-        base = [ls.indices() for ls in labelsets_of(BR_FIXTURE.Y)]
         # flip label 1 everywhere; label 0 must be unaffected
-        flipped = [
-            tuple(sorted(set(idx) ^ {1})) for idx in base
-        ]
-        d2 = make_dataset(feats, flipped, 2)
+        flipped = BR_FIXTURE.Y ^ [False, True]
+        d2 = MLDataset(BR_FIXTURE.schema, BR_FIXTURE.X, flipped)
         a = br_fit(BR_FIXTURE, NaiveBayesSpec())
         b = br_fit(d2, NaiveBayesSpec())
-        probe = [(0.3, 0.4), (-1.0, 1.0)]
+        probe = np.array([(0.3, 0.4), (-1.0, 1.0)])
         assert np.array_equal(a.predict_scores_many(probe)[:, 0],
                               b.predict_scores_many(probe)[:, 0])
 
     def test_label_restricted_training_gives_same_scores(self):
         # dropping the other label's column entirely changes nothing
-        only_label0 = make_dataset(
-            BR_FIXTURE.features,
-            [[0] if 0 in ls else [] for ls in labelsets_of(BR_FIXTURE.Y)],
-            1,
-        )
+        only_label0 = MLDataset(
+            Schema(BR_FIXTURE.schema.attributes, ("L0",)), BR_FIXTURE.X,
+            BR_FIXTURE.Y[:, :1])
         full = br_fit(BR_FIXTURE, NaiveBayesSpec())
         restricted = br_fit(only_label0, NaiveBayesSpec())
         assert np.array_equal(full.predict_scores_many(BR_FIXTURE.X)[:, 0],
@@ -96,7 +88,7 @@ class TestBinaryRelevance:
                            missing_rate=0.1)
         Y = d.Y.copy()
         Y[:, 1], Y[:, 2] = True, False
-        train = MLDataset.from_arrays(d.schema, d.X, Y)
+        train = MLDataset(d.schema, d.X, Y)
         probe = random_dataset(9, n=15, n_labels=4, n_num=3, n_nom=1,
                                missing_rate=0.2).X
         spec = learners.preset(learner)
@@ -114,8 +106,7 @@ class TestBinaryRelevance:
         assert (scores[:, 1] == 1.0).all() and (scores[:, 2] == 0.0).all()
 
     def test_zero_rows_raise_like_label_powerset(self):
-        empty = MLDataset.from_arrays(BR_FIXTURE.schema, BR_FIXTURE.X[:0],
-                                      BR_FIXTURE.Y[:0])
+        empty = MLDataset(BR_FIXTURE.schema, BR_FIXTURE.X[:0], BR_FIXTURE.Y[:0])
         with pytest.raises(ValueError) as lp_error:
             lp_fit(empty, NaiveBayesSpec())
         with pytest.raises(ValueError) as br_error:
@@ -127,7 +118,7 @@ class TestBinaryRelevance:
             [(0.0,), (1.0,)], [[0], [0]], 2
         )
         model = br_fit(d, KnnSpec(k=1))
-        scores = model.predict_scores_many([(0.5,), (-3.0,)])
+        scores = model.predict_scores_many(np.array([(0.5,), (-3.0,)]))
         assert (scores[:, 0] == 1.0).all()  # always present
         assert (scores[:, 1] == 0.0).all()  # never present
 
@@ -145,16 +136,16 @@ class TestLabelPowerset:
         model = lp_fit(LP_FIXTURE, spec)
         # rebuild the multiclass problem independently: classes sorted by
         # ascending labelset bit pattern
-        distinct = sorted({ls.bits for ls in labelsets_of(LP_FIXTURE.Y)})
-        class_of = {bits: c for c, bits in enumerate(distinct)}
-        y = [class_of[ls.bits] for ls in labelsets_of(LP_FIXTURE.Y)]
+        distinct = sorted(set(bits(LP_FIXTURE.Y)))
+        class_of = {code: c for c, code in enumerate(distinct)}
+        y = [class_of[code] for code in bits(LP_FIXTURE.Y)]
         clf = learners.fit(spec, LP_FIXTURE.X, y,
                            LP_FIXTURE.schema.attributes)
-        probe = [(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5)]
+        probe = np.array([(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5)])
         for dist, scores in zip(clf.predict_dist_many(probe),
                                 model.predict_scores_many(probe)):
             expected = [
-                sum(p for bits, p in zip(distinct, dist) if bits >> j & 1)
+                sum(p for code, p in zip(distinct, dist) if code >> j & 1)
                 for j in range(3)
             ]
             assert scores == pytest.approx(expected, abs=1e-12)
@@ -175,29 +166,28 @@ class TestLabelPowerset:
         for seed in range(4):
             d = random_dataset(seed, n=30, n_labels=4, n_num=2, n_nom=1)
             model = lp_fit(d, KnnSpec(k=3))
-            training = {ls.bits for ls in labelsets_of(d.Y)}
+            training = set(bits(d.Y))
             probe = random_dataset(seed + 100, n=12, n_labels=4, n_num=2, n_nom=1)
             best = np.argmax(model._clf.predict_dist_many(probe.X), axis=1)
-            for ls in labelsets_of(model.classes[best]):
-                assert ls.bits in training
+            assert set(bits(model.classes[best])) <= training
 
     def test_single_distinct_labelset(self):
         d = make_dataset([(0.0,), (1.0,)], [[0, 1], [0, 1]], 2)
         model = lp_fit(d, NaiveBayesSpec())
-        assert model.predict_scores_many([(0.5,)]).tolist() == [[1.0, 1.0]]
+        assert model.predict_scores_many(np.array([(0.5,)])).tolist() == [[1.0, 1.0]]
 
 
 class TestRakel:
     def test_m1_k_full_equals_lp(self):
         lp = lp_fit(LP_FIXTURE, NaiveBayesSpec())
         rk = rakel_fit(LP_FIXTURE, NaiveBayesSpec(), m=1, k=3, seed=42)
-        probe = [(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5), (0.0, 0.0)]
+        probe = np.array([(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5), (0.0, 0.0)])
         assert np.abs(rk.predict_scores_many(probe)
                       - lp.predict_scores_many(probe)).max() <= 1e-12
 
     def test_scores_are_mean_of_member_votes(self):
         model = rakel_fit(LP_FIXTURE, KnnSpec(k=2), m=3, k=2, seed=7)
-        probe = [(-2.0, 0.1), (0.1, 2.2)]
+        probe = np.array([(-2.0, 0.1), (0.1, 2.2)])
         sums = np.zeros((2, 3))
         cover = np.zeros(3)
         for labels, member in model.members:
@@ -254,7 +244,7 @@ class TestRakel:
     def test_deterministic_for_seed(self):
         a = rakel_fit(LP_FIXTURE, KnnSpec(k=2), m=4, k=2, seed=5)
         b = rakel_fit(LP_FIXTURE, KnnSpec(k=2), m=4, k=2, seed=5)
-        x = [(0.2, 0.3)]
+        x = np.array([(0.2, 0.3)])
         assert a.predict_scores_many(x).tolist() == b.predict_scores_many(x).tolist()
         assert [s for s, _ in a.members] == [s for s, _ in b.members]
 
@@ -270,7 +260,7 @@ class TestPrunedSets:
     def test_p0_identical_to_lp(self):
         lp = lp_fit(PS_FIXTURE, NaiveBayesSpec())
         ps = ps_fit(PS_FIXTURE, NaiveBayesSpec(), PruneSpec(p=0, b=2))
-        probe = [(-2.0,), (0.05,), (1.8,)]
+        probe = np.array([(-2.0,), (0.05,), (1.8,)])
         assert np.abs(ps.predict_scores_many(probe)
                       - lp.predict_scores_many(probe)).max() <= 1e-12
         assert ps.n_pruned == 0 and ps.n_reintroduced == 0
@@ -294,11 +284,11 @@ class TestPrunedSets:
 
     def test_argmax_stays_in_rewritten_universe(self):
         ps = ps_fit(PS_FIXTURE, KnnSpec(k=2), PruneSpec(p=2, b=2))
-        universe = {ls.bits for ls in labelsets_of(ps.lp.classes)}
+        universe = set(bits(ps.lp.classes))
         assert universe == {1, 2}
-        dist = ps.lp._clf.predict_dist_many([(-3.0,), (0.0,), (3.0,)])
+        dist = ps.lp._clf.predict_dist_many(np.array([(-3.0,), (0.0,), (3.0,)]))
         best = ps.lp.classes[np.argmax(dist, axis=1)]
-        assert {ls.bits for ls in labelsets_of(best)} <= universe
+        assert set(bits(best)) <= universe
 
     def test_prune_spec_validation(self):
         with pytest.raises(ValueError):
@@ -322,7 +312,7 @@ class TestWideLabelUniverse:
         Y[:, self.WIDE] = narrow.Y
         schema = Schema(narrow.schema.attributes,
                         tuple(f"W{j}" for j in range(70)))
-        return narrow, MLDataset.from_arrays(schema, narrow.X, Y), test
+        return narrow, MLDataset(schema, narrow.X, Y), test
 
     @pytest.mark.parametrize("fit", [
         lambda d: lp_fit(d, NaiveBayesSpec()),
@@ -331,12 +321,12 @@ class TestWideLabelUniverse:
     def test_matches_six_label_run(self, fit):
         narrow, wide, test = self._narrow_and_wide()
         a, b = fit(narrow), fit(wide)
-        a_classes = labelsets_of(getattr(a, "lp", a).classes)
-        b_classes = labelsets_of(getattr(b, "lp", b).classes)
-        bits = [ls.bits for ls in b_classes]
-        assert bits == sorted(bits) and bits[-1] >= 1 << 64
-        assert [ls.indices() for ls in b_classes] == [
-            tuple(self.WIDE[j] for j in ls.indices()) for ls in a_classes]
+        a_classes = getattr(a, "lp", a).classes
+        b_classes = getattr(b, "lp", b).classes
+        codes = bits(b_classes)
+        assert codes == sorted(codes) and codes[-1] >= 1 << 64
+        assert np.array_equal(b_classes[:, self.WIDE], a_classes)
+        assert not np.delete(b_classes, self.WIDE, axis=1).any()
         sa, sb = a.predict_scores_many(test.X), b.predict_scores_many(test.X)
         assert np.array_equal(sb[:, self.WIDE], sa)
         assert not np.delete(sb, self.WIDE, axis=1).any()
@@ -354,7 +344,7 @@ def test_scores_stay_in_unit_interval(builder):
         model = builder(d)
         probe = random_dataset(seed + 40, n=10, n_labels=3, n_num=2, n_nom=1,
                                missing_rate=0.15)
-        scores = model.predict_scores_many(probe.features)
+        scores = model.predict_scores_many(probe.X)
         assert scores.shape == (10, 3)
         assert (scores >= 0.0).all() and (scores <= 1.0).all()
 

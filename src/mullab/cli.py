@@ -160,6 +160,11 @@ def _merge_flags(args) -> dict:
     if cfg["format"] not in _FORMATS:
         raise UsageError(f"'format' must be one of {', '.join(_FORMATS)}, "
                          f"not {cfg['format']!r}")
+    out = cfg.get("out")
+    if out and os.path.isdir(out):
+        raise UsageError(f"cannot write report {out}: it is a directory")
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise UsageError(f"cannot write report {out}: no such directory")
     _data_specs(cfg)
     return cfg
 
@@ -396,7 +401,7 @@ def _build_model(spec, train: MLDataset, seed: int, workers: int):
     if isinstance(spec, EnsembleSpec):
         return ensemble_fit(train, spec, workers=workers)
     model = fit_member(train, spec, seed)
-    if getattr(model, "uncovered", ()):
+    if model.uncovered:
         names = [train.schema.label_names[j] for j in model.uncovered]
         log.warning("rakel members cover no subset containing %s; "
                     "those labels score a neutral 0.5", names)

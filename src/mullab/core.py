@@ -87,15 +87,17 @@ class MLDataset:
     __slots__ = ("schema", "X", "Y")
 
     def __init__(self, schema: Schema, X: np.ndarray, Y: np.ndarray):
-        """Wrap matrices laid out as described above; only their shapes
-        are checked.  A C-ordered matrix of the right dtype is kept, not
-        copied, and becomes read-only."""
+        """Wrap matrices laid out as described above; their shapes and
+        nominal cells are checked (``check_category_indices``).  A
+        C-ordered matrix of the right dtype is kept, not copied, and
+        becomes read-only."""
         X = np.ascontiguousarray(X, dtype=float)
         Y = np.ascontiguousarray(Y, dtype=bool)
         n = len(X)
         if (X.shape, Y.shape) != ((n, schema.n_attributes), (n, schema.n_labels)):
             raise ValueError(f"matrices of shape {X.shape} and {Y.shape} do "
                              f"not fit the schema")
+        check_category_indices(X, schema.attributes)
         X.flags.writeable = False
         Y.flags.writeable = False
         for name, value in zip(self.__slots__, (schema, X, Y)):

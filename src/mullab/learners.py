@@ -30,7 +30,9 @@ Three families, each consumed by the problem transformations:
   batched per node: all numeric candidates share one stable sort and one
   vectorised pass over every cut that ``min_leaf`` allows, with the same
   float operations (and the same class-axis sums) as a one-attribute-at-a-
-  time search, so it chooses the same splits.
+  time search, so it chooses the same splits.  Growing, pruning and
+  prediction route index arrays of rows through one split test
+  (``_parts``); a row whose category grew no child stops at its node.
 
 Input: ``fit`` and ``predict_dist_many`` take an n x d float matrix such as
 ``MLDataset.X`` (NaN marks a missing cell), which is built once per dataset;
@@ -408,6 +410,19 @@ def _class_entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
+def _parts(node: _Node, x: np.ndarray, idx: np.ndarray) -> list:
+    """Rows ``idx`` of ``x`` split by ``node``'s test: ``(child, rows)`` per
+    branch, rows in ascending order.  A numeric test gives ``left`` (``<=
+    threshold``) and ``right``; a nominal one gives each category's slot of
+    ``children``, None for a category that grew no child."""
+    col = x[idx, node.attr]
+    if node.threshold is not None:
+        mask = col <= node.threshold
+        return [(node.left, idx[mask]), (node.right, idx[~mask])]
+    cats = col.astype(int)
+    return [(child, idx[cats == v]) for v, child in enumerate(node.children)]
+
+
 class TreeClassifier(Classifier):
     def __init__(self, spec: TreeSpec, enc: _Encoder, y: np.ndarray, n_classes: int):
         self.spec = spec
@@ -427,8 +442,8 @@ class TreeClassifier(Classifier):
             prune_idx = np.array(sorted(perm[:n_prune]))
             grow_idx = np.array(sorted(perm[n_prune:]))
             self.root = self._build(grow_idx, 0)
-            self.prune_error_before = self._routed_error(self.root, prune_idx)
-            self.prune_error_after = self._prune(self.root, prune_idx)
+            self.prune_error_before, self.prune_error_after = self._prune(
+                self.root, prune_idx)
         else:
             self.root = self._build(np.arange(n), 0)
 
@@ -469,20 +484,16 @@ class TreeClassifier(Classifier):
         if pos is None:
             return node
         node.attr = attrs[pos]
-        col = self._x[idx, node.attr]
         if nominal[pos]:
-            cats = col.astype(int)
-            parts = [idx[cats == v]
-                     for v in range(int(self._enc.n_values[node.attr]))]
-            node.children = [
-                self._build(part, depth + 1) if len(part) else None
-                for part in parts
-            ]
+            node.children = [None] * int(self._enc.n_values[node.attr])
         else:
             node.threshold = float(threshold[pos])
-            mask = col <= node.threshold
-            node.left = self._build(idx[mask], depth + 1)
-            node.right = self._build(idx[~mask], depth + 1)
+        kids = [self._build(part, depth + 1) if len(part) else None
+                for _, part in _parts(node, self._x, idx)]
+        if nominal[pos]:
+            node.children = kids
+        else:
+            node.left, node.right = kids
         return node
 
     def _choose(self, gain: np.ndarray, ratio: np.ndarray) -> Optional[int]:
@@ -522,10 +533,10 @@ class TreeClassifier(Classifier):
         cut by gain ratio, the other criteria by gain.  ``c45`` then
         subtracts log2(admissible cuts) / n, the cost of choosing the
         threshold (Quinlan 1996, "Improved use of continuous attributes in
-        C4.5"), from the gain, and computes the split info only at the
-        chosen cut.  All attributes share one stable sort and are evaluated
-        together in batches of at most ``_BATCH_ELEMS`` (attrs x rows x
-        classes) elements.
+        C4.5"), from the gain.  The split info of every cut is computed once
+        and read at the chosen one.  All attributes share one stable sort
+        and are evaluated together in batches of at most ``_BATCH_ELEMS``
+        (attrs x rows x classes) elements.
         """
         n, m = len(idx), self.spec.min_leaf
         vals = self._x[idx][:, attrs]
@@ -536,10 +547,10 @@ class TreeClassifier(Classifier):
         nl = np.arange(m, n - m + 1)
         nr = n - nl
         admissible = sv[:, window] != sv[:, m:n - m + 1]
+        pl, pr = nl / n, nr / n
+        split_info = -(pl * np.log2(pl) + pr * np.log2(pr))  # per cut
         by_ratio = self.spec.criterion == "gain_ratio"
         if by_ratio:
-            pl, pr = nl / n, nr / n
-            split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
             score = np.empty(admissible.shape)
         classes = np.arange(self.n_classes)
         gains = np.empty(admissible.shape)
@@ -574,10 +585,8 @@ class TreeClassifier(Classifier):
             tested = np.maximum(admissible.sum(axis=1), 1)
             gain = gain - np.log2(tested) / n
             gain = np.where(gain > 0.0, gain, -1.0)
-        pl, pr = nl[pos] / n, nr[pos] / n
-        split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
-        ratio = np.where((gain > 0.0) & (split_info > _GAIN_EPS),
-                         gain / split_info, -1.0)
+        info = split_info[pos]
+        ratio = np.where((gain > 0.0) & (info > _GAIN_EPS), gain / info, -1.0)
         return gain, ratio, threshold
 
     def _eval_nominal(self, a: int, idx: np.ndarray, parent_h: float):
@@ -599,78 +608,51 @@ class TreeClassifier(Classifier):
         gain = parent_h - child_h
         if gain <= _GAIN_EPS:
             return -1.0, -1.0
-        p = sizes[nonempty] / n
-        split_info = float(-(p * np.log2(p)).sum())
+        split_info = _entropy(sizes)
         ratio = gain / split_info if split_info > _GAIN_EPS else -1.0
         return float(gain), float(ratio)
 
     # -- reduced-error pruning ----------------------------------------------
 
-    def _split_rows(self, node: _Node, idx: np.ndarray):
-        """Partition prune rows along the node's test.
-
-        Nominal categories with no grown child keep their rows 'stuck' at
-        this node, where prediction falls back to the node distribution.
-        """
-        if node.threshold is not None:
-            mask = self._x[idx, node.attr] <= node.threshold
-            return [(node.left, idx[mask]), (node.right, idx[~mask])], idx[:0]
-        cats = self._x[idx, node.attr].astype(int)
-        routed = []
-        stuck = []
-        for v, child in enumerate(node.children):
-            rows = idx[cats == v]
-            if child is None:
-                stuck.append(rows)
-            else:
-                routed.append((child, rows))
-        stuck_idx = np.concatenate(stuck) if stuck else idx[:0]
-        return routed, stuck_idx
-
     def _leaf_error(self, node: _Node, idx: np.ndarray) -> int:
-        if len(idx) == 0:
-            return 0
         majority = int(np.argmax(node.counts))
         return int((self._y[idx] != majority).sum())
 
-    def _routed_error(self, node: _Node, idx: np.ndarray) -> int:
-        if node.attr is None:
-            return self._leaf_error(node, idx)
-        routed, stuck = self._split_rows(node, idx)
-        err = self._leaf_error(node, stuck)
-        for child, rows in routed:
-            err += self._routed_error(child, rows)
-        return err
-
-    def _prune(self, node: _Node, idx: np.ndarray) -> int:
+    def _prune(self, node: _Node, idx: np.ndarray) -> tuple[int, int]:
+        """Collapse, bottom-up, every subtree that misclassifies at least as
+        many of the prune rows ``idx`` as a leaf would; returns the errors
+        on ``idx`` before and after."""
         err_leaf = self._leaf_error(node, idx)
         if node.attr is None:
-            return err_leaf
-        routed, stuck = self._split_rows(node, idx)
-        err_subtree = self._leaf_error(node, stuck)
-        for child, rows in routed:
-            err_subtree += self._prune(child, rows)
-        if err_leaf <= err_subtree:
+            return err_leaf, err_leaf
+        before = after = 0
+        for child, rows in _parts(node, self._x, idx):
+            # rows of a category with no grown child stay at this node: a
+            # leaf with its counts, as in prediction
+            err_before, err_after = self._prune(child or _Node(node.counts),
+                                                rows)
+            before, after = before + err_before, after + err_after
+        if err_leaf <= after:
             node.collapse()
-            return err_leaf
-        return err_subtree
+            return before, err_leaf
+        return before, after
 
     # -- prediction ----------------------------------------------------------
 
     def predict_dist_many(self, rows):
         q = self._enc.transform(rows)
-        out = np.empty((len(rows), self.n_classes))
-        for i in range(len(rows)):
-            node = self.root
-            while node.attr is not None:
-                if node.threshold is not None:
-                    node = node.left if q[i, node.attr] <= node.threshold else node.right
-                else:
-                    child = node.children[int(q[i, node.attr])]
-                    if child is None:
-                        break
-                    node = child
-            out[i] = (node.counts + 1.0) / (node.counts.sum() + self.n_classes)
+        out = np.empty((len(q), self.n_classes))
+        todo = [(self.root, np.arange(len(q)))]
+        while todo:
+            node, idx = todo.pop()
+            if node.attr is None:
+                out[idx] = ((node.counts + 1.0)
+                            / (node.counts.sum() + self.n_classes))
+                continue
+            for child, part in _parts(node, q, idx):
+                if len(part):
+                    # rows of a category with no grown child stop here
+                    todo.append((child or _Node(node.counts), part))
         return out
 
 

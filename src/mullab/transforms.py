@@ -1,21 +1,24 @@
 """Problem-transformation multi-label methods.
 
 Each transform reduces the multi-label task to single-label problems solved
-by the base learners:
+by the base learners.  Every one is a ``RakelModel`` over a list of
+label-powerset members, each a multiclass classifier over the distinct
+training labelsets of its label subset; a member scores each of its labels
+by the summed probabilities of the labelsets containing it, and a label
+scores the mean over the members covering it:
 
-* label powerset: one multiclass classifier over the distinct training
-  labelsets; per-label scores are the summed probabilities of the labelsets
-  containing the label, so the argmax labelset is always one seen in
-  training
-* RAKEL: an ensemble of label-powerset models over random k-subsets of the
-  labels, averaged per label
-* binary relevance: RAKEL over the singleton subsets {0}, {1}, ... in label
-  order.  A one-label powerset has the classes {absent, present} (just one
-  of them when the label is constant in training), so each label scores its
-  present-class probability, and a constant label a constant 1 or 0.  Like
-  label powerset, it raises ``ValueError`` on zero training rows
+* label powerset: one member over every label, so the argmax labelset is
+  always one seen in training
+* RAKEL: members over random k-subsets of the labels
+* binary relevance: members over the singleton subsets {0}, {1}, ... in
+  label order.  A one-label powerset has the classes {absent, present}
+  (just one of them when the label is constant in training), so each label
+  scores its present-class probability, and a constant label a constant 1
+  or 0
 * pruned sets: label powerset after removing rows with rare labelsets and
   reintroducing them under frequent subsets of their labelsets
+
+All four raise ``ValueError`` on zero training rows.
 
 A ``MemberSpec`` names one of the four with its learner and options;
 ``fit_member`` fits it.  Every trained model has one prediction method,
@@ -23,10 +26,10 @@ A ``MemberSpec`` names one of the four with its learner and options;
 the n x M matrix of per-label confidences in [0, 1] out.  Models are
 immutable after fitting.
 
-RAKEL (and so binary relevance) fits every member on one training matrix:
-one encoder (``learners.prepare``) and, with kNN, one shared ``KnnIndex``.
-A predict call runs one neighbour search per query matrix, and each kNN
-member votes on it.  The neighbours live only for that call, so concurrent
+A model fits every member on one training matrix: one encoder
+(``learners.prepare``) and, with kNN, one shared ``KnnIndex``.  A predict
+call runs one neighbour search per query matrix, and each kNN member votes
+on it.  The neighbours live only for that call, so concurrent
 predicts on one model stay safe.
 """
 
@@ -34,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import learners
-from .core import MLDataset, Schema
+from .core import MLDataset
 from .learners import LearnerSpec
 from .rng import Xoshiro256
 
@@ -53,26 +56,6 @@ class MultiLabelModel:
         raise NotImplementedError
 
 
-class LabelPowersetModel(MultiLabelModel):
-    """Multiclass model whose classes (bool rows of ``classes``) are the
-    distinct training labelsets, ordered by ascending bit pattern."""
-
-    def __init__(self, schema: Schema, clf: learners.Classifier,
-                 classes: np.ndarray):
-        self.n_labels = schema.n_labels
-        self._clf = clf
-        self.classes = classes
-        # incidence[c, j] = 1 iff label j belongs to class c's labelset
-        self._incidence = classes.astype(float)
-
-    def predict_scores_many(self, rows):
-        return self.scores(self._clf.predict_dist_many(rows))
-
-    def scores(self, dist: np.ndarray) -> np.ndarray:
-        """Per-label scores from the classifier's class distributions."""
-        return dist @ self._incidence
-
-
 def _distinct_rows(Y: np.ndarray):
     """Distinct rows of ``Y`` in ascending bit order (label 0 least
     significant, for any label count), each row's index into them, counts."""
@@ -84,27 +67,18 @@ def _distinct_rows(Y: np.ndarray):
     return ordered[starts], inverse, np.bincount(inverse)
 
 
-def lp_fit(train: MLDataset, spec: LearnerSpec,
-           shared=None) -> LabelPowersetModel:
-    """``shared`` is ``learners.prepare`` of ``train.X``, when several
-    models are fitted on that one matrix."""
-    if len(train) == 0:
-        raise ValueError("cannot fit label powerset on an empty dataset")
-    classes, y, _ = _distinct_rows(train.Y)
-    clf = learners.fit(spec, train.X, y, train.schema.attributes, shared)
-    return LabelPowersetModel(train.schema, clf, classes)
-
-
 class RakelModel(MultiLabelModel):
-    """Mean of per-label votes from label-powerset members, each trained on
-    a random k-subset of the labels.  Labels covered by no member score a
-    neutral 0.5 and are listed in ``uncovered``."""
+    """Mean of per-label scores from label-powerset members, each a record
+    ``(labels, clf, classes)``: a label subset, its classifier, and the bool
+    rows over ``labels`` that the classes stand for, in ascending bit order.
+    Labels covered by no member score a neutral 0.5 and are listed in
+    ``uncovered``."""
 
-    def __init__(self, schema: Schema, members, uncovered: tuple[int, ...],
-                 shared=None):
-        self.n_labels = schema.n_labels
-        self.members = members  # list of (label_indices, LabelPowersetModel)
-        self.uncovered = uncovered
+    def __init__(self, n_labels: int, members, shared=None):
+        self.n_labels = n_labels
+        self.members = members
+        covered = set().union(*(labels for labels, _, _ in members))
+        self.uncovered = tuple(j for j in range(n_labels) if j not in covered)
         self._shared = shared  # learners.prepare of the training matrix
 
     def predict_scores_many(self, rows):
@@ -112,8 +86,7 @@ class RakelModel(MultiLabelModel):
         sums = np.zeros((n, self.n_labels))
         cover = np.zeros(self.n_labels)
         neighbours = None  # searched at the first kNN member on the index
-        for label_idx, model in self.members:
-            clf = model._clf
+        for labels, clf, classes in self.members:
             if (isinstance(clf, learners.KnnClassifier)
                     and clf.index is self._shared):
                 if neighbours is None:
@@ -121,8 +94,8 @@ class RakelModel(MultiLabelModel):
                 dist = clf.votes(neighbours)
             else:
                 dist = clf.predict_dist_many(rows)
-            cols = list(label_idx)
-            sums[:, cols] += model.scores(dist)
+            cols = list(labels)
+            sums[:, cols] += dist @ classes
             cover[cols] += 1.0
         out = np.full((n, self.n_labels), 0.5)
         covered = cover > 0
@@ -130,10 +103,35 @@ class RakelModel(MultiLabelModel):
         return out
 
 
-def _restrict_to_labels(train: MLDataset, label_idx: Sequence[int]) -> MLDataset:
-    names = tuple(train.schema.label_names[j] for j in label_idx)
-    schema = Schema(train.schema.attributes, names)
-    return MLDataset(schema, train.X, train.Y[:, list(label_idx)])
+def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
+                 **fields):
+    """A ``model_class`` with one label-powerset member per label subset, in
+    order, all fitted on one encoder (and kNN index) of ``train.X``;
+    ``fields`` go to the constructor."""
+    if len(train) == 0:
+        raise ValueError("cannot fit label powerset on an empty dataset")
+    attributes = train.schema.attributes
+    shared = learners.prepare(spec, train.X, attributes)
+    members = []
+    for labels in subsets:
+        classes, y, _ = _distinct_rows(train.Y[:, list(labels)])
+        clf = learners.fit(spec, train.X, y, attributes, shared)
+        members.append((labels, clf, classes))
+    return model_class(train.n_labels, members, shared, **fields)
+
+
+class LabelPowersetModel(RakelModel):
+    """RAKEL with one member over every label: its classes are the
+    distinct training labelsets."""
+
+    # The benchmark tracer hooks each class's own predict_scores_many by
+    # name: inherited, it would go missing; a super() call would nest spans.
+    predict_scores_many = RakelModel.predict_scores_many
+
+
+def lp_fit(train: MLDataset, spec: LearnerSpec) -> LabelPowersetModel:
+    return _fit_members(LabelPowersetModel, train, spec,
+                        [tuple(range(train.n_labels))])
 
 
 def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
@@ -163,23 +161,9 @@ def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
     return _fit_members(RakelModel, train, spec, subsets)
 
 
-def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets):
-    """A ``model_class`` with one label-powerset member per label subset, in
-    order, all fitted on one encoder (and kNN index) of ``train.X``."""
-    shared = (learners.prepare(spec, train.X, train.schema.attributes)
-              if len(train) else None)
-    members = [(subset, lp_fit(_restrict_to_labels(train, subset), spec, shared))
-               for subset in subsets]
-    covered = set().union(*subsets)
-    uncovered = tuple(j for j in range(train.n_labels) if j not in covered)
-    return model_class(train.schema, members, uncovered, shared)
-
-
 class BinaryRelevanceModel(RakelModel):
     """RAKEL whose member j is label j's one-label powerset."""
 
-    # The benchmark tracer hooks each class's own predict_scores_many by
-    # name: inherited, it would go missing; aliased, spans would nest.
     predict_scores_many = RakelModel.predict_scores_many
 
 
@@ -205,15 +189,17 @@ class PruneSpec:
             raise ValueError("PruneSpec values must be >= 0")
 
 
-class PrunedSetsModel(MultiLabelModel):
-    def __init__(self, lp: LabelPowersetModel, n_pruned: int, n_reintroduced: int):
-        self.n_labels = lp.n_labels
-        self.lp = lp
+class PrunedSetsModel(RakelModel):
+    """Label powerset of the rewritten rows: ``n_pruned`` training rows
+    were dropped and ``n_reintroduced`` subset rows put back."""
+
+    predict_scores_many = RakelModel.predict_scores_many
+
+    def __init__(self, n_labels: int, members, shared, n_pruned: int,
+                 n_reintroduced: int):
+        super().__init__(n_labels, members, shared)
         self.n_pruned = n_pruned
         self.n_reintroduced = n_reintroduced
-
-    def predict_scores_many(self, rows):
-        return self.lp.predict_scores_many(rows)
 
 
 def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsModel:
@@ -243,7 +229,9 @@ def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsM
     rewritten = MLDataset(
         train.schema, train.X[src],
         np.concatenate([train.Y[kept], frequent[cls]]))
-    return PrunedSetsModel(lp_fit(rewritten, spec), pruned.size, row.size)
+    return _fit_members(PrunedSetsModel, rewritten, spec,
+                        [tuple(range(train.n_labels))],
+                        n_pruned=pruned.size, n_reintroduced=row.size)
 
 
 DEFAULT_LEARNER = "nb"  # a MemberSpec's learner when none is named

@@ -222,6 +222,30 @@ def best_split_c45_bf(rows, classes, min_leaf=1, nominal=()):
 # k-nearest-neighbour vote oracle (over a given distance matrix)
 # ---------------------------------------------------------------------------
 
+def tree_predict_bf(root, rows, n_classes):
+    """Class distributions of a fitted tree for encoded rows (missing cells
+    already filled in), walking one row at a time from ``root``: ``<=
+    threshold`` goes left, and a nominal category with no grown child stops
+    at its node.  A row gets the Laplace-1 smoothed class counts of the node
+    it stops at.  Returns the distributions and how many rows stopped at an
+    ungrown category."""
+    out, stopped = [], 0
+    for row in rows:
+        node = root
+        while node.attr is not None:
+            if node.threshold is not None:
+                node = node.left if row[node.attr] <= node.threshold else node.right
+                continue
+            child = node.children[int(row[node.attr])]
+            if child is None:
+                stopped += 1
+                break
+            node = child
+        counts = [int(c) for c in node.counts]
+        out.append([(c + 1) / (sum(counts) + n_classes) for c in counts])
+    return out, stopped
+
+
 def knn_counts_bf(distances, train_classes, k, n_classes):
     """Class frequencies among the k nearest training rows of each query.
 

@@ -42,7 +42,9 @@ train = MLDataset(
     np.array([[1, 0], [1, 1], [0, 1], [0, 0], [1, 0], [0, 1]], bool))
 names = []
 for model in (transforms.br_fit(train, preset("knn")),
-              transforms.rakel_fit(train, preset("knn"), m=2, k=1)):
+              transforms.rakel_fit(train, preset("knn"), m=2, k=1),
+              transforms.lp_fit(train, preset("knn")),
+              transforms.ps_fit(train, preset("knn"), transforms.PruneSpec())):
     first = len(t.spans)
     model.predict_scores_many(train.X)
     names.append([s[1] for s in t.spans[first:]
@@ -53,15 +55,17 @@ print(json.dumps(names))
 
 
 def test_each_multilabel_predict_is_one_span_of_its_own_class():
-    # BinaryRelevanceModel reuses RakelModel's predict: a super() call or
-    # a class alias would nest a second span or file it under RAKEL
+    # BR, LP and PS reuse RakelModel's predict: a super() call or a class
+    # alias would nest a second span or file it under RAKEL
     code = TRACE_PREDICTS.format(src=str(ROOT / "src"),
                                  bench=str(ROOT / "bench"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [
         ["transforms.BinaryRelevanceModel.predict_scores_many"],
-        ["transforms.RakelModel.predict_scores_many"]]
+        ["transforms.RakelModel.predict_scores_many"],
+        ["transforms.LabelPowersetModel.predict_scores_many"],
+        ["transforms.PrunedSetsModel.predict_scores_many"]]
 
 
 def test_bench_self_check_passes():

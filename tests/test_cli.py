@@ -469,14 +469,23 @@ def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["benchmark", "evaluate"])
-def test_unwritable_out_exits_1(command, data_files, tmp_path, capsys):
+def test_unwritable_out_exits_1(command, data_files, tmp_path, monkeypatch,
+                                capsys):
+    # a missing directory or a directory: refused before any data is read
     arff_path, labels_path = data_files
     cfg = write_config(tmp_path, arff_path, labels_path, [BR])
-    out = tmp_path / "missing-dir" / "report.md"
-    assert run_cli([command, "--config", cfg, "--out", out]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write report {out}: ")
+
+    def no_data(*args):
+        raise AssertionError("data read before the report path was checked")
+
+    monkeypatch.setattr(cli, "_resolve_data", no_data)
+    before = sorted(tmp_path.rglob("*"))
+    for out in (tmp_path / "missing-dir" / "report.md", tmp_path):
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write report {out}: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("params", ["3", "[1]", '"br"'])

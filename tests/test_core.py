@@ -113,6 +113,14 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="do not fit the schema"):
             MLDataset(schema, [[1.0]], [[False, False, False]])
 
+    def test_nominal_index_range(self):
+        schema = Schema((Attribute("c", ("x", "y")),), ("L0",))
+        for bad in (5.0, 2.0, -1.0, 0.5):
+            with pytest.raises(ValueError, match="attribute 'c' expects"):
+                MLDataset(schema, [[bad]], [[False]])
+        ok = MLDataset(schema, [[1.0], [0.0], [np.nan]], [[True]] * 3)
+        assert len(ok) == 3
+
     def test_numeric_cell_must_be_number(self):
         schema = Schema((Attribute("a"),), ("L0",))
         with pytest.raises(ValueError):

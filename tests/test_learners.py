@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mullab import learners
 from mullab.core import Attribute
-from mullab.rng import Xoshiro256
+from mullab.rng import Xoshiro256, derive_seed
 from mullab.learners import (
     KnnSpec,
     NaiveBayesSpec,
@@ -18,7 +18,7 @@ from mullab.learners import (
 )
 
 from oracles import (best_split_bf, best_split_c45_bf, knn_counts_bf,
-                     naive_bayes_posterior_bf)
+                     naive_bayes_posterior_bf, tree_predict_bf)
 from synth import bits, random_dataset
 
 NUM2 = (Attribute("a"), Attribute("b"))
@@ -375,6 +375,59 @@ class TestTree:
         clf = fit(spec, rows, classes, attrs)
         digest = hashlib.sha256(repr(clf.root.structure()).encode()).hexdigest()
         assert digest == self.PINNED_STRUCTURES[(name, min_leaf)]
+
+    @staticmethod
+    def _nominal_signal_data(seed):
+        """Six classes set by nominal column 2 and numeric column 0, every
+        seventh row relabelled; no cell is missing."""
+        d = random_dataset(seed, n=150, n_labels=2, n_num=2, n_nom=2,
+                           nom_arity=4)
+        y = (d.X[:, 2] % 3).astype(int) + 3 * (d.X[:, 0] > 0)
+        y = np.where(np.arange(len(y)) % 7 == 0, (y + 1) % 6, y)
+        return d.X.copy(), y, d.schema.attributes
+
+    @pytest.mark.parametrize("name", ["j48", "random-t", "reptree"])
+    def test_routed_predict_equals_per_row_walk(self, name):
+        # no nominal training cell is missing, so every nominal split has an
+        # ungrown slot for the missing category, where probe rows with a
+        # missing nominal cell stop
+        X, y, attrs = self._nominal_signal_data(0)
+        X[::5, 1] = np.nan
+        clf = fit(preset(name), X, y, attrs)
+        probe = random_dataset(1, n=200, n_labels=2, n_num=2, n_nom=2,
+                               nom_arity=4, missing_rate=0.2).X
+        expected, stopped = tree_predict_bf(
+            clf.root, clf._enc.transform(probe).tolist(), clf.n_classes)
+        assert stopped > 0
+        assert np.array_equal(clf.predict_dist_many(probe), expected)
+        assert np.array_equal(clf.predict_dist_many(probe[:1]), expected[:1])
+        assert clf.predict_dist_many(probe[:0]).shape == (0, clf.n_classes)
+
+    def test_prune_errors_are_the_fold_errors_before_and_after(self):
+        # the prune fold drawn as TreeClassifier draws it; with no missing
+        # cell to impute, the grow rows alone grow the same unpruned tree,
+        # where some prune rows stop at a category that grew no child
+        X, y, attrs = self._nominal_signal_data(2)
+        spec = preset("reptree")
+        clf = fit(spec, X, y, attrs)
+        perm = list(range(len(y)))
+        Xoshiro256(derive_seed(spec.seed, 1)).shuffle(perm)
+        prune, grow = sorted(perm[:len(y) // 3]), sorted(perm[len(y) // 3:])
+        unpruned = fit(dataclasses.replace(spec, rep_pruning=False),
+                       X[grow], y[grow], attrs)
+        stopped = tree_predict_bf(unpruned.root, X[prune].tolist(),
+                                  unpruned.n_classes)[1]
+        assert stopped > 0
+
+        def fold_errors(tree):
+            dist, _ = tree_predict_bf(tree.root, X[prune].tolist(),
+                                      tree.n_classes)
+            return int((np.argmax(dist, axis=1) != y[prune]).sum())
+
+        assert unpruned.n_classes == clf.n_classes
+        assert clf.prune_error_before == fold_errors(unpruned)
+        assert clf.prune_error_after == fold_errors(clf)
+        assert clf.prune_error_after < clf.prune_error_before
 
     def test_reduced_error_pruning_never_hurts_prune_fold(self):
         # the defining property, on 50 seeded noisy fixtures

@@ -9,10 +9,8 @@ from mullab import learners
 from mullab.core import Attribute, MLDataset, Schema
 from mullab.learners import KnnSpec, NaiveBayesSpec, TreeSpec
 from mullab.transforms import (
-    LabelPowersetModel,
     PruneSpec,
     RakelModel,
-    _restrict_to_labels,
     br_fit,
     lp_fit,
     ps_fit,
@@ -21,6 +19,19 @@ from mullab.transforms import (
 
 from oracles import naive_bayes_posterior_bf
 from synth import bits, correlated_dataset, label_rows, random_dataset
+
+
+def label_columns(train, labels):
+    """``train`` with only the label columns ``labels``, in that order."""
+    names = tuple(train.schema.label_names[j] for j in labels)
+    return MLDataset(Schema(train.schema.attributes, names), train.X,
+                     train.Y[:, list(labels)])
+
+
+def only_member(model):
+    """The one ``(labels, clf, classes)`` record of an LP or PS model."""
+    [member] = model.members
+    return member
 
 
 def make_dataset(features, labelsets, m, nominal=None):
@@ -92,9 +103,9 @@ class TestBinaryRelevance:
         probe = random_dataset(9, n=15, n_labels=4, n_num=3, n_nom=1,
                                missing_rate=0.2).X
         spec = learners.preset(learner)
-        singletons = RakelModel(train.schema, [
-            ((j,), lp_fit(_restrict_to_labels(train, (j,)), spec))
-            for j in range(4)], ())
+        singletons = RakelModel(4, [
+            ((j,), *only_member(lp_fit(label_columns(train, (j,)), spec))[1:])
+            for j in range(4)])
         scores = br_fit(train, spec).predict_scores_many(probe)
         assert np.array_equal(scores, singletons.predict_scores_many(probe))
         # and each varying label scores its own binary classifier's
@@ -168,8 +179,9 @@ class TestLabelPowerset:
             model = lp_fit(d, KnnSpec(k=3))
             training = set(bits(d.Y))
             probe = random_dataset(seed + 100, n=12, n_labels=4, n_num=2, n_nom=1)
-            best = np.argmax(model._clf.predict_dist_many(probe.X), axis=1)
-            assert set(bits(model.classes[best])) <= training
+            _, clf, classes = only_member(model)
+            best = np.argmax(clf.predict_dist_many(probe.X), axis=1)
+            assert set(bits(classes[best])) <= training
 
     def test_single_distinct_labelset(self):
         d = make_dataset([(0.0,), (1.0,)], [[0, 1], [0, 1]], 2)
@@ -190,8 +202,8 @@ class TestRakel:
         probe = np.array([(-2.0, 0.1), (0.1, 2.2)])
         sums = np.zeros((2, 3))
         cover = np.zeros(3)
-        for labels, member in model.members:
-            member_scores = member.predict_scores_many(probe)
+        for labels, clf, classes in model.members:
+            member_scores = clf.predict_dist_many(probe) @ classes
             for pos, j in enumerate(labels):
                 sums[:, j] += member_scores[:, pos]
                 cover[j] += 1
@@ -199,21 +211,14 @@ class TestRakel:
         assert model.predict_scores_many(probe) == pytest.approx(expected)
 
     def test_uncovered_labels_score_half(self):
-        stub_schema = LP_FIXTURE.schema
-        one_label = Schema(stub_schema.attributes, stub_schema.label_names[:1])
-
         def constant_member(value):
-            # a one-label powerset model, as for a constant label, whose
+            # a one-label powerset member, as for a constant label, whose
             # one class is the labelset {label 0} (value 1.0) or the empty
             # one (value 0.0)
-            return LabelPowersetModel(one_label, learners.ConstantClassifier(1),
-                                      np.array([[bool(value)]]))
+            return ((0,), learners.ConstantClassifier(1),
+                    np.array([[bool(value)]]))
 
-        model = RakelModel(
-            stub_schema,
-            [((0,), constant_member(1.0)), ((0,), constant_member(0.0))],
-            uncovered=(1, 2),
-        )
+        model = RakelModel(3, [constant_member(1.0), constant_member(0.0)])
         scores = model.predict_scores_many([(0.0, 0.0), (1.0, 1.0)])
         assert (scores[:, 0] == 0.5).all()  # mean of 1.0 and 0.0
         assert (scores[:, 1:] == 0.5).all()  # neutral default
@@ -231,12 +236,12 @@ class TestRakel:
 
     def test_subsets_distinct_until_exhausted(self):
         model = rakel_fit(LP_FIXTURE, KnnSpec(k=1), m=3, k=2, seed=3)
-        subsets = [labels for labels, _ in model.members]
+        subsets = [labels for labels, _, _ in model.members]
         assert len(set(subsets)) == 3  # C(3,2) = 3, all used before repeats
 
     def test_repeats_allowed_after_exhaustion(self):
         model = rakel_fit(LP_FIXTURE, KnnSpec(k=1), m=5, k=2, seed=3)
-        subsets = [labels for labels, _ in model.members]
+        subsets = [labels for labels, _, _ in model.members]
         assert len(subsets) == 5
         assert set(subsets[:3]) == {(0, 1), (0, 2), (1, 2)}
         assert len(set(subsets[3:])) == 2  # second round drawn distinct again
@@ -246,7 +251,7 @@ class TestRakel:
         b = rakel_fit(LP_FIXTURE, KnnSpec(k=2), m=4, k=2, seed=5)
         x = np.array([(0.2, 0.3)])
         assert a.predict_scores_many(x).tolist() == b.predict_scores_many(x).tolist()
-        assert [s for s, _ in a.members] == [s for s, _ in b.members]
+        assert [s for s, _, _ in a.members] == [s for s, _, _ in b.members]
 
 
 PS_FIXTURE = make_dataset(
@@ -270,13 +275,15 @@ class TestPrunedSets:
         assert ps.n_pruned == 1
         assert ps.n_reintroduced == 2
         # class universe is exactly {0} and {1}
-        assert ps.lp.classes.tolist() == [[True, False], [False, True]]
+        classes = only_member(ps)[2]
+        assert classes.tolist() == [[True, False], [False, True]]
 
     def test_reintroduction_capped_by_b(self):
         ps = ps_fit(PS_FIXTURE, NaiveBayesSpec(), PruneSpec(p=2, b=1))
         assert ps.n_reintroduced == 1
         # largest-cardinality first, then ascending bits: {0} comes first
-        assert ps.lp.classes.tolist() == [[True, False], [False, True]]
+        classes = only_member(ps)[2]
+        assert classes.tolist() == [[True, False], [False, True]]
 
     def test_over_aggressive_p_errors(self):
         with pytest.raises(ValueError, match="lower p"):
@@ -284,10 +291,11 @@ class TestPrunedSets:
 
     def test_argmax_stays_in_rewritten_universe(self):
         ps = ps_fit(PS_FIXTURE, KnnSpec(k=2), PruneSpec(p=2, b=2))
-        universe = set(bits(ps.lp.classes))
+        _, clf, classes = only_member(ps)
+        universe = set(bits(classes))
         assert universe == {1, 2}
-        dist = ps.lp._clf.predict_dist_many(np.array([(-3.0,), (0.0,), (3.0,)]))
-        best = ps.lp.classes[np.argmax(dist, axis=1)]
+        dist = clf.predict_dist_many(np.array([(-3.0,), (0.0,), (3.0,)]))
+        best = classes[np.argmax(dist, axis=1)]
         assert set(bits(best)) <= universe
 
     def test_prune_spec_validation(self):
@@ -321,8 +329,8 @@ class TestWideLabelUniverse:
     def test_matches_six_label_run(self, fit):
         narrow, wide, test = self._narrow_and_wide()
         a, b = fit(narrow), fit(wide)
-        a_classes = getattr(a, "lp", a).classes
-        b_classes = getattr(b, "lp", b).classes
+        a_classes = only_member(a)[2]
+        b_classes = only_member(b)[2]
         codes = bits(b_classes)
         assert codes == sorted(codes) and codes[-1] >= 1 << 64
         assert np.array_equal(b_classes[:, self.WIDE], a_classes)
@@ -350,8 +358,8 @@ def test_scores_stay_in_unit_interval(builder):
 
 
 class TestSharedKnnSearch:
-    """BR and RAKEL fit every kNN classifier on one shared index and run one
-    neighbour search per query matrix; the scores must not change."""
+    """Every transform fits its kNN classifiers on one shared index and runs
+    one neighbour search per query matrix; the scores must not change."""
 
     TRAIN = random_dataset(31, n=80, n_labels=6, n_num=4, n_nom=2,
                            missing_rate=0.1)
@@ -368,9 +376,10 @@ class TestSharedKnnSearch:
         model = br_fit(self.TRAIN, spec)
         attrs = self.TRAIN.schema.attributes
         expected = np.empty((len(self.PROBE), 6))
-        assert [subset for subset, _ in model.members] == [(j,) for j in range(6)]
-        for j, (_, member) in enumerate(model.members):
-            own = member._clf.predict_dist_many(self.PROBE.X)
+        assert [subset for subset, _, _ in model.members] == [
+            (j,) for j in range(6)]
+        for j, (_, clf, _) in enumerate(model.members):
+            own = clf.predict_dist_many(self.PROBE.X)
             # and the same classifier fitted alone, on its own index
             alone = learners.fit(spec, self.TRAIN.X, self.TRAIN.Y[:, j], attrs)
             assert np.array_equal(own, alone.predict_dist_many(self.PROBE.X))
@@ -383,15 +392,39 @@ class TestSharedKnnSearch:
         model = rakel_fit(self.TRAIN, spec, m=12, k=3, seed=5)
         sums = np.zeros((len(self.PROBE), 6))
         cover = np.zeros(6)
-        for subset, member in model.members:
-            own = member._clf.predict_dist_many(self.PROBE.X)
-            alone = lp_fit(_restrict_to_labels(self.TRAIN, subset), spec)
-            assert np.array_equal(own, alone._clf.predict_dist_many(self.PROBE.X))
-            sums[:, list(subset)] += member.scores(own)
+        for subset, clf, classes in model.members:
+            own = clf.predict_dist_many(self.PROBE.X)
+            _, alone, _ = only_member(
+                lp_fit(label_columns(self.TRAIN, subset), spec))
+            assert np.array_equal(own, alone.predict_dist_many(self.PROBE.X))
+            sums[:, list(subset)] += own @ classes
             cover[list(subset)] += 1.0
         expected = np.full_like(sums, 0.5)
         expected[:, cover > 0] = sums[:, cover > 0] / cover[cover > 0]
         assert np.array_equal(model.predict_scores_many(self.PROBE.X), expected)
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("transform", ["lp", "ps"])
+    def test_lp_and_ps_scores_equal_their_classifier(self, transform,
+                                                     distance):
+        spec = KnnSpec(k=4, distance=distance)
+        if transform == "lp":
+            model = lp_fit(self.TRAIN, spec)
+        else:
+            model = ps_fit(self.TRAIN, spec, PruneSpec(p=2, b=2))
+            assert model.n_pruned > 0
+        labels, clf, classes = only_member(model)
+        assert labels == tuple(range(6))
+        own = clf.predict_dist_many(self.PROBE.X)
+        if transform == "lp":
+            # the same classifier fitted alone on the labelset classes
+            codes = bits(classes)
+            y = [codes.index(code) for code in bits(self.TRAIN.Y)]
+            alone = learners.fit(spec, self.TRAIN.X, y,
+                                 self.TRAIN.schema.attributes)
+            assert np.array_equal(own, alone.predict_dist_many(self.PROBE.X))
+        assert np.array_equal(model.predict_scores_many(self.PROBE.X),
+                              own @ classes)
 
     @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
     def test_one_encoder_one_index_one_search(self, distance, monkeypatch):
@@ -412,10 +445,12 @@ class TestSharedKnnSearch:
         spec = KnnSpec(k=3, distance=distance)
         for fit_model, n_models in (
                 (lambda: br_fit(self.TRAIN, spec), 6),
-                (lambda: rakel_fit(self.TRAIN, spec, m=12, k=2, seed=1), 12)):
+                (lambda: rakel_fit(self.TRAIN, spec, m=12, k=2, seed=1), 12),
+                (lambda: lp_fit(self.TRAIN, spec), 1),
+                (lambda: ps_fit(self.TRAIN, spec, PruneSpec(p=2, b=2)), 1)):
             counts.update(encoders=0, indexes=0, searches=0)
             model = fit_model()
-            classifiers = [member._clf for _, member in model.members]
+            classifiers = [clf for _, clf, _ in model.members]
             assert len(classifiers) == n_models
             assert counts == {"encoders": 1, "indexes": 1, "searches": 0}
             model.predict_scores_many(self.PROBE.X)

@@ -65,6 +65,8 @@ import numpy as np
 from .core import Attribute, check_category_indices
 from .rng import Xoshiro256, derive_seed
 
+# The one tree tolerance: scores within _GAIN_EPS of the best are tied (the
+# first candidate wins), and a gain or split info must exceed it to count.
 _GAIN_EPS = 1e-12
 # Upper bound on the (attrs x rows x classes) elements of one batch in the
 # numeric split search; it bounds the search's peak memory.
@@ -498,8 +500,8 @@ class TreeClassifier(Classifier):
 
     def _choose(self, gain: np.ndarray, ratio: np.ndarray) -> Optional[int]:
         """Position of the candidate split the criterion picks, or None when
-        no candidate is useful; the first maximum (earliest candidate) wins
-        ties.
+        no candidate is useful; the earliest candidate whose score is within
+        ``_GAIN_EPS`` of the best wins.
 
         ``c45`` averages the gains of the candidates whose gain is positive
         and picks the best gain ratio among those whose gain is at least
@@ -517,7 +519,7 @@ class TreeClassifier(Classifier):
                 return None
             average = gain[useful].mean()
             score = np.where(useful & (gain >= average - _GAIN_EPS), ratio, -1.0)
-        pos = int(np.argmax(score))
+        pos = int(np.argmax(score >= score.max() - _GAIN_EPS))
         return pos if score[pos] > 0.0 else None
 
     def _eval_numeric_all(self, attrs: np.ndarray, idx: np.ndarray,
@@ -529,14 +531,14 @@ class TreeClassifier(Classifier):
         chosen cut; a gain or ratio <= 0 means the attribute has no useful
         cut.  Cut ``i`` sends sorted rows ``0..i`` left; only cuts between
         distinct values that leave ``min_leaf`` rows on each side count, and
-        the first maximum (lowest threshold) wins.  ``gain_ratio`` picks the
-        cut by gain ratio, the other criteria by gain.  ``c45`` then
-        subtracts log2(admissible cuts) / n, the cost of choosing the
-        threshold (Quinlan 1996, "Improved use of continuous attributes in
-        C4.5"), from the gain.  The split info of every cut is computed once
-        and read at the chosen one.  All attributes share one stable sort
-        and are evaluated together in batches of at most ``_BATCH_ELEMS``
-        (attrs x rows x classes) elements.
+        the lowest threshold whose score is within ``_GAIN_EPS`` of the best
+        wins.  ``gain_ratio`` picks the cut by gain ratio, the other criteria
+        by gain.  ``c45`` then subtracts log2(admissible cuts) / n, the cost
+        of choosing the threshold (Quinlan 1996, "Improved use of continuous
+        attributes in C4.5"), from the gain.  The split info of every cut is
+        computed once and read at the chosen one.  All attributes share one
+        stable sort and are evaluated together in batches of at most
+        ``_BATCH_ELEMS`` (attrs x rows x classes) elements.
         """
         n, m = len(idx), self.spec.min_leaf
         vals = self._x[idx][:, attrs]
@@ -570,7 +572,9 @@ class TreeClassifier(Classifier):
         if not by_ratio:
             score = gains
         rows = np.arange(len(attrs))
-        pos = np.argmax(score, axis=1)  # first max: lowest threshold wins ties
+        # the first score within _GAIN_EPS of the best: lowest threshold
+        pos = np.argmax(score >= score.max(axis=1, keepdims=True) - _GAIN_EPS,
+                        axis=1)
         cut = pos + (m - 1)
         lo, hi = sv[rows, cut], sv[rows, cut + 1]
         threshold = (lo + hi) / 2.0

@@ -1,12 +1,15 @@
 """Independent brute-force reference implementations used to verify the
 library's metrics and learners.
 
-Everything here works on plain Python data (sets of ints, lists, dicts) and
-deliberately shares no code with the package: these are the oracles the
-tests compare against.
+Everything here works on plain Python data (sets of ints, lists, dicts),
+except ``entropy_log2``, which takes numpy count arrays, and deliberately
+shares no code with the package: these are the oracles the tests compare
+against.
 """
 
 import math
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +121,16 @@ def _entropy_of(counts):
             p = c / total
             h -= p * math.log2(p)
     return h
+
+
+def entropy_log2(counts):
+    """Entropy in bits of each class-count vector along the last axis of
+    ``counts``, by the direct formula -sum(p * log2(p)) over the classes
+    present; 0 for an all-zero vector."""
+    counts = np.asarray(counts, dtype=float)
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, -p * np.log2(p), 0.0).sum(axis=-1)
 
 
 def best_split_bf(rows, classes, criterion, min_leaf=1):

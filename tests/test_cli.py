@@ -263,7 +263,7 @@ class TestBenchmark:
         assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
                         "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "bfd5f485044ed985c5e21c5537b1f0558bd1063619fc3e8e43cbbb70f55385f3")
+            "70b19512c701ba4181b93ca9531564cc38044415523d38a8dd4a3e2c2d1c632b")
 
     def test_full_precision_json_is_pinned(self, tmp_path):
         # CSV rounds to 6 decimals; the JSON rows keep every bit, so a
@@ -278,7 +278,7 @@ class TestBenchmark:
         pinned = json.dumps({"rows": payload["rows"],
                              "average": payload["average"]}, sort_keys=True)
         assert hashlib.sha256(pinned.encode("utf-8")).hexdigest() == (
-            "0d8c4357560a789e3f42aa993088f488f7fffc0115f7eb237b40e231a751d81b")
+            "d321d5431dab34ea32192e515217473eb2c9000c6ba2fbfe0cd67aee19d02c4f")
 
 
 def test_default_ensemble_takes_weights_and_replacement():

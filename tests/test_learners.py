@@ -17,8 +17,8 @@ from mullab.learners import (
     PRESET_NAMES,
 )
 
-from oracles import (best_split_bf, best_split_c45_bf, knn_counts_bf,
-                     naive_bayes_posterior_bf, tree_predict_bf)
+from oracles import (best_split_bf, best_split_c45_bf, entropy_log2,
+                     knn_counts_bf, naive_bayes_posterior_bf, tree_predict_bf)
 from synth import bits, random_dataset
 
 NUM2 = (Attribute("a"), Attribute("b"))
@@ -275,6 +275,48 @@ class TestTree:
         c45 = fit(TreeSpec(criterion="c45", min_leaf=2), rows, cls, attrs)
         assert c45.root.structure()[2] == best_split_c45_bf(rows, cls, 2)[1] == 3.5
 
+    @staticmethod
+    def _log2_gain(classes, i):
+        """Gain of sending the first ``i`` of ``classes`` left, by the
+        direct log2 formula."""
+        y, n = np.array(classes), len(classes)
+        left, right = (np.bincount(part, minlength=3) for part in (y[:i], y[i:]))
+        return entropy_log2(np.bincount(y, minlength=3)) - (
+            i * entropy_log2(left) + (n - i) * entropy_log2(right)) / n
+
+    def test_cuts_tied_in_exact_arithmetic_take_the_lowest_threshold(self):
+        # cut 3 leaves class counts (2, 0, 1) | (3, 6, 5) and cut 14 leaves
+        # (3, 5, 6) | (2, 1, 0): the same counts mirrored, so the same gain,
+        # but floats round cut 14 higher, with the direct formula as with
+        # the count table
+        classes = [2, 0, 0, 1, 2, 1, 2, 1, 1, 0, 1, 2, 2, 2, 0, 1, 0]
+        gains = [self._log2_gain(classes, i) for i in range(1, 17)]
+        assert gains[13] > gains[2] == max(gains[:13])
+        clf = fit(TreeSpec(criterion="info_gain", min_leaf=1, max_depth=1),
+                  [(float(v),) for v in range(17)], classes, (Attribute("a"),))
+        assert clf.root.structure()[:3] == ("num", 0, 2.5)
+
+    def test_attributes_tied_in_exact_arithmetic_take_the_earliest(self):
+        # sorted by b, the rows' classes are those sorted by a relabelled
+        # 0 -> 2 -> 1 -> 0, so each cut of b gains as much as the same cut
+        # of a, but floats round b's best cut higher, with the direct
+        # formula as with the count table
+        classes = [2, 0, 1, 0, 2, 2, 1, 2, 1, 2, 1, 0, 1, 1, 0, 2, 0, 0]
+        relabel = {0: 2, 1: 0, 2: 1}
+        rows_of = {c: [k for k, y in enumerate(classes) if y == c]
+                   for c in range(3)}
+        b = [0.0] * len(classes)
+        for pos, y in enumerate(classes):
+            b[rows_of[relabel[y]].pop(0)] = float(pos)
+        by_b = [classes[k] for k in np.argsort(b)]
+        assert by_b == [relabel[y] for y in classes]
+        best_a = max(self._log2_gain(classes, i) for i in range(1, 18))
+        assert max(self._log2_gain(by_b, i) for i in range(1, 18)) > best_a
+        clf = fit(TreeSpec(criterion="info_gain", min_leaf=1, max_depth=1),
+                  [(float(k), b[k]) for k in range(len(classes))], classes,
+                  (Attribute("a"), Attribute("b")))
+        assert clf.root.structure()[:3] == ("num", 0, 13.5)
+
     def test_pure_training_data_yields_confident_leaf(self):
         pts = [(float(i), 0.0) for i in range(6)]
         clf = fit(TreeSpec(), pts, [0] * 6, NUM2)
@@ -336,13 +378,13 @@ class TestTree:
     # splits on purpose records new digests and says so.  "gain_ratio" is
     # the plain gain-ratio tree, without j48's C4.5 rules.
     PINNED_STRUCTURES = {
-        ("gain_ratio", 1): "21e5c979bc87f8284d30b817845bd2554aad5256dff4199cee192022af0be5d5",
+        ("gain_ratio", 1): "d5f8e555bb46450fe2b975e23b53f88f9f88ecea4b8e23d45dbe3261817a8afc",
         ("gain_ratio", 2): "21056a4cf4c44df8bbc4c489089a8e795e2da0f35aeb51c77aa90ac401f70c6e",
-        ("j48", 1): "949951d9a6635caf6e0970afda77e82c61456b6da22af5abe3c152f5320f661e",
-        ("j48", 2): "4aee12262fb43a730521aac758071be572bf2e55978904a851812e33467fcc9d",
+        ("j48", 1): "3d15ee0ce171c780c06b324453df793a6da95dd26a0854d0491a100bf3c4af8a",
+        ("j48", 2): "c554c16c2f58c30d1866c70db297bfc4391c5adab6bcf0197a9a86385dbf857a",
         ("reptree", 1): "da0acceafb493efd8ba6feac7d1db42e5c8e4e68103fe27d179171dbd92740a2",
         ("reptree", 2): "df83a8da16f079cd5ea001eb1248f1bc1bd1a451e05a29ad2e4420d99bca3d6e",
-        ("random-t", 1): "b5b900a62beb7ad299a357f5e6d85761442a1f6c416a8fd4395e12bf488eaa9e",
+        ("random-t", 1): "91d83aefa1c5cd3aad91e1fb5e635c33ffa9407bae8a7ea6f2c9806b4b689c36",
         ("random-t", 2): "0e275ad2c37e769a1ce1abe5dae3aec3be6e724f7dfdeb8964ddaf82f0e84995",
     }
 

@@ -28,11 +28,15 @@ Three families, each consumed by the problem transformations:
   ``min_leaf`` rows off one side and grows deep trees.  Leaf distributions
   are Laplace-1 smoothed class frequencies.  Split search is exhaustive and
   batched per node: all numeric candidates share one stable sort and one
-  vectorised pass over every cut that ``min_leaf`` allows, with the same
-  float operations (and the same class-axis sums) as a one-attribute-at-a-
-  time search, so it chooses the same splits.  Growing, pruning and
-  prediction route index arrays of rows through one split test
-  (``_parts``); a row whose category grew no child stops at its node.
+  vectorised pass over every cut that ``min_leaf`` allows.  Entropies come
+  from integer class counts and a per-fit table ``xlx[c] = c * log2(c)``:
+  ``t`` rows with class counts ``k`` have ``t`` times their entropy in
+  ``xlx[t] - sum(xlx[k])``.  Scores within ``_GAIN_EPS`` (1e-12) of the best
+  are tied and the first candidate wins (the lowest threshold, then the
+  earliest attribute), so float rounding does not pick between splits that
+  are equal in exact arithmetic.  Growing, pruning and prediction route
+  index arrays of rows through one split test (``_parts``); a row whose
+  category grew no child stops at its node.
 
 Input: ``fit`` and ``predict_dist_many`` take an n x d float matrix such as
 ``MLDataset.X`` (NaN marks a missing cell), which is built once per dataset;
@@ -145,6 +149,8 @@ def preset(name: str) -> LearnerSpec:
     if key == "knn":
         return KnnSpec(k=5)
     if key == "random-t":
+        # ceil(sqrt(d)) attributes per node; Weka's RandomTree draws
+        # int(log2(d) + 1) and allows one-row leaves
         return TreeSpec(criterion="info_gain", random_subset_size="sqrt")
     if key == "reptree":
         return TreeSpec(criterion="info_gain", rep_pruning=True)
@@ -391,25 +397,12 @@ class _Node:
         return ("nom", self.attr, kids)
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def _class_entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Entropy of each count vector along the last (class) axis.
-
-    ``totals`` holds the count sums and runs along the second-to-last axis.
-    Every class column is kept, present or not: the float sum over the
-    contiguous class axis is then grouped the same way at every node.
-    """
-    p = counts / totals[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, -p * np.log2(p), 0.0)
-    return terms.sum(axis=-1)
+def _xlx(n: int) -> np.ndarray:
+    """``c * log2(c)`` for the counts ``c = 0..n``, 0 for ``c = 0``.  Rows
+    whose class counts ``k`` sum to ``t`` have ``t`` times their entropy
+    in ``xlx[t] - xlx[k].sum()``."""
+    c = np.arange(n + 1)
+    return c * np.log2(np.maximum(c, 1))
 
 
 def _parts(node: _Node, x: np.ndarray, idx: np.ndarray) -> list:
@@ -432,6 +425,7 @@ class TreeClassifier(Classifier):
         self._enc = enc
         self._x = enc.matrix
         self._y = y
+        self._xlx = _xlx(len(y))
         self._rng = Xoshiro256(derive_seed(spec.seed, 0))
         self.prune_error_before = None
         self.prune_error_after = None
@@ -470,7 +464,7 @@ class TreeClassifier(Classifier):
             or (spec.max_depth is not None and depth >= spec.max_depth)
         ):
             return node
-        parent_h = _entropy(counts)
+        parent_h = (self._xlx[len(idx)] - self._xlx[counts].sum()) / len(idx)
         attrs = self._candidate_attrs(self._x.shape[1])
         nominal = self._enc.is_nominal[attrs]
         gain = np.empty(len(attrs))
@@ -549,8 +543,8 @@ class TreeClassifier(Classifier):
         nl = np.arange(m, n - m + 1)
         nr = n - nl
         admissible = sv[:, window] != sv[:, m:n - m + 1]
-        pl, pr = nl / n, nr / n
-        split_info = -(pl * np.log2(pl) + pr * np.log2(pr))  # per cut
+        xlx = self._xlx
+        split_info = (xlx[n] - xlx[nl] - xlx[nr]) / n  # per cut
         by_ratio = self.spec.criterion == "gain_ratio"
         if by_ratio:
             score = np.empty(admissible.shape)
@@ -561,8 +555,8 @@ class TreeClassifier(Classifier):
             cum = (sy[s:s + step, :, None] == classes).cumsum(axis=1)
             left = cum[:, window]
             right = cum[:, -1:] - left
-            child_h = (nl * _class_entropy(left, nl)
-                       + nr * _class_entropy(right, nr)) / n
+            child_h = (xlx[nl] + xlx[nr] - xlx[left].sum(axis=-1)
+                       - xlx[right].sum(axis=-1)) / n
             gain = parent_h - child_h
             ok = admissible[s:s + step] & (gain > _GAIN_EPS)
             gains[s:s + step] = np.where(ok, gain, -1.0)
@@ -599,20 +593,20 @@ class TreeClassifier(Classifier):
         is not allowed or gains nothing."""
         arity = int(self._enc.n_values[a])
         cats = self._x[idx, a].astype(int)
-        table = np.zeros((arity, self.n_classes))
-        np.add.at(table, (cats, self._y[idx]), 1.0)
+        table = np.bincount(cats * self.n_classes + self._y[idx],
+                            minlength=arity * self.n_classes)
+        table = table.reshape(arity, self.n_classes)
         sizes = table.sum(axis=1)
         nonempty = sizes > 0
         if nonempty.sum() < 2:
             return -1.0, -1.0
         if (sizes[nonempty] < self.spec.min_leaf).any():
             return -1.0, -1.0
-        n = len(idx)
-        child_h = (sizes[nonempty] * _class_entropy(table[nonempty], sizes[nonempty])).sum() / n
-        gain = parent_h - child_h
+        n, xlx = len(idx), self._xlx
+        gain = parent_h - (xlx[sizes].sum() - xlx[table].sum()) / n
         if gain <= _GAIN_EPS:
             return -1.0, -1.0
-        split_info = _entropy(sizes)
+        split_info = (xlx[n] - xlx[sizes].sum()) / n
         ratio = gain / split_info if split_info > _GAIN_EPS else -1.0
         return float(gain), float(ratio)
 

@@ -133,6 +133,54 @@ def entropy_log2(counts):
         return np.where(p > 0, -p * np.log2(p), 0.0).sum(axis=-1)
 
 
+def numeric_cut_bf(values, classes, criterion, min_leaf=1):
+    """The cut a tree node chooses on one numeric attribute, as (gain,
+    ratio, threshold), scored with the direct log2 entropy.
+
+    The cuts are the midpoints between consecutive distinct sorted values
+    that leave ``min_leaf`` rows on each side.  A cut with gain <= 1e-12
+    scores -1; otherwise it scores its gain ratio (``gain_ratio``) or its
+    gain (``info_gain``, ``c45``), and the lowest threshold whose score is
+    within 1e-12 of the best wins.  ``c45`` then takes log2(number of cuts)
+    / n off the gain.  A gain that ends up <= 0 is -1, and so is its ratio;
+    the threshold is None when no cut gains."""
+    n = len(values)
+    n_classes = max(classes) + 1
+    ordered = sorted(zip(values, classes), key=lambda vc: vc[0])
+    vals = [v for v, _ in ordered]
+    ys = [c for _, c in ordered]
+
+    def entropy(part):
+        return _entropy_of([part.count(c) for c in range(n_classes)])
+
+    parent = entropy(ys)
+    cuts = []  # (threshold, gain, split info) in ascending threshold order
+    for i in range(min_leaf, n - min_leaf + 1):  # i rows go left
+        lo, hi = vals[i - 1], vals[i]
+        if lo == hi:
+            continue
+        threshold = (lo + hi) / 2
+        if threshold >= hi:  # the midpoint of adjacent floats
+            threshold = lo
+        gain = parent - (i * entropy(ys[:i]) + (n - i) * entropy(ys[i:])) / n
+        cuts.append((threshold, gain, _entropy_of([i, n - i])))
+    useful = [cut for cut in cuts if cut[1] > 1e-12]
+    if not useful:
+        return -1.0, -1.0, None
+
+    def score(cut):
+        return cut[1] / cut[2] if criterion == "gain_ratio" else cut[1]
+
+    best = max(score(cut) for cut in useful)
+    threshold, gain, info = next(cut for cut in useful
+                                 if score(cut) >= best - 1e-12)
+    if criterion == "c45":
+        gain -= math.log2(len(cuts)) / n
+        if gain <= 0:
+            return -1.0, -1.0, threshold
+    return gain, gain / info, threshold
+
+
 def best_split_bf(rows, classes, criterion, min_leaf=1):
     """Enumerate every (attribute, midpoint) split and return the winner as
     (attr, threshold, metric).  Ties keep the lowest attribute, then the

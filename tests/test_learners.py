@@ -18,7 +18,8 @@ from mullab.learners import (
 )
 
 from oracles import (best_split_bf, best_split_c45_bf, entropy_log2,
-                     knn_counts_bf, naive_bayes_posterior_bf, tree_predict_bf)
+                     knn_counts_bf, naive_bayes_posterior_bf, numeric_cut_bf,
+                     tree_predict_bf)
 from synth import bits, random_dataset
 
 NUM2 = (Attribute("a"), Attribute("b"))
@@ -275,6 +276,44 @@ class TestTree:
         c45 = fit(TreeSpec(criterion="c45", min_leaf=2), rows, cls, attrs)
         assert c45.root.structure()[2] == best_split_c45_bf(rows, cls, 2)[1] == 3.5
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 700) | st.just(0), min_size=1, max_size=8))
+    def test_count_table_entropy_matches_log2_formula(self, counts):
+        total = sum(counts)
+        assume(total > 0)
+        k = np.array(counts)
+        xlx = learners._xlx(total)
+        # t * H from the table; t * H reaches 1e4, where one ulp is 2e-12,
+        # so the comparison is of the entropies themselves
+        table_h = (xlx[total] - xlx[k].sum()) / total
+        assert abs(table_h - entropy_log2(k)) <= 1e-12
+
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    @pytest.mark.parametrize("criterion", ["info_gain", "gain_ratio", "c45"])
+    def test_numeric_cut_scores_match_log2_formula(self, criterion, min_leaf):
+        # random nodes (row subsets) over coarse columns, where values
+        # repeat and cuts tie, and a fine one
+        rng = np.random.default_rng(7)
+        n = 150
+        X = np.column_stack([rng.integers(0, 6, n) / 2, rng.random(n),
+                             rng.integers(0, 20, n) / 4.0,
+                             rng.integers(0, 3, n).astype(float)])
+        y = rng.integers(0, 5, n)
+        clf = fit(TreeSpec(criterion=criterion, min_leaf=min_leaf), X, y)
+        attrs = np.arange(X.shape[1])
+        for _ in range(25):
+            idx = np.sort(rng.choice(n, int(rng.integers(2 * min_leaf, n + 1)),
+                                     replace=False))
+            parent_h = float(entropy_log2(np.bincount(y[idx])))
+            gain, ratio, threshold = clf._eval_numeric_all(attrs, idx, parent_h)
+            for a in attrs:
+                g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
+                                         criterion, min_leaf)
+                assert abs(gain[a] - g) <= 1e-12
+                assert abs(ratio[a] - r) <= 1e-12
+                if g > 0:
+                    assert threshold[a] == t
+
     @staticmethod
     def _log2_gain(classes, i):
         """Gain of sending the first ``i`` of ``classes`` left, by the
@@ -371,10 +410,10 @@ class TestTree:
         assert plain.root.structure() == randomized.root.structure()
 
     # SHA-256 of repr(root.structure()) for LP-style data with 31 of 32
-    # classes, nominal columns and tied numeric values.  The thresholds and
-    # class counts in a structure depend on every entropy sum, so regrouping
-    # the float sums over the class axis (dropping absent classes, summing
-    # in another order) changes some of these digests.  A change that alters
+    # classes, nominal columns and tied numeric values.  Scores within 1e-12
+    # of the best are tied, so these digests hold whether entropies come
+    # from the count table or the direct log2 formula; without that rule,
+    # regrouping the float sums changes some of them.  A change that alters
     # splits on purpose records new digests and says so.  "gain_ratio" is
     # the plain gain-ratio tree, without j48's C4.5 rules.
     PINNED_STRUCTURES = {

@@ -8,7 +8,9 @@ Three subcommands:
 
 Reports come out as markdown (metrics as rows, experiments as columns,
 AVERAGE last), CSV (one experiment per row, 6 decimals) or JSON (full
-precision plus run metadata).  Exit codes: 0 ok, 1 usage or config error
+precision plus run metadata).  A ranking metric that no test row defines
+(every truth set empty, or also full for ranking loss) reads n/a, null in
+JSON, and stays out of AVERAGE.  Exit codes: 0 ok, 1 usage or config error
 (every experiment is parsed before any data is read), 2 data error, 3 one or
 more experiments failed on the data.
 
@@ -44,6 +46,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -422,17 +425,26 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+    return "n/a" if math.isnan(x) else f"{x:.6f}"
+
+
+def _mean(values: list) -> float:
+    """Mean of the values that are not NaN; NaN when none is."""
+    defined = [v for v in values if not math.isnan(v)]
+    return sum(defined) / len(defined) if defined else math.nan
 
 
 def _average_row(reports: list) -> dict | None:
     ok = [r for _, r in reports if isinstance(r, EvaluationReport)]
     if not ok:
         return None
-    return {
-        f: sum(getattr(r, f) for r in ok) / len(ok)
-        for f in EvaluationReport.METRIC_FIELDS
-    }
+    return {f: _mean([getattr(r, f) for r in ok])
+            for f in EvaluationReport.METRIC_FIELDS}
+
+
+def _json_metrics(values: dict) -> dict:
+    """Metric values for JSON: NaN (undefined) becomes null."""
+    return {f: None if math.isnan(v) else v for f, v in values.items()}
 
 
 def render_csv(reports, include_average: bool = True) -> str:
@@ -479,14 +491,16 @@ def render_json(reports, meta: dict) -> str:
     for name, rep in reports:
         if isinstance(rep, EvaluationReport):
             row = {"experiment": name}
-            row.update(rep.as_dict())
+            row.update(_json_metrics(rep.as_dict()))
             row["n_evaluated"] = rep.n_evaluated
             row["n_skipped_ranking"] = rep.n_skipped_ranking
         else:
             row = {"experiment": name, "error": str(rep)}
         rows.append(row)
+    avg = _average_row(reports)
     return json.dumps(
-        {"meta": meta, "rows": rows, "average": _average_row(reports)},
+        {"meta": meta, "rows": rows,
+         "average": avg and _json_metrics(avg)},
         indent=2, sort_keys=True,
     ) + "\n"
 

@@ -10,7 +10,8 @@ confident label: one-error (top-ranked label is irrelevant), ranking loss
 precision (mean precision at the rank of each relevant label).  Instances
 where a ranking metric is undefined (no relevant labels, or none irrelevant
 for ranking loss) are excluded from that metric's denominator and counted,
-never silently zeroed.
+never silently zeroed.  When every instance is excluded, the metric
+functions raise, and ``evaluate`` reports the metric as NaN.
 
 Each measure takes n x M matrices: the bool truth ``Y`` and the bool
 prediction ``Z`` or the integer ranks ``R`` (``R[i, j]`` is label j's rank
@@ -25,6 +26,7 @@ differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,7 @@ class EvaluationReport:
 
     ``n_skipped_ranking`` counts instances excluded from ranking loss
     (empty or full truth labelsets); average precision excludes only the
-    empty ones.
+    empty ones.  A ranking metric that excludes every instance is NaN.
     """
 
     accuracy: float
@@ -198,7 +200,8 @@ def average_precision(Y: np.ndarray, R: np.ndarray) -> float:
 def evaluate(model: MultiLabelModel, test: MLDataset,
              t: float = 0.5) -> EvaluationReport:
     """Score every test row, derive bipartitions (threshold ``t``) and
-    rankings, and compute all five metrics."""
+    rankings, and compute all five metrics; ranking loss and average
+    precision are NaN when no test row defines them."""
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.n_labels != test.n_labels:
@@ -208,12 +211,13 @@ def evaluate(model: MultiLabelModel, test: MLDataset,
     scores = model.predict_scores_many(test.X)
     Y, Z, R = test.Y, scores >= t, rank_matrix(scores)
     n_rel = Y.sum(axis=1)
+    proper = (n_rel > 0) & (n_rel < Y.shape[1])
     return EvaluationReport(
         accuracy=_accuracy(Y, Z),
         hamming_loss=_hamming_loss(Y, Z),
         one_error=_one_error(Y, R),
-        ranking_loss=_ranking_loss(Y, R),
-        avg_precision=_average_precision(Y, R),
+        ranking_loss=_ranking_loss(Y, R) if proper.any() else math.nan,
+        avg_precision=_average_precision(Y, R) if n_rel.any() else math.nan,
         n_evaluated=len(test),
-        n_skipped_ranking=int(((n_rel == 0) | (n_rel == Y.shape[1])).sum()),
+        n_skipped_ranking=int((~proper).sum()),
     )

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from mullab import cli
 from mullab.arff import LabelSpec, SplitSpec, load_arff, bind_labels, split_dataset
 from mullab.ensemble import EnsembleSpec, ensemble_fit, default_ensemble_spec
+from mullab.core import MLDataset
 from mullab.learners import preset
-from mullab.metrics import evaluate
+from mullab.metrics import EvaluationReport, evaluate
 from mullab.rng import derive_seed
 from mullab.transforms import MemberSpec, br_fit
 
@@ -685,3 +686,68 @@ class TestEvaluate:
 
 def test_usage_error_for_unknown_subcommand():
     assert cli.main(["frobnicate"]) == 1
+
+
+class TestUndefinedRankingMetrics:
+    """Every test row has an empty truth set, so ranking loss and average
+    precision are undefined: reported as n/a (null in JSON), left out of
+    AVERAGE, with the rest of the row intact and exit code 0."""
+
+    @staticmethod
+    def _config(tmp_path, fmt):
+        train, test = correlated_dataset(123, n_train=60, n_test=20,
+                                         n_labels=3, n_features=4)
+        empty = MLDataset(test.schema, test.X, np.zeros_like(test.Y))
+        paths = {}
+        for name, data in (("train", train), ("test", empty)):
+            paths[name] = tmp_path / f"{name}.arff"
+            paths[name].write_text(to_arff_text(data), encoding="utf-8")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("L0\nL1\nL2\n", encoding="utf-8")
+        cfg = {"dataset": {"train": str(paths["train"]),
+                           "test": str(paths["test"]), "labels": str(labels)},
+               "seed": 5, "format": fmt, "out": str(tmp_path / "report"),
+               "experiments": [BR, {"transform": "lp", "learner": "knn"}]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return path, tmp_path / "report"
+
+    def test_csv(self, tmp_path):
+        cfg, out = self._config(tmp_path, "csv")
+        assert run_cli(["benchmark", "--config", cfg]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells[4:] == ["n/a", "n/a"]
+            assert all(0.0 <= float(c) <= 1.0 for c in cells[1:4])
+        assert lines[3].startswith("AVERAGE,")
+
+    def test_markdown(self, tmp_path):
+        cfg, out = self._config(tmp_path, "md")
+        assert run_cli(["benchmark", "--config", cfg]) == 0
+        rows = {line.split(" | ")[0]: line.split(" | ")[1:]
+                for line in out.read_text(encoding="utf-8").splitlines()
+                if line.startswith("| ")}
+        assert rows["| RL ↓"] == rows["| AvPre ↑"] == ["n/a", "n/a", "n/a |"]
+        assert "n/a" not in "".join(rows["| Acc ↑"] + rows["| 1-Err ↓"])
+
+    def test_json(self, tmp_path):
+        cfg, out = self._config(tmp_path, "json")
+        assert run_cli(["benchmark", "--config", cfg]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        for row in payload["rows"] + [payload["average"]]:
+            assert row["ranking_loss"] is None and row["avg_precision"] is None
+            assert row["one_error"] == 1.0
+        assert [row["n_skipped_ranking"] for row in payload["rows"]] == [20, 20]
+
+
+def test_average_leaves_undefined_values_out():
+    defined = EvaluationReport(0.5, 0.25, 0.5, 0.2, 0.75, 4, 1)
+    undefined = EvaluationReport(0.7, 0.15, 1.0, float("nan"), float("nan"), 4, 4)
+    reports = [("a", defined), ("b", undefined), ("c", ValueError("boom"))]
+    assert cli.render_csv(reports).splitlines()[-1] == (
+        "AVERAGE,0.600000,0.200000,0.750000,0.200000,0.750000")
+    assert json.loads(cli.render_json(reports, {}))["average"] == {
+        "accuracy": 0.6, "hamming_loss": 0.2, "one_error": 0.75,
+        "ranking_loss": 0.2, "avg_precision": 0.75}

@@ -292,6 +292,22 @@ class TestEvaluate:
         assert rep.n_skipped_ranking == 2
         assert rep.n_evaluated == 3
 
+    @pytest.mark.parametrize("truths,rl_defined,ap_defined", [
+        ([[], []], False, False),
+        ([[0, 1, 2], [0, 1, 2]], False, True),
+        ([[], [0, 1, 2]], False, True),
+        ([[], [0]], True, True),
+    ])
+    def test_metric_no_row_defines_is_nan(self, truths, rl_defined,
+                                          ap_defined):
+        rep = evaluate(_MatrixModel([[0.9, 0.4, 0.1]] * 2),
+                       eval_fixture(truths, 3))
+        assert np.isnan(rep.ranking_loss) != rl_defined
+        assert np.isnan(rep.avg_precision) != ap_defined
+        assert rep.n_skipped_ranking == 2 - rl_defined
+        assert not np.isnan([rep.accuracy, rep.hamming_loss,
+                             rep.one_error]).any()
+
     def test_universe_mismatch(self):
         test = eval_fixture([[0]], 2)
         with pytest.raises(UniverseMismatch):

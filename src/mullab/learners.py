@@ -27,16 +27,20 @@ Three families, each consumed by the problem transformations:
   the average (Quinlan 1993).  Plain gain ratio favours cuts that peel
   ``min_leaf`` rows off one side and grows deep trees.  Leaf distributions
   are Laplace-1 smoothed class frequencies.  Split search is exhaustive and
-  batched per node: all numeric candidates share one stable sort and one
-  vectorised pass over every cut that ``min_leaf`` allows.  Entropies come
-  from integer class counts and a per-fit table ``xlx[c] = c * log2(c)``:
-  ``t`` rows with class counts ``k`` have ``t`` times their entropy in
-  ``xlx[t] - sum(xlx[k])``.  Scores within ``_GAIN_EPS`` (1e-12) of the best
-  are tied and the first candidate wins (the lowest threshold, then the
-  earliest attribute), so float rounding does not pick between splits that
-  are equal in exact arithmetic.  Growing, pruning and prediction route
-  index arrays of rows through one split test (``_parts``); a row whose
-  category grew no child stops at its node.
+  batched per node, with no sort: the encoder of a training matrix sorts
+  each numeric column once (stably), a tree's root takes that order
+  filtered to its rows, and each child takes its parent's order filtered
+  to the child's rows, which is what a stable sort of the child's rows
+  gives.  All numeric candidates are scored in one vectorised pass over
+  every cut that ``min_leaf`` allows, one present class at a time.
+  Entropies come from integer class counts and a per-fit table ``xlx[c] =
+  c * log2(c)``: ``t`` rows with class counts ``k`` have ``t`` times their
+  entropy in ``xlx[t] - sum(xlx[k])``.  Scores within ``_GAIN_EPS`` (1e-12)
+  of the best are tied and the first candidate wins (the lowest threshold,
+  then the earliest attribute), so float rounding does not pick between
+  splits that are equal in exact arithmetic.  Growing, pruning and
+  prediction route index arrays of rows through one split test
+  (``_parts``); a row whose category grew no child stops at its node.
 
 Input: ``fit`` and ``predict_dist_many`` take an n x d float matrix such as
 ``MLDataset.X`` (NaN marks a missing cell), which is built once per dataset;
@@ -72,8 +76,8 @@ from .rng import Xoshiro256, derive_seed
 # The one tree tolerance: scores within _GAIN_EPS of the best are tied (the
 # first candidate wins), and a gain or split info must exceed it to count.
 _GAIN_EPS = 1e-12
-# Upper bound on the (attrs x rows x classes) elements of one batch in the
-# numeric split search; it bounds the search's peak memory.
+# Upper bound on the (attrs x rows) elements of one batch in the numeric
+# split search; it bounds the search's peak memory.
 _BATCH_ELEMS = 1 << 15
 # Upper bound on the (query rows x classes x numeric attrs) elements of one
 # block in naive Bayes prediction; it bounds the prediction's peak memory.
@@ -173,6 +177,8 @@ class _Encoder:
 
     def __init__(self, features, attributes: Optional[Sequence[Attribute]] = None):
         raw = np.ascontiguousarray(features, dtype=float)
+        if raw.ndim == 1 and raw.size == 0:
+            raw = raw.reshape(0, 0 if attributes is None else len(attributes))
         if raw.ndim != 2:
             raise ValueError("features must be an n x d matrix")
         if attributes is None:
@@ -192,15 +198,36 @@ class _Encoder:
             means[j] = col[ok].mean() if ok.any() else 0.0
         self._fill = np.where(self.is_nominal, self._declared, means)
         self.matrix = self._finish(raw)
+        # row of each numeric column in the order matrix
+        self.order_row = np.cumsum(~self.is_nominal) - 1
+        self._order = None
 
     def _finish(self, raw: np.ndarray) -> np.ndarray:
         miss = np.isnan(raw)
         return np.where(miss, self._fill, raw) if miss.any() else raw
 
+    def sorted_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The distinct training rows ``rows`` in stable ascending order of
+        each numeric column: a (numeric columns x ``len(rows)``) matrix whose
+        row ``order_row[a]`` is ``rows[np.argsort(matrix[rows, a],
+        kind="stable")]`` for ascending ``rows``, ties by ascending row.
+        The whole matrix is sorted once, the first time a tree asks, and
+        filtered to ``rows``."""
+        if self._order is None:
+            # concurrent first calls may each sort; they store equal orders
+            self._order = np.ascontiguousarray(np.argsort(
+                self.matrix[:, ~self.is_nominal], axis=0, kind="stable").T)
+        n = len(self.matrix)
+        if len(rows) == n:
+            return self._order
+        branch = np.full(n, -1)
+        branch[rows] = 0
+        return _split_order(self._order, branch, [len(rows)])[0]
+
     def transform(self, features) -> np.ndarray:
         d = len(self.is_nominal)
         raw = np.ascontiguousarray(features, dtype=float)
-        if raw.size == 0:
+        if raw.ndim == 1 and raw.size == 0:
             raw = raw.reshape(0, d)
         if raw.ndim != 2 or raw.shape[1] != d:
             raise ValueError(
@@ -227,15 +254,20 @@ class Classifier:
 
 class ConstantClassifier(Classifier):
     """Degenerate model that always predicts class 0: for empty or
-    single-class training data."""
+    single-class training data.  Queries go through ``enc``, the encoder
+    of the training matrix, which checks their arity and categories as
+    for the other learners; without one, any rows are accepted."""
 
-    def __init__(self, n_classes: int):
+    def __init__(self, n_classes: int, enc: Optional[_Encoder] = None):
         self.n_classes = n_classes
+        self._enc = enc
         self._dist = np.zeros(n_classes)
         if n_classes:
             self._dist[0] = 1.0
 
     def predict_dist_many(self, rows):
+        if self._enc is not None:
+            rows = self._enc.transform(rows)
         return np.tile(self._dist, (len(rows), 1))
 
 
@@ -405,6 +437,18 @@ def _xlx(n: int) -> np.ndarray:
     return c * np.log2(np.maximum(c, 1))
 
 
+def _split_order(order: np.ndarray, branch: np.ndarray, sizes) -> list:
+    """The rows of each branch in ``order``, a matrix of training row
+    indices, kept in each order row's sequence: one (``len(order)`` x
+    ``sizes[v]``) matrix per branch ``v``.  ``branch`` holds each training
+    row's branch; rows of a branch outside ``range(len(sizes))`` are
+    dropped."""
+    # compress on the flat arrays is several times faster than a 2-D mask
+    of, flat = branch[order].ravel(), order.ravel()
+    return [np.compress(of == v, flat).reshape(len(order), size)
+            for v, size in enumerate(sizes)]
+
+
 def _parts(node: _Node, x: np.ndarray, idx: np.ndarray) -> list:
     """Rows ``idx`` of ``x`` split by ``node``'s test: ``(child, rows)`` per
     branch, rows in ascending order.  A numeric test gives ``left`` (``<=
@@ -437,11 +481,11 @@ class TreeClassifier(Classifier):
             n_prune = n // 3
             prune_idx = np.array(sorted(perm[:n_prune]))
             grow_idx = np.array(sorted(perm[n_prune:]))
-            self.root = self._build(grow_idx, 0)
+            self.root = self._grow(grow_idx)
             self.prune_error_before, self.prune_error_after = self._prune(
                 self.root, prune_idx)
         else:
-            self.root = self._build(np.arange(n), 0)
+            self.root = self._grow(np.arange(n))
 
     # -- induction ---------------------------------------------------------
 
@@ -454,17 +498,51 @@ class TreeClassifier(Classifier):
         size = min(size, d)
         return sorted(self._rng.sample(d, size))
 
-    def _build(self, idx: np.ndarray, depth: int) -> _Node:
-        counts = np.bincount(self._y[idx], minlength=self.n_classes)
-        node = _Node(counts)
+    def _may_split(self, counts: np.ndarray, depth: int) -> bool:
+        """Whether a node with class ``counts`` at ``depth`` may split."""
         spec = self.spec
-        if (
-            (counts > 0).sum() <= 1
-            or len(idx) < 2 * spec.min_leaf
-            or (spec.max_depth is not None and depth >= spec.max_depth)
-        ):
-            return node
-        parent_h = (self._xlx[len(idx)] - self._xlx[counts].sum()) / len(idx)
+        return ((counts > 0).sum() > 1
+                and counts.sum() >= 2 * spec.min_leaf
+                and (spec.max_depth is None or depth < spec.max_depth))
+
+    def _grow(self, idx: np.ndarray) -> _Node:
+        """The tree grown on the ascending training rows ``idx``, depth
+        first in preorder.  A node that splits hands each child that may
+        split its rows of the node's order (``_Encoder.sorted_rows``) and
+        drops its own, so the pending orders cover disjoint rows."""
+        y, n_classes = self._y, self.n_classes
+        root = _Node(np.bincount(y[idx], minlength=n_classes))
+        if not self._may_split(root.counts, 0):
+            return root
+        todo = [(root, idx, self._enc.sorted_rows(idx), 0)]
+        while todo:
+            node, idx, order, depth = todo.pop()
+            if not self._split(node, idx, order):
+                continue
+            parts = _parts(node, self._x, idx)
+            kids = [_Node(np.bincount(y[rows], minlength=n_classes))
+                    if len(rows) else None for _, rows in parts]
+            if node.threshold is None:
+                node.children = kids
+            else:
+                node.left, node.right = kids
+            grown = [(kid, rows) for kid, (_, rows) in zip(kids, parts)
+                     if kid and self._may_split(kid.counts, depth + 1)]
+            branch = np.full(len(y), -1)
+            for v, (_, rows) in enumerate(grown):
+                branch[rows] = v
+            orders = _split_order(order, branch, [len(r) for _, r in grown])
+            # reversed, so that the first child is grown first
+            todo += [(kid, rows, sub, depth + 1)
+                     for (kid, rows), sub in zip(grown[::-1], orders[::-1])]
+        return root
+
+    def _split(self, node: _Node, idx: np.ndarray, order: np.ndarray) -> bool:
+        """Give ``node``, over training rows ``idx`` in ``order``, the split
+        the criterion picks, with placeholder children; False when no
+        candidate is useful and the node stays a leaf."""
+        n = len(idx)
+        parent_h = (self._xlx[n] - self._xlx[node.counts].sum()) / n
         attrs = self._candidate_attrs(self._x.shape[1])
         nominal = self._enc.is_nominal[attrs]
         gain = np.empty(len(attrs))
@@ -473,24 +551,18 @@ class TreeClassifier(Classifier):
         num = np.flatnonzero(~nominal)
         if num.size:
             gain[num], ratio[num], threshold[num] = self._eval_numeric_all(
-                np.asarray(attrs)[num], idx, parent_h)
+                np.asarray(attrs)[num], order, node.counts, parent_h)
         for i in np.flatnonzero(nominal):
             gain[i], ratio[i] = self._eval_nominal(attrs[i], idx, parent_h)
         pos = self._choose(gain, ratio)
         if pos is None:
-            return node
+            return False
         node.attr = attrs[pos]
         if nominal[pos]:
             node.children = [None] * int(self._enc.n_values[node.attr])
         else:
             node.threshold = float(threshold[pos])
-        kids = [self._build(part, depth + 1) if len(part) else None
-                for _, part in _parts(node, self._x, idx)]
-        if nominal[pos]:
-            node.children = kids
-        else:
-            node.left, node.right = kids
-        return node
+        return True
 
     def _choose(self, gain: np.ndarray, ratio: np.ndarray) -> Optional[int]:
         """Position of the candidate split the criterion picks, or None when
@@ -502,6 +574,8 @@ class TreeClassifier(Classifier):
         that average (Quinlan 1993, C4.5), less ``_GAIN_EPS`` so that equal
         gains all qualify whatever the rounding of their mean.
         """
+        if not len(gain):
+            return None
         criterion = self.spec.criterion
         if criterion == "info_gain":
             score = gain
@@ -516,29 +590,34 @@ class TreeClassifier(Classifier):
         pos = int(np.argmax(score >= score.max() - _GAIN_EPS))
         return pos if score[pos] > 0.0 else None
 
-    def _eval_numeric_all(self, attrs: np.ndarray, idx: np.ndarray,
-                          parent_h: float):
+    def _eval_numeric_all(self, attrs: np.ndarray, order: np.ndarray,
+                          counts: np.ndarray, parent_h: float):
         """Best binary cut of each numeric attribute in ``attrs`` at one node.
 
-        Returns ``(gain, ratio, threshold)`` arrays aligned with ``attrs``:
-        the information gain, gain ratio and threshold of each attribute's
-        chosen cut; a gain or ratio <= 0 means the attribute has no useful
-        cut.  Cut ``i`` sends sorted rows ``0..i`` left; only cuts between
-        distinct values that leave ``min_leaf`` rows on each side count, and
-        the lowest threshold whose score is within ``_GAIN_EPS`` of the best
-        wins.  ``gain_ratio`` picks the cut by gain ratio, the other criteria
-        by gain.  ``c45`` then subtracts log2(admissible cuts) / n, the cost
-        of choosing the threshold (Quinlan 1996, "Improved use of continuous
-        attributes in C4.5"), from the gain.  The split info of every cut is
-        computed once and read at the chosen one.  All attributes share one
-        stable sort and are evaluated together in batches of at most
-        ``_BATCH_ELEMS`` (attrs x rows x classes) elements.
+        The node's rows are ``order`` (``_Encoder.sorted_rows``), with class
+        ``counts``.  Returns ``(gain, ratio, threshold)`` arrays aligned with
+        ``attrs``: the information gain, gain ratio and threshold of each
+        attribute's chosen cut; a gain or ratio <= 0 means the attribute has
+        no useful cut.  Cut ``i`` sends sorted rows ``0..i`` left; only cuts
+        between distinct values that leave ``min_leaf`` rows on each side
+        count, and the lowest threshold whose score is within ``_GAIN_EPS``
+        of the best wins.  ``gain_ratio`` picks the cut by gain ratio, the
+        other criteria by gain.  ``c45`` then subtracts log2(admissible cuts)
+        / n, the cost of choosing the threshold (Quinlan 1996, "Improved use
+        of continuous attributes in C4.5"), from the gain.  The split info
+        of every cut is computed once and read at the chosen one.
+
+        The node's rows arrive sorted, so no sort is needed here.  The
+        attributes are scored together in batches of at most
+        ``_BATCH_ELEMS`` (attrs x rows) elements, one present class at a
+        time: the left counts of class ``k`` at every cut are one cumsum,
+        and the ``xlx`` terms of the left and right sides are summed over
+        the classes in class order.
         """
-        n, m = len(idx), self.spec.min_leaf
-        vals = self._x[idx][:, attrs]
-        order = np.argsort(vals, axis=0, kind="stable")
-        sv = np.take_along_axis(vals, order, axis=0).T  # attrs x rows
-        sy = self._y[idx][order].T
+        n, m = order.shape[1], self.spec.min_leaf
+        ranked = order[self._enc.order_row[attrs]]  # attrs x sorted rows
+        sv = self._x[ranked, attrs[:, None]]
+        sy = self._y[ranked]
         window = slice(m - 1, n - m)  # cuts that leave min_leaf rows per side
         nl = np.arange(m, n - m + 1)
         nr = n - nl
@@ -548,15 +627,17 @@ class TreeClassifier(Classifier):
         by_ratio = self.spec.criterion == "gain_ratio"
         if by_ratio:
             score = np.empty(admissible.shape)
-        classes = np.arange(self.n_classes)
+        present = np.flatnonzero(counts)
         gains = np.empty(admissible.shape)
-        step = max(1, _BATCH_ELEMS // (n * self.n_classes))
+        step = max(1, _BATCH_ELEMS // n)
         for s in range(0, len(attrs), step):
-            cum = (sy[s:s + step, :, None] == classes).cumsum(axis=1)
-            left = cum[:, window]
-            right = cum[:, -1:] - left
-            child_h = (xlx[nl] + xlx[nr] - xlx[left].sum(axis=-1)
-                       - xlx[right].sum(axis=-1)) / n
+            batch = sy[s:s + step]
+            left_xlx = right_xlx = 0.0
+            for k in present:
+                left = (batch == k).cumsum(axis=1)[:, window]
+                left_xlx = left_xlx + xlx[left]
+                right_xlx = right_xlx + xlx[counts[k] - left]
+            child_h = (xlx[nl] + xlx[nr] - left_xlx - right_xlx) / n
             gain = parent_h - child_h
             ok = admissible[s:s + step] & (gain > _GAIN_EPS)
             gains[s:s + step] = np.where(ok, gain, -1.0)
@@ -690,7 +771,7 @@ def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
     if len(features) != len(classes):
         raise ValueError("features and classes differ in length")
     if len(features) == 0:
-        return ConstantClassifier(0)
+        return ConstantClassifier(0, _Encoder(features, attributes))
     y = np.asarray(classes, dtype=np.int64)
     if (y < 0).any():
         raise ValueError("class indices must be >= 0")
@@ -702,7 +783,8 @@ def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
                          "spec or feature matrix")
     if n_classes == 1:
         # single observed class: degenerate but valid, even with pruning on
-        return ConstantClassifier(1)
+        return ConstantClassifier(
+            1, shared.enc if isinstance(shared, KnnIndex) else shared)
     if isinstance(spec, KnnSpec):
         return KnnClassifier(shared, y, n_classes)
     if isinstance(spec, NaiveBayesSpec):

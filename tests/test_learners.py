@@ -86,6 +86,20 @@ def test_empty_training_yields_degenerate_model():
     assert clf.n_classes == 0
 
 
+@pytest.mark.parametrize("spec", [preset(name) for name in PRESET_NAMES]
+                         + [TreeSpec(criterion="gain_ratio")])
+def test_zero_column_matrix_fits_and_predicts(spec):
+    clf = fit(spec, np.empty((6, 0)), [0, 1, 0, 1, 0, 1])
+    for n in (2, 0):
+        dist = clf.predict_dist_many(np.empty((n, 0)))
+        assert dist.shape == (n, 2)
+        assert np.allclose(dist.sum(axis=1), 1.0)
+    assert clf.predict_dist_many([(), ()]).shape == (2, 2)
+    assert clf.predict_dist_many([]).shape == (0, 2)
+    with pytest.raises(ValueError, match="arity 1 does not match"):
+        clf.predict_dist_many([(1.0,)])
+
+
 class TestKnn:
     def test_identical_points_different_classes_split_evenly(self):
         pts = [(1.0, 1.0), (1.0, 1.0)]
@@ -305,7 +319,8 @@ class TestTree:
             idx = np.sort(rng.choice(n, int(rng.integers(2 * min_leaf, n + 1)),
                                      replace=False))
             parent_h = float(entropy_log2(np.bincount(y[idx])))
-            gain, ratio, threshold = clf._eval_numeric_all(attrs, idx, parent_h)
+            gain, ratio, threshold = clf._eval_numeric_all(
+                attrs, clf._enc.sorted_rows(idx), np.bincount(y[idx]), parent_h)
             for a in attrs:
                 g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
                                          criterion, min_leaf)
@@ -355,6 +370,88 @@ class TestTree:
                   [(float(k), b[k]) for k in range(len(classes))], classes,
                   (Attribute("a"), Attribute("b")))
         assert clf.root.structure()[:3] == ("num", 0, 13.5)
+
+    @pytest.mark.parametrize("criterion", ["info_gain", "gain_ratio", "c45"])
+    def test_numeric_cut_scores_match_log2_formula_over_many_classes(
+            self, criterion):
+        # 11 classes, 8 or more at every node: from 8 terms on, numpy's
+        # pairwise sum over the classes associates differently from the
+        # search's class-at-a-time sum, and the two differ by ulps
+        rng = np.random.default_rng(11)
+        n = 240
+        X = np.column_stack([rng.integers(0, 8, n) / 2, rng.random(n),
+                             rng.integers(0, 30, n) / 4.0])
+        y = rng.integers(0, 11, n)
+        clf = fit(TreeSpec(criterion=criterion, min_leaf=2), X, y)
+        attrs = np.arange(X.shape[1])
+        for _ in range(25):
+            idx = np.sort(rng.choice(n, int(rng.integers(40, n + 1)),
+                                     replace=False))
+            counts = np.bincount(y[idx])
+            assert (counts > 0).sum() >= 8
+            gain, ratio, threshold = clf._eval_numeric_all(
+                attrs, clf._enc.sorted_rows(idx), counts,
+                float(entropy_log2(counts)))
+            for a in attrs:
+                g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
+                                         criterion, 2)
+                assert abs(gain[a] - g) <= 1e-12
+                assert abs(ratio[a] - r) <= 1e-12
+                if g > 0:
+                    assert threshold[a] == t
+
+    @staticmethod
+    def _stable_order(X, idx, cols):
+        return np.array([idx[np.argsort(X[idx, a], kind="stable")]
+                         for a in cols]).reshape(len(cols), len(idx))
+
+    def test_sorted_rows_equal_a_stable_sort_of_the_rows(self):
+        rng = np.random.default_rng(5)
+        # coarse columns repeat values; duplicated rows, as pruned sets
+        # builds its training matrix, tie in every column
+        base = np.column_stack([rng.integers(0, 4, 50) / 2, rng.random(50),
+                                rng.integers(0, 3, 50), rng.random(50)])
+        X = base[rng.integers(0, 50, 120)]
+        attrs = (Attribute("g"), Attribute("u"), Attribute("c", ("x", "y", "z")),
+                 Attribute("v"))
+        enc = learners.prepare(preset("j48"), X, attrs)
+        numeric = [0, 1, 3]
+        assert enc.order_row[numeric].tolist() == [0, 1, 2]
+        for size in (0, 1, 2, 17, 119, 120):
+            idx = np.sort(rng.choice(120, size, replace=False))
+            assert np.array_equal(enc.sorted_rows(idx),
+                                  self._stable_order(X, idx, numeric))
+
+    def test_nodes_receive_their_rows_in_stable_column_order(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        base = np.column_stack([rng.integers(0, 5, 80) / 2, rng.random(80),
+                                rng.integers(0, 3, 80),
+                                rng.integers(0, 12, 80) / 4])
+        X = base[rng.integers(0, 80, 200)]  # duplicated rows
+        y = (X[:, 0] > 1).astype(int) + 2 * (X[:, 2] == 1) + (X[:, 1] > 0.6)
+        y = np.where(rng.random(200) < 0.2, rng.integers(0, 4, 200), y)
+        attrs = (Attribute("g"), Attribute("u"), Attribute("c", ("x", "y", "z")),
+                 Attribute("h"))
+        received = []
+        split = learners.TreeClassifier._split
+
+        def record(self, node, idx, order):
+            received.append((idx, order))
+            return split(self, node, idx, order)
+
+        monkeypatch.setattr(learners.TreeClassifier, "_split", record)
+        for name in ("reptree", "j48", "random-t"):
+            received.clear()
+            clf = fit(dataclasses.replace(preset(name), min_leaf=1), X, y, attrs)
+            # reptree grows on a subset; every tree splits nodes many
+            # partitions deep, down to a few rows
+            assert len(received[0][0]) == (134 if name == "reptree" else 200)
+            assert len(received) > 20
+            assert min(len(idx) for idx, _ in received) <= 4
+            assert clf.root.attr is not None
+            for idx, order in received:
+                assert np.array_equal(order,
+                                      self._stable_order(X, idx, [0, 1, 3]))
 
     def test_pure_training_data_yields_confident_leaf(self):
         pts = [(float(i), 0.0) for i in range(6)]
@@ -608,6 +705,23 @@ class TestEncoding:
         from_rows = fit(spec, d.features, y, attrs).predict_dist_many(probe.features)
         from_matrix = fit(spec, d.X, y, attrs).predict_dist_many(probe.X)
         assert np.array_equal(from_rows, from_matrix)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_single_class_model_checks_queries(self, spec):
+        clf = fit(spec, [(0,), (1,), (2,)], [0, 0, 0], self.NOM3)
+        assert clf.predict_dist_many([(1,), (None,)]).tolist() == [[1.0], [1.0]]
+        with pytest.raises(ValueError, match="'c'.*integral"):
+            clf.predict_dist_many([(1.5,)])
+        with pytest.raises(ValueError, match=r"'c'.*\[0, 3\), got 3$"):
+            clf.predict_dist_many([(3,)])
+        with pytest.raises(ValueError, match="arity 2 does not match"):
+            clf.predict_dist_many([(0, 1)])
+        with pytest.raises(ValueError, match="arity 7 does not match"):
+            fit(spec, np.ones((4, 3)), [0] * 4).predict_dist_many(np.ones((2, 7)))
+        empty = fit(spec, np.empty((0, 1)), [], self.NOM3)
+        assert empty.predict_dist_many([(2,)]).shape == (1, 0)
+        with pytest.raises(ValueError, match="'c'"):
+            empty.predict_dist_many([(3,)])
 
     def test_matrix_is_not_copied(self):
         d = random_dataset(6, n=20, n_labels=2, n_num=3, n_nom=0)

@@ -47,7 +47,8 @@ Input: ``fit`` and ``predict_dist_many`` take an n x d float matrix such as
 a C-ordered float64 matrix is used as is, without a copy or a per-row pass.
 ``prepare(spec, X, attributes)`` builds the encoder (and for kNN the index)
 of a training matrix once; ``fit(..., shared=...)`` reuses it, which is how
-one model fits many classifiers on one matrix.
+one model fits many classifiers on one matrix, and ``release(shared)``
+frees the column orders its trees grew from once the last one is fitted.
 Column kinds come only from the schema ``attributes``: without them every
 column is numeric, and nothing is inferred from the values.  A nominal cell
 must be an integral category index below the attribute's arity; anything
@@ -749,6 +750,15 @@ def prepare(spec: LearnerSpec, features: np.ndarray,
     return KnnIndex(spec, enc) if isinstance(spec, KnnSpec) else enc
 
 
+def release(shared) -> None:
+    """Free what only fitting uses of ``prepare``'s training state: the
+    column orders that trees grow from, which would otherwise live as long
+    as the fitted classifiers.  Those classifiers keep working, and a later
+    tree fit on ``shared`` sorts again."""
+    if isinstance(shared, _Encoder):
+        shared._order = None
+
+
 def _prepared_for(shared, spec: LearnerSpec, n_rows: int) -> bool:
     if isinstance(spec, KnnSpec):
         return (isinstance(shared, KnnIndex) and shared.spec == spec
@@ -765,8 +775,9 @@ def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
     marks a missing cell); a C-ordered float64 matrix is used without a
     copy.  ``attributes`` carries the schema kinds; when omitted, every
     column is numeric.  ``shared`` is ``prepare(spec, features,
-    attributes)``, built once and passed to every fit on the same features;
-    without it, each fit builds its own.
+    attributes)``, built once and passed to every fit on the same features
+    and ``release``d after the last; without it, each fit builds and
+    releases its own.
     """
     if len(features) != len(classes):
         raise ValueError("features and classes differ in length")
@@ -778,7 +789,10 @@ def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
     n_classes = int(y.max()) + 1
     if shared is None:
         shared = prepare(spec, features, attributes)  # checks arity, domains
-    elif not _prepared_for(shared, spec, len(y)):
+        clf = fit(spec, features, classes, attributes, shared)
+        release(shared)
+        return clf
+    if not _prepared_for(shared, spec, len(y)):
         raise ValueError("shared training state was prepared for another "
                          "spec or feature matrix")
     if n_classes == 1:

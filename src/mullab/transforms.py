@@ -117,6 +117,7 @@ def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
         classes, y, _ = _distinct_rows(train.Y[:, list(labels)])
         clf = learners.fit(spec, train.X, y, attributes, shared)
         members.append((labels, clf, classes))
+    learners.release(shared)
     return model_class(train.n_labels, members, shared, **fields)
 
 

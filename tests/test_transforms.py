@@ -197,6 +197,31 @@ class TestRakel:
         assert np.abs(rk.predict_scores_many(probe)
                       - lp.predict_scores_many(probe)).max() <= 1e-12
 
+    def test_tree_members_share_one_sort_and_keep_none(self, monkeypatch):
+        sorts = []
+        sorted_rows = learners._Encoder.sorted_rows
+
+        def counting(enc, rows):
+            sorts.append(enc._order is None)
+            return sorted_rows(enc, rows)
+
+        monkeypatch.setattr(learners._Encoder, "sorted_rows", counting)
+        spec = TreeSpec(criterion="info_gain", min_leaf=1)
+        model = rakel_fit(LP_FIXTURE, spec, m=3, k=2, seed=5)
+        # every member grew a tree from the one order of the shared
+        # encoder, sorted once; the fitted model no longer holds it
+        assert len(sorts) == 3 and sorts.count(True) == 1
+        assert all(clf._enc is model._shared for _, clf, _ in model.members)
+        assert model._shared._order is None
+        probe = np.array([(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5)])
+        for labels, clf, classes in model.members:
+            rows = LP_FIXTURE.Y[:, list(labels)].tolist()
+            y = [classes.tolist().index(row) for row in rows]
+            alone = learners.fit(spec, LP_FIXTURE.X, y)
+            assert alone._enc._order is None
+            assert np.array_equal(clf.predict_dist_many(probe),
+                                  alone.predict_dist_many(probe))
+
     def test_scores_are_mean_of_member_votes(self):
         model = rakel_fit(LP_FIXTURE, KnnSpec(k=2), m=3, k=2, seed=7)
         probe = np.array([(-2.0, 0.1), (0.1, 2.2)])

@@ -214,16 +214,17 @@ class _Encoder:
         kind="stable")]`` for ascending ``rows``, ties by ascending row.
         The whole matrix is sorted once, the first time a tree asks, and
         filtered to ``rows``."""
-        if self._order is None:
+        order = self._order
+        if order is None:
             # concurrent first calls may each sort; they store equal orders
-            self._order = np.ascontiguousarray(np.argsort(
+            order = self._order = np.ascontiguousarray(np.argsort(
                 self.matrix[:, ~self.is_nominal], axis=0, kind="stable").T)
         n = len(self.matrix)
         if len(rows) == n:
-            return self._order
+            return order
         branch = np.full(n, -1)
         branch[rows] = 0
-        return _split_order(self._order, branch, [len(rows)])[0]
+        return _split_order(order, branch, [len(rows)])[0]
 
     def transform(self, features) -> np.ndarray:
         d = len(self.is_nominal)

@@ -767,6 +767,21 @@ def _prepared_for(shared, spec: LearnerSpec, n_rows: int) -> bool:
     return isinstance(shared, _Encoder) and len(shared.matrix) == n_rows
 
 
+def _classifier(spec: LearnerSpec, shared, y: np.ndarray,
+                n_classes: int) -> Classifier:
+    if n_classes == 1:
+        # single observed class: degenerate but valid, even with pruning on
+        return ConstantClassifier(
+            1, shared.enc if isinstance(shared, KnnIndex) else shared)
+    if isinstance(spec, KnnSpec):
+        return KnnClassifier(shared, y, n_classes)
+    if isinstance(spec, NaiveBayesSpec):
+        return NaiveBayesClassifier(spec, shared, y, n_classes)
+    if isinstance(spec, TreeSpec):
+        return TreeClassifier(spec, shared, y, n_classes)
+    raise TypeError(f"unknown learner spec {type(spec).__name__}")
+
+
 def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
         attributes: Optional[Sequence[Attribute]] = None,
         shared=None) -> Classifier:
@@ -788,22 +803,13 @@ def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
     if (y < 0).any():
         raise ValueError("class indices must be >= 0")
     n_classes = int(y.max()) + 1
-    if shared is None:
+    own = shared is None
+    if own:
         shared = prepare(spec, features, attributes)  # checks arity, domains
-        clf = fit(spec, features, classes, attributes, shared)
-        release(shared)
-        return clf
-    if not _prepared_for(shared, spec, len(y)):
+    elif not _prepared_for(shared, spec, len(y)):
         raise ValueError("shared training state was prepared for another "
                          "spec or feature matrix")
-    if n_classes == 1:
-        # single observed class: degenerate but valid, even with pruning on
-        return ConstantClassifier(
-            1, shared.enc if isinstance(shared, KnnIndex) else shared)
-    if isinstance(spec, KnnSpec):
-        return KnnClassifier(shared, y, n_classes)
-    if isinstance(spec, NaiveBayesSpec):
-        return NaiveBayesClassifier(spec, shared, y, n_classes)
-    if isinstance(spec, TreeSpec):
-        return TreeClassifier(spec, shared, y, n_classes)
-    raise TypeError(f"unknown learner spec {type(spec).__name__}")
+    clf = _classifier(spec, shared, y, n_classes)
+    if own:
+        release(shared)
+    return clf

@@ -27,7 +27,9 @@ the n x M matrix of per-label confidences in [0, 1] out.  Models are
 immutable after fitting.
 
 A model fits every member on one training matrix: one encoder
-(``learners.prepare``) and, with kNN, one shared ``KnnIndex``.  A predict
+(``learners.prepare``) and, with kNN, one shared ``KnnIndex``.  Tree
+members grow from one sort of each column, which ``learners.release``
+frees once the last member is fitted.  A predict
 call runs one neighbour search per query matrix, and each kNN member votes
 on it.  The neighbours live only for that call, so concurrent
 predicts on one model stay safe.

@@ -17,8 +17,11 @@ ends at ``\n``, ``\r\n`` or ``\r``, and a missing ``@data`` is reported at
 the last line.
 
 ``_parse_cell`` defines what a cell means (missing, padding, quotes,
-non-finite numbers) and what each bad cell's error says.  Dense rows take a
-faster path first: each cell goes through builtin ``float`` (numeric) or a
+non-finite numbers) and what each bad cell's error says.  A number is
+written in ASCII without ``_``: ``1_0``, ``１`` and ``٣``, which ``float``
+reads as 10, 1 and 3, are bad numeric values, and such indices are bad
+sparse indices.  Dense rows take a faster path first: a line in ASCII
+without ``_`` has each cell go through builtin ``float`` (numeric) or a
 dict of the nominal values ``_parse_cell`` maps to their own index, and the
 row is kept when no cell raises and the row's sum is finite.  Every other
 dense row, and every sparse cell, is parsed by ``_parse_cell``, so both
@@ -136,6 +139,13 @@ def _parse_attribute(line: str, lineno: int) -> Attribute:
     raise ArffParseError(lineno, f"unknown attribute kind {rest!r}")
 
 
+def _ascii_number(text: str) -> bool:
+    """Whether ``text`` is free of what ``float`` and ``int`` read but
+    ARFF (and Weka) do not: ``_`` between digits, and non-ASCII digits such
+    as fullwidth or Arabic-Indic ones."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_cell(token: str, attr: Attribute, lineno: int):
     token = token.strip()
     if token == "?":
@@ -149,6 +159,8 @@ def _parse_cell(token: str, attr: Attribute, lineno: int):
                 lineno, f"value {name!r} not declared for attribute {attr.name!r}"
             ) from None
     try:
+        if not _ascii_number(token):
+            raise ValueError
         value = float(token)
     except ValueError:
         raise ArffParseError(
@@ -178,6 +190,8 @@ def _parse_sparse_row(line: str, attributes, lineno: int) -> list:
             raise ArffParseError(lineno, f"sparse entry {entry!r} needs 'index value'")
         idx_tok, val_tok = split
         try:
+            if not _ascii_number(idx_tok):
+                raise ValueError
             idx = int(idx_tok)
         except ValueError:
             raise ArffParseError(lineno, f"bad sparse index {idx_tok!r}") from None
@@ -237,11 +251,15 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
                     lineno,
                     f"row has {len(cells)} values, expected {len(attrs)}",
                 )
-            try:
-                row = [conv(tok) for conv, tok in zip(convs, cells)]
-                clean = math.isfinite(sum(row))
-            except (ValueError, KeyError):
-                clean = False
+            # a line that float could misread goes to _parse_cell, which
+            # still takes such characters in nominal values
+            clean = _ascii_number(line)
+            if clean:
+                try:
+                    row = [conv(tok) for conv, tok in zip(convs, cells)]
+                    clean = math.isfinite(sum(row))
+                except (ValueError, KeyError):
+                    clean = False
             if not clean:
                 row = [_parse_cell(tok, attr, lineno)
                        for tok, attr in zip(cells, attrs)]

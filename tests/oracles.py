@@ -109,6 +109,22 @@ def naive_bayes_posterior_bf(train_rows, train_classes, query, variance_floor):
     return {c: w / total for c, w in zip(classes, weights)}
 
 
+def naive_bayes_numeric_dist_bf(q, log_prior, mean, var):
+    """Class distributions of the encoded query rows ``q`` from a fitted
+    model's numeric Gaussians alone, as one block through one expression
+    per step: ``(log_norm - diff * diff / two_var).sum(axis=2)`` for each
+    row, added to the log prior, then normalised with the maximum
+    subtracted."""
+    log_norm = -0.5 * np.log(2.0 * math.pi * var)
+    two_var = 2.0 * var
+    diff = q[:, None, :] - mean[None, :, :]
+    log_post = np.tile(log_prior, (len(q), 1))
+    log_post += (log_norm[None, :, :] - diff * diff / two_var[None, :, :]).sum(axis=2)
+    log_post -= log_post.max(axis=1, keepdims=True)
+    post = np.exp(log_post)
+    return post / post.sum(axis=1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # decision-tree split oracles
 # ---------------------------------------------------------------------------
@@ -305,6 +321,26 @@ def tree_predict_bf(root, rows, n_classes):
         counts = [int(c) for c in node.counts]
         out.append([(c + 1) / (sum(counts) + n_classes) for c in counts])
     return out, stopped
+
+
+def knn_distances_bf(qn, xn, qc, xc, distance):
+    """The (queries x training rows) kNN distances as whole-matrix
+    expressions: over the standardised numeric columns ``qn``/``xn``,
+    ``(|q|^2 + |x|^2) - 2 q.x`` clipped at 0 (Euclidean, squared) or the
+    sum of absolute differences column by column (Manhattan), then one per
+    nominal column of ``qc``/``xc`` whose categories differ."""
+    d = np.zeros((len(qn), len(xn)))
+    if qn.shape[1]:
+        if distance == "euclidean":
+            d += ((qn * qn).sum(axis=1)[:, None] + (xn * xn).sum(axis=1)[None, :]
+                  - 2.0 * qn @ xn.T)
+            np.clip(d, 0.0, None, out=d)
+        else:
+            for j in range(qn.shape[1]):
+                d += np.abs(qn[:, j][:, None] - xn[None, :, j])
+    for j in range(qc.shape[1]):
+        d += qc[:, j][:, None] != xc[None, :, j]
+    return d
 
 
 def knn_counts_bf(distances, train_classes, k, n_classes):

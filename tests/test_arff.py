@@ -103,8 +103,8 @@ DENSE_ROW_CASES = [
      ["a ,1.5", "'a ',2", "a,3"], ((1, 1.5), (0, 2.0), (1, 3.0))),
     ("nominal-value-named-question-mark", ["c {'?',a}"],
      ["?", "'?'", "a"], ((None,), (0,), (1,))),
-    ("padded-and-underscored-numbers", _TWO_NUMERIC,
-     ["1_0 , 1.5", "\t-2 ,3e-2\t", "-0.0,7"],
+    ("padded-numbers", _TWO_NUMERIC,
+     ["10 , 1.5", "\t-2 ,3e-2\t", "-0.0,7"],
      ((10.0, 1.5), (-2.0, 0.03), (-0.0, 7.0))),
     ("missing-numeric-and-nominal", ["a numeric", "c {0,1}"],
      ["?,?", " ? , ? ", "1,0"], ((None, None), (None, None), (1.0, 0))),
@@ -138,6 +138,36 @@ def test_dense_rows_parse_as_cell_by_cell(attributes, data_lines, expected):
     else:
         want = np.array(expected, dtype=float)
         assert repr(got.tolist()) == repr(want.tolist())  # -0.0 is not 0.0
+
+
+# Numbers that builtin float and int read (as 10, 1 and 3) but ARFF does
+# not: each is rejected with its line, whichever path its row takes.
+@pytest.mark.parametrize("row, message", [
+    ("1_0,2", "bad numeric value '1_0' for attribute 'a'"),  # dense, clean
+    ("2,\uff11", "bad numeric value '\uff11' for attribute 'b'"),
+    ("\u0663 ,2", "bad numeric value '\u0663' for attribute 'a'"),
+    ("?,1_0", "bad numeric value '1_0' for attribute 'b'"),  # dense, per cell
+    ("1e9_9,?", "bad numeric value '1e9_9' for attribute 'a'"),
+    ("{0 1_0}", "bad numeric value '1_0' for attribute 'a'"),  # sparse
+    ("{1 \u0663}", "bad numeric value '\u0663' for attribute 'b'"),
+    ("{\u0661 2}", "bad sparse index '\u0661'"),
+    ("{0_1 2}", "bad sparse index '0_1'"),
+], ids=["dense-underscore", "dense-fullwidth", "dense-arabic-indic",
+        "per-cell-underscore", "per-cell-exponent-underscore",
+        "sparse-underscore", "sparse-arabic-indic", "sparse-index-arabic-indic",
+        "sparse-index-underscore"])
+def test_numbers_only_float_reads_are_rejected(row, message):
+    with pytest.raises(ArffParseError) as err:
+        parse_arff(_arff_text(_TWO_NUMERIC, ["1,2", row]))
+    assert err.value.line == 6
+    assert str(err.value) == f"line 6: {message}"
+
+
+def test_nominal_values_may_hold_underscores_and_non_ascii():
+    attrs = ["c {\u00e9_1,b_2}", "x numeric"]
+    got = parse_arff(_arff_text(attrs, ["\u00e9_1,1.5", "b_2,2",
+                                        "{0 b_2, 1 3}"])).X
+    assert got.tolist() == [[0.0, 1.5], [1.0, 2.0], [1.0, 3.0]]
 
 
 def test_clean_dense_rows_skip_the_per_cell_parser(monkeypatch):

@@ -50,6 +50,14 @@ class TestInfo:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_number_only_float_reads_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.arff"
+        bad.write_text("@relation r\n@attribute a numeric\n@attribute t {0,1}\n"
+                       "@data\n1.5,0\n1_5,1\n", encoding="utf-8")
+        rc = run_cli(["info", "--dataset", bad, "--trailing-labels", "1"])
+        assert rc == 2
+        assert "line 6: bad numeric value '1_5'" in capsys.readouterr().err
+
     def test_empty_data_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.arff"
         empty.write_text(

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from mullab.learners import (
 )
 
 from oracles import (best_split_bf, best_split_c45_bf, entropy_log2,
-                     knn_counts_bf, naive_bayes_posterior_bf, numeric_cut_bf,
-                     tree_predict_bf)
+                     knn_counts_bf, knn_distances_bf, naive_bayes_numeric_dist_bf,
+                     naive_bayes_posterior_bf, numeric_cut_bf, tree_predict_bf)
 from synth import bits, random_dataset
 
 NUM2 = (Attribute("a"), Attribute("b"))
@@ -169,6 +170,71 @@ class TestKnn:
         stable = np.argsort(dist, axis=1, kind="stable")[:, :k]
         assert (index.neighbours(queries) == np.sort(stable, axis=1)).all()
 
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("block_elems", [1, 4 * 30, 1 << 40])
+    def test_blocked_search_is_bit_identical(self, block_elems, distance,
+                                             monkeypatch):
+        # integer grid points plus a nominal column: distance ties
+        # everywhere.  Blocks of 1 row, of 4 rows (13 queries, so the last
+        # block is short) and of all rows give the bits of one block.
+        attrs = NUM2 + (Attribute("c", ("x", "y", "z")),)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            grid = [np.column_stack([rng.integers(-1, 2, (n, 2)),
+                                     rng.integers(0, 3, n)]).astype(float)
+                    for n in (30, 13)]
+            train, queries = grid
+            y = rng.integers(0, 3, 30)
+            for k in (1, 4, 30):
+                clf = fit(KnnSpec(k=k, distance=distance), train, y, attrs)
+                index = clf.index
+                q = index.enc.transform(queries)
+                monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", 1 << 40)
+                dist = index._distances(q)
+                near = index.neighbours(queries)
+                monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", block_elems)
+                assert index._distances(q).tobytes() == dist.tobytes()
+                assert np.array_equal(index.neighbours(queries), near)
+                votes = clf.predict_dist_many(queries)
+                assert votes.tolist() == knn_counts_bf(dist.tolist(), y.tolist(),
+                                                       k, 3)
+                stable = np.argsort(dist, axis=1, kind="stable")[:, :k]
+                assert (near == np.sort(stable, axis=1)).all()
+
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("block_elems", [1, 7 * 40, 1 << 16])
+    def test_distances_match_whole_matrix_expressions(self, block_elems,
+                                                      distance, monkeypatch):
+        # standardised real values round, so an operation done in another
+        # order or on another block shape would show in the bits
+        monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", block_elems)
+        d = random_dataset(6, n=40, n_labels=1, n_num=5, n_nom=2,
+                           missing_rate=0.1)
+        probe = random_dataset(7, n=23, n_labels=1, n_num=5, n_nom=2,
+                               missing_rate=0.1)
+        index = learners.prepare(KnnSpec(distance=distance), d.X,
+                                 d.schema.attributes)
+        q = index.enc.transform(probe.X)
+        num, nom = index._num_cols, index._nom_cols
+        expected = knn_distances_bf((q[:, num] - index._mu) / index._sd,
+                                    index._xn, q[:, nom], index._xc, distance)
+        assert index._distances(q).tobytes() == expected.tobytes()
+
+    def test_search_peak_memory_is_one_distance_matrix(self):
+        # 900 x 1500: the distance matrix is 10.8 MB; the row blocks add
+        # at most _KNN_BLOCK_ELEMS elements to it, not whole matrices
+        rng = np.random.default_rng(4)
+        index = learners.prepare(KnnSpec(k=5), rng.normal(size=(1500, 20)))
+        queries = rng.normal(size=(900, 20))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index.neighbours(queries)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 900 * 1500 * 8
+
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             KnnSpec(k=0)
@@ -192,6 +258,23 @@ class TestNaiveBayes:
         whole = clf.predict_dist_many(probe.X)
         monkeypatch.setattr(learners, "_NB_BLOCK_ELEMS", block_elems)
         assert np.array_equal(clf.predict_dist_many(probe.X), whole)
+
+    @pytest.mark.parametrize("block_elems", [1, 5 * 32 * 4, 1 << 18])
+    def test_in_place_kernel_matches_one_expression(self, block_elems,
+                                                    monkeypatch):
+        # many classes, as under label powerset: up to 32 classes x 4
+        # numeric attributes, in blocks of 1 row, of 5 rows (the last one
+        # short) and of all 43 rows
+        d = random_dataset(21, n=300, n_labels=5, n_num=4, n_nom=0,
+                           missing_rate=0.1)
+        probe = random_dataset(22, n=43, n_labels=5, n_num=4, n_nom=0,
+                               missing_rate=0.1)
+        clf = fit(NaiveBayesSpec(), d.X, bits(d.Y), d.schema.attributes)
+        assert clf.n_classes == 32
+        monkeypatch.setattr(learners, "_NB_BLOCK_ELEMS", block_elems)
+        expected = naive_bayes_numeric_dist_bf(
+            clf._enc.transform(probe.X), clf._log_prior, clf._mean, clf._var)
+        assert clf.predict_dist_many(probe.X).tobytes() == expected.tobytes()
 
     def test_mirrored_gaussians_give_even_posterior(self):
         pts = [(-2.0,), (-1.0,), (-3.0,), (2.0,), (1.0,), (3.0,)]

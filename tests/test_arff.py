@@ -94,9 +94,8 @@ def _arff_text(attributes, data_lines, header="@relation r\n"):
 _TWO_NUMERIC = ["a numeric", "b numeric"]
 
 # (id, attribute declarations, data lines, the parsed rows (None for a
-# missing cell) or the error's (line, message)).  Every expectation was
-# recorded with the cell-by-cell parser alone, before dense rows had a
-# faster path.
+# missing cell) or the error's (line, message)).  Every expectation is
+# what the cell-by-cell parser alone gives.
 DENSE_ROW_CASES = [
     # the per-cell path strips 'a ' to 'a', index 1; a plain lookup gives 0
     ("nominal-padded-declared-value", ["c {'a ',a}", "x numeric"],
@@ -124,6 +123,19 @@ DENSE_ROW_CASES = [
      (6, "line 6: bad numeric value 'x' for attribute 'b'")),
     ("wrong-count-before-bad-cell", _TWO_NUMERIC, ["1,2", "1,2,3", "1,x"],
      (6, "line 6: row has 3 values, expected 2")),
+    # numbers that builtin float reads (as 10, 1 and 3) but ARFF does not,
+    # in rows float alone would take and in a row with a missing cell
+    ("underscored-number", _TWO_NUMERIC, ["1,2", "1_0,2"],
+     (6, "line 6: bad numeric value '1_0' for attribute 'a'")),
+    ("fullwidth-digit", _TWO_NUMERIC, ["1,2", "2,\uff11"],
+     (6, "line 6: bad numeric value '\uff11' for attribute 'b'")),
+    ("arabic-indic-digit", _TWO_NUMERIC, ["1,2", "\u0663 ,2"],
+     (6, "line 6: bad numeric value '\u0663' for attribute 'a'")),
+    ("underscore-beside-missing-cell", _TWO_NUMERIC, ["1,2", "?,1e9_9"],
+     (6, "line 6: bad numeric value '1e9_9' for attribute 'b'")),
+    ("nominal-values-with-underscore-and-non-ascii",
+     ["c {\u00e9_1,b_2}", "x numeric"], ["\u00e9_1,1.5", "b_2,2"],
+     ((0, 1.5), (1, 2.0))),
 ]
 
 
@@ -140,34 +152,19 @@ def test_dense_rows_parse_as_cell_by_cell(attributes, data_lines, expected):
         assert repr(got.tolist()) == repr(want.tolist())  # -0.0 is not 0.0
 
 
-# Numbers that builtin float and int read (as 10, 1 and 3) but ARFF does
-# not: each is rejected with its line, whichever path its row takes.
+# Sparse numbers and indices that builtin float and int read (as 10 and 3)
+# but ARFF does not; DENSE_ROW_CASES holds the dense ones.
 @pytest.mark.parametrize("row, message", [
-    ("1_0,2", "bad numeric value '1_0' for attribute 'a'"),  # dense, clean
-    ("2,\uff11", "bad numeric value '\uff11' for attribute 'b'"),
-    ("\u0663 ,2", "bad numeric value '\u0663' for attribute 'a'"),
-    ("?,1_0", "bad numeric value '1_0' for attribute 'b'"),  # dense, per cell
-    ("1e9_9,?", "bad numeric value '1e9_9' for attribute 'a'"),
-    ("{0 1_0}", "bad numeric value '1_0' for attribute 'a'"),  # sparse
+    ("{0 1_0}", "bad numeric value '1_0' for attribute 'a'"),
     ("{1 \u0663}", "bad numeric value '\u0663' for attribute 'b'"),
     ("{\u0661 2}", "bad sparse index '\u0661'"),
     ("{0_1 2}", "bad sparse index '0_1'"),
-], ids=["dense-underscore", "dense-fullwidth", "dense-arabic-indic",
-        "per-cell-underscore", "per-cell-exponent-underscore",
-        "sparse-underscore", "sparse-arabic-indic", "sparse-index-arabic-indic",
-        "sparse-index-underscore"])
-def test_numbers_only_float_reads_are_rejected(row, message):
+], ids=["value-underscore", "value-arabic-indic", "index-arabic-indic",
+        "index-underscore"])
+def test_sparse_numbers_only_float_reads_are_rejected(row, message):
     with pytest.raises(ArffParseError) as err:
         parse_arff(_arff_text(_TWO_NUMERIC, ["1,2", row]))
-    assert err.value.line == 6
-    assert str(err.value) == f"line 6: {message}"
-
-
-def test_nominal_values_may_hold_underscores_and_non_ascii():
-    attrs = ["c {\u00e9_1,b_2}", "x numeric"]
-    got = parse_arff(_arff_text(attrs, ["\u00e9_1,1.5", "b_2,2",
-                                        "{0 b_2, 1 3}"])).X
-    assert got.tolist() == [[0.0, 1.5], [1.0, 2.0], [1.0, 3.0]]
+    assert (err.value.line, str(err.value)) == (6, f"line 6: {message}")
 
 
 def test_clean_dense_rows_skip_the_per_cell_parser(monkeypatch):

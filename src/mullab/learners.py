@@ -15,10 +15,11 @@ Three families, each consumed by the problem transformations:
   whole query matrix (a product per row block could differ in the last
   bits and flip exact distance ties), and the rest (the squared norms, the
   clip at 0, the Manhattan terms, the nominal mismatches, the top-k
-  selection) runs in place in row blocks of at most ``_KNN_BLOCK_ELEMS``
-  (2^16) elements through reused buffers.  So a search holds about one
-  distance matrix (1.2x its size traced at 917 x 1500, against 3.1x for
-  whole-matrix temporaries), with the same float operations per element.
+  selection) runs in row blocks of at most ``_KNN_BLOCK_ELEMS`` (2^16)
+  elements, finishing the matrix in place.  So a search holds about one
+  distance matrix plus block-sized temporaries (1.2x the matrix traced at
+  917 x 1500, against 3.1x with whole-matrix temporaries), with the same
+  float operations per element.
 * Gaussian naive Bayes: per-class Gaussian per numeric attribute with a
   variance floor, Laplace-1 smoothed categorical likelihoods, frequency
   priors, log-space posterior.  Prediction takes the query rows in blocks of
@@ -330,23 +331,17 @@ class KnnIndex:
         else:
             d = np.zeros((nq, n))
         step = max(1, _KNN_BLOCK_ELEMS // n)
-        buf = np.empty((min(step, nq), n))
-        mismatch = np.empty(buf.shape, dtype=bool)
         for s in range(0, nq, step):
             block = d[s:s + step]
-            b = buf[:len(block)]
             if gram:
                 # (|q|^2 + |x|^2) - 2 q.x, clipped at 0
-                np.add(qq[s:s + step, None], xx, out=b)
-                np.subtract(b, block, out=block)
+                np.subtract(qq[s:s + step, None] + xx, block, out=block)
                 np.clip(block, 0.0, None, out=block)
             elif numeric:
                 for j in range(qn.shape[1]):
-                    np.subtract(qn[s:s + step, j, None], self._xn[:, j], out=b)
-                    block += np.abs(b, out=b)
+                    block += np.abs(qn[s:s + step, j, None] - self._xn[:, j])
             for j in range(self._nom_cols.size):
-                block += np.not_equal(q[s:s + step, self._nom_cols[j], None],
-                                      self._xc[:, j], out=mismatch[:len(block)])
+                block += q[s:s + step, self._nom_cols[j], None] != self._xc[:, j]
         return d
 
     def neighbours(self, rows) -> np.ndarray:
@@ -357,27 +352,18 @@ class KnnIndex:
         (nq, n), k = dist.shape, self.k
         out = np.empty((nq, k), dtype=np.intp)
         step = max(1, _KNN_BLOCK_ELEMS // n)
-        kept = np.empty((min(step, nq), n))
-        chosen = np.empty(kept.shape, dtype=bool)
-        tied = np.empty(kept.shape, dtype=bool)
         for s in range(0, nq, step):
             block = dist[s:s + step]
-            m = len(block)
             # exact top-k: all rows closer than the k-th distance, then rows
             # tied with it by ascending index
-            part = kept[:m]
-            np.copyto(part, block)
-            part.partition(k - 1, axis=1)
-            kth = part[:, k - 1:k]
+            kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
             if np.isnan(kth).any():
                 raise ValueError("knn distances are not numbers; rescale the features")
-            near = np.less(block, kth, out=chosen[:m])
-            tie = np.equal(block, kth, out=tied[:m])
-            spare = k - near.sum(axis=1)  # >= 1 slots left for tied rows
-            for i in np.flatnonzero(tie.sum(axis=1) > spare):
-                tie[i, np.flatnonzero(tie[i])[spare[i]:]] = False
-            np.logical_or(near, tie, out=near)
-            out[s:s + m] = np.nonzero(near)[1].reshape(m, k)
+            chosen, tied = block < kth, block == kth
+            spare = k - chosen.sum(axis=1)  # >= 1 slots left for tied rows
+            for i in np.flatnonzero(tied.sum(axis=1) > spare):
+                tied[i, np.flatnonzero(tied[i])[spare[i]:]] = False
+            out[s:s + step] = np.nonzero(chosen | tied)[1].reshape(len(block), k)
         return out
 
 

@@ -36,8 +36,13 @@ A key this schema does not list, at any level, is a config error (exit 1),
 and so is a key the entry's transform does not take: ``m``/``k`` belong to
 rakel, ``p``/``b`` to ps and ensemble, and an ensemble that lists
 ``members`` takes no ``q`` or ``learner``.
+A dataset takes 'labels' or 'trailing_labels', not both; a label flag
+replaces the config's label key.  ``workers`` is how many of a grid's
+experiments run at once: evaluate runs one, so it has no --workers flag, but
+its config may set the key.
 The environment variable MULLAB_SEED is the seed fallback when neither the
-flag nor the config provides one.
+flag nor the config provides one.  Numeric flags and MULLAB_SEED follow the
+ARFF rule for numbers: ASCII, with no '_'.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -138,21 +144,22 @@ def _merge_flags(args) -> dict:
         ds.pop("train", None)
         ds.pop("test", None)
         ds["path"] = args.dataset
-    if args.labels:
-        ds["labels"] = args.labels
-        ds.pop("trailing_labels", None)
-    if args.trailing_labels is not None:
-        ds["trailing_labels"] = args.trailing_labels
+    flags = {key: getattr(args, key) for key in ("labels", "trailing_labels")
+             if getattr(args, key) is not None}
+    if flags:  # a label flag replaces the config's label source
         ds.pop("labels", None)
+        ds.pop("trailing_labels", None)
+        ds.update(flags)
     cfg["dataset"] = ds
     if args.split:
         cfg["split"] = _parse_split_flag(args.split)
     for key in ("seed", "threshold", "workers", "format", "out"):
-        if getattr(args, key) is not None:
+        # evaluate runs one experiment, so it has no --workers
+        if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     if cfg.get("seed") is None and os.environ.get("MULLAB_SEED"):
         try:
-            cfg["seed"] = int(os.environ["MULLAB_SEED"])
+            cfg["seed"] = _number(int)(os.environ["MULLAB_SEED"])
         except ValueError:
             raise UsageError("MULLAB_SEED must be an integer") from None
     cfg.update({"seed": 0, "threshold": 0.5, "workers": 1, "format": "md"}
@@ -203,15 +210,27 @@ def _known_keys(entry: dict, keys: tuple, where: str) -> None:
                              f"{', '.join(keys)}")
 
 
+def _number(kind: type):
+    """``kind`` (int or float) as an argparse ``type`` that also refuses
+    what Python reads but ARFF does not, such as ``1_0`` or non-ASCII
+    digits: a ValueError."""
+    def read(text: str):
+        if not arff._ascii_number(text):
+            raise ValueError(text)
+        return kind(text)
+    read.__name__ = kind.__name__  # argparse names the type in its message
+    return read
+
+
 def _parse_split_flag(text: str) -> dict:
     if ":" in text:
         a, _, b = text.partition(":")
         try:
-            return {"train": int(a), "test": int(b)}
+            return {"train": _number(int)(a), "test": _number(int)(b)}
         except ValueError:
             raise UsageError(f"bad --split {text!r}: expected ntrain:ntest") from None
     try:
-        return {"ratio": float(text)}
+        return {"ratio": _number(float)(text)}
     except ValueError:
         raise UsageError(f"bad --split {text!r}") from None
 
@@ -226,6 +245,8 @@ def _data_specs(cfg: dict) -> tuple[dict, SplitSpec | None]:
     if ds.get("trailing_labels", 1) < 1:
         raise UsageError(f"'trailing_labels' must be >= 1, "
                          f"not {ds['trailing_labels']}")
+    if "labels" in ds and "trailing_labels" in ds:
+        raise UsageError("give 'labels' or 'trailing_labels', not both")
     split = cfg.get("split")
     if split is None:
         return ds, None
@@ -398,11 +419,11 @@ def _parse_experiments(cfg: dict) -> list:
     return plans
 
 
-def _build_model(spec, train: MLDataset, seed: int, workers: int):
+def _build_model(spec, train: MLDataset, seed: int):
     """Fit one parsed experiment; ``seed`` drives a RAKEL experiment's
     subset draws (an ensemble carries its own)."""
     if isinstance(spec, EnsembleSpec):
-        return ensemble_fit(train, spec, workers=workers)
+        return ensemble_fit(train, spec)
     model = fit_member(train, spec, seed)
     if model.uncovered:
         names = [train.schema.label_names[j] for j in model.uncovered]
@@ -537,19 +558,16 @@ def cmd_info(args) -> int:
 
 
 def _run_experiments(cfg: dict, plans: list, train, test):
-    workers = cfg["workers"]
-
     def run_one(plan):
         spec, seed, _ = plan
         try:
-            model = _build_model(spec, train, seed,
-                                 workers if len(plans) == 1 else 1)
-            return evaluate(model, test, cfg["threshold"])
+            return evaluate(_build_model(spec, train, seed), test,
+                            cfg["threshold"])
         except Exception as e:  # noqa: BLE001 - row marked failed
             return e
 
-    if workers > 1 and len(plans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if cfg["workers"] > 1 and len(plans) > 1:
+        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
             results = list(pool.map(run_one, plans))
     else:
         results = [run_one(plan) for plan in plans]
@@ -593,11 +611,17 @@ def _exit_code(reports) -> int:
 
 def _read_predictions(path, n_rows: int, m: int):
     try:
-        scores = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
+        with warnings.catch_warnings():
+            # a file with no rows is reported below, not as numpy's warning
+            warnings.simplefilter("ignore", UserWarning)
+            scores = np.loadtxt(path, delimiter=",", ndmin=2,
+                                encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot read predictions {path}: {e}") from e
     except ValueError as e:
         raise DataError(f"bad predictions file {path}: {e}") from e
+    if scores.size == 0:
+        raise DataError(f"predictions file {path} has no rows")
     if scores.shape != (n_rows, m):
         raise DataError(
             f"predictions shape {scores.shape} does not match "
@@ -669,14 +693,14 @@ def cmd_evaluate(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", help="ARFF file")
     p.add_argument("--labels", help="label-name file (text or Mulan XML)")
-    p.add_argument("--trailing-labels", type=int, dest="trailing_labels",
+    p.add_argument("--trailing-labels", type=_number(int),
+                   dest="trailing_labels",
                    help="the last N attributes are labels")
     p.add_argument("--split", help="ntrain:ntest or a train ratio in (0,1)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_number(int))
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--format", choices=["md", "csv", "json"])
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--threshold", type=_number(float))
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
@@ -690,11 +714,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="print dataset statistics")
     p_info.add_argument("--dataset", required=True)
     p_info.add_argument("--labels")
-    p_info.add_argument("--trailing-labels", type=int, dest="trailing_labels")
+    p_info.add_argument("--trailing-labels", type=_number(int),
+                        dest="trailing_labels")
     p_info.set_defaults(func=cmd_info)
 
     p_bench = sub.add_parser("benchmark", help="run an experiment grid")
     _add_common(p_bench)
+    p_bench.add_argument("--workers", type=_number(int),
+                         help="how many experiments run at once")
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_eval = sub.add_parser("evaluate", help="run a single experiment")

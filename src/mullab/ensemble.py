@@ -7,14 +7,15 @@ max, min) or a voting rule (majority, weighted majority) into one n x M
 score matrix, from which ``metrics.evaluate`` derives the bipartitions and
 the label rankings.
 
-Member subsamples depend only on (seed, member index), so training members
-concurrently on any number of workers yields bit-identical results.
+Members are fitted one after another, in index order.  Member k's subsample
+and fit seed depend only on (seed, k), so member k is the same model in
+every ensemble with the same seed, sampling and k-th member spec, whatever
+its size.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -156,22 +157,12 @@ def _member_indices(n: int, spec: EnsembleSpec, member_index: int) -> list[int]:
     return sorted(idx)
 
 
-def ensemble_fit(train: MLDataset, spec: EnsembleSpec,
-                 workers: Optional[int] = None) -> EnsembleModel:
-    """Train every member on its seeded subsample; ``workers`` > 1 trains
-    members concurrently without changing any result."""
+def ensemble_fit(train: MLDataset, spec: EnsembleSpec) -> EnsembleModel:
+    """Train each member, in index order, on its seeded subsample."""
     n = len(train)
     if n == 0:
         raise ValueError("cannot fit an ensemble on an empty dataset")
-
-    def build(k: int) -> MultiLabelModel:
-        subset = train.subset(_member_indices(n, spec, k))
-        return fit_member(subset, spec.members[k], derive_seed(spec.seed, k, 1))
-
-    q = len(spec.members)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(build, range(q)))
-    else:
-        members = [build(k) for k in range(q)]
+    members = [fit_member(train.subset(_member_indices(n, spec, k)), member,
+                          derive_seed(spec.seed, k, 1))
+               for k, member in enumerate(spec.members)]
     return EnsembleModel(spec, members, train.n_labels)

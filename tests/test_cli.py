@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -464,7 +465,9 @@ def test_negative_trailing_labels_flag_exits_1_before_any_data_is_read(
         tmp_path, monkeypatch, capsys)
 
 
-def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys):
+def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys,
+                                   err_start="error: "):
+    """Exit 1 with no report and no data read; returns standard error."""
     def no_data(*args):
         raise AssertionError("data read before the config was checked")
 
@@ -474,7 +477,94 @@ def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "report.csv").exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(err_start)
+    return captured.err
+
+
+# Numbers that int() or float() read but ARFF does not: '_' between digits,
+# Arabic-Indic and fullwidth digits.
+@pytest.mark.parametrize("command, flags, env_seed", [
+    ("benchmark", ["--split", "39_1:2_02"], None),
+    ("evaluate", ["--split", "0.6_6"], None),
+    ("benchmark", ["--split", "\u0663\u0669\u0661:202"], None),
+    ("benchmark", ["--seed", "\u0661"], None),
+    ("evaluate", ["--seed", "1_0"], None),
+    ("benchmark", ["--threshold", "0.5_0"], None),
+    ("evaluate", ["--threshold", "\uff10.5"], None),
+    ("benchmark", ["--workers", "\uff12"], None),
+    ("benchmark", ["--workers", "1_0"], None),
+    ("evaluate", ["--trailing-labels", "\u0663"], None),
+    ("info", ["--trailing-labels", "3_0"], None),
+    ("benchmark", [], "\u0661"),
+    ("evaluate", [], "1_0"),
+], ids=["split-counts-underscore", "split-ratio-underscore",
+        "split-arabic-indic", "seed-arabic-indic", "seed-underscore",
+        "threshold-underscore", "threshold-fullwidth", "workers-fullwidth",
+        "workers-underscore", "trailing-labels-arabic-indic",
+        "info-trailing-labels-underscore", "env-seed-arabic-indic",
+        "env-seed-underscore"])
+def test_numbers_only_python_reads_exit_1_before_any_data_is_read(
+        command, flags, env_seed, data_files, tmp_path, monkeypatch, capsys):
+    arff_path, labels_path = data_files
+    if env_seed is not None:
+        monkeypatch.setenv("MULLAB_SEED", env_seed)
+    if command == "info":
+        args = ["info", "--dataset", arff_path]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"path": str(arff_path), "labels": str(labels_path)},
+            "split": {"ratio": 0.67}, "experiments": [BR]}), encoding="utf-8")
+        args = [command, "--config", cfg, "--out", tmp_path / "report.csv"]
+    # argparse refuses a flag's type with its usage line; the rest are
+    # config errors
+    by_argparse = flags and flags[0] != "--split"
+    err = assert_usage_error_before_data(
+        args + flags, tmp_path, monkeypatch, capsys,
+        err_start="usage: " if by_argparse else "error: ")
+    last = err.splitlines()[-1]
+    if by_argparse:
+        assert f"argument {flags[0]}: invalid" in last
+    else:
+        assert ("--split" if flags else "MULLAB_SEED") in last
+
+
+@pytest.mark.parametrize("command, source", [
+    ("benchmark", "flags"), ("evaluate", "flags"), ("info", "flags"),
+    ("benchmark", "config"), ("evaluate", "config")])
+def test_two_label_sources_exit_1_before_any_data_is_read(
+        command, source, data_files, tmp_path, monkeypatch, capsys):
+    arff_path, labels_path = data_files
+    if command == "info":
+        args = ["info", "--dataset", arff_path]
+    else:
+        both = {"labels": str(labels_path), "trailing_labels": 3}
+        cfg = write_config(tmp_path, arff_path, labels_path, [BR], dataset={
+            "path": str(arff_path), **(both if source == "config" else {})})
+        args = [command, "--config", cfg, "--out", tmp_path / "report.csv"]
+    if source == "flags":
+        args += ["--labels", labels_path, "--trailing-labels", 3]
+    err = assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys)
+    assert err == "error: give 'labels' or 'trailing_labels', not both\n"
+
+
+@pytest.mark.parametrize("config_source", ["labels", "trailing_labels"])
+def test_label_flag_replaces_the_configs_other_label_key(
+        config_source, data_files, tmp_path):
+    # synthetic.arff's last three attributes are the labels L0, L1, L2
+    arff_path, labels_path = data_files
+    value = str(labels_path) if config_source == "labels" else 3
+    cfg = write_config(tmp_path, arff_path, labels_path, [BR], dataset={
+        "path": str(arff_path), config_source: value})
+    flag = (["--trailing-labels", 3] if config_source == "labels"
+            else ["--labels", labels_path])
+    reports = []
+    for extra in ([], flag):
+        out = tmp_path / f"report-{len(reports)}.csv"
+        assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
+                        "--out", out, *extra]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", ["benchmark", "evaluate"])
@@ -548,7 +638,7 @@ class TestLogging:
         exp = {"transform": "rakel", "learner": "nb", "m": 1, "k": 1}
         with caplog.at_level("WARNING", logger="mullab.cli"):
             model = cli._build_model(cli._parse_spec(exp), train,
-                                     derive_seed(0, 0), 1)
+                                     derive_seed(0, 0))
         assert len(model.uncovered) == 2
         [record] = caplog.records
         assert record.levelname == "WARNING"
@@ -625,6 +715,20 @@ class TestEvaluate:
             payloads.append(json.loads(capsys.readouterr().out)["rows"])
         assert payloads[0] == payloads[1]
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_predictions_without_rows_exit_2_with_one_line(
+            self, data_files, tmp_path, capsys, text):
+        arff_path, labels_path = data_files
+        pred_path = tmp_path / "preds.csv"
+        pred_path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["evaluate", "--dataset", arff_path, "--labels",
+                          labels_path, "--predictions", pred_path])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: predictions file {pred_path} has no rows\n")
+
     def test_prediction_shape_mismatch_exits_2(self, data_files, tmp_path):
         arff_path, labels_path = data_files
         pred_path = tmp_path / "preds.csv"
@@ -677,6 +781,30 @@ class TestEvaluate:
         rep = evaluate(ensemble_fit(train, spec), test, 0.5)
         assert payload["rows"][0]["accuracy"] == rep.accuracy
         assert payload["rows"][0]["hamming_loss"] == rep.hamming_loss
+
+    def test_workers_flag_exits_1_before_any_data_is_read(
+            self, data_files, tmp_path, monkeypatch, capsys):
+        arff_path, labels_path = data_files
+        cfg = write_config(tmp_path, arff_path, labels_path, [BR])
+        err = assert_usage_error_before_data(
+            ["evaluate", "--config", cfg, "--workers", 2,
+             "--out", tmp_path / "report.csv"],
+            tmp_path, monkeypatch, capsys, err_start="usage: ")
+        assert err.splitlines()[-1].endswith(
+            "error: unrecognized arguments: --workers 2")
+
+    def test_workers_config_key_changes_no_byte(self, data_files, tmp_path):
+        arff_path, labels_path = data_files
+        ensemble = {"transform": "ensemble", "q": 4, "rule": "mean"}
+        reports = []
+        for extra in ({}, {"workers": 2}):
+            cfg = write_config(tmp_path, arff_path, labels_path, [ensemble],
+                               **extra)
+            out = tmp_path / f"report-{len(reports)}.csv"
+            assert run_cli(["evaluate", "--config", cfg, "--format", "csv",
+                            "--out", out]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_requires_exactly_one_experiment(self, data_files):
         arff_path, labels_path = data_files

@@ -211,13 +211,15 @@ class TestEnsembleFit:
             model.predict_scores_many(probe) - stacked.mean(axis=0)
         ).max() <= 1e-15
 
-    def test_worker_count_does_not_change_results(self):
+    @pytest.mark.parametrize("seed", [13, 14])
+    def test_member_depends_only_on_seed_and_index(self, seed):
         d = random_dataset(9, n=30, n_labels=3, n_num=2, n_nom=1)
-        spec = default_ensemble_spec(seed=13, q=5, rule="majority_vote")
         probe = random_dataset(90, n=6, n_labels=3, n_num=2, n_nom=1).X
-        serial = ensemble_fit(d, spec, workers=1).predict_scores_many(probe)
-        threaded = ensemble_fit(d, spec, workers=8).predict_scores_many(probe)
-        assert np.array_equal(serial, threaded)
+        small = ensemble_fit(d, default_ensemble_spec(q=3, seed=seed))
+        large = ensemble_fit(d, default_ensemble_spec(q=5, seed=seed))
+        for k, member in enumerate(small.members):
+            assert np.array_equal(member.predict_scores_many(probe),
+                                  large.members[k].predict_scores_many(probe))
 
     def test_with_replacement_subsamples(self):
         d = random_dataset(10, n=20, n_labels=2, n_num=2, n_nom=0)

@@ -167,6 +167,9 @@ def _merge_flags(args) -> dict:
                          format=str, out=str))
     if cfg["workers"] < 1:
         raise UsageError(f"'workers' must be >= 1, not {cfg['workers']}")
+    if not 0.0 <= cfg["threshold"] <= 1.0:
+        raise UsageError(f"'threshold' must be in [0, 1], not "
+                         f"{cfg['threshold']}")
     if cfg["format"] not in _FORMATS:
         raise UsageError(f"'format' must be one of {', '.join(_FORMATS)}, "
                          f"not {cfg['format']!r}")

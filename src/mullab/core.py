@@ -58,6 +58,12 @@ class Schema:
         return len(self.label_names)
 
 
+def check_threshold(t: float) -> None:
+    """Raise ValueError unless ``t`` is a score threshold, in [0, 1]."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], not {t}")
+
+
 def check_category_indices(X: np.ndarray,
                            attributes: Sequence[Attribute]) -> None:
     """Raise ValueError unless every present cell of a nominal column of

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MLDataset
+from .core import MLDataset, check_threshold
 from .learners import preset, PRESET_NAMES
 from .rng import Xoshiro256, derive_seed
 from .transforms import MemberSpec, MultiLabelModel, PruneSpec, fit_member
@@ -56,16 +56,20 @@ class EnsembleSpec:
         if self.rule not in COMBINATION_RULES:
             raise ValueError(f"unknown combination rule {self.rule!r}")
         _checked_weights(self.rule, self.weights, len(self.members))
+        check_threshold(self.threshold)
 
 
 def _checked_weights(rule: str, weights: Optional[Sequence[float]],
                      q: int) -> Optional[np.ndarray]:
     """``weights`` as a float array after checking them against ``rule``
-    and the member count ``q``; None when there are none."""
+    and the member count ``q``; None when there are none.  Only the
+    weighted rules take weights, and they need them."""
     if weights is None:
         if rule in _WEIGHTED_RULES:
             raise ValueError(f"rule {rule!r} requires weights")
         return None
+    if rule not in _WEIGHTED_RULES:
+        raise ValueError(f"rule {rule!r} takes no weights")
     w = np.asarray(list(weights), dtype=float)
     if w.shape != (q,):
         raise ValueError("weights length must equal member count")
@@ -96,11 +100,13 @@ def combine(member_scores: Sequence[np.ndarray], rule: str,
     """Merge q member score arrays component-wise.
 
     Accepts vectors of shape (M,) or batches of shape (n, M); all members
-    must agree on shape.  Voting rules threshold each member at ``t`` and
-    return the (weighted) fraction of positive votes.
+    must agree on shape.  Voting rules threshold each member at ``t``, in
+    [0, 1], and return the (weighted) fraction of positive votes.  Only
+    the weighted rules take ``weights``.
     """
     if rule not in COMBINATION_RULES:
         raise ValueError(f"unknown combination rule {rule!r}")
+    check_threshold(t)
     if len(member_scores) == 0:
         raise ValueError("no member scores to combine")
     shapes = {np.shape(s) for s in member_scores}
@@ -111,8 +117,8 @@ def combine(member_scores: Sequence[np.ndarray], rule: str,
         raise ValueError("member scores must be finite")
     if arr.size and (arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9):
         raise ValueError("member scores must lie in [0, 1]")
-    if rule in _WEIGHTED_RULES:
-        w = _checked_weights(rule, weights, arr.shape[0])
+    w = _checked_weights(rule, weights, arr.shape[0])
+    if w is not None:
         w = w.reshape((-1,) + (1,) * (arr.ndim - 1))
     if rule == "mean":
         return arr.mean(axis=0)

@@ -37,7 +37,7 @@ Three families, each consumed by the problem transformations:
   the average (Quinlan 1993).  Plain gain ratio favours cuts that peel
   ``min_leaf`` rows off one side and grows deep trees.  Leaf distributions
   are Laplace-1 smoothed class frequencies.  Split search is exhaustive and
-  batched per node, with no sort: the encoder of a training matrix sorts
+  batched per node, with no sort: the training state of a matrix sorts
   each numeric column once (stably), a tree's root takes that order
   filtered to its rows, and each child takes its parent's order filtered
   to the child's rows, which is what a stable sort of the child's rows
@@ -55,13 +55,17 @@ Three families, each consumed by the problem transformations:
 Input: ``fit`` and ``predict_dist_many`` take an n x d float matrix such as
 ``MLDataset.X`` (NaN marks a missing cell), which is built once per dataset;
 a C-ordered float64 matrix is used as is, without a copy or a per-row pass.
-``prepare(spec, X, attributes)`` builds the encoder (and for kNN the index)
-of a training matrix once; ``fit(..., shared=...)`` reuses it, which is how
-one model fits many classifiers on one matrix, and ``release(shared)``
-frees the column orders its trees grew from once the last one is fitted.
-Column kinds come only from the schema ``attributes``: without them every
-column is numeric, and nothing is inferred from the values.  A nominal cell
-must be an integral category index below the attribute's arity; anything
+``prepare(spec, X, attributes)`` builds the training state of a matrix
+once: the encoder, the encoded matrix, and the kNN index or the trees'
+column orders.  ``fit(..., shared=...)`` reads it, which is how one model
+fits many classifiers on one matrix.  Trees grow and prune in an object
+that their constructor drops, and a fitted classifier keeps only what
+prediction reads: the encoder, the kNN index (whose standardised rows the
+search needs), the naive Bayes parameters or the tree nodes.  So the
+encoded matrix and the column orders die with the state.  Column kinds
+come only from the schema ``attributes``: without them every column is
+numeric, and nothing is inferred from the values.  A nominal cell must be
+an integral category index below the attribute's arity; anything
 else is a ``ValueError`` naming the attribute, in training and in queries.
 
 Missing values: numeric cells are imputed with the training mean of the
@@ -187,7 +191,8 @@ class _Encoder:
     columns hold the category index as a float, with missing mapped to the
     extra index n_declared.  Category arity is fixed at n_declared + 1 so the
     encoding does not depend on where missing values happen to occur.
-    Without ``attributes`` every column is numeric.
+    Without ``attributes`` every column is numeric.  The encoder keeps only
+    what queries need, not the training matrix it was built from.
     """
 
     def __init__(self, features, attributes: Optional[Sequence[Attribute]] = None):
@@ -212,33 +217,10 @@ class _Encoder:
             ok = ~np.isnan(col)
             means[j] = col[ok].mean() if ok.any() else 0.0
         self._fill = np.where(self.is_nominal, self._declared, means)
-        self.matrix = self._finish(raw)
-        # row of each numeric column in the order matrix
-        self.order_row = np.cumsum(~self.is_nominal) - 1
-        self._order = None
 
     def _finish(self, raw: np.ndarray) -> np.ndarray:
         miss = np.isnan(raw)
         return np.where(miss, self._fill, raw) if miss.any() else raw
-
-    def sorted_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The distinct training rows ``rows`` in stable ascending order of
-        each numeric column: a (numeric columns x ``len(rows)``) matrix whose
-        row ``order_row[a]`` is ``rows[np.argsort(matrix[rows, a],
-        kind="stable")]`` for ascending ``rows``, ties by ascending row.
-        The whole matrix is sorted once, the first time a tree asks, and
-        filtered to ``rows``."""
-        order = self._order
-        if order is None:
-            # concurrent first calls may each sort; they store equal orders
-            order = self._order = np.ascontiguousarray(np.argsort(
-                self.matrix[:, ~self.is_nominal], axis=0, kind="stable").T)
-        n = len(self.matrix)
-        if len(rows) == n:
-            return order
-        branch = np.full(n, -1)
-        branch[rows] = 0
-        return _split_order(order, branch, [len(rows)])[0]
 
     def transform(self, features) -> np.ndarray:
         d = len(self.is_nominal)
@@ -272,9 +254,9 @@ class ConstantClassifier(Classifier):
     """Degenerate model that always predicts class 0: for empty or
     single-class training data.  Queries go through ``enc``, the encoder
     of the training matrix, which checks their arity and categories as
-    for the other learners; without one, any rows are accepted."""
+    for the other learners."""
 
-    def __init__(self, n_classes: int, enc: Optional[_Encoder] = None):
+    def __init__(self, n_classes: int, enc: _Encoder):
         self.n_classes = n_classes
         self._enc = enc
         self._dist = np.zeros(n_classes)
@@ -282,9 +264,7 @@ class ConstantClassifier(Classifier):
             self._dist[0] = 1.0
 
     def predict_dist_many(self, rows):
-        if self._enc is not None:
-            rows = self._enc.transform(rows)
-        return np.tile(self._dist, (len(rows), 1))
+        return np.tile(self._dist, (len(self._enc.transform(rows)), 1))
 
 
 class KnnIndex:
@@ -296,12 +276,11 @@ class KnnIndex:
     members on one, and search it once per query matrix.
     """
 
-    def __init__(self, spec: KnnSpec, enc: _Encoder):
+    def __init__(self, spec: KnnSpec, enc: _Encoder, x: np.ndarray):
         self.spec = spec
         self.enc = enc
         self._num_cols = np.flatnonzero(~enc.is_nominal)
         self._nom_cols = np.flatnonzero(enc.is_nominal)
-        x = enc.matrix
         self.n_rows = x.shape[0]
         if self._num_cols.size:
             self._mu = x[:, self._num_cols].mean(axis=0)
@@ -386,12 +365,11 @@ class KnnClassifier(Classifier):
 
 
 class NaiveBayesClassifier(Classifier):
-    def __init__(self, spec: NaiveBayesSpec, enc: _Encoder, y: np.ndarray,
-                 n_classes: int):
-        self.spec = spec
+    def __init__(self, shared: TrainingState, y: np.ndarray, n_classes: int):
+        self.spec = spec = shared.spec
         self.n_classes = n_classes
-        self._enc = enc
-        x = enc.matrix
+        self._enc = enc = shared.enc
+        x = shared.x
         n = len(y)
         counts = np.bincount(y, minlength=n_classes).astype(float)
         with np.errstate(divide="ignore"):
@@ -501,16 +479,16 @@ def _parts(node: _Node, x: np.ndarray, idx: np.ndarray) -> list:
 
 
 class TreeClassifier(Classifier):
-    def __init__(self, spec: TreeSpec, enc: _Encoder, y: np.ndarray, n_classes: int):
-        self.spec = spec
+    """A tree grown (and with ``rep_pruning``, pruned) by a ``_TreeGrower``
+    that lives only in the constructor: the classifier keeps the nodes and
+    the query encoder, and with pruning the errors on the prune fold."""
+
+    def __init__(self, shared: TrainingState, y: np.ndarray, n_classes: int):
+        self.spec = spec = shared.spec
         self.n_classes = n_classes
-        self._enc = enc
-        self._x = enc.matrix
-        self._y = y
-        self._xlx = _xlx(len(y))
-        self._rng = Xoshiro256(derive_seed(spec.seed, 0))
-        self.prune_error_before = None
-        self.prune_error_after = None
+        self._enc = shared.enc
+        grower = _TreeGrower(shared, y, n_classes)
+        self.prune_error_before = self.prune_error_after = None
         n = len(y)
         if spec.rep_pruning and n // 3 >= 1:
             fold_rng = Xoshiro256(derive_seed(spec.seed, 1))
@@ -519,11 +497,40 @@ class TreeClassifier(Classifier):
             n_prune = n // 3
             prune_idx = np.array(sorted(perm[:n_prune]))
             grow_idx = np.array(sorted(perm[n_prune:]))
-            self.root = self._grow(grow_idx)
-            self.prune_error_before, self.prune_error_after = self._prune(
+            self.root = grower._grow(grow_idx)
+            self.prune_error_before, self.prune_error_after = grower._prune(
                 self.root, prune_idx)
         else:
-            self.root = self._grow(np.arange(n))
+            self.root = grower._grow(np.arange(n))
+
+    def predict_dist_many(self, rows):
+        q = self._enc.transform(rows)
+        out = np.empty((len(q), self.n_classes))
+        todo = [(self.root, np.arange(len(q)))]
+        while todo:
+            node, idx = todo.pop()
+            if node.attr is None:
+                out[idx] = ((node.counts + 1.0)
+                            / (node.counts.sum() + self.n_classes))
+                continue
+            for child, part in _parts(node, q, idx):
+                if len(part):
+                    # rows of a category with no grown child stop here
+                    todo.append((child or _Node(node.counts), part))
+        return out
+
+
+class _TreeGrower:
+    """Grows and prunes one tree on the rows of a ``TrainingState`` with
+    classes ``y``, reading the state's encoded matrix, column orders and
+    ``xlx`` table in place."""
+
+    def __init__(self, shared: TrainingState, y: np.ndarray, n_classes: int):
+        self.spec = shared.spec
+        self.state = shared
+        self.n_classes = n_classes
+        self._y = y
+        self._rng = Xoshiro256(derive_seed(self.spec.seed, 0))
 
     # -- induction ---------------------------------------------------------
 
@@ -546,18 +553,18 @@ class TreeClassifier(Classifier):
     def _grow(self, idx: np.ndarray) -> _Node:
         """The tree grown on the ascending training rows ``idx``, depth
         first in preorder.  A node that splits hands each child that may
-        split its rows of the node's order (``_Encoder.sorted_rows``) and
-        drops its own, so the pending orders cover disjoint rows."""
+        split its rows of the node's order (``TrainingState.sorted_rows``)
+        and drops its own, so the pending orders cover disjoint rows."""
         y, n_classes = self._y, self.n_classes
         root = _Node(np.bincount(y[idx], minlength=n_classes))
         if not self._may_split(root.counts, 0):
             return root
-        todo = [(root, idx, self._enc.sorted_rows(idx), 0)]
+        todo = [(root, idx, self.state.sorted_rows(idx), 0)]
         while todo:
             node, idx, order, depth = todo.pop()
             if not self._split(node, idx, order):
                 continue
-            parts = _parts(node, self._x, idx)
+            parts = _parts(node, self.state.x, idx)
             kids = [_Node(np.bincount(y[rows], minlength=n_classes))
                     if len(rows) else None for _, rows in parts]
             if node.threshold is None:
@@ -579,10 +586,10 @@ class TreeClassifier(Classifier):
         """Give ``node``, over training rows ``idx`` in ``order``, the split
         the criterion picks, with placeholder children; False when no
         candidate is useful and the node stays a leaf."""
-        n = len(idx)
-        parent_h = (self._xlx[n] - self._xlx[node.counts].sum()) / n
-        attrs = self._candidate_attrs(self._x.shape[1])
-        nominal = self._enc.is_nominal[attrs]
+        n, enc = len(idx), self.state.enc
+        parent_h = (self.state.xlx[n] - self.state.xlx[node.counts].sum()) / n
+        attrs = self._candidate_attrs(len(enc.is_nominal))
+        nominal = enc.is_nominal[attrs]
         gain = np.empty(len(attrs))
         ratio = np.empty(len(attrs))
         threshold = np.empty(len(attrs))
@@ -597,7 +604,7 @@ class TreeClassifier(Classifier):
             return False
         node.attr = attrs[pos]
         if nominal[pos]:
-            node.children = [None] * int(self._enc.n_values[node.attr])
+            node.children = [None] * int(enc.n_values[node.attr])
         else:
             node.threshold = float(threshold[pos])
         return True
@@ -632,18 +639,19 @@ class TreeClassifier(Classifier):
                           counts: np.ndarray, parent_h: float):
         """Best binary cut of each numeric attribute in ``attrs`` at one node.
 
-        The node's rows are ``order`` (``_Encoder.sorted_rows``), with class
-        ``counts``.  Returns ``(gain, ratio, threshold)`` arrays aligned with
-        ``attrs``: the information gain, gain ratio and threshold of each
-        attribute's chosen cut; a gain or ratio <= 0 means the attribute has
-        no useful cut.  Cut ``i`` sends sorted rows ``0..i`` left; only cuts
-        between distinct values that leave ``min_leaf`` rows on each side
-        count, and the lowest threshold whose score is within ``_GAIN_EPS``
-        of the best wins.  ``gain_ratio`` picks the cut by gain ratio, the
-        other criteria by gain.  ``c45`` then subtracts log2(admissible cuts)
-        / n, the cost of choosing the threshold (Quinlan 1996, "Improved use
-        of continuous attributes in C4.5"), from the gain.  The split info
-        of every cut is computed once and read at the chosen one.
+        The node's rows are ``order`` (``TrainingState.sorted_rows``), with
+        class ``counts``.  Returns ``(gain, ratio, threshold)`` arrays aligned
+        with ``attrs``: the information gain, gain ratio and threshold of
+        each attribute's chosen cut; a gain or ratio <= 0 means the attribute
+        has no useful cut.  Cut ``i`` sends sorted rows ``0..i`` left; only
+        cuts between distinct values that leave ``min_leaf`` rows on each
+        side count, and the lowest threshold whose score is within
+        ``_GAIN_EPS`` of the best wins.  ``gain_ratio`` picks the cut by gain
+        ratio, the other criteria by gain.  ``c45`` then subtracts
+        log2(admissible cuts) / n, the cost of choosing the threshold
+        (Quinlan 1996, "Improved use of continuous attributes in C4.5"), from
+        the gain.  The split info of every cut is computed once and read at
+        the chosen one.
 
         The node's rows arrive sorted, so no sort is needed here.  The
         attributes are scored together in batches of at most
@@ -653,14 +661,14 @@ class TreeClassifier(Classifier):
         the classes in class order.
         """
         n, m = order.shape[1], self.spec.min_leaf
-        ranked = order[self._enc.order_row[attrs]]  # attrs x sorted rows
-        sv = self._x[ranked, attrs[:, None]]
+        ranked = order[self.state.order_row[attrs]]  # attrs x sorted rows
+        sv = self.state.x[ranked, attrs[:, None]]
         sy = self._y[ranked]
         window = slice(m - 1, n - m)  # cuts that leave min_leaf rows per side
         nl = np.arange(m, n - m + 1)
         nr = n - nl
         admissible = sv[:, window] != sv[:, m:n - m + 1]
-        xlx = self._xlx
+        xlx = self.state.xlx
         split_info = (xlx[n] - xlx[nl] - xlx[nr]) / n  # per cut
         by_ratio = self.spec.criterion == "gain_ratio"
         if by_ratio:
@@ -710,8 +718,8 @@ class TreeClassifier(Classifier):
         """``(gain, ratio)`` of the multiway split on nominal attribute
         ``a``: its information gain and gain ratio, each -1.0 when the split
         is not allowed or gains nothing."""
-        arity = int(self._enc.n_values[a])
-        cats = self._x[idx, a].astype(int)
+        arity = int(self.state.enc.n_values[a])
+        cats = self.state.x[idx, a].astype(int)
         table = np.bincount(cats * self.n_classes + self._y[idx],
                             minlength=arity * self.n_classes)
         table = table.reshape(arity, self.n_classes)
@@ -721,7 +729,7 @@ class TreeClassifier(Classifier):
             return -1.0, -1.0
         if (sizes[nonempty] < self.spec.min_leaf).any():
             return -1.0, -1.0
-        n, xlx = len(idx), self._xlx
+        n, xlx = len(idx), self.state.xlx
         gain = parent_h - (xlx[sizes].sum() - xlx[table].sum()) / n
         if gain <= _GAIN_EPS:
             return -1.0, -1.0
@@ -743,7 +751,7 @@ class TreeClassifier(Classifier):
         if node.attr is None:
             return err_leaf, err_leaf
         before = after = 0
-        for child, rows in _parts(node, self._x, idx):
+        for child, rows in _parts(node, self.state.x, idx):
             # rows of a category with no grown child stay at this node: a
             # leaf with its counts, as in prediction
             err_before, err_after = self._prune(child or _Node(node.counts),
@@ -754,82 +762,68 @@ class TreeClassifier(Classifier):
             return before, err_leaf
         return before, after
 
-    # -- prediction ----------------------------------------------------------
-
-    def predict_dist_many(self, rows):
-        q = self._enc.transform(rows)
-        out = np.empty((len(q), self.n_classes))
-        todo = [(self.root, np.arange(len(q)))]
-        while todo:
-            node, idx = todo.pop()
-            if node.attr is None:
-                out[idx] = ((node.counts + 1.0)
-                            / (node.counts.sum() + self.n_classes))
-                continue
-            for child, part in _parts(node, q, idx):
-                if len(part):
-                    # rows of a category with no grown child stop here
-                    todo.append((child or _Node(node.counts), part))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # fitting entry point
 # ---------------------------------------------------------------------------
 
+class TrainingState:
+    """What fitting classifiers of ``spec`` on one feature matrix reads,
+    built once by ``prepare``: the query encoder ``enc`` and the encoded
+    matrix ``x``; for kNN, the ``index`` its classifiers share; for trees,
+    ``order``, each numeric column's stable sort of the rows (row
+    ``order_row[a]`` for column ``a``), and the ``xlx`` table of the row
+    count.  Fitted classifiers keep ``enc`` (and ``index``) but not the
+    state, so ``x`` and ``order`` are freed with the caller's reference."""
+
+    def __init__(self, spec: LearnerSpec, features,
+                 attributes: Optional[Sequence[Attribute]]):
+        self.spec = spec
+        self.enc = _Encoder(features, attributes)
+        self.x = self.enc.transform(features)
+        if isinstance(spec, KnnSpec):
+            self.index = KnnIndex(spec, self.enc, self.x)
+        if isinstance(spec, TreeSpec):
+            numeric = ~self.enc.is_nominal
+            self.order = np.ascontiguousarray(
+                np.argsort(self.x[:, numeric], axis=0, kind="stable").T)
+            self.order_row = np.cumsum(numeric) - 1
+            self.xlx = _xlx(len(self.x))
+
+    def sorted_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The distinct training rows ``rows`` in stable ascending order of
+        each numeric column: a (numeric columns x ``len(rows)``) matrix whose
+        row ``order_row[a]`` is ``rows[np.argsort(x[rows, a],
+        kind="stable")]`` for ascending ``rows``, ties by ascending row:
+        ``order`` filtered to ``rows``."""
+        n = len(self.x)
+        if len(rows) == n:
+            return self.order
+        branch = np.full(n, -1)
+        branch[rows] = 0
+        return _split_order(self.order, branch, [len(rows)])[0]
+
+
 def prepare(spec: LearnerSpec, features: np.ndarray,
-            attributes: Optional[Sequence[Attribute]] = None):
+            attributes: Optional[Sequence[Attribute]] = None) -> TrainingState:
     """The training state that every classifier ``fit`` trains with
-    ``spec`` on ``features`` can share: a ``KnnIndex`` for kNN, the feature
-    encoder otherwise.  Building it checks the arity and the category
-    indices of ``features``."""
-    enc = _Encoder(features, attributes)
-    return KnnIndex(spec, enc) if isinstance(spec, KnnSpec) else enc
-
-
-def release(shared) -> None:
-    """Free what only fitting uses of ``prepare``'s training state: the
-    column orders that trees grow from, which would otherwise live as long
-    as the fitted classifiers.  Those classifiers keep working, and a later
-    tree fit on ``shared`` sorts again."""
-    if isinstance(shared, _Encoder):
-        shared._order = None
-
-
-def _prepared_for(shared, spec: LearnerSpec, n_rows: int) -> bool:
-    if isinstance(spec, KnnSpec):
-        return (isinstance(shared, KnnIndex) and shared.spec == spec
-                and shared.n_rows == n_rows)
-    return isinstance(shared, _Encoder) and len(shared.matrix) == n_rows
-
-
-def _classifier(spec: LearnerSpec, shared, y: np.ndarray,
-                n_classes: int) -> Classifier:
-    if n_classes == 1:
-        # single observed class: degenerate but valid, even with pruning on
-        return ConstantClassifier(
-            1, shared.enc if isinstance(shared, KnnIndex) else shared)
-    if isinstance(spec, KnnSpec):
-        return KnnClassifier(shared, y, n_classes)
-    if isinstance(spec, NaiveBayesSpec):
-        return NaiveBayesClassifier(spec, shared, y, n_classes)
-    if isinstance(spec, TreeSpec):
-        return TreeClassifier(spec, shared, y, n_classes)
-    raise TypeError(f"unknown learner spec {type(spec).__name__}")
+    ``spec`` on ``features`` can share.  Building it checks the arity and
+    the category indices of ``features``."""
+    return TrainingState(spec, features, attributes)
 
 
 def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
         attributes: Optional[Sequence[Attribute]] = None,
-        shared=None) -> Classifier:
+        shared: Optional[TrainingState] = None) -> Classifier:
     """Train a classifier.  ``classes`` are dense indices in [0, C).
 
     ``features`` is an n x d float matrix such as ``MLDataset.X`` (NaN
     marks a missing cell); a C-ordered float64 matrix is used without a
     copy.  ``attributes`` carries the schema kinds; when omitted, every
     column is numeric.  ``shared`` is ``prepare(spec, features,
-    attributes)``, built once and passed to every fit on the same features
-    and ``release``d after the last; without it, each fit builds and
-    releases its own.
+    attributes)``, built once and passed to every fit on the same features;
+    without it, each fit builds its own.  The classifier keeps nothing of
+    ``shared`` but its encoder and kNN index.
     """
     if len(features) != len(classes):
         raise ValueError("features and classes differ in length")
@@ -839,13 +833,18 @@ def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
     if (y < 0).any():
         raise ValueError("class indices must be >= 0")
     n_classes = int(y.max()) + 1
-    own = shared is None
-    if own:
+    if shared is None:
         shared = prepare(spec, features, attributes)  # checks arity, domains
-    elif not _prepared_for(shared, spec, len(y)):
+    elif shared.spec != spec or len(shared.x) != len(y):
         raise ValueError("shared training state was prepared for another "
                          "spec or feature matrix")
-    clf = _classifier(spec, shared, y, n_classes)
-    if own:
-        release(shared)
-    return clf
+    if n_classes == 1:
+        # single observed class: degenerate but valid, even with pruning on
+        return ConstantClassifier(1, shared.enc)
+    if isinstance(spec, KnnSpec):
+        return KnnClassifier(shared.index, y, n_classes)
+    if isinstance(spec, NaiveBayesSpec):
+        return NaiveBayesClassifier(shared, y, n_classes)
+    if isinstance(spec, TreeSpec):
+        return TreeClassifier(shared, y, n_classes)
+    raise TypeError(f"unknown learner spec {type(spec).__name__}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MLDataset, UniverseMismatch
+from .core import MLDataset, UniverseMismatch, check_threshold
 from .transforms import MultiLabelModel
 
 
@@ -201,7 +201,9 @@ def evaluate(model: MultiLabelModel, test: MLDataset,
              t: float = 0.5) -> EvaluationReport:
     """Score every test row, derive bipartitions (threshold ``t``) and
     rankings, and compute all five metrics; ranking loss and average
-    precision are NaN when no test row defines them."""
+    precision are NaN when no test row defines them; ``t`` must be in
+    [0, 1]."""
+    check_threshold(t)
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if model.n_labels != test.n_labels:

@@ -26,13 +26,14 @@ A ``MemberSpec`` names one of the four with its learner and options;
 the n x M matrix of per-label confidences in [0, 1] out.  Models are
 immutable after fitting.
 
-A model fits every member on one training matrix: one encoder
-(``learners.prepare``) and, with kNN, one shared ``KnnIndex``.  Tree
-members grow from one sort of each column, which ``learners.release``
-frees once the last member is fitted.  A predict
-call runs one neighbour search per query matrix, and each kNN member votes
-on it.  The neighbours live only for that call, so concurrent
-predicts on one model stay safe.
+A model fits every member from one training state of its training matrix
+(``learners.prepare``): one encoder and, with kNN, one shared
+``KnnIndex``; tree members grow from one sort of each column.  The state
+lives only while the members are fitted, so a fitted model holds no
+training matrix and no column order.  A predict call runs one neighbour
+search per ``KnnIndex`` of its kNN members, and each of them votes on its
+index's neighbours.  The neighbours live only for that call, so
+concurrent predicts on one model stay safe.
 """
 
 from __future__ import annotations
@@ -76,24 +77,22 @@ class RakelModel(MultiLabelModel):
     Labels covered by no member score a neutral 0.5 and are listed in
     ``uncovered``."""
 
-    def __init__(self, n_labels: int, members, shared=None):
+    def __init__(self, n_labels: int, members):
         self.n_labels = n_labels
         self.members = members
         covered = set().union(*(labels for labels, _, _ in members))
         self.uncovered = tuple(j for j in range(n_labels) if j not in covered)
-        self._shared = shared  # learners.prepare of the training matrix
 
     def predict_scores_many(self, rows):
         n = len(rows)
         sums = np.zeros((n, self.n_labels))
         cover = np.zeros(self.n_labels)
-        neighbours = None  # searched at the first kNN member on the index
+        neighbours = {}  # per KnnIndex, searched at its first kNN member
         for labels, clf, classes in self.members:
-            if (isinstance(clf, learners.KnnClassifier)
-                    and clf.index is self._shared):
-                if neighbours is None:
-                    neighbours = self._shared.neighbours(rows)
-                dist = clf.votes(neighbours)
+            if isinstance(clf, learners.KnnClassifier):
+                if clf.index not in neighbours:
+                    neighbours[clf.index] = clf.index.neighbours(rows)
+                dist = clf.votes(neighbours[clf.index])
             else:
                 dist = clf.predict_dist_many(rows)
             cols = list(labels)
@@ -108,8 +107,8 @@ class RakelModel(MultiLabelModel):
 def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
                  **fields):
     """A ``model_class`` with one label-powerset member per label subset, in
-    order, all fitted on one encoder (and kNN index) of ``train.X``;
-    ``fields`` go to the constructor."""
+    order, all fitted from one training state of ``train.X``, which dies on
+    return; ``fields`` go to the constructor."""
     if len(train) == 0:
         raise ValueError("cannot fit label powerset on an empty dataset")
     attributes = train.schema.attributes
@@ -119,8 +118,7 @@ def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
         classes, y, _ = _distinct_rows(train.Y[:, list(labels)])
         clf = learners.fit(spec, train.X, y, attributes, shared)
         members.append((labels, clf, classes))
-    learners.release(shared)
-    return model_class(train.n_labels, members, shared, **fields)
+    return model_class(train.n_labels, members, **fields)
 
 
 class LabelPowersetModel(RakelModel):
@@ -198,9 +196,9 @@ class PrunedSetsModel(RakelModel):
 
     predict_scores_many = RakelModel.predict_scores_many
 
-    def __init__(self, n_labels: int, members, shared, n_pruned: int,
+    def __init__(self, n_labels: int, members, n_pruned: int,
                  n_reintroduced: int):
-        super().__init__(n_labels, members, shared)
+        super().__init__(n_labels, members)
         self.n_pruned = n_pruned
         self.n_reintroduced = n_reintroduced
 

@@ -395,6 +395,11 @@ def test_ensemble_members_null_takes_the_default_members():
     {"experiments": [{"transform": "ensemble", "members": ["ps"]}]},
     {"experiments": [{"transform": "ensemble", "members": 3}]},
     {"experiments": [BR], "threshold": "x"},
+    {"experiments": [BR], "threshold": 1.5},
+    {"experiments": [BR], "threshold": -0.5},
+    {"experiments": [{"transform": "ensemble", "q": 2, "threshold": 7.5}]},
+    {"experiments": [{"transform": "ensemble", "q": 2, "rule": "mean",
+                      "weights": [1, 3]}]},
     {"experiments": [BR], "workers": "x"},
     {"experiments": [BR], "workers": 0},
     {"experiments": [BR], "seed": "x"},
@@ -428,7 +433,9 @@ def test_ensemble_members_null_takes_the_default_members():
 ], ids=["p-negative", "weights-length", "q-zero", "sample-ratio-2", "k-string",
         "m-zero", "member-m-zero", "entry-not-object", "experiments-not-list",
         "no-transform", "unknown-preset", "member-not-object",
-        "members-not-list", "threshold-string", "workers-string",
+        "members-not-list", "threshold-string", "threshold-1.5",
+        "threshold-negative", "ensemble-threshold-7.5", "weights-with-mean",
+        "workers-string",
         "workers-zero", "seed-string", "dataset-not-object",
         "split-not-object", "split-without-test", "split-ratio-string",
         "split-ratio-1.5", "trailing-labels-string", "trailing-labels-3.5",
@@ -463,6 +470,35 @@ def test_negative_trailing_labels_flag_exits_1_before_any_data_is_read(
     assert_usage_error_before_data(
         ["info", "--dataset", arff_path, "--trailing-labels", -1],
         tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", ["benchmark", "evaluate"])
+@pytest.mark.parametrize("threshold", [2, -1])
+def test_threshold_flag_outside_unit_interval_exits_1_before_any_data_is_read(
+        command, threshold, data_files, tmp_path, monkeypatch, capsys):
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, [BR])
+    err = assert_usage_error_before_data(
+        [command, "--config", cfg, "--threshold", threshold,
+         "--out", tmp_path / "report.csv"], tmp_path, monkeypatch, capsys)
+    assert f"'threshold' must be in [0, 1], not {float(threshold)}" in err
+
+
+def test_threshold_0_and_1_are_valid(data_files, tmp_path):
+    arff_path, labels_path = data_files
+    for threshold in (0, 1):
+        cfg = write_config(tmp_path, arff_path, labels_path, [BR],
+                           threshold=threshold, format="json")
+        out = tmp_path / f"report-{threshold}.json"
+        assert run_cli(["benchmark", "--config", cfg, "--out", out]) == 0
+        assert json.loads(out.read_text())["meta"]["threshold"] == threshold
+
+
+def test_weights_with_an_unweighted_rule_are_refused():
+    entry = {"transform": "ensemble", "q": 2, "rule": "mean",
+             "weights": [1, 3]}
+    with pytest.raises(cli.UsageError, match="rule 'mean' takes no weights"):
+        cli._parse_spec(entry, 0)
 
 
 def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys,

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from mullab import learners
 from mullab.ensemble import (
     COMBINATION_RULES,
     EnsembleSpec,
@@ -92,7 +95,7 @@ class TestCombine:
         rng = np.random.default_rng(3)
         for rule in COMBINATION_RULES:
             members = [rng.random(7) for _ in range(4)]
-            weights = [1.0, 2.0, 0.0, 0.5]
+            weights = [1.0, 2.0, 0.0, 0.5] if "weighted" in rule else None
             out = combine(members, rule, weights=weights)
             assert (out >= 0.0).all() and (out <= 1.0).all()
 
@@ -121,6 +124,23 @@ class TestCombine:
     def test_out_of_range_scores_rejected(self):
         with pytest.raises(ValueError):
             combine([np.array([1.5])], "mean")
+
+    @pytest.mark.parametrize("rule", ["mean", "max", "min", "majority_vote"])
+    def test_weights_with_an_unweighted_rule_rejected(self, rule):
+        with pytest.raises(ValueError, match=f"'{rule}' takes no weights"):
+            combine([np.array([0.2]), np.array([0.6])], rule, weights=[5, 1])
+
+    @pytest.mark.parametrize("rule", COMBINATION_RULES)
+    @pytest.mark.parametrize("t", [1.5, -0.1, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, rule, t):
+        weights = [1.0, 1.0] if "weighted" in rule else None
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            combine([np.array([0.2]), np.array([0.6])], rule, weights, t=t)
+
+    def test_threshold_bounds_vote_every_or_only_full_scores(self):
+        members = [np.array([0.0, 0.6]), np.array([0.3, 1.0])]
+        assert combine(members, "majority_vote", t=0.0).tolist() == [1.0, 1.0]
+        assert combine(members, "majority_vote", t=1.0).tolist() == [0.0, 0.5]
 
 
 def bipartition_misses(scores, labels, t=0.5):
@@ -258,6 +278,21 @@ class TestEnsembleSpecValidation:
         with pytest.raises(ValueError):
             EnsembleSpec(members=(lp_member(),), rule="weighted_mean")
 
+    def test_unweighted_rule_takes_no_weights(self):
+        with pytest.raises(ValueError, match="rule 'mean' takes no weights"):
+            EnsembleSpec(members=(lp_member(), lp_member()), rule="mean",
+                         weights=(1.0, 3.0))
+
+    @pytest.mark.parametrize("threshold", [7.5, -1.0, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            EnsembleSpec(members=(lp_member(),), threshold=threshold)
+
+    def test_threshold_bounds_are_valid(self):
+        for threshold in (0.0, 1.0):
+            assert EnsembleSpec(members=(lp_member(),),
+                                threshold=threshold).threshold == threshold
+
     def test_default_spec_cycles_presets(self):
         spec = default_ensemble_spec(q=10)
         kinds = [type(m.learner).__name__ for m in spec.members]
@@ -273,3 +308,41 @@ class TestEnsembleSpecValidation:
     def test_member_transform_validation(self):
         with pytest.raises(ValueError):
             MemberSpec(transform="chains", learner=NaiveBayesSpec())
+
+
+def arrays_outside_knn(obj):
+    """Every numpy array reachable from ``obj`` through containers and the
+    attributes of mullab objects, except through a kNN index or classifier,
+    whose standardised rows and class vector prediction reads."""
+    stack, seen = [obj], set()
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(
+                o, (learners.KnnIndex, learners.KnnClassifier)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            yield o
+        elif isinstance(o, dict):
+            stack += o.values()
+        elif isinstance(o, (list, tuple)):
+            stack += o
+        elif type(o).__module__.startswith("mullab."):
+            stack += [getattr(o, name, None)
+                      for name in getattr(type(o), "__slots__", ())]
+            stack += getattr(o, "__dict__", {}).values()
+
+
+def test_fitted_default_ensemble_keeps_no_training_rows():
+    train = random_dataset(51, n=120, n_labels=4, n_num=5, n_nom=2,
+                           missing_rate=0.1)
+    spec = default_ensemble_spec(q=10, seed=7)
+    model = ensemble_fit(train, spec)
+    size = math.floor(spec.sample_ratio * len(train) + 0.5)
+    for member in model.members:
+        # a member's rows: its subsample, rewritten by pruned sets
+        rows = {len(train), size,
+                size - member.n_pruned + member.n_reintroduced}
+        assert not rows & {7, 4}  # no row count equals d or the labels
+        shapes = [a.shape for a in arrays_outside_knn(member)]
+        assert shapes and not [s for s in shapes if rows & set(s)]

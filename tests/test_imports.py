@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, or defines a
-private module-level name that nothing in the module reads.
+private module-level name, private method or private ``self`` attribute
+that nothing in the module reads.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard ``ast`` module.  The package ``__init__`` is exempt from
@@ -58,6 +59,34 @@ def unused_private_names(source: str) -> list[str]:
             if name not in read]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unused_private_members(source: str) -> list[str]:
+    """Private methods (functions in a class body) and private attributes
+    (assigned as ``self._name``) whose name no attribute read in the
+    module uses.  Tests may still reach such a member; the module must."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.setdefault(item.name, item.lineno)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "self"):
+            defined.setdefault(node.attr, node.lineno)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for line, name in
+            sorted((line, name) for name, line in defined.items())
+            if _private(name) and name not in read]
+
+
 def test_every_module_is_checked():
     assert {"cli.py", "core.py", "learners.py", "transforms.py"} <= set(MODULES)
 
@@ -72,6 +101,26 @@ def test_no_unused_imports(module):
 def test_no_unused_private_names(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_private_names(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_private_members(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert unused_private_members(source) == []
+
+
+def test_checker_finds_an_unused_private_member():
+    source = ("class A:\n"
+              "    def __init__(self, other):\n"
+              "        self._used, self._stray = 1, 2\n"
+              "        self.public = other._elsewhere = 3\n"
+              "        self.__mangled = 4\n"
+              "    def _helper(self): return self._used\n"
+              "    def _gone(self): self._gone_too = 5\n"
+              "    def __repr__(self): return ''\n"
+              "def f(a): return a._helper()\n")
+    assert unused_private_members(source) == [
+        "line 3: _stray", "line 7: _gone", "line 7: _gone_too"]
 
 
 def test_checker_finds_an_unused_private_name():

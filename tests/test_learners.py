@@ -213,7 +213,7 @@ class TestKnn:
         probe = random_dataset(7, n=23, n_labels=1, n_num=5, n_nom=2,
                                missing_rate=0.1)
         index = learners.prepare(KnnSpec(distance=distance), d.X,
-                                 d.schema.attributes)
+                                 d.schema.attributes).index
         q = index.enc.transform(probe.X)
         num, nom = index._num_cols, index._nom_cols
         expected = knn_distances_bf((q[:, num] - index._mu) / index._sd,
@@ -224,7 +224,8 @@ class TestKnn:
         # 900 x 1500: the distance matrix is 10.8 MB; the row blocks add
         # at most _KNN_BLOCK_ELEMS elements to it, not whole matrices
         rng = np.random.default_rng(4)
-        index = learners.prepare(KnnSpec(k=5), rng.normal(size=(1500, 20)))
+        index = learners.prepare(KnnSpec(k=5),
+                                 rng.normal(size=(1500, 20))).index
         queries = rng.normal(size=(900, 20))
         tracemalloc.start()
         try:
@@ -396,14 +397,16 @@ class TestTree:
                              rng.integers(0, 20, n) / 4.0,
                              rng.integers(0, 3, n).astype(float)])
         y = rng.integers(0, 5, n)
-        clf = fit(TreeSpec(criterion=criterion, min_leaf=min_leaf), X, y)
+        state = learners.prepare(
+            TreeSpec(criterion=criterion, min_leaf=min_leaf), X)
+        grower = learners._TreeGrower(state, y, int(y.max()) + 1)
         attrs = np.arange(X.shape[1])
         for _ in range(25):
             idx = np.sort(rng.choice(n, int(rng.integers(2 * min_leaf, n + 1)),
                                      replace=False))
             parent_h = float(entropy_log2(np.bincount(y[idx])))
-            gain, ratio, threshold = clf._eval_numeric_all(
-                attrs, clf._enc.sorted_rows(idx), np.bincount(y[idx]), parent_h)
+            gain, ratio, threshold = grower._eval_numeric_all(
+                attrs, state.sorted_rows(idx), np.bincount(y[idx]), parent_h)
             for a in attrs:
                 g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
                                          criterion, min_leaf)
@@ -465,15 +468,16 @@ class TestTree:
         X = np.column_stack([rng.integers(0, 8, n) / 2, rng.random(n),
                              rng.integers(0, 30, n) / 4.0])
         y = rng.integers(0, 11, n)
-        clf = fit(TreeSpec(criterion=criterion, min_leaf=2), X, y)
+        state = learners.prepare(TreeSpec(criterion=criterion, min_leaf=2), X)
+        grower = learners._TreeGrower(state, y, int(y.max()) + 1)
         attrs = np.arange(X.shape[1])
         for _ in range(25):
             idx = np.sort(rng.choice(n, int(rng.integers(40, n + 1)),
                                      replace=False))
             counts = np.bincount(y[idx])
             assert (counts > 0).sum() >= 8
-            gain, ratio, threshold = clf._eval_numeric_all(
-                attrs, clf._enc.sorted_rows(idx), counts,
+            gain, ratio, threshold = grower._eval_numeric_all(
+                attrs, state.sorted_rows(idx), counts,
                 float(entropy_log2(counts)))
             for a in attrs:
                 g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
@@ -497,12 +501,12 @@ class TestTree:
         X = base[rng.integers(0, 50, 120)]
         attrs = (Attribute("g"), Attribute("u"), Attribute("c", ("x", "y", "z")),
                  Attribute("v"))
-        enc = learners.prepare(preset("j48"), X, attrs)
+        state = learners.prepare(preset("j48"), X, attrs)
         numeric = [0, 1, 3]
-        assert enc.order_row[numeric].tolist() == [0, 1, 2]
+        assert state.order_row[numeric].tolist() == [0, 1, 2]
         for size in (0, 1, 2, 17, 119, 120):
             idx = np.sort(rng.choice(120, size, replace=False))
-            assert np.array_equal(enc.sorted_rows(idx),
+            assert np.array_equal(state.sorted_rows(idx),
                                   self._stable_order(X, idx, numeric))
 
     def test_nodes_receive_their_rows_in_stable_column_order(self, monkeypatch):
@@ -516,13 +520,13 @@ class TestTree:
         attrs = (Attribute("g"), Attribute("u"), Attribute("c", ("x", "y", "z")),
                  Attribute("h"))
         received = []
-        split = learners.TreeClassifier._split
+        split = learners._TreeGrower._split
 
         def record(self, node, idx, order):
             received.append((idx, order))
             return split(self, node, idx, order)
 
-        monkeypatch.setattr(learners.TreeClassifier, "_split", record)
+        monkeypatch.setattr(learners._TreeGrower, "_split", record)
         for name in ("reptree", "j48", "random-t"):
             received.clear()
             clf = fit(dataclasses.replace(preset(name), min_leaf=1), X, y, attrs)
@@ -808,9 +812,8 @@ class TestEncoding:
 
     def test_matrix_is_not_copied(self):
         d = random_dataset(6, n=20, n_labels=2, n_num=3, n_nom=0)
-        y = [b % 2 for b in bits(d.Y)]
-        clf = fit(NaiveBayesSpec(), d.X, y, d.schema.attributes)
-        assert clf._enc.matrix is d.X
+        state = learners.prepare(NaiveBayesSpec(), d.X, d.schema.attributes)
+        assert state.x is d.X
 
 
 class TestPresets:

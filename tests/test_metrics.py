@@ -317,3 +317,16 @@ class TestEvaluate:
         test = eval_fixture([], 2)
         with pytest.raises(ValueError):
             evaluate(_MatrixModel(np.zeros((0, 2))), test)
+
+    @pytest.mark.parametrize("t", [2.0, -1.0, 1.0 + 1e-9, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, t):
+        test = eval_fixture([[0], [1]], 2)
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            evaluate(_MatrixModel([[0.9, 0.1], [0.2, 0.8]]), test, t=t)
+
+    def test_threshold_bounds_are_valid(self):
+        test = eval_fixture([[0], [1]], 2)
+        model = _MatrixModel([[1.0, 0.0], [0.0, 1.0]])
+        # 0: every label is predicted; 1: only scores of exactly 1
+        assert evaluate(model, test, t=0.0).hamming_loss == 0.5
+        assert evaluate(model, test, t=1.0).accuracy == 1.0

@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,11 +8,15 @@ import pytest
 
 from mullab import learners
 from mullab.core import Attribute, MLDataset, Schema
-from mullab.learners import KnnSpec, NaiveBayesSpec, TreeSpec
+from mullab.learners import (PRESET_NAMES, KnnSpec, NaiveBayesSpec, TreeSpec,
+                             preset)
 from mullab.transforms import (
+    TRANSFORM_NAMES,
+    MemberSpec,
     PruneSpec,
     RakelModel,
     br_fit,
+    fit_member,
     lp_fit,
     ps_fit,
     rakel_fit,
@@ -198,27 +203,33 @@ class TestRakel:
                       - lp.predict_scores_many(probe)).max() <= 1e-12
 
     def test_tree_members_share_one_sort_and_keep_none(self, monkeypatch):
-        sorts = []
-        sorted_rows = learners._Encoder.sorted_rows
+        states, sorts = [], []
+        build, sorted_rows = (learners.TrainingState.__init__,
+                              learners.TrainingState.sorted_rows)
 
-        def counting(enc, rows):
-            sorts.append(enc._order is None)
-            return sorted_rows(enc, rows)
+        def building(state, *args):
+            build(state, *args)
+            states.append(weakref.ref(state))
 
-        monkeypatch.setattr(learners._Encoder, "sorted_rows", counting)
+        def counting(state, rows):
+            sorts.append(state is states[-1]())
+            return sorted_rows(state, rows)
+
+        monkeypatch.setattr(learners.TrainingState, "__init__", building)
+        monkeypatch.setattr(learners.TrainingState, "sorted_rows", counting)
         spec = TreeSpec(criterion="info_gain", min_leaf=1)
         model = rakel_fit(LP_FIXTURE, spec, m=3, k=2, seed=5)
-        # every member grew a tree from the one order of the shared
-        # encoder, sorted once; the fitted model no longer holds it
-        assert len(sorts) == 3 and sorts.count(True) == 1
-        assert all(clf._enc is model._shared for _, clf, _ in model.members)
-        assert model._shared._order is None
+        # every member grew a tree from the order of one training state,
+        # sorted once; the fitted model no longer holds it
+        assert len(states) == 1 and sorts == [True] * 3
+        assert len({id(clf._enc) for _, clf, _ in model.members}) == 1
+        assert states[0]() is None
         probe = np.array([(-2.0, 0.1), (0.1, 2.2), (2.0, -0.5)])
-        for labels, clf, classes in model.members:
+        for pos, (labels, clf, classes) in enumerate(model.members):
             rows = LP_FIXTURE.Y[:, list(labels)].tolist()
             y = [classes.tolist().index(row) for row in rows]
             alone = learners.fit(spec, LP_FIXTURE.X, y)
-            assert alone._enc._order is None
+            assert len(states) == pos + 2 and states[-1]() is None
             assert np.array_equal(clf.predict_dist_many(probe),
                                   alone.predict_dist_many(probe))
 
@@ -240,8 +251,9 @@ class TestRakel:
             # a one-label powerset member, as for a constant label, whose
             # one class is the labelset {label 0} (value 1.0) or the empty
             # one (value 0.0)
-            return ((0,), learners.ConstantClassifier(1),
-                    np.array([[bool(value)]]))
+            clf = learners.fit(NaiveBayesSpec(), [(0.0, 0.0)], [0])
+            assert isinstance(clf, learners.ConstantClassifier)
+            return ((0,), clf, np.array([[bool(value)]]))
 
         model = RakelModel(3, [constant_member(1.0), constant_member(0.0)])
         scores = model.predict_scores_many([(0.0, 0.0), (1.0, 1.0)])
@@ -482,6 +494,32 @@ class TestSharedKnnSearch:
             model.predict_scores_many(self.PROBE.X[:3])
             assert counts == {"encoders": 1, "indexes": 1, "searches": 2}
 
+    def test_a_model_over_two_indexes_searches_each_once(self, monkeypatch):
+        # labels 0-2 from a model fitted on every row, labels 3-5 from one
+        # fitted on the first 50 rows with another k: two KnnIndexes
+        first = br_fit(self.TRAIN, KnnSpec(k=3)).members[:3]
+        second = br_fit(self.TRAIN.subset(range(50)), KnnSpec(k=5)).members[3:]
+        members = first + second
+        assert len({id(clf.index) for _, clf, _ in members}) == 2
+        model = RakelModel(6, members)
+        expected = np.column_stack([
+            clf.predict_dist_many(self.PROBE.X) @ classes
+            for _, clf, classes in members])
+        searches = []
+        neighbours = learners.KnnIndex.neighbours
+
+        def counting(index, rows):
+            searches.append(index)
+            return neighbours(index, rows)
+
+        monkeypatch.setattr(learners.KnnIndex, "neighbours", counting)
+        for predict in (1, 2):
+            assert np.array_equal(model.predict_scores_many(self.PROBE.X),
+                                  expected)
+            assert len(searches) == 2 * predict
+            assert {id(index) for index in searches[-2:]} == {
+                id(clf.index) for _, clf, _ in members}
+
     @pytest.mark.parametrize("fit_model", [
         lambda d: br_fit(d, KnnSpec(k=3)),
         lambda d: rakel_fit(d, KnnSpec(k=3), m=12, k=3, seed=2),
@@ -519,3 +557,16 @@ class TestSharedKnnSearch:
             learners.fit(NaiveBayesSpec(), self.TRAIN.X, y, attrs, shared)
         with pytest.raises(ValueError, match="prepared for another"):
             learners.fit(KnnSpec(k=3), self.TRAIN.X[:10], y[:10], attrs, shared)
+
+
+@pytest.mark.parametrize("learner", PRESET_NAMES)
+@pytest.mark.parametrize("transform", TRANSFORM_NAMES)
+def test_fitted_model_keeps_no_training_matrix(transform, learner):
+    # no missing cell, so an encoded matrix could be the training X itself
+    train = random_dataset(41, n=60, n_labels=4, n_num=4, n_nom=2)
+    probe = random_dataset(42, n=9, n_labels=4, n_num=4, n_nom=2).X
+    features = weakref.ref(train.X)
+    model = fit_member(train, MemberSpec(transform, preset(learner)), seed=3)
+    del train
+    assert features() is None
+    assert model.predict_scores_many(probe).shape == (9, 4)

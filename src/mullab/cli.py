@@ -37,9 +37,11 @@ and so is a key the entry's transform does not take: ``m``/``k`` belong to
 rakel, ``p``/``b`` to ps and ensemble, and an ensemble that lists
 ``members`` takes no ``q`` or ``learner``.
 A dataset takes 'labels' or 'trailing_labels', not both; a label flag
-replaces the config's label key.  ``workers`` is how many of a grid's
-experiments run at once: evaluate runs one, so it has no --workers flag, but
-its config may set the key.
+replaces the config's label key.  A split takes 'ratio' or 'train' and
+'test', not both.  An experiment's 'name' is a string with no ',', '|' or
+line break, since it heads a CSV row and a markdown column.  ``workers``
+is how many of a grid's experiments run at once: evaluate runs one, so it
+has no --workers flag, but its config may set the key.
 The environment variable MULLAB_SEED is the seed fallback when neither the
 flag nor the config provides one.  Numeric flags and MULLAB_SEED follow the
 ARFF rule for numbers: ASCII, with no '_'.
@@ -257,6 +259,8 @@ def _data_specs(cfg: dict) -> tuple[dict, SplitSpec | None]:
         raise UsageError(f"'split' must be a JSON object, not {split!r}")
     _known_keys(split, _SPLIT_KEYS, "'split'")
     if "ratio" in split:
+        if any(split.get(key) is not None for key in ("train", "test")):
+            raise UsageError("give 'ratio' or 'train' and 'test', not both")
         fields = {"ratio": _typed(split["ratio"], float, "ratio")}
     else:
         counts = _fields(split, train=int, test=int)
@@ -286,7 +290,7 @@ def _label_spec(ds: dict) -> LabelSpec:
 
 def _load_bound(path, spec: LabelSpec) -> MLDataset:
     try:
-        return arff.bind_labels(arff.load_arff(path), spec)
+        return arff.load_dataset(path, spec)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
     except (ArffParseError, ValueError) as e:
@@ -397,8 +401,15 @@ def _ensemble_spec(entry: dict, seed: int, prune: PruneSpec) -> EnsembleSpec:
 
 
 def _experiment_name(exp: dict) -> str:
-    if exp.get("name"):
-        return str(exp["name"])
+    """The report column of an experiment: its 'name', which must not hold
+    a CSV or markdown separator or a line break, or one made from its
+    transform and learner."""
+    name = _fields(exp, name=str).get("name")
+    if name:
+        if not set(name).isdisjoint(",|\r\n"):
+            raise UsageError(f"'name' must not contain ',', '|' or a line "
+                             f"break, not {name!r}")
+        return name
     if exp["transform"] == "ensemble":
         return "ensemble"
     learner = exp.get("learner") or DEFAULT_LEARNER

@@ -55,10 +55,11 @@ Three families, each consumed by the problem transformations:
 Input: ``fit`` and ``predict_dist_many`` take an n x d float matrix such as
 ``MLDataset.X`` (NaN marks a missing cell), which is built once per dataset;
 a C-ordered float64 matrix is used as is, without a copy or a per-row pass.
-``prepare(spec, X, attributes)`` builds the training state of a matrix
-once: the encoder, the encoded matrix, and the kNN index or the trees'
-column orders.  ``fit(..., shared=...)`` reads it, which is how one model
-fits many classifiers on one matrix.  Trees grow and prune in an object
+Every classifier is built from a ``TrainingState(spec, X, attributes)``,
+made in one pass over ``X``: the encoder, the encoded matrix, and the kNN
+index or the trees' column orders.  ``fit(..., shared=...)`` reads one
+state in many fits, and refuses a state built for another spec or from
+other ``X`` or ``attributes`` objects.  Trees grow and prune in an object
 that their constructor drops, and a fitted classifier keeps only what
 prediction reads: the encoder, the kNN index (whose standardised rows the
 search needs), the naive Bayes parameters or the tree nodes.  So the
@@ -67,6 +68,10 @@ come only from the schema ``attributes``: without them every column is
 numeric, and nothing is inferred from the values.  A nominal cell must be
 an integral category index below the attribute's arity; anything
 else is a ``ValueError`` naming the attribute, in training and in queries.
+So is a feature so large that a naive Bayes mean, variance or
+log-posterior, or a kNN column mean or scale, is not finite.  One-class
+training data fits the spec's own classifier, which predicts exactly 1.0;
+zero training rows are a ``ValueError``.
 
 Missing values: numeric cells are imputed with the training mean of the
 attribute; nominal cells go to a dedicated extra category.  Every learner is
@@ -191,34 +196,35 @@ class _Encoder:
     columns hold the category index as a float, with missing mapped to the
     extra index n_declared.  Category arity is fixed at n_declared + 1 so the
     encoding does not depend on where missing values happen to occur.
-    Without ``attributes`` every column is numeric.  The encoder keeps only
-    what queries need, not the training matrix it was built from.
+    Without ``attributes`` every column is numeric.  ``num_cols`` and
+    ``nom_cols`` index the numeric and nominal columns.  Built from a float
+    training matrix, whose arity and categories it checks, the encoder
+    keeps only what queries need, not that matrix.
     """
 
-    def __init__(self, features, attributes: Optional[Sequence[Attribute]] = None):
-        raw = np.ascontiguousarray(features, dtype=float)
-        if raw.ndim == 1 and raw.size == 0:
-            raw = raw.reshape(0, 0 if attributes is None else len(attributes))
-        if raw.ndim != 2:
-            raise ValueError("features must be an n x d matrix")
+    def __init__(self, raw: np.ndarray,
+                 attributes: Optional[Sequence[Attribute]] = None):
         if attributes is None:
             attributes = [Attribute(f"#{j}") for j in range(raw.shape[1])]
         if len(attributes) != raw.shape[1]:
             raise ValueError("attribute list arity does not match data")
         self._attributes = attributes
         self.is_nominal = np.array([a.is_nominal for a in attributes], dtype=bool)
-        self._declared = np.array(
-            [len(a.values) if a.is_nominal else 0 for a in attributes])
-        self.n_values = np.where(self.is_nominal, self._declared + 1, 0)
+        self.num_cols = np.flatnonzero(~self.is_nominal)
+        self.nom_cols = np.flatnonzero(self.is_nominal)
+        declared = np.array([len(a.values) if a.is_nominal else 0
+                             for a in attributes])
+        self.n_values = np.where(self.is_nominal, declared + 1, 0)
         check_category_indices(raw, attributes)
         means = np.zeros(len(attributes))
-        for j in np.flatnonzero(~self.is_nominal):
-            col = raw[:, j]
-            ok = ~np.isnan(col)
-            means[j] = col[ok].mean() if ok.any() else 0.0
-        self._fill = np.where(self.is_nominal, self._declared, means)
+        with np.errstate(over="ignore"):  # kNN and naive Bayes refuse inf
+            for j in self.num_cols:
+                col = raw[:, j]
+                ok = ~np.isnan(col)
+                means[j] = col[ok].mean() if ok.any() else 0.0
+        self._fill = np.where(self.is_nominal, declared, means)
 
-    def _finish(self, raw: np.ndarray) -> np.ndarray:
+    def encode(self, raw: np.ndarray) -> np.ndarray:
         miss = np.isnan(raw)
         return np.where(miss, self._fill, raw) if miss.any() else raw
 
@@ -231,7 +237,13 @@ class _Encoder:
             raise ValueError(
                 f"query arity {raw.shape[-1]} does not match training arity {d}")
         check_category_indices(raw, self._attributes)
-        return self._finish(raw)
+        return self.encode(raw)
+
+
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
+    """A ValueError unless every value in ``arrays`` is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} are not finite numbers; rescale the features")
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +262,6 @@ class Classifier:
         raise NotImplementedError
 
 
-class ConstantClassifier(Classifier):
-    """Degenerate model that always predicts class 0: for empty or
-    single-class training data.  Queries go through ``enc``, the encoder
-    of the training matrix, which checks their arity and categories as
-    for the other learners."""
-
-    def __init__(self, n_classes: int, enc: _Encoder):
-        self.n_classes = n_classes
-        self._enc = enc
-        self._dist = np.zeros(n_classes)
-        if n_classes:
-            self._dist[0] = 1.0
-
-    def predict_dist_many(self, rows):
-        return np.tile(self._dist, (len(self._enc.transform(rows)), 1))
-
-
 class KnnIndex:
     """The standardised training matrix of one encoder, searched for each
     query row's ``k`` nearest training rows.
@@ -279,15 +274,17 @@ class KnnIndex:
     def __init__(self, spec: KnnSpec, enc: _Encoder, x: np.ndarray):
         self.spec = spec
         self.enc = enc
-        self._num_cols = np.flatnonzero(~enc.is_nominal)
-        self._nom_cols = np.flatnonzero(enc.is_nominal)
+        self._num_cols, self._nom_cols = enc.num_cols, enc.nom_cols
         self.n_rows = x.shape[0]
         if self._num_cols.size:
-            self._mu = x[:, self._num_cols].mean(axis=0)
-            sd = x[:, self._num_cols].std(axis=0)
-            sd[sd == 0.0] = 1.0
-            self._sd = sd
-            self._xn = (x[:, self._num_cols] - self._mu) / sd
+            xn = x[:, self._num_cols]  # a copy, standardised in place
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._mu, sd = xn.mean(axis=0), xn.std(axis=0)
+            _check_finite("knn column means or scales", self._mu, sd)
+            self._sd = np.where(sd == 0.0, 1.0, sd)
+            xn -= self._mu
+            xn /= self._sd
+            self._xn = xn
         else:
             self._xn = None
         self._xc = x[:, self._nom_cols]
@@ -327,7 +324,9 @@ class KnnIndex:
         """The (nq, k) training row indices nearest to each query row, in
         ascending index order: the rows a stable argsort of the distances
         puts first."""
-        dist = self._distances(self.enc.transform(rows))
+        q = self.enc.transform(rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            dist = self._distances(q)
         (nq, n), k = dist.shape, self.k
         out = np.empty((nq, k), dtype=np.intp)
         step = max(1, _KNN_BLOCK_ELEMS // n)
@@ -336,8 +335,7 @@ class KnnIndex:
             # exact top-k: all rows closer than the k-th distance, then rows
             # tied with it by ascending index
             kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
-            if np.isnan(kth).any():
-                raise ValueError("knn distances are not numbers; rescale the features")
+            _check_finite("knn distances", kth)
             chosen, tied = block < kth, block == kth
             spare = k - chosen.sum(axis=1)  # >= 1 slots left for tied rows
             for i in np.flatnonzero(tied.sum(axis=1) > spare):
@@ -347,10 +345,11 @@ class KnnIndex:
 
 
 class KnnClassifier(Classifier):
-    """Neighbour class frequencies over a (possibly shared) ``KnnIndex``."""
+    """Neighbour class frequencies over the (possibly shared) ``KnnIndex``
+    of a training state."""
 
-    def __init__(self, index: KnnIndex, y: np.ndarray, n_classes: int):
-        self.index = index
+    def __init__(self, state: TrainingState, y: np.ndarray, n_classes: int):
+        self.index = state.index
         self.n_classes = n_classes
         self._y = y
 
@@ -365,27 +364,24 @@ class KnnClassifier(Classifier):
 
 
 class NaiveBayesClassifier(Classifier):
-    def __init__(self, shared: TrainingState, y: np.ndarray, n_classes: int):
-        self.spec = spec = shared.spec
+    def __init__(self, state: TrainingState, y: np.ndarray, n_classes: int):
+        self.spec = spec = state.spec
         self.n_classes = n_classes
-        self._enc = enc = shared.enc
-        x = shared.x
-        n = len(y)
+        self._enc = enc = state.enc
+        x, num = state.x, enc.num_cols
         counts = np.bincount(y, minlength=n_classes).astype(float)
-        with np.errstate(divide="ignore"):
-            self._log_prior = np.log(counts / n)
-        self._num_cols = np.flatnonzero(~enc.is_nominal)
-        self._nom_cols = np.flatnonzero(enc.is_nominal)
-        if self._num_cols.size:
-            self._mean = np.zeros((n_classes, self._num_cols.size))
-            self._var = np.full((n_classes, self._num_cols.size), spec.variance_floor)
+        self._mean = np.zeros((n_classes, num.size))
+        self._var = np.full((n_classes, num.size), spec.variance_floor)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self._log_prior = np.log(counts / len(y))
             for c in range(n_classes):
-                xc = x[y == c][:, self._num_cols]
+                xc = x[y == c][:, num]
                 if len(xc):
                     self._mean[c] = xc.mean(axis=0)
                     self._var[c] = np.maximum(xc.var(axis=0), spec.variance_floor)
+        _check_finite("naive Bayes means or variances", self._mean, self._var)
         self._nom_loglik = []
-        for j in self._nom_cols:
+        for j in enc.nom_cols:
             v = int(enc.n_values[j])
             table = np.ones((n_classes, v))  # Laplace-1
             np.add.at(table, (y, x[:, j].astype(int)), 1.0)
@@ -393,9 +389,10 @@ class NaiveBayesClassifier(Classifier):
 
     def predict_dist_many(self, rows):
         q = self._enc.transform(rows)
+        num = self._enc.num_cols
         log_post = np.tile(self._log_prior, (len(rows), 1))
-        if self._num_cols.size:
-            qn = q[:, self._num_cols]
+        if num.size:
+            qn = q[:, num]
             log_norm = -0.5 * np.log(2.0 * math.pi * self._var)
             two_var = 2.0 * self._var
             # query rows in blocks of at most _NB_BLOCK_ELEMS (classes x d)
@@ -403,17 +400,20 @@ class NaiveBayesClassifier(Classifier):
             # operations of log_norm - diff * diff / two_var
             step = max(1, _NB_BLOCK_ELEMS // self._mean.size)
             buf = np.empty((min(step, len(q)),) + self._mean.shape)
-            for s in range(0, len(q), step):
-                block = qn[s:s + step, None, :]
-                b = buf[:len(block)]
-                np.subtract(block, self._mean, out=b)
-                np.multiply(b, b, out=b)
-                np.divide(b, two_var, out=b)
-                np.subtract(log_norm, b, out=b)
-                log_post[s:s + step] += b.sum(axis=2)
-        for pos, j in enumerate(self._nom_cols):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s in range(0, len(q), step):
+                    block = qn[s:s + step, None, :]
+                    b = buf[:len(block)]
+                    np.subtract(block, self._mean, out=b)
+                    np.multiply(b, b, out=b)
+                    np.divide(b, two_var, out=b)
+                    np.subtract(log_norm, b, out=b)
+                    log_post[s:s + step] += b.sum(axis=2)
+        for pos, j in enumerate(self._enc.nom_cols):
             log_post += self._nom_loglik[pos][:, q[:, j].astype(int)].T
-        log_post -= log_post.max(axis=1, keepdims=True)
+        best = log_post.max(axis=1, keepdims=True)
+        _check_finite("naive Bayes log-posteriors", best)
+        log_post -= best
         post = np.exp(log_post)
         return post / post.sum(axis=1, keepdims=True)
 
@@ -483,11 +483,11 @@ class TreeClassifier(Classifier):
     that lives only in the constructor: the classifier keeps the nodes and
     the query encoder, and with pruning the errors on the prune fold."""
 
-    def __init__(self, shared: TrainingState, y: np.ndarray, n_classes: int):
-        self.spec = spec = shared.spec
+    def __init__(self, state: TrainingState, y: np.ndarray, n_classes: int):
+        self.spec = spec = state.spec
         self.n_classes = n_classes
-        self._enc = shared.enc
-        grower = _TreeGrower(shared, y, n_classes)
+        self._enc = state.enc
+        grower = _TreeGrower(state, y, n_classes)
         self.prune_error_before = self.prune_error_after = None
         n = len(y)
         if spec.rep_pruning and n // 3 >= 1:
@@ -525,9 +525,9 @@ class _TreeGrower:
     classes ``y``, reading the state's encoded matrix, column orders and
     ``xlx`` table in place."""
 
-    def __init__(self, shared: TrainingState, y: np.ndarray, n_classes: int):
-        self.spec = shared.spec
-        self.state = shared
+    def __init__(self, state: TrainingState, y: np.ndarray, n_classes: int):
+        self.spec = state.spec
+        self.state = state
         self.n_classes = n_classes
         self._y = y
         self._rng = Xoshiro256(derive_seed(self.spec.seed, 0))
@@ -769,7 +769,8 @@ class _TreeGrower:
 
 class TrainingState:
     """What fitting classifiers of ``spec`` on one feature matrix reads,
-    built once by ``prepare``: the query encoder ``enc`` and the encoded
+    built once from ``features`` and its schema ``attributes`` (kept, so
+    that ``fit`` can tell them): the query encoder ``enc`` and the encoded
     matrix ``x``; for kNN, the ``index`` its classifiers share; for trees,
     ``order``, each numeric column's stable sort of the rows (row
     ``order_row[a]`` for column ``a``), and the ``xlx`` table of the row
@@ -777,17 +778,21 @@ class TrainingState:
     state, so ``x`` and ``order`` are freed with the caller's reference."""
 
     def __init__(self, spec: LearnerSpec, features,
-                 attributes: Optional[Sequence[Attribute]]):
-        self.spec = spec
-        self.enc = _Encoder(features, attributes)
-        self.x = self.enc.transform(features)
+                 attributes: Optional[Sequence[Attribute]] = None):
+        raw = np.ascontiguousarray(features, dtype=float)
+        if not len(raw):
+            raise ValueError("cannot fit a classifier on zero training rows")
+        if raw.ndim != 2:
+            raise ValueError("features must be an n x d matrix")
+        self.spec, self.features, self.attributes = spec, features, attributes
+        self.enc = _Encoder(raw, attributes)
+        self.x = self.enc.encode(raw)
         if isinstance(spec, KnnSpec):
             self.index = KnnIndex(spec, self.enc, self.x)
         if isinstance(spec, TreeSpec):
-            numeric = ~self.enc.is_nominal
             self.order = np.ascontiguousarray(
-                np.argsort(self.x[:, numeric], axis=0, kind="stable").T)
-            self.order_row = np.cumsum(numeric) - 1
+                np.argsort(self.x[:, self.enc.num_cols], axis=0, kind="stable").T)
+            self.order_row = np.cumsum(~self.enc.is_nominal) - 1
             self.xlx = _xlx(len(self.x))
 
     def sorted_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -804,12 +809,8 @@ class TrainingState:
         return _split_order(self.order, branch, [len(rows)])[0]
 
 
-def prepare(spec: LearnerSpec, features: np.ndarray,
-            attributes: Optional[Sequence[Attribute]] = None) -> TrainingState:
-    """The training state that every classifier ``fit`` trains with
-    ``spec`` on ``features`` can share.  Building it checks the arity and
-    the category indices of ``features``."""
-    return TrainingState(spec, features, attributes)
+_CLASSIFIERS = {KnnSpec: KnnClassifier, NaiveBayesSpec: NaiveBayesClassifier,
+                TreeSpec: TreeClassifier}
 
 
 def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
@@ -818,33 +819,24 @@ def fit(spec: LearnerSpec, features: np.ndarray, classes: Sequence[int],
     """Train a classifier.  ``classes`` are dense indices in [0, C).
 
     ``features`` is an n x d float matrix such as ``MLDataset.X`` (NaN
-    marks a missing cell); a C-ordered float64 matrix is used without a
-    copy.  ``attributes`` carries the schema kinds; when omitted, every
-    column is numeric.  ``shared`` is ``prepare(spec, features,
-    attributes)``, built once and passed to every fit on the same features;
+    marks a missing cell), with n >= 1; a C-ordered float64 matrix is used
+    without a copy.  ``attributes`` carries the schema kinds; when omitted,
+    every column is numeric.  ``shared`` is ``TrainingState(spec, features,
+    attributes)`` of these very objects, built once for every fit on them;
     without it, each fit builds its own.  The classifier keeps nothing of
     ``shared`` but its encoder and kNN index.
     """
+    if type(spec) not in _CLASSIFIERS:
+        raise TypeError(f"unknown learner spec {type(spec).__name__}")
     if len(features) != len(classes):
         raise ValueError("features and classes differ in length")
-    if len(features) == 0:
-        return ConstantClassifier(0, _Encoder(features, attributes))
+    if shared is None:
+        shared = TrainingState(spec, features, attributes)
+    elif (shared.spec != spec or shared.features is not features
+          or shared.attributes is not attributes):
+        raise ValueError("shared training state was prepared for another "
+                         "spec, feature matrix or attribute list")
     y = np.asarray(classes, dtype=np.int64)
     if (y < 0).any():
         raise ValueError("class indices must be >= 0")
-    n_classes = int(y.max()) + 1
-    if shared is None:
-        shared = prepare(spec, features, attributes)  # checks arity, domains
-    elif shared.spec != spec or len(shared.x) != len(y):
-        raise ValueError("shared training state was prepared for another "
-                         "spec or feature matrix")
-    if n_classes == 1:
-        # single observed class: degenerate but valid, even with pruning on
-        return ConstantClassifier(1, shared.enc)
-    if isinstance(spec, KnnSpec):
-        return KnnClassifier(shared.index, y, n_classes)
-    if isinstance(spec, NaiveBayesSpec):
-        return NaiveBayesClassifier(shared, y, n_classes)
-    if isinstance(spec, TreeSpec):
-        return TreeClassifier(shared, y, n_classes)
-    raise TypeError(f"unknown learner spec {type(spec).__name__}")
+    return _CLASSIFIERS[type(spec)](shared, y, int(y.max()) + 1)

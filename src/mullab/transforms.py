@@ -13,8 +13,9 @@ scores the mean over the members covering it:
 * binary relevance: members over the singleton subsets {0}, {1}, ... in
   label order.  A one-label powerset has the classes {absent, present}
   (just one of them when the label is constant in training), so each label
-  scores its present-class probability, and a constant label a constant 1
-  or 0
+  scores its present-class probability.  A one-class member is the
+  learner's own classifier, which predicts its class with probability
+  exactly 1, so a constant label scores a constant 1 or 0
 * pruned sets: label powerset after removing rows with rare labelsets and
   reintroducing them under frequent subsets of their labelsets
 
@@ -26,11 +27,11 @@ A ``MemberSpec`` names one of the four with its learner and options;
 the n x M matrix of per-label confidences in [0, 1] out.  Models are
 immutable after fitting.
 
-A model fits every member from one training state of its training matrix
-(``learners.prepare``): one encoder and, with kNN, one shared
-``KnnIndex``; tree members grow from one sort of each column.  The state
-lives only while the members are fitted, so a fitted model holds no
-training matrix and no column order.  A predict call runs one neighbour
+A model fits every member from one ``learners.TrainingState`` of its
+training matrix: one encoder and, with kNN, one shared ``KnnIndex``; tree
+members grow from one sort of each column.  The state lives only while
+the members are fitted, so a fitted model holds no training matrix and no
+column order.  A predict call runs one neighbour
 search per ``KnnIndex`` of its kNN members, and each of them votes on its
 index's neighbours.  The neighbours live only for that call, so
 concurrent predicts on one model stay safe.
@@ -112,7 +113,7 @@ def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
     if len(train) == 0:
         raise ValueError("cannot fit label powerset on an empty dataset")
     attributes = train.schema.attributes
-    shared = learners.prepare(spec, train.X, attributes)
+    shared = learners.TrainingState(spec, train.X, attributes)
     members = []
     for labels in subsets:
         classes, y, _ = _distinct_rows(train.Y[:, list(labels)])

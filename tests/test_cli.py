@@ -408,6 +408,13 @@ def test_ensemble_members_null_takes_the_default_members():
     {"experiments": [BR], "split": {"train": 40}},
     {"experiments": [BR], "split": {"ratio": "x"}},
     {"experiments": [BR], "split": {"ratio": 1.5}},
+    {"experiments": [BR], "split": {"ratio": 0.75, "train": "x", "test": [1]}},
+    {"experiments": [BR], "split": {"ratio": 0.75, "train": 30, "test": 10}},
+    {"experiments": [BR | {"name": "a,b"}]},
+    {"experiments": [BR | {"name": 5}]},
+    {"experiments": [BR | {"name": "x\ny|z"}]},
+    {"experiments": [BR | {"name": "a|b"}]},
+    {"experiments": [BR | {"name": "a\rb"}]},
     {"experiments": [BR],
      "dataset": {"path": "x.arff", "trailing_labels": "x"}},
     {"experiments": [BR],
@@ -438,7 +445,9 @@ def test_ensemble_members_null_takes_the_default_members():
         "workers-string",
         "workers-zero", "seed-string", "dataset-not-object",
         "split-not-object", "split-without-test", "split-ratio-string",
-        "split-ratio-1.5", "trailing-labels-string", "trailing-labels-3.5",
+        "split-ratio-1.5", "split-ratio-and-bad-counts",
+        "split-ratio-and-counts", "name-comma", "name-int", "name-newline-pipe",
+        "name-pipe", "name-carriage-return", "trailing-labels-string", "trailing-labels-3.5",
         "format-xml", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
         "tree-max-depth-string", "tree-seed-string", "tree-max-depth-negative",
         "tree-subset-zero", "tree-subset-negative",
@@ -621,6 +630,45 @@ def test_unwritable_out_exits_1(command, data_files, tmp_path, monkeypatch,
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write report {out}: ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("fields, params, message", [
+    ({}, {"name": "a,b"}, "error: 'name' must not contain ',', '|' or a line "
+                          "break, not 'a,b'\n"),
+    ({}, {"name": 5}, "error: 'name' must be a string, not 5\n"),
+    ({}, {"name": "x\ny|z"}, "error: 'name' must not contain ',', '|' or a "
+                             "line break, not 'x\\ny|z'\n"),
+    ({"split": {"ratio": 0.75, "train": "x", "test": [1]}}, {},
+     "error: give 'ratio' or 'train' and 'test', not both\n"),
+], ids=["name-comma", "name-int", "name-newline-pipe", "split-ratio-and-counts"])
+def test_evaluate_mistake_names_the_rule(fields, params, message, data_files,
+                                         tmp_path, monkeypatch, capsys):
+    # --params sets the experiment's keys, as a config entry does
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, [BR], **fields)
+    err = assert_usage_error_before_data(
+        ["evaluate", "--config", cfg, "--transform", "br",
+         "--params", json.dumps(params), "--out", tmp_path / "report.csv"],
+        tmp_path, monkeypatch, capsys)
+    assert err == message
+
+
+def test_features_too_large_for_naive_bayes_fail_the_experiment(tmp_path,
+                                                                capsys):
+    # 1e200 in every 7th row of the second column: the class variances
+    # overflow, which must fail the row, not give NaN scores or warnings
+    rows = [f"{i % 5}.5,{1e200 if i % 7 == 0 else i / 10},{i % 2},"
+            f"{(i // 2) % 2}" for i in range(40)]
+    data = tmp_path / "big.arff"
+    data.write_text("@relation big\n@attribute a numeric\n@attribute b numeric\n"
+                    "@attribute l0 {0,1}\n@attribute l1 {0,1}\n@data\n"
+                    + "\n".join(rows) + "\n", encoding="utf-8")
+    assert run_cli(["evaluate", "--dataset", data, "--trailing-labels", "2",
+                    "--split", "30:10", "--transform", "br",
+                    "--learner", "nb"]) == 3
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert err.endswith("rescale the features\n")
 
 
 @pytest.mark.parametrize("params", ["3", "[1]", '"br"'])

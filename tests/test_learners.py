@@ -83,8 +83,8 @@ def test_arity_mismatch_rejected():
 
 
 def test_empty_training_yields_degenerate_model():
-    clf = fit(KnnSpec(), [], [])
-    assert clf.n_classes == 0
+    with pytest.raises(ValueError, match="zero training rows"):
+        fit(KnnSpec(), [], [])
 
 
 @pytest.mark.parametrize("spec", [preset(name) for name in PRESET_NAMES]
@@ -212,8 +212,8 @@ class TestKnn:
                            missing_rate=0.1)
         probe = random_dataset(7, n=23, n_labels=1, n_num=5, n_nom=2,
                                missing_rate=0.1)
-        index = learners.prepare(KnnSpec(distance=distance), d.X,
-                                 d.schema.attributes).index
+        index = learners.TrainingState(KnnSpec(distance=distance), d.X,
+                                       d.schema.attributes).index
         q = index.enc.transform(probe.X)
         num, nom = index._num_cols, index._nom_cols
         expected = knn_distances_bf((q[:, num] - index._mu) / index._sd,
@@ -224,8 +224,8 @@ class TestKnn:
         # 900 x 1500: the distance matrix is 10.8 MB; the row blocks add
         # at most _KNN_BLOCK_ELEMS elements to it, not whole matrices
         rng = np.random.default_rng(4)
-        index = learners.prepare(KnnSpec(k=5),
-                                 rng.normal(size=(1500, 20))).index
+        index = learners.TrainingState(KnnSpec(k=5),
+                                       rng.normal(size=(1500, 20))).index
         queries = rng.normal(size=(900, 20))
         tracemalloc.start()
         try:
@@ -235,6 +235,22 @@ class TestKnn:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 900 * 1500 * 8
+
+    def test_overflowing_column_scale_is_refused(self):
+        # the column's standard deviation overflows to inf, which would
+        # zero the column and make every query predict the prior
+        X = [[0.0], [1e200], [1.0], [2.0], [3.0], [1e200]]
+        with pytest.raises(ValueError, match="knn column means or scales "
+                           "are not finite.*rescale the features$"):
+            fit(KnnSpec(k=3), X, [0, 1, 0, 1, 0, 0])
+        with pytest.raises(ValueError, match="rescale the features$"):
+            fit(KnnSpec(k=3), [[0.0], [1e308], [1e308]], [0, 1, 0])
+
+    def test_overflowing_query_distances_are_refused(self):
+        clf = fit(KnnSpec(k=2), [[0.0], [1.0], [2.0]], [0, 1, 0])
+        assert clf.predict_dist_many([[1e100]]).tolist() == [[0.5, 0.5]]
+        with pytest.raises(ValueError, match="knn distances are not finite"):
+            clf.predict_dist_many([[1e200]])
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -300,6 +316,22 @@ class TestNaiveBayes:
         clf = fit(NaiveBayesSpec(variance_floor=1e-6), pts, [0, 0, 1, 1],
                   (Attribute("a"),))
         assert_valid_dist(clf.predict_dist_many([(1.0,)])[0])
+
+    def test_overflowing_variance_is_refused(self):
+        X = np.column_stack([np.arange(40) % 5 + 0.5,
+                             np.where(np.arange(40) % 7 == 0, 1e200,
+                                      np.arange(40) / 10)])
+        with pytest.raises(ValueError, match="naive Bayes means or variances "
+                           "are not finite.*rescale the features$"):
+            fit(NaiveBayesSpec(), X, np.arange(40) % 2)
+
+    def test_overflowing_query_posterior_is_refused(self):
+        clf = fit(NaiveBayesSpec(), [(0.0,), (1.0,), (2.0,), (3.0,)],
+                  [0, 0, 1, 1])
+        assert_valid_dist(clf.predict_dist_many([(1e100,)])[0])
+        with pytest.raises(ValueError, match="naive Bayes log-posteriors are "
+                           "not finite.*rescale the features$"):
+            clf.predict_dist_many([(1.0,), (1e200,)])
 
     def test_nominal_laplace_smoothing(self):
         attrs = (Attribute("c", ("x", "y")),)
@@ -397,7 +429,7 @@ class TestTree:
                              rng.integers(0, 20, n) / 4.0,
                              rng.integers(0, 3, n).astype(float)])
         y = rng.integers(0, 5, n)
-        state = learners.prepare(
+        state = learners.TrainingState(
             TreeSpec(criterion=criterion, min_leaf=min_leaf), X)
         grower = learners._TreeGrower(state, y, int(y.max()) + 1)
         attrs = np.arange(X.shape[1])
@@ -468,7 +500,8 @@ class TestTree:
         X = np.column_stack([rng.integers(0, 8, n) / 2, rng.random(n),
                              rng.integers(0, 30, n) / 4.0])
         y = rng.integers(0, 11, n)
-        state = learners.prepare(TreeSpec(criterion=criterion, min_leaf=2), X)
+        state = learners.TrainingState(
+            TreeSpec(criterion=criterion, min_leaf=2), X)
         grower = learners._TreeGrower(state, y, int(y.max()) + 1)
         attrs = np.arange(X.shape[1])
         for _ in range(25):
@@ -501,7 +534,7 @@ class TestTree:
         X = base[rng.integers(0, 50, 120)]
         attrs = (Attribute("g"), Attribute("u"), Attribute("c", ("x", "y", "z")),
                  Attribute("v"))
-        state = learners.prepare(preset("j48"), X, attrs)
+        state = learners.TrainingState(preset("j48"), X, attrs)
         numeric = [0, 1, 3]
         assert state.order_row[numeric].tolist() == [0, 1, 2]
         for size in (0, 1, 2, 17, 119, 120):
@@ -805,15 +838,79 @@ class TestEncoding:
             clf.predict_dist_many([(0, 1)])
         with pytest.raises(ValueError, match="arity 7 does not match"):
             fit(spec, np.ones((4, 3)), [0] * 4).predict_dist_many(np.ones((2, 7)))
-        empty = fit(spec, np.empty((0, 1)), [], self.NOM3)
-        assert empty.predict_dist_many([(2,)]).shape == (1, 0)
-        with pytest.raises(ValueError, match="'c'"):
-            empty.predict_dist_many([(3,)])
+        with pytest.raises(ValueError, match="zero training rows"):
+            fit(spec, np.empty((0, 1)), [], self.NOM3)
 
     def test_matrix_is_not_copied(self):
         d = random_dataset(6, n=20, n_labels=2, n_num=3, n_nom=0)
-        state = learners.prepare(NaiveBayesSpec(), d.X, d.schema.attributes)
+        state = learners.TrainingState(NaiveBayesSpec(), d.X,
+                                       d.schema.attributes)
         assert state.x is d.X
+
+
+PRESETS = [preset(name) for name in PRESET_NAMES]
+
+
+def preset_ids(spec):
+    return PRESET_NAMES[PRESETS.index(spec)] if spec in PRESETS else "gain-ratio"
+
+
+class TestTrainingState:
+    @pytest.mark.parametrize("spec", PRESETS, ids=preset_ids)
+    def test_state_of_another_matrix_of_the_same_shape_is_refused(self, spec):
+        X1 = random_dataset(1, n=20, n_labels=1, n_num=3, n_nom=0).X
+        X2 = random_dataset(2, n=20, n_labels=1, n_num=3, n_nom=0).X
+        y = [0, 1] * 10
+        state = learners.TrainingState(spec, X1)
+        with pytest.raises(ValueError, match="prepared for another"):
+            fit(spec, X2, y, shared=state)
+        with pytest.raises(ValueError, match="prepared for another"):
+            fit(spec, X1.copy(), y, shared=state)
+        assert np.array_equal(fit(spec, X1, y, shared=state).predict_dist_many(X2),
+                              fit(spec, X1, y).predict_dist_many(X2))
+
+    @pytest.mark.parametrize("spec", PRESETS, ids=preset_ids)
+    def test_state_with_other_attributes_is_refused(self, spec):
+        d = random_dataset(3, n=20, n_labels=1, n_num=2, n_nom=1)
+        attrs = d.schema.attributes
+        state = learners.TrainingState(spec, d.X, attrs)
+        y = [0, 1] * 10
+        for other in (list(attrs), None):
+            with pytest.raises(ValueError, match="prepared for another"):
+                fit(spec, d.X, y, other, shared=state)
+        fit(spec, d.X, y, attrs, shared=state)
+
+    @pytest.mark.parametrize("spec", PRESETS, ids=preset_ids)
+    def test_building_a_state_checks_categories_once(self, spec, monkeypatch):
+        calls = []
+        check = learners.check_category_indices
+        monkeypatch.setattr(learners, "check_category_indices",
+                            lambda X, attrs: calls.append(X) or check(X, attrs))
+        d = random_dataset(4, n=20, n_labels=1, n_num=2, n_nom=2,
+                           missing_rate=0.2)
+        learners.TrainingState(spec, d.X, d.schema.attributes)
+        assert len(calls) == 1 and calls[0] is d.X
+        fit(spec, d.X, [0, 1] * 10, d.schema.attributes)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("spec", PRESETS + [TreeSpec(criterion="gain_ratio")],
+                             ids=preset_ids)
+    def test_one_class_fit_is_the_specs_own_classifier(self, spec):
+        d = random_dataset(5, n=30, n_labels=1, n_num=2, n_nom=1,
+                           missing_rate=0.2)
+        probe = random_dataset(6, n=9, n_labels=1, n_num=2, n_nom=1,
+                               missing_rate=0.3)
+        clf = fit(spec, d.X, [0] * 30, d.schema.attributes)
+        assert type(clf) is {KnnSpec: learners.KnnClassifier,
+                             NaiveBayesSpec: learners.NaiveBayesClassifier,
+                             TreeSpec: learners.TreeClassifier}[type(spec)]
+        assert clf.predict_dist_many(probe.X).tolist() == [[1.0]] * 9
+        with pytest.raises(ValueError, match="arity 2 does not match"):
+            clf.predict_dist_many(probe.X[:, :2])
+        bad = probe.X.copy()
+        bad[0, 2] = 0.5
+        with pytest.raises(ValueError, match="integral category"):
+            clf.predict_dist_many(bad)
 
 
 class TestPresets:

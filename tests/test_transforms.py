@@ -252,7 +252,6 @@ class TestRakel:
             # one class is the labelset {label 0} (value 1.0) or the empty
             # one (value 0.0)
             clf = learners.fit(NaiveBayesSpec(), [(0.0, 0.0)], [0])
-            assert isinstance(clf, learners.ConstantClassifier)
             return ((0,), clf, np.array([[bool(value)]]))
 
         model = RakelModel(3, [constant_member(1.0), constant_member(0.0)])
@@ -549,7 +548,7 @@ class TestSharedKnnSearch:
 
     def test_shared_state_must_match_the_fit(self):
         attrs = self.TRAIN.schema.attributes
-        shared = learners.prepare(KnnSpec(k=3), self.TRAIN.X, attrs)
+        shared = learners.TrainingState(KnnSpec(k=3), self.TRAIN.X, attrs)
         y = self.TRAIN.Y[:, 0]
         with pytest.raises(ValueError, match="prepared for another"):
             learners.fit(KnnSpec(k=4), self.TRAIN.X, y, attrs, shared)

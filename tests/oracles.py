@@ -166,19 +166,22 @@ def numeric_cut_bf(values, classes, criterion, min_leaf=1):
     vals = [v for v, _ in ordered]
     ys = [c for _, c in ordered]
 
-    def entropy(part):
-        return _entropy_of([part.count(c) for c in range(n_classes)])
-
-    parent = entropy(ys)
+    # the class counts of ys[:i] and ys[i:], moved along one row at a time
+    left = [0] * n_classes
+    right = [ys.count(c) for c in range(n_classes)]
+    parent = _entropy_of(right)
     cuts = []  # (threshold, gain, split info) in ascending threshold order
-    for i in range(min_leaf, n - min_leaf + 1):  # i rows go left
+    for i in range(1, n - min_leaf + 1):  # i rows go left
+        left[ys[i - 1]] += 1
+        right[ys[i - 1]] -= 1
         lo, hi = vals[i - 1], vals[i]
-        if lo == hi:
+        if i < min_leaf or lo == hi:
             continue
         threshold = (lo + hi) / 2
         if threshold >= hi:  # the midpoint of adjacent floats
             threshold = lo
-        gain = parent - (i * entropy(ys[:i]) + (n - i) * entropy(ys[i:])) / n
+        gain = parent - (i * _entropy_of(left)
+                         + (n - i) * _entropy_of(right)) / n
         cuts.append((threshold, gain, _entropy_of([i, n - i])))
     useful = [cut for cut in cuts if cut[1] > 1e-12]
     if not useful:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +520,69 @@ class TestTree:
                 assert abs(ratio[a] - r) <= 1e-12
                 if g > 0:
                     assert threshold[a] == t
+
+    @pytest.mark.parametrize("criterion", ["info_gain", "gain_ratio", "c45"])
+    def test_numeric_cut_scores_match_log2_formula_on_yeast_like_nodes(
+            self, criterion):
+        # Yeast's label powerset has about 200 classes, a few frequent and
+        # most rare, over 1500 training rows: the search's running sum
+        # over a node's rows rounds more the more rows it has.  A ratio
+        # carries its gain's rounding divided by the cut's split info,
+        # about 0.02 where gain_ratio peels 2 of 1000 rows off, so ratios
+        # are compared in gain units (ratio x split info)
+        rng = np.random.default_rng(20)
+        n = 1500
+        X = np.column_stack([rng.integers(0, 40, n) / 8, rng.random(n),
+                             rng.integers(0, 300, n) / 4.0])
+        y = np.minimum(rng.geometric(0.015, n) - 1, 299)
+        state = learners.TrainingState(
+            TreeSpec(criterion=criterion, min_leaf=2), X)
+        grower = learners._TreeGrower(state, y, int(y.max()) + 1)
+        attrs = np.arange(X.shape[1])
+        for size in (1000, 1500):
+            idx = np.sort(rng.choice(n, size, replace=False))
+            counts = np.bincount(y[idx])
+            assert (counts > 0).sum() >= 150
+            gain, ratio, threshold = grower._eval_numeric_all(
+                attrs, state.sorted_rows(idx), counts,
+                float(entropy_log2(counts)))
+            for a in attrs:
+                g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
+                                         criterion, 2)
+                assert abs(gain[a] - g) <= 1e-12
+                info = g / r if r > 0 else 1.0
+                assert abs(ratio[a] - r) * min(info, 1.0) <= 1e-12
+                if g > 0:
+                    assert threshold[a] == t
+
+    @pytest.mark.parametrize("labels", [(0, 255, 256), (0, 40000, 70000)])
+    @pytest.mark.parametrize("name", ["random-t", "reptree", "j48"])
+    def test_wide_class_indices_grow_the_dense_tree(self, name, labels):
+        # 257 or 70001 classes need a sort key wider than 8 or 16 bits; a
+        # key that wrapped would rank rows of class 256 with class 0
+        rng = np.random.default_rng(4)
+        X = np.column_stack([rng.normal(size=150), rng.integers(0, 6, 150),
+                             rng.random(150)])
+        dense = ((X[:, 0] > 0) + (X[:, 1] > 2) * rng.integers(1, 3, 150)) % 3
+        wide = np.array(labels)[dense]
+
+        def present(structure):
+            if structure[0] == "leaf":
+                return ("leaf", tuple(structure[1][k] for k in labels))
+            return structure[:-2] + tuple(present(c) for c in structure[-2:])
+
+        spec = preset(name)
+        expect = fit(spec, X, dense).root.structure()
+        assert expect[0] == "num"
+        got = fit(spec, X, wide).root.structure()
+        assert present(got) == expect
+
+    def test_midpoint_of_huge_values_takes_the_lower_one_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clf = fit(TreeSpec(min_leaf=1), [[1e308], [1.5e308], [1.6e308]],
+                      [0, 1, 1])
+        assert clf.root.structure()[:3] == ("num", 0, 1e308)
 
     @staticmethod
     def _stable_order(X, idx, cols):

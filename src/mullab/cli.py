@@ -6,6 +6,13 @@ Three subcommands:
 * ``benchmark``  run a grid of experiments from a JSON config, emit a report
 * ``evaluate``   run one experiment (or score a predictions file)
 
+A grid fits each identical unit once: before any data is read, every
+experiment lists the keys of its fit units (a training state, the search
+of the test rows in a shared kNN index, a fitted ensemble member), and the
+experiments share one ``transforms.FitUnits`` table that builds each unit
+at its first consumer and drops it after its last.  Units are
+deterministic, so sharing one changes no result.
+
 Reports come out as markdown (metrics as rows, experiments as columns,
 AVERAGE last), CSV (one experiment per row, 6 decimals) or JSON (full
 precision plus run metadata).  A ranking metric that no test row defines
@@ -39,7 +46,8 @@ rakel, ``p``/``b`` to ps and ensemble, and an ensemble that lists
 A dataset takes 'labels' or 'trailing_labels', not both; a label flag
 replaces the config's label key.  A split takes 'ratio' or 'train' and
 'test', not both.  An experiment's 'name' is a string with no ',', '|' or
-line break, since it heads a CSV row and a markdown column.  ``workers``
+line break, since it heads a CSV row and a markdown column, and no two
+experiments may have one name, given or derived.  ``workers``
 is how many of a grid's experiments run at once: evaluate runs one, so it
 has no --workers flag, but its config may set the key.
 The environment variable MULLAB_SEED is the seed fallback when neither the
@@ -73,6 +81,7 @@ from .rng import derive_seed
 from .transforms import (
     DEFAULT_LEARNER,
     TRANSFORM_NAMES,
+    FitUnits,
     MemberSpec,
     PruneSpec,
     fit_member,
@@ -418,27 +427,34 @@ def _experiment_name(exp: dict) -> str:
 
 
 def _parse_experiments(cfg: dict) -> list:
-    """(spec, seed, name) for every experiment, parsed before any data is
-    read or model trained."""
+    """(spec, seed, name, units) for every experiment, parsed before any
+    data is read or model trained: ``units`` are the keys of the fit units
+    it reads.  Two experiments with one name are a UsageError."""
     experiments = cfg.get("experiments")
     if not (isinstance(experiments, list) and experiments
             and all(isinstance(exp, dict) for exp in experiments)):
         raise UsageError("config needs 'experiments': a non-empty list of "
                          "JSON objects")
-    plans = []
+    plans, first = [], {}
     for index, exp in enumerate(experiments):
         seed = _fields(exp, seed=int).get("seed",
                                           derive_seed(cfg["seed"], index))
-        plans.append((_parse_spec(exp, seed), seed, _experiment_name(exp)))
+        spec, name = _parse_spec(exp, seed), _experiment_name(exp)
+        if name in first:
+            raise UsageError(f"experiments {first[name]} and {index} are both "
+                             f"named {name!r}; give each its own 'name'")
+        first[name] = index
+        plans.append((spec, seed, name, spec.units()))
     return plans
 
 
-def _build_model(spec, train: MLDataset, seed: int):
+def _build_model(spec, train: MLDataset, seed: int, units=None):
     """Fit one parsed experiment; ``seed`` drives a RAKEL experiment's
-    subset draws (an ensemble carries its own)."""
+    subset draws (an ensemble carries its own), and ``units`` are the
+    grid's ``transforms.Units`` for it."""
     if isinstance(spec, EnsembleSpec):
-        return ensemble_fit(train, spec)
-    model = fit_member(train, spec, seed)
+        return ensemble_fit(train, spec, units)
+    model = fit_member(train, spec, seed, units)
     if model.uncovered:
         names = [train.schema.label_names[j] for j in model.uncovered]
         log.warning("rakel members cover no subset containing %s; "
@@ -572,20 +588,27 @@ def cmd_info(args) -> int:
 
 
 def _run_experiments(cfg: dict, plans: list, train, test):
+    """``(name, report or error)`` per experiment, in order; the
+    experiments share the fit units that their plans list."""
+    table = FitUnits(train, test, [keys for *_, keys in plans])
+
     def run_one(plan):
-        spec, seed, _ = plan
+        spec, seed, _, keys = plan
+        units = table.consumer(keys)
         try:
-            return evaluate(_build_model(spec, train, seed), test,
-                            cfg["threshold"])
+            return evaluate(_build_model(spec, train, seed, units), test,
+                            cfg["threshold"], units)
         except Exception as e:  # noqa: BLE001 - row marked failed
             return e
+        finally:
+            units.close()
 
     if cfg["workers"] > 1 and len(plans) > 1:
         with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
             results = list(pool.map(run_one, plans))
     else:
         results = [run_one(plan) for plan in plans]
-    return [(name, result) for (_, _, name), result in zip(plans, results)]
+    return [(plan[2], result) for plan, result in zip(plans, results)]
 
 
 def _render(cfg: dict, reports, meta: dict, include_average: bool = True) -> str:

@@ -10,7 +10,8 @@ the label rankings.
 Members are fitted one after another, in index order.  Member k's subsample
 and fit seed depend only on (seed, k), so member k is the same model in
 every ensemble with the same seed, sampling and k-th member spec, whatever
-its size.
+its size.  A grid's ``transforms.FitUnits`` table fits each such member
+once for all the ensembles that have it (``EnsembleSpec.units``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from .core import MLDataset, check_threshold
 from .learners import preset, PRESET_NAMES
 from .rng import Xoshiro256, derive_seed
-from .transforms import MemberSpec, MultiLabelModel, PruneSpec, fit_member
+from .transforms import (MemberSpec, MultiLabelModel, PruneSpec, Units,
+                         fit_member)
 
 COMBINATION_RULES = (
     "mean",
@@ -57,6 +59,13 @@ class EnsembleSpec:
             raise ValueError(f"unknown combination rule {self.rule!r}")
         _checked_weights(self.rule, self.weights, len(self.members))
         check_threshold(self.threshold)
+
+    def units(self) -> tuple:
+        """The ``transforms.FitUnits`` key of each member's fit: member k
+        depends only on its spec, ``seed``, k and the sampling."""
+        return tuple(("member", member, self.seed, k, self.sample_ratio,
+                      self.with_replacement)
+                     for k, member in enumerate(self.members))
 
 
 def _checked_weights(rule: str, weights: Optional[Sequence[float]],
@@ -141,7 +150,8 @@ class EnsembleModel(MultiLabelModel):
         self.members = members
         self.n_labels = n_labels
 
-    def predict_scores_many(self, rows):
+    def predict_scores_many(self, rows, searches=None):
+        # a member's kNN index is its own, so no grid search holds it
         per_member = [m.predict_scores_many(rows) for m in self.members]
         return combine(per_member, self.spec.rule, self.spec.weights,
                        self.spec.threshold)
@@ -163,12 +173,17 @@ def _member_indices(n: int, spec: EnsembleSpec, member_index: int) -> list[int]:
     return sorted(idx)
 
 
-def ensemble_fit(train: MLDataset, spec: EnsembleSpec) -> EnsembleModel:
-    """Train each member, in index order, on its seeded subsample."""
+def ensemble_fit(train: MLDataset, spec: EnsembleSpec,
+                 units: Optional[Units] = None) -> EnsembleModel:
+    """Train each member, in index order, on its seeded subsample; with a
+    grid's ``units``, a member that the grid shares comes from its table."""
     n = len(train)
     if n == 0:
         raise ValueError("cannot fit an ensemble on an empty dataset")
-    members = [fit_member(train.subset(_member_indices(n, spec, k)), member,
-                          derive_seed(spec.seed, k, 1))
-               for k, member in enumerate(spec.members)]
+    members = []
+    for k, (member, key) in enumerate(zip(spec.members, spec.units())):
+        def fit(k=k, member=member):
+            return fit_member(train.subset(_member_indices(n, spec, k)),
+                              member, derive_seed(spec.seed, k, 1))
+        members.append(fit() if units is None else units.take(key, fit, train))
     return EnsembleModel(spec, members, train.n_labels)

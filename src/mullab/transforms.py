@@ -29,16 +29,27 @@ immutable after fitting.
 
 A model fits every member from one ``learners.TrainingState`` of its
 training matrix: one encoder and, with kNN, one shared ``KnnIndex``; tree
-members grow from one sort of each column.  The state lives only while
-the members are fitted, so a fitted model holds no training matrix and no
-column order.  A predict call runs one neighbour
-search per ``KnnIndex`` of its kNN members, and each of them votes on its
-index's neighbours.  The neighbours live only for that call, so
-concurrent predicts on one model stay safe.
+members grow from one sort of each column.  A fitted model keeps no state,
+so it holds no training matrix and no column order.  A predict call runs
+one neighbour search per ``KnnIndex`` of its kNN members, and each of them
+votes on its index's neighbours.  The neighbours live only for that call,
+so concurrent predicts on one model stay safe.
+
+A grid of experiments over one train/test split may share its fit units
+through a ``FitUnits`` table: a training state, keyed by its learner spec
+and training rows (the split, or its pruned-sets rewrite); the neighbour
+search of the test rows in a shared state's ``KnnIndex``; and a fitted
+ensemble member.  The table builds each once and drops it at its last
+consumer.  Without a table, a state lives only while one model's members
+are fitted, and a search only for one predict call.  Every unit is
+deterministic, so sharing one changes no result.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -56,7 +67,7 @@ class MultiLabelModel:
 
     n_labels: int
 
-    def predict_scores_many(self, rows) -> np.ndarray:
+    def predict_scores_many(self, rows, searches=None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -76,7 +87,9 @@ class RakelModel(MultiLabelModel):
     ``(labels, clf, classes)``: a label subset, its classifier, and the bool
     rows over ``labels`` that the classes stand for, in ascending bit order.
     Labels covered by no member score a neutral 0.5 and are listed in
-    ``uncovered``."""
+    ``uncovered``.  A predict searches each ``KnnIndex`` of its members
+    once; with a grid's ``searches`` (its ``Units``), the search of a
+    shared index comes from the grid's table."""
 
     def __init__(self, n_labels: int, members):
         self.n_labels = n_labels
@@ -84,7 +97,7 @@ class RakelModel(MultiLabelModel):
         covered = set().union(*(labels for labels, _, _ in members))
         self.uncovered = tuple(j for j in range(n_labels) if j not in covered)
 
-    def predict_scores_many(self, rows):
+    def predict_scores_many(self, rows, searches=None):
         n = len(rows)
         sums = np.zeros((n, self.n_labels))
         cover = np.zeros(self.n_labels)
@@ -92,7 +105,9 @@ class RakelModel(MultiLabelModel):
         for labels, clf, classes in self.members:
             if isinstance(clf, learners.KnnClassifier):
                 if clf.index not in neighbours:
-                    neighbours[clf.index] = clf.index.neighbours(rows)
+                    neighbours[clf.index] = (
+                        clf.index.neighbours(rows) if searches is None
+                        else searches.neighbours(clf.index, rows))
                 dist = clf.votes(neighbours[clf.index])
             else:
                 dist = clf.predict_dist_many(rows)
@@ -105,19 +120,41 @@ class RakelModel(MultiLabelModel):
         return out
 
 
+def _unit_keys(spec: LearnerSpec, prune: Optional[PruneSpec]) -> tuple:
+    """The ``FitUnits`` keys of the training state of ``spec`` on a grid's
+    training split (``prune`` None) or its pruned-sets rewrite, and of the
+    search of the grid's test rows in that state's ``KnnIndex``."""
+    return ("state", spec, prune), ("search", spec, prune)
+
+
+def _training_unit(train: MLDataset, spec: LearnerSpec,
+                   prune: Optional[PruneSpec]):
+    """``(rows, state, fields)``: the rows a model fits on, which are
+    ``train`` or, with a ``prune``, its pruned-sets rewrite; their training
+    state for ``spec``; and the fields that the rewrite gives the model."""
+    fields = {}
+    if prune is not None:
+        train, fields = _pruned_rows(train, prune)
+    return (train, learners.TrainingState(spec, train.X, train.schema.attributes),
+            fields)
+
+
 def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
-                 **fields):
+                 units: Optional[Units] = None,
+                 prune: Optional[PruneSpec] = None):
     """A ``model_class`` with one label-powerset member per label subset, in
-    order, all fitted from one training state of ``train.X``, which dies on
-    return; ``fields`` go to the constructor."""
+    order, all fitted from one training state of ``train`` or, with a
+    ``prune``, of its pruned-sets rewrite.  The state comes from the grid's
+    ``units`` when they share it, and else is built here and dies on
+    return."""
     if len(train) == 0:
         raise ValueError("cannot fit label powerset on an empty dataset")
-    attributes = train.schema.attributes
-    shared = learners.TrainingState(spec, train.X, attributes)
+    rows, shared, fields = (_training_unit(train, spec, prune) if units is None
+                            else units.state(train, spec, prune))
     members = []
     for labels in subsets:
-        classes, y, _ = _distinct_rows(train.Y[:, list(labels)])
-        clf = learners.fit(spec, train.X, y, attributes, shared)
+        classes, y, _ = _distinct_rows(rows.Y[:, list(labels)])
+        clf = learners.fit(spec, rows.X, y, rows.schema.attributes, shared)
         members.append((labels, clf, classes))
     return model_class(train.n_labels, members, **fields)
 
@@ -131,13 +168,15 @@ class LabelPowersetModel(RakelModel):
     predict_scores_many = RakelModel.predict_scores_many
 
 
-def lp_fit(train: MLDataset, spec: LearnerSpec) -> LabelPowersetModel:
+def lp_fit(train: MLDataset, spec: LearnerSpec,
+           units: Optional[Units] = None) -> LabelPowersetModel:
     return _fit_members(LabelPowersetModel, train, spec,
-                        [tuple(range(train.n_labels))])
+                        [tuple(range(train.n_labels))], units)
 
 
 def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
-              k: int = 3, seed: int = 0) -> RakelModel:
+              k: int = 3, seed: int = 0,
+              units: Optional[Units] = None) -> RakelModel:
     """RAKEL with ``m`` members (default 2 * n_labels) over random
     k-subsets, sampled without repetition while distinct subsets remain."""
     n_labels = train.n_labels
@@ -160,7 +199,7 @@ def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
                 break
         seen.add(subset)
         subsets.append(subset)
-    return _fit_members(RakelModel, train, spec, subsets)
+    return _fit_members(RakelModel, train, spec, subsets, units)
 
 
 class BinaryRelevanceModel(RakelModel):
@@ -169,13 +208,14 @@ class BinaryRelevanceModel(RakelModel):
     predict_scores_many = RakelModel.predict_scores_many
 
 
-def br_fit(train: MLDataset, spec: LearnerSpec) -> BinaryRelevanceModel:
+def br_fit(train: MLDataset, spec: LearnerSpec,
+           units: Optional[Units] = None) -> BinaryRelevanceModel:
     """One label-powerset member per label, in label order; see the
     module docstring for constant labels and empty training sets."""
     if train.n_labels < 1:
         raise ValueError("binary relevance needs at least one label")
     return _fit_members(BinaryRelevanceModel, train, spec,
-                        [(j,) for j in range(train.n_labels)])
+                        [(j,) for j in range(train.n_labels)], units)
 
 
 @dataclass(frozen=True)
@@ -204,13 +244,22 @@ class PrunedSetsModel(RakelModel):
         self.n_reintroduced = n_reintroduced
 
 
-def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsModel:
-    """Pruned sets: drop rows whose labelset occurs fewer than ``prune.p``
-    times, then reintroduce each dropped row under up to ``prune.b`` of the
-    frequent strict subsets of its labelset (largest cardinality first, ties
-    by ascending bit pattern), and fit label powerset on the rewrite."""
+def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec,
+           units: Optional[Units] = None) -> PrunedSetsModel:
+    """Pruned sets: label powerset fitted on ``_pruned_rows(train, prune)``,
+    the pruned-sets rewrite of ``train``."""
     if len(train) == 0:
         raise ValueError("cannot fit pruned sets on an empty dataset")
+    return _fit_members(PrunedSetsModel, train, spec,
+                        [tuple(range(train.n_labels))], units, prune)
+
+
+def _pruned_rows(train: MLDataset, prune: PruneSpec):
+    """The pruned-sets rewrite of ``train`` and the model fields
+    ``n_pruned`` and ``n_reintroduced``: drop rows whose labelset occurs
+    fewer than ``prune.p`` times, then reintroduce each dropped row under up
+    to ``prune.b`` of the frequent strict subsets of its labelset (largest
+    cardinality first, ties by ascending bit pattern)."""
     distinct, inverse, counts = _distinct_rows(train.Y)
     kept = counts[inverse] >= prune.p
     frequent = distinct[counts >= prune.p]
@@ -231,9 +280,7 @@ def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec) -> PrunedSetsM
     rewritten = MLDataset(
         train.schema, train.X[src],
         np.concatenate([train.Y[kept], frequent[cls]]))
-    return _fit_members(PrunedSetsModel, rewritten, spec,
-                        [tuple(range(train.n_labels))],
-                        n_pruned=pruned.size, n_reintroduced=row.size)
+    return rewritten, {"n_pruned": pruned.size, "n_reintroduced": row.size}
 
 
 DEFAULT_LEARNER = "nb"  # a MemberSpec's learner when none is named
@@ -260,20 +307,131 @@ class MemberSpec:
         if self.k < 1:
             raise ValueError("rakel subset size k must be >= 1")
 
+    def units(self) -> tuple:
+        """The keys of the ``FitUnits`` that a fit of this spec on a grid's
+        training split, and its predict of the grid's test rows, read: its
+        training state and, with kNN, the search in that state's index."""
+        state, search = _unit_keys(
+            self.learner, self.prune if self.transform == "ps" else None)
+        if isinstance(self.learner, learners.KnnSpec):
+            return state, search
+        return (state,)
+
 
 _FITS = {
-    "br": lambda train, spec, seed: br_fit(train, spec.learner),
-    "lp": lambda train, spec, seed: lp_fit(train, spec.learner),
-    "rakel": lambda train, spec, seed: rakel_fit(
-        train, spec.learner, m=spec.m, k=spec.k, seed=seed),
-    "ps": lambda train, spec, seed: ps_fit(train, spec.learner, spec.prune),
+    "br": lambda train, spec, seed, units: br_fit(train, spec.learner, units),
+    "lp": lambda train, spec, seed, units: lp_fit(train, spec.learner, units),
+    "rakel": lambda train, spec, seed, units: rakel_fit(
+        train, spec.learner, m=spec.m, k=spec.k, seed=seed, units=units),
+    "ps": lambda train, spec, seed, units: ps_fit(
+        train, spec.learner, spec.prune, units),
 }
 
 TRANSFORM_NAMES = tuple(_FITS)
 
 
-def fit_member(train: MLDataset, spec: MemberSpec,
-               seed: int = 0) -> MultiLabelModel:
+def fit_member(train: MLDataset, spec: MemberSpec, seed: int = 0,
+               units: Optional[Units] = None) -> MultiLabelModel:
     """Fit the transform ``spec`` names; ``seed`` drives RAKEL's subset
-    draws and is unused by the other three."""
-    return _FITS[spec.transform](train, spec, seed)
+    draws and is unused by the other three.  ``units``, a grid's ``Units``
+    for this fit, shares the training state with the grid."""
+    return _FITS[spec.transform](train, spec, seed, units)
+
+
+class FitUnits:
+    """The fit units that one grid's experiments share over its ``train``
+    and ``test`` splits: training states, searches of the test rows and
+    fitted ensemble members.  ``plans[i]`` lists the keys of the units that
+    experiment ``i`` reads (``MemberSpec.units``, ``EnsembleSpec.units``),
+    and it reads them through its own ``consumer(plans[i])``.
+
+    A unit is built at its first consumer's take and leaves the table at
+    its last consumer's take.  Each key has one ``Future``, so concurrent
+    consumers wait for the one build, and a build that raises raises the
+    same error in every consumer.  A key with one consumer is never stored,
+    so its unit lives as long as it would without a table."""
+
+    def __init__(self, train: MLDataset, test: MLDataset, plans):
+        self.train, self.queries = train, test.X
+        self._left = Counter(key for keys in plans for key in set(keys))
+        self._futures: dict = {}
+        self._lock = threading.Lock()
+
+    def consumer(self, keys) -> Units:
+        return Units(self, keys)
+
+    def _take(self, key, build):
+        with self._lock:
+            self._left[key] -= 1
+            future = self._futures.get(key)
+            first = future is None
+            if first:
+                future = Future()
+                if self._left[key]:
+                    self._futures[key] = future
+            elif not self._left[key]:
+                del self._futures[key]
+        if first:
+            try:
+                future.set_result(build())
+            except BaseException as e:  # every consumer raises it
+                future.set_exception(e)
+        try:
+            return future.result()
+        finally:
+            # the error's traceback holds this frame: without the future in
+            # it, no cycle keeps the error and the frames it reaches alive
+            del future
+
+    def _give_up(self, key):
+        with self._lock:
+            self._left[key] -= 1
+            if not self._left[key]:
+                self._futures.pop(key, None)
+
+
+class Units:
+    """One experiment's view of a ``FitUnits`` table.  It takes each of its
+    planned keys once; a key it did not plan, or has taken already, and a
+    unit built from other data than the grid's splits, are built for the
+    caller alone.  ``close`` gives up the keys it never took, as when the
+    experiment failed first."""
+
+    def __init__(self, table: FitUnits, keys):
+        self._table, self._pending = table, set(keys)
+        self._searches = {}  # shared KnnIndex -> the key of its search
+
+    def take(self, key, build, source):
+        """The unit ``key`` that ``build()`` makes from ``source``, the
+        grid's training split or its test rows."""
+        if key not in self._pending or not (source is self._table.train or
+                                            source is self._table.queries):
+            return build()
+        self._pending.remove(key)
+        return self._table._take(key, build)
+
+    def state(self, train: MLDataset, spec: LearnerSpec,
+              prune: Optional[PruneSpec]):
+        """``_training_unit(train, spec, prune)``, from the table when the
+        grid shares it; the search of a shared state's index is then the
+        grid's too."""
+        key, search = _unit_keys(spec, prune)
+        if key not in self._pending or train is not self._table.train:
+            return _training_unit(train, spec, prune)
+        unit = self.take(key, lambda: _training_unit(train, spec, prune), train)
+        if search in self._pending:
+            self._searches[unit[1].index] = search
+        return unit
+
+    def neighbours(self, index: learners.KnnIndex, rows) -> np.ndarray:
+        """``index.neighbours(rows)``, from the table for a shared index and
+        the grid's test rows."""
+        key = self._searches.get(index)
+        if key is None:
+            return index.neighbours(rows)
+        return self.take(key, lambda: index.neighbours(rows), rows)
+
+    def close(self) -> None:
+        for key in self._pending:
+            self._table._give_up(key)
+        self._pending.clear()

@@ -415,6 +415,9 @@ def test_ensemble_members_null_takes_the_default_members():
     {"experiments": [BR | {"name": "x\ny|z"}]},
     {"experiments": [BR | {"name": "a|b"}]},
     {"experiments": [BR | {"name": "a\rb"}]},
+    {"experiments": [BR | {"name": "x"}, BR | {"name": "x"}]},
+    {"experiments": [{"transform": "ensemble", "q": 2}, BR,
+                     {"transform": "ensemble", "q": 3}]},
     {"experiments": [BR],
      "dataset": {"path": "x.arff", "trailing_labels": "x"}},
     {"experiments": [BR],
@@ -447,7 +450,8 @@ def test_ensemble_members_null_takes_the_default_members():
         "split-not-object", "split-without-test", "split-ratio-string",
         "split-ratio-1.5", "split-ratio-and-bad-counts",
         "split-ratio-and-counts", "name-comma", "name-int", "name-newline-pipe",
-        "name-pipe", "name-carriage-return", "trailing-labels-string", "trailing-labels-3.5",
+        "name-pipe", "name-carriage-return", "name-duplicate",
+        "name-duplicate-derived", "trailing-labels-string", "trailing-labels-3.5",
         "format-xml", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
         "tree-max-depth-string", "tree-seed-string", "tree-max-depth-negative",
         "tree-subset-zero", "tree-subset-negative",
@@ -467,6 +471,24 @@ def test_config_mistake_exits_1_before_any_data_is_read(
              else ["--out", tmp_path / "report.csv"])
     assert_usage_error_before_data(["benchmark", "--config", cfg, *flags],
                                    tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("experiments, message", [
+    ([BR | {"name": "x"}, BR | {"name": "x"}],
+     "experiments 0 and 1 are both named 'x'"),
+    ([{"transform": "ensemble", "q": 2}, BR, {"transform": "ensemble"}],
+     "experiments 0 and 2 are both named 'ensemble'"),
+    ([BR, {"transform": "lp"}, {"transform": "br", "learner": "nb"}],
+     "experiments 0 and 2 are both named 'br-nb'"),
+], ids=["given", "derived-ensemble", "derived-transform-learner"])
+def test_duplicate_name_names_both_entries(experiments, message, data_files,
+                                           tmp_path, monkeypatch, capsys):
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, experiments)
+    err = assert_usage_error_before_data(
+        ["benchmark", "--config", cfg, "--out", tmp_path / "report.csv"],
+        tmp_path, monkeypatch, capsys)
+    assert err == f"error: {message}; give each its own 'name'\n"
 
 
 def test_negative_trailing_labels_flag_exits_1_before_any_data_is_read(

@@ -1,0 +1,282 @@
+"""A grid fits each identical unit once: one training state per learner
+spec and training rows, one search of the test rows per shared kNN index,
+and one fit per ensemble member that several ensembles have.  Sharing
+changes no report byte, and a unit lives no longer than its last
+consumer."""
+
+import json
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from mullab import cli, ensemble, learners
+from mullab.core import MLDataset
+from mullab.learners import KnnSpec, preset
+from mullab.transforms import FitUnits, MemberSpec, fit_member
+
+from synth import correlated_dataset, to_arff_text
+
+KNN_GRID = [
+    {"name": "br-knn", "transform": "br", "learner": "knn"},
+    {"name": "lp-knn", "transform": "lp", "learner": "knn"},
+    {"name": "rakel-knn", "transform": "rakel", "learner": "knn"},
+    {"name": "br-nb", "transform": "br", "learner": "nb"},
+]
+
+
+def write_data(tmp_path, dataset):
+    path = tmp_path / "data.arff"
+    path.write_text(to_arff_text(dataset), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def data_path(tmp_path):
+    train, _ = correlated_dataset(123, n_train=60, n_test=0, n_labels=3,
+                                  n_features=4)
+    return write_data(tmp_path, train)
+
+
+def run_grid(tmp_path, data_path, experiments, workers=1, fmt="csv"):
+    """The exit code and report bytes of a benchmark grid."""
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"path": str(data_path), "trailing_labels": 3},
+        "split": {"ratio": 0.67}, "seed": 5, "workers": workers,
+        "format": fmt, "experiments": experiments}), encoding="utf-8")
+    out = tmp_path / "report"
+    code = cli.main(["benchmark", "--config", str(cfg), "--out", str(out)])
+    return code, out.read_bytes()
+
+
+def counting(monkeypatch, owner, name, calls, when=lambda *args: True):
+    """Append the arguments of every call of ``owner.name`` that ``when``
+    accepts to ``calls``."""
+    original = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        if when(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_knn_grid_builds_one_state_one_index_and_one_search(
+        workers, data_path, tmp_path, monkeypatch):
+    _, alone = run_grid(tmp_path, data_path, KNN_GRID)
+    states, indexes, searches = [], [], []
+    counting(monkeypatch, learners.TrainingState, "__init__", states,
+             lambda state, spec, *rest: isinstance(spec, KnnSpec))
+    counting(monkeypatch, learners.KnnIndex, "__init__", indexes)
+    counting(monkeypatch, learners.KnnIndex, "neighbours", searches)
+    code, report = run_grid(tmp_path, data_path, KNN_GRID, workers)
+    assert code == 0
+    assert (len(states), len(indexes), len(searches)) == (1, 1, 1)
+    assert report == alone
+    # each row is the row of its experiment run on its own
+    lines = report.decode().splitlines()
+    for exp, line in zip(KNN_GRID, lines[1:]):
+        assert run_grid(tmp_path, data_path, [exp])[1].decode().splitlines()[1] \
+            == line
+
+
+def ensembles(*fields):
+    return [{"name": f"ens-{i}", "transform": "ensemble", "seed": 3} | f
+            for i, f in enumerate(fields)]
+
+
+@pytest.mark.parametrize("experiments, fits", [
+    (ensembles(*({"q": 5, "rule": rule}
+                 for rule in ("mean", "max", "min", "majority_vote"))), 5),
+    (ensembles({"q": 5}, {"q": 10}), 10),
+], ids=["rules", "q-sweep"])
+def test_ensembles_with_one_seed_fit_each_member_once(
+        experiments, fits, data_path, tmp_path, monkeypatch):
+    calls = []
+    counting(monkeypatch, ensemble, "fit_member", calls)
+    code, report = run_grid(tmp_path, data_path, experiments)
+    assert code == 0 and len(calls) == fits
+    lines = report.decode().splitlines()
+    for exp, line in zip(experiments, lines[1:]):
+        assert run_grid(tmp_path, data_path, [exp])[1].decode().splitlines()[1] \
+            == line
+
+
+def test_ensembles_with_derived_seeds_share_no_member(data_path, tmp_path,
+                                                       monkeypatch):
+    calls = []
+    counting(monkeypatch, ensemble, "fit_member", calls)
+    experiments = [{"name": "a", "transform": "ensemble", "q": 3},
+                   {"name": "b", "transform": "ensemble", "q": 3}]
+    assert run_grid(tmp_path, data_path, experiments)[0] == 0
+    assert len(calls) == 6
+
+
+def test_no_unit_outlives_its_last_consumer(data_path, tmp_path, monkeypatch):
+    experiments = [
+        {"name": "br-knn", "transform": "br", "learner": "knn"},    # 0
+        {"name": "br-nb", "transform": "br", "learner": "nb"},      # 1
+        {"name": "a", "transform": "ensemble", "q": 3, "seed": 9},  # 2
+        {"name": "lp-knn", "transform": "lp", "learner": "knn"},    # 3
+        {"name": "b", "transform": "ensemble", "q": 2, "seed": 9},  # 4
+        {"name": "lp-nb", "transform": "lp", "learner": "nb"},      # 5
+        # fails before it takes the state it shares with br-nb and lp-nb
+        {"name": "rakel-nb", "transform": "rakel", "learner": "nb",
+         "k": 9},                                                    # 6
+        {"name": "br-j48", "transform": "br", "learner": "j48"},    # 7
+    ]
+    # (kind, experiment that built it, ordinal) -> its last consumer; any
+    # other unit lives only in the experiment that built it
+    last = {("state", 0, 0): 3, ("search", 0, 0): 3, ("state", 1, 0): 6,
+            ("member", 2, 0): 4, ("member", 2, 1): 4}
+    units = []  # (weakref, kind, experiment, ordinal)
+    current = [-1]
+
+    def track(kind):
+        def observe(result):
+            ordinal = sum(1 for _, k, e, _ in units
+                          if (k, e) == (kind, current[0]))
+            units.append((weakref.ref(result), kind, current[0], ordinal))
+        return observe
+
+    def watch(owner, name, observe, returns=True):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            observe(result if returns else args[0])
+            return result
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def check(now):
+        alive = {(k, e, o) for ref, k, e, o in units if ref() is not None}
+        expected = {(k, e, o) for _, k, e, o in units
+                    if last.get((k, e, o), e) >= now}
+        assert alive == expected, now
+
+    watch(learners.TrainingState, "__init__", track("state"), returns=False)
+    watch(learners.KnnIndex, "neighbours", track("search"))
+    watch(ensemble, "fit_member", track("member"))
+    build = cli._build_model
+
+    def building(*args, **kwargs):
+        current[0] += 1
+        check(current[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_build_model", building)
+    assert run_grid(tmp_path, data_path, experiments)[0] == 3
+    assert current[0] == 7
+    assert set(last) <= {(k, e, o) for _, k, e, o in units}
+    check(len(experiments))  # nothing is alive after the grid
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_a_shared_state_that_fails_fails_every_consumer(workers, tmp_path,
+                                                        monkeypatch):
+    # every value of the first column is 1e308: its mean overflows, so the
+    # kNN index refuses the column scale
+    train, _ = correlated_dataset(7, n_train=30, n_test=0, n_labels=3,
+                                  n_features=2)
+    X = train.X.copy()
+    X[:, 0] = 1e308
+    data = write_data(tmp_path, MLDataset(train.schema, X, train.Y))
+    indexes = []
+    counting(monkeypatch, learners.KnnIndex, "__init__", indexes)
+    code, report = run_grid(tmp_path, data, KNN_GRID[:3], workers, "json")
+    assert code == 3 and len(indexes) == 1
+    rows = json.loads(report)["rows"]
+    assert [row["experiment"] for row in rows] == ["br-knn", "lp-knn",
+                                                   "rakel-knn"]
+    assert {row["error"] for row in rows} == {
+        "knn column means or scales are not finite numbers; rescale the "
+        "features"}
+
+
+def test_a_table_shares_nothing_for_other_data():
+    train, test = correlated_dataset(3, n_train=40, n_test=10, n_labels=3,
+                                     n_features=3)
+    other = train.subset(range(30))
+    spec = MemberSpec("br", preset("knn"))
+    table = FitUnits(train, test, [spec.units(), spec.units()])
+    grid_units, units = (table.consumer(spec.units()) for _ in range(2))
+    grid = fit_member(train, spec, units=grid_units)
+    expected = grid.predict_scores_many(test.X)
+    # a fit on other rows, and a predict of other queries, build their own
+    # state and search, and leave the grid's to the grid
+    model = fit_member(other, spec, units=units)
+    assert model.members[0][1].index is not grid.members[0][1].index
+    alone = fit_member(other, spec)
+    assert np.array_equal(model.predict_scores_many(test.X, units),
+                          alone.predict_scores_many(test.X))
+    shared = fit_member(train, spec, units=units)
+    assert shared.members[0][1].index is grid.members[0][1].index
+    assert np.array_equal(shared.predict_scores_many(test.X.copy(), units),
+                          expected)
+    assert np.array_equal(grid.predict_scores_many(test.X, grid_units),
+                          expected)
+    units.close()
+
+
+def test_concurrent_consumers_build_each_unit_once_and_keep_none():
+    train, test = correlated_dataset(3, n_train=20, n_test=5, n_labels=2,
+                                     n_features=2)
+
+    class Unit:
+        pass
+
+    keys = [("unit", j) for j in range(6)] + [("fails",)]
+    n = 16
+    lock = threading.Lock()
+    barrier = threading.Barrier(n, timeout=60)
+
+    def build(key, builds):
+        with lock:
+            builds.append(key)
+        if key == ("fails",):
+            raise ValueError("no such unit")
+        return Unit()
+
+    def consume(i, table, builds):
+        units = table.consumer(keys)
+        barrier.wait()
+        # consumers take the keys in different orders, and every third one
+        # gives up the last two without taking them
+        order = keys[i % len(keys):] + keys[:i % len(keys)]
+        taken = {}
+        for key in order[:-2] if i % 3 == 0 else order:
+            try:
+                taken[key] = units.take(key, lambda key=key: build(key, builds),
+                                        train)
+            except ValueError as e:
+                taken[key] = str(e)
+        units.close()
+        return taken
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            for _ in range(20):
+                table, builds = FitUnits(train, test, [keys] * n), []
+                results = [f.result(timeout=60) for f in [
+                    pool.submit(consume, i, table, builds) for i in range(n)]]
+                assert sorted(builds) == sorted(keys)
+                for key in keys:
+                    got = [taken[key] for taken in results if key in taken]
+                    assert len(got) > n // 2
+                    assert all(unit is got[0] for unit in got)
+                assert results[1][("fails",)] == "no such unit"
+                # the table kept no unit past its consumers
+                refs = [weakref.ref(unit) for unit in results[1].values()
+                        if isinstance(unit, Unit)]
+                del results, got
+                assert len(refs) == 6 and all(ref() is None for ref in refs)
+    finally:
+        sys.setswitchinterval(interval)

@@ -7,10 +7,11 @@ Three subcommands:
 * ``evaluate``   run one experiment (or score a predictions file)
 
 A grid fits each identical unit once: before any data is read, every
-experiment lists the keys of its fit units (a training state, the search
-of the test rows in a shared kNN index, a fitted ensemble member), and the
-experiments share one ``transforms.FitUnits`` table that builds each unit
-at its first consumer and drops it after its last.  Units are
+experiment lists the keys of its fit units (a training state, whose build
+for a shared kNN state also searches the test rows in its index, or a
+fitted ensemble member).  The experiments share one ``transforms.FitUnits``
+table, each through its own ``transforms.Units`` view; the table builds
+each unit at its first consumer and drops it after its last.  Units are
 deterministic, so sharing one changes no result.
 
 Reports come out as markdown (metrics as rows, experiments as columns,

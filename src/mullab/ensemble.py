@@ -151,7 +151,7 @@ class EnsembleModel(MultiLabelModel):
         self.n_labels = n_labels
 
     def predict_scores_many(self, rows, searches=None):
-        # a member's kNN index is its own, so no grid search holds it
+        # a member's kNN index is its own: no grid holds its neighbours
         per_member = [m.predict_scores_many(rows) for m in self.members]
         return combine(per_member, self.spec.rule, self.spec.weights,
                        self.spec.threshold)
@@ -176,7 +176,7 @@ def _member_indices(n: int, spec: EnsembleSpec, member_index: int) -> list[int]:
 def ensemble_fit(train: MLDataset, spec: EnsembleSpec,
                  units: Optional[Units] = None) -> EnsembleModel:
     """Train each member, in index order, on its seeded subsample; with a
-    grid's ``units``, a member that the grid shares comes from its table."""
+    grid's ``units`` view, a member that the grid shares comes from it."""
     n = len(train)
     if n == 0:
         raise ValueError("cannot fit an ensemble on an empty dataset")

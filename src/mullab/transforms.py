@@ -35,14 +35,14 @@ one neighbour search per ``KnnIndex`` of its kNN members, and each of them
 votes on its index's neighbours.  The neighbours live only for that call,
 so concurrent predicts on one model stay safe.
 
-A grid of experiments over one train/test split may share its fit units
-through a ``FitUnits`` table: a training state, keyed by its learner spec
-and training rows (the split, or its pruned-sets rewrite); the neighbour
-search of the test rows in a shared state's ``KnnIndex``; and a fitted
-ensemble member.  The table builds each once and drops it at its last
-consumer.  Without a table, a state lives only while one model's members
-are fitted, and a search only for one predict call.  Every unit is
-deterministic, so sharing one changes no result.
+A grid of experiments over one train/test split may share two kinds of
+fit unit through a ``FitUnits`` table: a training state, keyed by its
+learner spec and training rows (the split, or its pruned-sets rewrite),
+whose build, for kNN, also searches the grid's test rows in its index;
+and a fitted ensemble member.  The table builds each once and drops it at
+its last consumer.  Without a table, a state lives only while one model's
+members are fitted, and a search only for one predict call.  Every unit
+is deterministic, so sharing one changes no result.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class RakelModel(MultiLabelModel):
     rows over ``labels`` that the classes stand for, in ascending bit order.
     Labels covered by no member score a neutral 0.5 and are listed in
     ``uncovered``.  A predict searches each ``KnnIndex`` of its members
-    once; with a grid's ``searches`` (its ``Units``), the search of a
-    shared index comes from the grid's table."""
+    once; with a grid's ``searches`` (its ``Units``), the neighbours of a
+    shared index in the grid's test rows come from the view."""
 
     def __init__(self, n_labels: int, members):
         self.n_labels = n_labels
@@ -118,13 +118,6 @@ class RakelModel(MultiLabelModel):
         covered = cover > 0
         out[:, covered] = sums[:, covered] / cover[covered]
         return out
-
-
-def _unit_keys(spec: LearnerSpec, prune: Optional[PruneSpec]) -> tuple:
-    """The ``FitUnits`` keys of the training state of ``spec`` on a grid's
-    training split (``prune`` None) or its pruned-sets rewrite, and of the
-    search of the grid's test rows in that state's ``KnnIndex``."""
-    return ("state", spec, prune), ("search", spec, prune)
 
 
 def _training_unit(train: MLDataset, spec: LearnerSpec,
@@ -308,14 +301,10 @@ class MemberSpec:
             raise ValueError("rakel subset size k must be >= 1")
 
     def units(self) -> tuple:
-        """The keys of the ``FitUnits`` that a fit of this spec on a grid's
-        training split, and its predict of the grid's test rows, read: its
-        training state and, with kNN, the search in that state's index."""
-        state, search = _unit_keys(
-            self.learner, self.prune if self.transform == "ps" else None)
-        if isinstance(self.learner, learners.KnnSpec):
-            return state, search
-        return (state,)
+        """The key of the ``FitUnits`` training state that a fit of this
+        spec on a grid's training split reads, as ``Units.state`` keys it."""
+        return (("state", self.learner,
+                 self.prune if self.transform == "ps" else None),)
 
 
 _FITS = {
@@ -340,10 +329,11 @@ def fit_member(train: MLDataset, spec: MemberSpec, seed: int = 0,
 
 class FitUnits:
     """The fit units that one grid's experiments share over its ``train``
-    and ``test`` splits: training states, searches of the test rows and
-    fitted ensemble members.  ``plans[i]`` lists the keys of the units that
-    experiment ``i`` reads (``MemberSpec.units``, ``EnsembleSpec.units``),
-    and it reads them through its own ``consumer(plans[i])``.
+    and ``test`` splits: training states, each kNN one with its index's
+    neighbours of the test rows, and fitted ensemble members.  ``plans[i]``
+    lists the keys of the units that experiment ``i`` reads
+    (``MemberSpec.units``, ``EnsembleSpec.units``), and it reads them
+    through its own ``consumer(plans[i])``.
 
     A unit is built at its first consumer's take and leaves the table at
     its last consumer's take.  Each key has one ``Future``, so concurrent
@@ -393,19 +383,17 @@ class FitUnits:
 class Units:
     """One experiment's view of a ``FitUnits`` table.  It takes each of its
     planned keys once; a key it did not plan, or has taken already, and a
-    unit built from other data than the grid's splits, are built for the
-    caller alone.  ``close`` gives up the keys it never took, as when the
-    experiment failed first."""
+    unit built from other rows than the grid's training split, are built
+    for the caller alone.  ``close`` gives up the keys it never took, as
+    when the experiment failed first, and drops the neighbours it holds."""
 
     def __init__(self, table: FitUnits, keys):
         self._table, self._pending = table, set(keys)
-        self._searches = {}  # shared KnnIndex -> the key of its search
+        self._neighbours = {}  # shared KnnIndex -> its test-row neighbours
 
     def take(self, key, build, source):
-        """The unit ``key`` that ``build()`` makes from ``source``, the
-        grid's training split or its test rows."""
-        if key not in self._pending or not (source is self._table.train or
-                                            source is self._table.queries):
+        """The unit ``key`` that ``build()`` makes from ``source``."""
+        if key not in self._pending or source is not self._table.train:
             return build()
         self._pending.remove(key)
         return self._table._take(key, build)
@@ -413,25 +401,32 @@ class Units:
     def state(self, train: MLDataset, spec: LearnerSpec,
               prune: Optional[PruneSpec]):
         """``_training_unit(train, spec, prune)``, from the table when the
-        grid shares it; the search of a shared state's index is then the
-        grid's too."""
-        key, search = _unit_keys(spec, prune)
+        grid shares it; a shared kNN state comes with its index's
+        neighbours of the grid's test rows."""
+        key = ("state", spec, prune)
         if key not in self._pending or train is not self._table.train:
             return _training_unit(train, spec, prune)
-        unit = self.take(key, lambda: _training_unit(train, spec, prune), train)
-        if search in self._pending:
-            self._searches[unit[1].index] = search
+
+        def build():
+            unit = _training_unit(train, spec, prune)
+            return unit, (unit[1].index.neighbours(self._table.queries)
+                          if isinstance(spec, learners.KnnSpec) else None)
+
+        unit, found = self.take(key, build, train)
+        if found is not None:
+            self._neighbours[unit[1].index] = found
         return unit
 
     def neighbours(self, index: learners.KnnIndex, rows) -> np.ndarray:
-        """``index.neighbours(rows)``, from the table for a shared index and
-        the grid's test rows."""
-        key = self._searches.get(index)
-        if key is None:
+        """``index.neighbours(rows)``, as the shared state's build found
+        them for its index and the grid's test rows."""
+        found = self._neighbours.get(index)
+        if found is None or rows is not self._table.queries:
             return index.neighbours(rows)
-        return self.take(key, lambda: index.neighbours(rows), rows)
+        return found
 
     def close(self) -> None:
         for key in self._pending:
             self._table._give_up(key)
         self._pending.clear()
+        self._neighbours.clear()

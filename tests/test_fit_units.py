@@ -1,8 +1,8 @@
 """A grid fits each identical unit once: one training state per learner
-spec and training rows, one search of the test rows per shared kNN index,
-and one fit per ensemble member that several ensembles have.  Sharing
-changes no report byte, and a unit lives no longer than its last
-consumer."""
+spec and training rows, whose build, for a shared kNN state, also searches
+the test rows in its index, and one fit per ensemble member that several
+ensembles have.  Sharing changes no report byte, and a unit lives no
+longer than its last consumer."""
 
 import json
 import sys
@@ -42,12 +42,18 @@ def data_path(tmp_path):
 
 
 def run_grid(tmp_path, data_path, experiments, workers=1, fmt="csv"):
-    """The exit code and report bytes of a benchmark grid."""
+    """The exit code and report bytes of a benchmark grid over one data
+    file split 67:33, or over a (train, test) pair of files."""
+    if isinstance(data_path, tuple):
+        data = {"dataset": {"train": str(data_path[0]),
+                            "test": str(data_path[1]), "trailing_labels": 3}}
+    else:
+        data = {"dataset": {"path": str(data_path), "trailing_labels": 3},
+                "split": {"ratio": 0.67}}
     cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps({
-        "dataset": {"path": str(data_path), "trailing_labels": 3},
-        "split": {"ratio": 0.67}, "seed": 5, "workers": workers,
-        "format": fmt, "experiments": experiments}), encoding="utf-8")
+    cfg.write_text(json.dumps(data | {
+        "seed": 5, "workers": workers, "format": fmt,
+        "experiments": experiments}), encoding="utf-8")
     out = tmp_path / "report"
     code = cli.main(["benchmark", "--config", str(cfg), "--out", str(out)])
     return code, out.read_bytes()
@@ -106,6 +112,19 @@ def test_ensembles_with_one_seed_fit_each_member_once(
     for exp, line in zip(experiments, lines[1:]):
         assert run_grid(tmp_path, data_path, [exp])[1].decode().splitlines()[1] \
             == line
+
+
+def test_shared_members_under_threads_match_one_worker(data_path, tmp_path,
+                                                       monkeypatch):
+    experiments = ensembles(*({"q": 5, "rule": rule}
+                              for rule in ("mean", "max", "min",
+                                           "majority_vote")))
+    _, alone = run_grid(tmp_path, data_path, experiments)
+    calls = []
+    counting(monkeypatch, ensemble, "fit_member", calls)
+    code, report = run_grid(tmp_path, data_path, experiments, workers=8)
+    assert code == 0 and len(calls) == 5
+    assert report == alone
 
 
 def test_ensembles_with_derived_seeds_share_no_member(data_path, tmp_path,
@@ -197,6 +216,28 @@ def test_a_shared_state_that_fails_fails_every_consumer(workers, tmp_path,
     assert {row["error"] for row in rows} == {
         "knn column means or scales are not finite numbers; rescale the "
         "features"}
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_a_shared_search_that_fails_fails_every_consumer(workers, tmp_path,
+                                                         monkeypatch):
+    # one test row's distance to every training row overflows
+    train, test = correlated_dataset(7, n_train=30, n_test=10, n_labels=3,
+                                     n_features=2)
+    X = test.X.copy()
+    X[4, 0] = 1e200
+    files = (tmp_path / "train.arff", tmp_path / "test.arff")
+    for path, rows in zip(files, (train, MLDataset(test.schema, X, test.Y))):
+        path.write_text(to_arff_text(rows), encoding="utf-8")
+    searches = []
+    counting(monkeypatch, learners.KnnIndex, "neighbours", searches)
+    code, report = run_grid(tmp_path, files, KNN_GRID[:3], workers, "json")
+    assert code == 3 and len(searches) == 1
+    rows = json.loads(report)["rows"]
+    assert [row["experiment"] for row in rows] == ["br-knn", "lp-knn",
+                                                   "rakel-knn"]
+    assert {row["error"] for row in rows} == {
+        "knn distances are not finite numbers; rescale the features"}
 
 
 def test_a_table_shares_nothing_for_other_data():

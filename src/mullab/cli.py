@@ -7,12 +7,12 @@ Three subcommands:
 * ``evaluate``   run one experiment (or score a predictions file)
 
 A grid fits each identical unit once: before any data is read, every
-experiment lists the keys of its fit units (a training state, whose build
-for a shared kNN state also searches the test rows in its index, or a
-fitted ensemble member).  The experiments share one ``transforms.FitUnits``
-table, each through its own ``transforms.Units`` view; the table builds
-each unit at its first consumer and drops it after its last.  Units are
-deterministic, so sharing one changes no result.
+experiment lists the keys of its fit units (a training state, whose kNN
+index keeps one search of the test rows for every model that shares it,
+or a fitted ensemble member).  The experiments share one
+``transforms.FitUnits`` table, each through its own ``transforms.Units``
+view; the table builds each unit at its first consumer and drops it after
+its last.  Units are deterministic, so sharing one changes no result.
 
 Reports come out as markdown (metrics as rows, experiments as columns,
 AVERAGE last), CSV (one experiment per row, 6 decimals) or JSON (full
@@ -598,7 +598,7 @@ def _run_experiments(cfg: dict, plans: list, train, test):
         units = table.consumer(keys)
         try:
             return evaluate(_build_model(spec, train, seed, units), test,
-                            cfg["threshold"], units)
+                            cfg["threshold"])
         except Exception as e:  # noqa: BLE001 - row marked failed
             return e
         finally:

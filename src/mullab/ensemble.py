@@ -150,8 +150,8 @@ class EnsembleModel(MultiLabelModel):
         self.members = members
         self.n_labels = n_labels
 
-    def predict_scores_many(self, rows, searches=None):
-        # a member's kNN index is its own: no grid holds its neighbours
+    def predict_scores_many(self, rows):
+        # a member's kNN index is its own: it keeps no search of the rows
         per_member = [m.predict_scores_many(rows) for m in self.members]
         return combine(per_member, self.spec.rule, self.spec.weights,
                        self.spec.threshold)

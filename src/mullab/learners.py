@@ -10,7 +10,8 @@ Three families, each consumed by the problem transformations:
   encoder and the standardised training matrix and finds the neighbours; a
   ``KnnClassifier`` keeps only its class vector and counts the votes, so
   classifiers that differ only in their classes can share one index and
-  one search per query matrix.  A search builds one query x training
+  one search per query matrix (a grid's shared index keeps its search of
+  the test split: ``keep``).  A search builds one query x training
   distance matrix: the Euclidean cross term is one matrix product over the
   whole query matrix (a product per row block could differ in the last
   bits and flip exact distance ties), and the rest (the squared norms, the
@@ -298,6 +299,7 @@ class KnnIndex:
             self._xn = None
         self._xc = x[:, self._nom_cols]
         self.k = min(spec.k, self.n_rows)
+        self._kept = None  # (query matrix, its neighbours), set by keep
 
     def _distances(self, q: np.ndarray) -> np.ndarray:
         """The (nq, n_rows) distances from the encoded query rows ``q`` to
@@ -329,10 +331,25 @@ class KnnIndex:
                 block += q[s:s + step, self._nom_cols[j], None] != self._xc[:, j]
         return d
 
+    def keep(self, rows: np.ndarray) -> None:
+        """Search the read-only query matrix ``rows`` now, for ``neighbours``
+        to answer that very object.  Call it before the index is shared."""
+        if not isinstance(rows, np.ndarray) or rows.flags.writeable:
+            raise ValueError("a kept query matrix must be a read-only array")
+        found = self._search(rows)
+        found.flags.writeable = False  # every model on the index reads it
+        self._kept = rows, found
+
     def neighbours(self, rows) -> np.ndarray:
         """The (nq, k) training row indices nearest to each query row, in
         ascending index order: the rows a stable argsort of the distances
-        puts first."""
+        puts first.  The matrix given to ``keep`` is answered from its
+        search; any other, an equal copy too, is searched now."""
+        if self._kept is not None and rows is self._kept[0]:
+            return self._kept[1]
+        return self._search(rows)
+
+    def _search(self, rows) -> np.ndarray:
         q = self.enc.transform(rows)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             dist = self._distances(q)

@@ -197,13 +197,13 @@ def average_precision(Y: np.ndarray, R: np.ndarray) -> float:
     return _with_ranks(_average_precision, Y, R)
 
 
-def evaluate(model: MultiLabelModel, test: MLDataset, t: float = 0.5,
-             searches=None) -> EvaluationReport:
+def evaluate(model: MultiLabelModel, test: MLDataset,
+             t: float = 0.5) -> EvaluationReport:
     """Score every test row, derive bipartitions (threshold ``t``) and
     rankings, and compute all five metrics; ranking loss and average
     precision are NaN when no test row defines them; ``t`` must be in
-    [0, 1].  ``searches``, a grid's ``transforms.Units``, goes to the
-    model's ``predict_scores_many``."""
+    [0, 1].  A model fitted through a grid's ``transforms.Units`` finds
+    the kNN neighbours of ``test.X`` kept on its shared index."""
     check_threshold(t)
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -211,8 +211,7 @@ def evaluate(model: MultiLabelModel, test: MLDataset, t: float = 0.5,
         raise UniverseMismatch(
             f"model has {model.n_labels} labels, dataset has {test.n_labels}"
         )
-    scores = (model.predict_scores_many(test.X) if searches is None
-              else model.predict_scores_many(test.X, searches))
+    scores = model.predict_scores_many(test.X)
     Y, Z, R = test.Y, scores >= t, rank_matrix(scores)
     n_rel = Y.sum(axis=1)
     proper = (n_rel > 0) & (n_rel < Y.shape[1])

@@ -30,19 +30,20 @@ immutable after fitting.
 A model fits every member from one ``learners.TrainingState`` of its
 training matrix: one encoder and, with kNN, one shared ``KnnIndex``; tree
 members grow from one sort of each column.  A fitted model keeps no state,
-so it holds no training matrix and no column order.  A predict call runs
-one neighbour search per ``KnnIndex`` of its kNN members, and each of them
-votes on its index's neighbours.  The neighbours live only for that call,
-so concurrent predicts on one model stay safe.
+so it holds no training matrix and no column order.  A predict call asks
+each ``KnnIndex`` of its kNN members once for its neighbours of the query
+rows, and each member votes on them.  An index searches anew unless the
+rows are the very matrix it keeps a search of (``KnnIndex.keep``), so
+concurrent predicts on one model stay safe.
 
 A grid of experiments over one train/test split may share two kinds of
 fit unit through a ``FitUnits`` table: a training state, keyed by its
 learner spec and training rows (the split, or its pruned-sets rewrite),
-whose build, for kNN, also searches the grid's test rows in its index;
-and a fitted ensemble member.  The table builds each once and drops it at
-its last consumer.  Without a table, a state lives only while one model's
-members are fitted, and a search only for one predict call.  Every unit
-is deterministic, so sharing one changes no result.
+whose build, for kNN, has its index keep a search of the grid's test
+rows; and a fitted ensemble member.  The table builds each once and drops
+it at its last consumer.  Without a table, a state lives only while one
+model's members are fitted, and a search only for one predict call.
+Every unit is deterministic, so sharing one changes no result.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class MultiLabelModel:
 
     n_labels: int
 
-    def predict_scores_many(self, rows, searches=None) -> np.ndarray:
+    def predict_scores_many(self, rows) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -87,9 +88,8 @@ class RakelModel(MultiLabelModel):
     ``(labels, clf, classes)``: a label subset, its classifier, and the bool
     rows over ``labels`` that the classes stand for, in ascending bit order.
     Labels covered by no member score a neutral 0.5 and are listed in
-    ``uncovered``.  A predict searches each ``KnnIndex`` of its members
-    once; with a grid's ``searches`` (its ``Units``), the neighbours of a
-    shared index in the grid's test rows come from the view."""
+    ``uncovered``.  A predict asks each ``KnnIndex`` of its members once
+    for the neighbours of ``rows``: a search, or the one the index kept."""
 
     def __init__(self, n_labels: int, members):
         self.n_labels = n_labels
@@ -97,17 +97,15 @@ class RakelModel(MultiLabelModel):
         covered = set().union(*(labels for labels, _, _ in members))
         self.uncovered = tuple(j for j in range(n_labels) if j not in covered)
 
-    def predict_scores_many(self, rows, searches=None):
+    def predict_scores_many(self, rows):
         n = len(rows)
         sums = np.zeros((n, self.n_labels))
         cover = np.zeros(self.n_labels)
-        neighbours = {}  # per KnnIndex, searched at its first kNN member
+        neighbours = {}  # per KnnIndex, found at its first kNN member
         for labels, clf, classes in self.members:
             if isinstance(clf, learners.KnnClassifier):
                 if clf.index not in neighbours:
-                    neighbours[clf.index] = (
-                        clf.index.neighbours(rows) if searches is None
-                        else searches.neighbours(clf.index, rows))
+                    neighbours[clf.index] = clf.index.neighbours(rows)
                 dist = clf.votes(neighbours[clf.index])
             else:
                 dist = clf.predict_dist_many(rows)
@@ -120,16 +118,25 @@ class RakelModel(MultiLabelModel):
         return out
 
 
+def _state_key(spec: LearnerSpec, prune: Optional[PruneSpec]) -> tuple:
+    """The ``FitUnits`` key of the training state that ``_training_unit``
+    builds for a grid's training split."""
+    return ("state", spec, prune)
+
+
 def _training_unit(train: MLDataset, spec: LearnerSpec,
-                   prune: Optional[PruneSpec]):
+                   prune: Optional[PruneSpec], queries=None):
     """``(rows, state, fields)``: the rows a model fits on, which are
     ``train`` or, with a ``prune``, its pruned-sets rewrite; their training
-    state for ``spec``; and the fields that the rewrite gives the model."""
+    state for ``spec``, whose kNN index keeps its search of ``queries``;
+    and the fields that the rewrite gives the model."""
     fields = {}
     if prune is not None:
         train, fields = _pruned_rows(train, prune)
-    return (train, learners.TrainingState(spec, train.X, train.schema.attributes),
-            fields)
+    state = learners.TrainingState(spec, train.X, train.schema.attributes)
+    if queries is not None and isinstance(spec, learners.KnnSpec):
+        state.index.keep(queries)
+    return train, state, fields
 
 
 def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
@@ -142,8 +149,12 @@ def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
     return."""
     if len(train) == 0:
         raise ValueError("cannot fit label powerset on an empty dataset")
-    rows, shared, fields = (_training_unit(train, spec, prune) if units is None
-                            else units.state(train, spec, prune))
+    if units is None:
+        rows, shared, fields = _training_unit(train, spec, prune)
+    else:
+        rows, shared, fields = units.take(
+            _state_key(spec, prune),
+            lambda: _training_unit(train, spec, prune, units.queries), train)
     members = []
     for labels in subsets:
         classes, y, _ = _distinct_rows(rows.Y[:, list(labels)])
@@ -302,9 +313,9 @@ class MemberSpec:
 
     def units(self) -> tuple:
         """The key of the ``FitUnits`` training state that a fit of this
-        spec on a grid's training split reads, as ``Units.state`` keys it."""
-        return (("state", self.learner,
-                 self.prune if self.transform == "ps" else None),)
+        spec on a grid's training split reads."""
+        return (_state_key(self.learner,
+                           self.prune if self.transform == "ps" else None),)
 
 
 _FITS = {
@@ -330,7 +341,7 @@ def fit_member(train: MLDataset, spec: MemberSpec, seed: int = 0,
 class FitUnits:
     """The fit units that one grid's experiments share over its ``train``
     and ``test`` splits: training states, each kNN one with its index's
-    neighbours of the test rows, and fitted ensemble members.  ``plans[i]``
+    search of the test rows kept, and fitted ensemble members.  ``plans[i]``
     lists the keys of the units that experiment ``i`` reads
     (``MemberSpec.units``, ``EnsembleSpec.units``), and it reads them
     through its own ``consumer(plans[i])``.
@@ -384,12 +395,12 @@ class Units:
     """One experiment's view of a ``FitUnits`` table.  It takes each of its
     planned keys once; a key it did not plan, or has taken already, and a
     unit built from other rows than the grid's training split, are built
-    for the caller alone.  ``close`` gives up the keys it never took, as
-    when the experiment failed first, and drops the neighbours it holds."""
+    for the caller alone.  ``queries`` are the grid's test rows.  ``close``
+    gives up the keys it never took, as when the experiment failed first."""
 
     def __init__(self, table: FitUnits, keys):
         self._table, self._pending = table, set(keys)
-        self._neighbours = {}  # shared KnnIndex -> its test-row neighbours
+        self.queries = table.queries
 
     def take(self, key, build, source):
         """The unit ``key`` that ``build()`` makes from ``source``."""
@@ -398,35 +409,7 @@ class Units:
         self._pending.remove(key)
         return self._table._take(key, build)
 
-    def state(self, train: MLDataset, spec: LearnerSpec,
-              prune: Optional[PruneSpec]):
-        """``_training_unit(train, spec, prune)``, from the table when the
-        grid shares it; a shared kNN state comes with its index's
-        neighbours of the grid's test rows."""
-        key = ("state", spec, prune)
-        if key not in self._pending or train is not self._table.train:
-            return _training_unit(train, spec, prune)
-
-        def build():
-            unit = _training_unit(train, spec, prune)
-            return unit, (unit[1].index.neighbours(self._table.queries)
-                          if isinstance(spec, learners.KnnSpec) else None)
-
-        unit, found = self.take(key, build, train)
-        if found is not None:
-            self._neighbours[unit[1].index] = found
-        return unit
-
-    def neighbours(self, index: learners.KnnIndex, rows) -> np.ndarray:
-        """``index.neighbours(rows)``, as the shared state's build found
-        them for its index and the grid's test rows."""
-        found = self._neighbours.get(index)
-        if found is None or rows is not self._table.queries:
-            return index.neighbours(rows)
-        return found
-
     def close(self) -> None:
         for key in self._pending:
             self._table._give_up(key)
         self._pending.clear()
-        self._neighbours.clear()

@@ -16,6 +16,7 @@ import pytest
 from mullab import cli, ensemble, learners
 from mullab.core import MLDataset
 from mullab.learners import KnnSpec, preset
+from mullab.metrics import evaluate
 from mullab.transforms import FitUnits, MemberSpec, fit_member
 
 from synth import correlated_dataset, to_arff_text
@@ -80,7 +81,7 @@ def test_knn_grid_builds_one_state_one_index_and_one_search(
     counting(monkeypatch, learners.TrainingState, "__init__", states,
              lambda state, spec, *rest: isinstance(spec, KnnSpec))
     counting(monkeypatch, learners.KnnIndex, "__init__", indexes)
-    counting(monkeypatch, learners.KnnIndex, "neighbours", searches)
+    counting(monkeypatch, learners.KnnIndex, "_search", searches)
     code, report = run_grid(tmp_path, data_path, KNN_GRID, workers)
     assert code == 0
     assert (len(states), len(indexes), len(searches)) == (1, 1, 1)
@@ -90,6 +91,45 @@ def test_knn_grid_builds_one_state_one_index_and_one_search(
     for exp, line in zip(KNN_GRID, lines[1:]):
         assert run_grid(tmp_path, data_path, [exp])[1].decode().splitlines()[1] \
             == line
+
+
+def test_pruned_sets_share_a_state_only_with_equal_p_and_b(
+        data_path, tmp_path, monkeypatch):
+    experiments = [
+        {"name": "ps-a", "transform": "ps", "learner": "knn", "p": 2, "b": 2},
+        {"name": "ps-b", "transform": "ps", "learner": "knn", "p": 2, "b": 2},
+        {"name": "ps-p3", "transform": "ps", "learner": "knn", "p": 3, "b": 2},
+        {"name": "lp-knn", "transform": "lp", "learner": "knn"},
+    ]
+    states, searches = [], []
+    counting(monkeypatch, learners.TrainingState, "__init__", states,
+             lambda state, spec, *rest: isinstance(spec, KnnSpec))
+    counting(monkeypatch, learners.KnnIndex, "_search", searches)
+    code, report = run_grid(tmp_path, data_path, experiments)
+    assert code == 0
+    # ps-a and ps-b share one state and its search; ps-p3 and lp-knn each
+    # build their own
+    assert (len(states), len(searches)) == (3, 3)
+    lines = report.decode().splitlines()
+    for exp, line in zip(experiments, lines[1:]):
+        assert run_grid(tmp_path, data_path, [exp])[1].decode().splitlines()[1] \
+            == line
+
+
+def test_evaluate_reads_the_search_its_shared_index_kept(monkeypatch):
+    train, test = correlated_dataset(3, n_train=40, n_test=10, n_labels=3,
+                                     n_features=3)
+    spec = MemberSpec("rakel", preset("knn"))
+    searches = []
+    counting(monkeypatch, learners.KnnIndex, "_search", searches)
+    units = FitUnits(train, test, [spec.units()]).consumer(spec.units())
+    model = fit_member(train, spec, units=units)
+    units.close()
+    assert len(searches) == 1
+    report = evaluate(model, test, 0.5)
+    assert len(searches) == 1
+    assert report == evaluate(fit_member(train, spec), test, 0.5)
+    assert len(searches) == 2
 
 
 def ensembles(*fields):
@@ -180,7 +220,7 @@ def test_no_unit_outlives_its_last_consumer(data_path, tmp_path, monkeypatch):
         assert alive == expected, now
 
     watch(learners.TrainingState, "__init__", track("state"), returns=False)
-    watch(learners.KnnIndex, "neighbours", track("search"))
+    watch(learners.KnnIndex, "_search", track("search"))
     watch(ensemble, "fit_member", track("member"))
     build = cli._build_model
 
@@ -230,7 +270,7 @@ def test_a_shared_search_that_fails_fails_every_consumer(workers, tmp_path,
     for path, rows in zip(files, (train, MLDataset(test.schema, X, test.Y))):
         path.write_text(to_arff_text(rows), encoding="utf-8")
     searches = []
-    counting(monkeypatch, learners.KnnIndex, "neighbours", searches)
+    counting(monkeypatch, learners.KnnIndex, "_search", searches)
     code, report = run_grid(tmp_path, files, KNN_GRID[:3], workers, "json")
     assert code == 3 and len(searches) == 1
     rows = json.loads(report)["rows"]
@@ -254,13 +294,13 @@ def test_a_table_shares_nothing_for_other_data():
     model = fit_member(other, spec, units=units)
     assert model.members[0][1].index is not grid.members[0][1].index
     alone = fit_member(other, spec)
-    assert np.array_equal(model.predict_scores_many(test.X, units),
+    assert np.array_equal(model.predict_scores_many(test.X),
                           alone.predict_scores_many(test.X))
     shared = fit_member(train, spec, units=units)
     assert shared.members[0][1].index is grid.members[0][1].index
-    assert np.array_equal(shared.predict_scores_many(test.X.copy(), units),
+    assert np.array_equal(shared.predict_scores_many(test.X.copy()),
                           expected)
-    assert np.array_equal(grid.predict_scores_many(test.X, grid_units),
+    assert np.array_equal(grid.predict_scores_many(test.X),
                           expected)
     units.close()
 
@@ -303,21 +343,25 @@ def test_concurrent_consumers_build_each_unit_once_and_keep_none():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            for _ in range(20):
-                table, builds = FitUnits(train, test, [keys] * n), []
-                results = [f.result(timeout=60) for f in [
-                    pool.submit(consume, i, table, builds) for i in range(n)]]
-                assert sorted(builds) == sorted(keys)
-                for key in keys:
-                    got = [taken[key] for taken in results if key in taken]
-                    assert len(got) > n // 2
-                    assert all(unit is got[0] for unit in got)
-                assert results[1][("fails",)] == "no such unit"
-                # the table kept no unit past its consumers
-                refs = [weakref.ref(unit) for unit in results[1].values()
-                        if isinstance(unit, Unit)]
-                del results, got
-                assert len(refs) == 6 and all(ref() is None for ref in refs)
+        for _ in range(20):
+            table, builds = FitUnits(train, test, [keys] * n), []
+            # a pool per round: once it is shut down and its futures are
+            # dropped, no worker frame or future holds a consumer's result
+            with ThreadPoolExecutor(max_workers=n) as pool:
+                futures = [pool.submit(consume, i, table, builds)
+                           for i in range(n)]
+                results = [f.result(timeout=60) for f in futures]
+            del futures
+            assert sorted(builds) == sorted(keys)
+            for key in keys:
+                got = [taken[key] for taken in results if key in taken]
+                assert len(got) > n // 2
+                assert all(unit is got[0] for unit in got)
+            assert results[1][("fails",)] == "no such unit"
+            # the table kept no unit past its consumers
+            refs = [weakref.ref(unit) for unit in results[1].values()
+                    if isinstance(unit, Unit)]
+            del results, got
+            assert len(refs) == 6 and all(ref() is None for ref in refs)
     finally:
         sys.setswitchinterval(interval)

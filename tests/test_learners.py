@@ -147,6 +147,35 @@ class TestKnn:
         clf = fit(KnnSpec(k=1, distance="manhattan"), pts, [0, 1], NUM2)
         assert clf.predict_dist_many([(1.0, 1.0)]).tolist() == [[1.0, 0.0]]
 
+    def test_a_kept_search_answers_only_its_own_matrix(self, monkeypatch):
+        d = random_dataset(6, n=40, n_labels=1, n_num=3, n_nom=1)
+        probe = random_dataset(7, n=9, n_labels=1, n_num=3, n_nom=1)
+        index = learners.TrainingState(KnnSpec(k=4), d.X,
+                                       d.schema.attributes).index
+        expected = index.neighbours(probe.X)
+        for writeable in (probe.X.copy(), probe.X.tolist()):
+            with pytest.raises(ValueError, match="read-only"):
+                index.keep(writeable)
+        index.keep(probe.X)
+        searches = []
+        search = learners.KnnIndex._search
+
+        def counting(self, rows):
+            searches.append(rows)
+            return search(self, rows)
+
+        monkeypatch.setattr(learners.KnnIndex, "_search", counting)
+        kept = index.neighbours(probe.X)
+        assert np.array_equal(kept, expected) and not kept.flags.writeable
+        assert searches == []
+        # an equal copy, read-only or not, is searched anew
+        copy = probe.X.copy()
+        frozen = probe.X.copy()
+        frozen.flags.writeable = False
+        for rows in (copy, frozen):
+            assert np.array_equal(index.neighbours(rows), expected)
+            assert searches.pop() is rows
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.data())
     def test_votes_match_stable_sort_on_tied_grid(self, data):

@@ -20,15 +20,17 @@ the last line.
 non-finite numbers) and what each bad cell's error says.  A number is
 written in ASCII without ``_``: ``1_0``, ``１`` and ``٣``, which ``float``
 reads as 10, 1 and 3, are bad numeric values, and such indices are bad
-sparse indices.  Dense rows take a faster path first: a line in ASCII
-without ``_`` has each cell go through builtin ``float`` (numeric) or a
-dict of the nominal values ``_parse_cell`` maps to their own index, and the
-row is kept when no cell raises and the row's sum is finite.  Every other
-dense row, and every sparse cell, is parsed by ``_parse_cell``, so both
-paths give the same rows and the same errors.  Every ``_BLOCK_ROWS`` parsed
-rows become one float array, so only that many rows are ever held as Python
-numbers, and the arrays become one matrix, ``RawTable.X``, when the text
-ends.  No text is parsed with numpy.
+sparse indices.  Data rows are read in blocks of ``_BLOCK_ROWS`` lines.  A
+clean row is dense, in ASCII, and holds no ``_``, ``?`` or quote; all the
+clean rows of a block go through one call of numpy's C text reader, whose
+nominal columns' converters look the stripped token up in a dict of the
+values ``_parse_cell`` maps to their own index.  Its result is kept only
+when it has one column per attribute and every value is finite.  Every
+other row, every sparse cell and every clean row of a refused result is
+parsed by ``_parse_cell``, in file order, so both paths give the same rows
+and the first bad line is the one an error names.  Each block becomes one
+float array, and the arrays become one matrix, ``RawTable.X``, when the
+text ends.
 
 Label files: either plain text (one label attribute name per line) or the
 Mulan XML form ``<labels><label name="..."/>...</labels>``.
@@ -49,8 +51,7 @@ from .core import Attribute, MLDataset, Schema
 from .rng import Xoshiro256
 
 _NUMERIC_KINDS = {"numeric", "real", "integer"}
-# Parsed rows held as Python numbers at once; it bounds the parse's peak
-# memory (a Python float takes 24 bytes, a float64 cell 8).
+# Data lines parsed together: one call of numpy's reader, one float array.
 _BLOCK_ROWS = 512
 
 
@@ -204,20 +205,71 @@ def _parse_sparse_row(line: str, attributes, lineno: int) -> list:
     return row
 
 
-def _cell_converters(attributes) -> list:
-    """One converter per attribute for the dense-row fast path: builtin
-    ``float`` for numeric, a dict lookup for nominal.  The dict holds only
-    the values ``_parse_cell`` maps to their own index; any other token
-    raises ``KeyError`` and sends its row to ``_parse_cell``."""
-    convs = []
-    for attr in attributes:
+def _cell_converters(attributes) -> dict:
+    """The converters numpy's reader applies to the nominal columns: the
+    stripped token's lookup in a dict of the values ``_parse_cell`` maps to
+    their own index.  Any other token raises ``KeyError``, so the reader
+    refuses its block's clean rows and they go to ``_parse_cell``.  Numeric
+    columns get none: the reader strips their whitespace itself."""
+    convs = {}
+    for j, attr in enumerate(attributes):
         if attr.is_nominal:
             index = {v: i for i, v in enumerate(attr.values)
                      if v != "?" and _unquote(v) == v}
-            convs.append(index.__getitem__)
-        else:
-            convs.append(float)
+            convs[j] = lambda token, index=index: index[token.strip()]
     return convs
+
+
+def _parse_row(line: str, attributes, lineno: int) -> list:
+    """One data row cell by cell; ``None`` marks a missing cell."""
+    if line.startswith("{"):
+        return _parse_sparse_row(line, attributes, lineno)
+    cells = _split_quoted(line)
+    if len(cells) != len(attributes):
+        raise ArffParseError(
+            lineno, f"row has {len(cells)} values, expected {len(attributes)}"
+        )
+    return [_parse_cell(tok, attr, lineno)
+            for tok, attr in zip(cells, attributes)]
+
+
+def _is_clean(line: str) -> bool:
+    """Whether numpy's reader may take a data line: dense, in ASCII, and
+    free of ``_`` (which ``float`` reads in numbers and ARFF does not),
+    ``?`` and quotes (which only ``_parse_cell`` gives a meaning to)."""
+    return (line.isascii() and not line.startswith("{") and "_" not in line
+            and "?" not in line and "'" not in line and '"' not in line)
+
+
+def _parse_block(lines: list, attributes, convs: dict) -> np.ndarray:
+    """The float rows of one block of ``(lineno, line)`` data lines.
+
+    All the block's clean rows go through one call of numpy's reader, whose
+    result is kept only when it has one column per attribute and every value
+    is finite.  Every other row, and every clean row of a refused result,
+    goes to ``_parse_cell`` in file order, so the first bad line is the one
+    an error names."""
+    X = np.empty((len(lines), len(attributes)))
+    clean, dirty = [], []
+    for i, (_, line) in enumerate(lines):
+        (clean if _is_clean(line) else dirty).append(i)
+    if clean:
+        try:
+            # encoding=None: converters get str, not numpy 1.x's default bytes
+            got = np.loadtxt([lines[i][1] for i in clean], dtype=float,
+                             delimiter=",", comments=None, quotechar=None,
+                             ndmin=2, converters=convs, encoding=None)
+        except ValueError:
+            got = None
+        if (got is not None and got.shape == (len(clean), len(attributes))
+                and np.isfinite(got).all()):
+            X[clean] = got
+        else:
+            dirty = range(len(lines))
+    for i in dirty:
+        lineno, line = lines[i]
+        X[i] = _parse_row(line, attributes, lineno)  # None becomes NaN
+    return X
 
 
 def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
@@ -227,7 +279,8 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     relation = ""
     attributes: list[Attribute] = []
-    rows: list[list] = []
+    names: set[str] = set()
+    lines: list[tuple[int, str]] = []
     blocks: list[np.ndarray] = []
     in_data = False
     saw_relation = False
@@ -239,31 +292,10 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
         if not line or line.startswith("%"):
             continue
         if in_data:
-            if len(rows) == _BLOCK_ROWS:
-                blocks.append(np.array(rows, dtype=float))
-                rows = []
-            if line.startswith("{"):
-                rows.append(_parse_sparse_row(line, attrs, lineno))
-                continue
-            cells = _split_quoted(line)
-            if len(cells) != len(attrs):
-                raise ArffParseError(
-                    lineno,
-                    f"row has {len(cells)} values, expected {len(attrs)}",
-                )
-            # a line that float could misread goes to _parse_cell, which
-            # still takes such characters in nominal values
-            clean = _ascii_number(line)
-            if clean:
-                try:
-                    row = [conv(tok) for conv, tok in zip(convs, cells)]
-                    clean = math.isfinite(sum(row))
-                except (ValueError, KeyError):
-                    clean = False
-            if not clean:
-                row = [_parse_cell(tok, attr, lineno)
-                       for tok, attr in zip(cells, attrs)]
-            rows.append(row)
+            if len(lines) == _BLOCK_ROWS:
+                blocks.append(_parse_block(lines, attrs, convs))
+                lines = []
+            lines.append((lineno, line))
             continue
         keyword = line.split(None, 1)[0].lower()  # ends at whitespace
         if keyword == "@relation":
@@ -273,8 +305,9 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
             saw_relation = True
         elif keyword == "@attribute":
             attr = _parse_attribute(line, lineno)
-            if any(a.name == attr.name for a in attributes):
+            if attr.name in names:
                 raise ArffParseError(lineno, f"duplicate attribute {attr.name!r}")
+            names.add(attr.name)
             attributes.append(attr)
         elif line.lower() == "@data":
             if not saw_relation:
@@ -288,8 +321,7 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
             raise ArffParseError(lineno, f"unexpected header line {line!r}")
     if not in_data:
         raise ArffParseError(lineno, "missing @data section")  # last line
-    # a missing cell's None becomes NaN in each block
-    blocks.append(np.array(rows, dtype=float).reshape(len(rows), len(attributes)))
+    blocks.append(_parse_block(lines, attrs, convs))
     X = np.concatenate(blocks)
     X.flags.writeable = False
     return RawTable(relation, tuple(attributes), X)

@@ -652,7 +652,8 @@ def _read_predictions(path, n_rows: int, m: int):
         with warnings.catch_warnings():
             # a file with no rows is reported below, not as numpy's warning
             warnings.simplefilter("ignore", UserWarning)
-            scores = np.loadtxt(path, delimiter=",", ndmin=2,
+            # no comment syntax: a '#' is bad data, not the end of a row
+            scores = np.loadtxt(path, delimiter=",", ndmin=2, comments=None,
                                 encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot read predictions {path}: {e}") from e

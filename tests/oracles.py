@@ -4,7 +4,8 @@ library's metrics and learners.
 Everything here works on plain Python data (sets of ints, lists, dicts),
 except ``entropy_log2``, which takes numpy count arrays, and deliberately
 shares no code with the package: these are the oracles the tests compare
-against.
+against.  ``dense_data_bf`` is the one oracle built on a package function,
+the ARFF cell parser, which the caller passes in.
 """
 
 import math
@@ -386,3 +387,25 @@ def split_quoted_bf(text, sep=","):
             buf += ch
     parts.append(buf)
     return parts
+
+
+def dense_data_bf(lines, attributes, first_lineno, parse_cell, error):
+    """Reference reader of a dense ARFF data section, one cell at a time.
+
+    ``lines`` are the text's lines after ``@data``, the first of them at
+    line ``first_lineno``.  Returns the rows as a float matrix (NaN for a
+    missing cell), or raises what the first bad line in file order gives:
+    ``parse_cell(token, attribute, lineno)``'s error for a bad cell,
+    ``error(lineno, message)`` for a row of the wrong width."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        line = line.strip()
+        if not line or line.startswith("%"):
+            continue
+        cells = split_quoted_bf(line)
+        if len(cells) != len(attributes):
+            raise error(lineno, f"row has {len(cells)} values, "
+                                f"expected {len(attributes)}")
+        rows.append([parse_cell(token, attr, lineno)
+                     for token, attr in zip(cells, attributes)])
+    return np.array(rows, dtype=float).reshape(len(rows), len(attributes))

@@ -70,6 +70,14 @@ def test_duplicate_attribute_rejected():
     assert err.value.line == 3
 
 
+def test_duplicate_attribute_named_at_its_line_among_many():
+    names = [f"f{i}" for i in range(3000)] + ["f1500"]
+    with pytest.raises(ArffParseError) as err:
+        parse_arff(_arff_text([f"{n} numeric" for n in names], []))
+    assert (err.value.line, str(err.value)) == (
+        3002, "line 3002: duplicate attribute 'f1500'")
+
+
 def test_empty_data_section_is_parseable():
     raw = parse_arff("@relation r\n@attribute a numeric\n@data\n")
     assert raw.X.shape == (0, 1)
@@ -133,6 +141,15 @@ DENSE_ROW_CASES = [
      (6, "line 6: bad numeric value '\u0663' for attribute 'a'")),
     ("underscore-beside-missing-cell", _TWO_NUMERIC, ["1,2", "?,1e9_9"],
      (6, "line 6: bad numeric value '1e9_9' for attribute 'b'")),
+    # numpy's reader takes '1\x1c' as 1.0 and float refuses it; _parse_cell
+    # strips the token first, so both paths read 1.0
+    ("separator-after-number", _TWO_NUMERIC, ["1\x1c,2", "1\x1c,?"],
+     ((1.0, 2.0), (1.0, None))),
+    # the first bad line in file order, though its block's clean rows are
+    # read before its dirty ones
+    ("bad-clean-row-before-bad-dirty-row", _TWO_NUMERIC,
+     ["1,2", "3,4", "5,nan", "?,x"],
+     (7, "line 7: non-finite numeric value 'nan' for attribute 'b'")),
     ("nominal-values-with-underscore-and-non-ascii",
      ["c {\u00e9_1,b_2}", "x numeric"], ["\u00e9_1,1.5", "b_2,2"],
      ((0, 1.5), (1, 2.0))),
@@ -176,6 +193,33 @@ def test_clean_dense_rows_skip_the_per_cell_parser(monkeypatch):
     assert calls == []
     parse_arff(_arff_text(_TWO_NUMERIC, ["1,?"]))  # the counter does count
     assert len(calls) == 2
+
+
+def _count_per_cell(monkeypatch) -> list:
+    """The argument tuples of every ``_parse_cell`` call from now on."""
+    calls = []
+    per_cell = arff._parse_cell
+    monkeypatch.setattr(arff, "_parse_cell",
+                        lambda *args: calls.append(args) or per_cell(*args))
+    return calls
+
+
+def test_padded_clean_rows_skip_the_per_cell_parser(monkeypatch):
+    calls = _count_per_cell(monkeypatch)
+    padded = MULTILABEL_TEXT.replace(",", " ,\t")  # nominal cells too
+    assert same_table(parse_arff(padded), parse_arff(MULTILABEL_TEXT))
+    assert calls == []
+
+
+def test_only_the_dirty_rows_of_a_block_reach_the_per_cell_parser(
+        monkeypatch):
+    calls = _count_per_cell(monkeypatch)
+    rows = ["1,2", "3,4", "5,?", "7,8", "9,10"]  # one block
+    X = parse_arff(_arff_text(_TWO_NUMERIC, rows)).X
+    assert np.array_equal(X, [[1, 2], [3, 4], [5, np.nan], [7, 8], [9, 10]],
+                          equal_nan=True)
+    assert [(token, lineno) for token, _, lineno in calls] == [
+        ("5", 7), ("?", 7)]
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 512])

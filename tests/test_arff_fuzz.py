@@ -1,15 +1,20 @@
 """Property tests of the ARFF reader: any text parses or fails with a typed
-error at a line of that text, and every table the dialect can express
-survives a dump and a parse unchanged."""
+error at a line of that text, every table the dialect can express survives
+a dump and a parse unchanged, and dense rows read as a cell-by-cell
+reference reads them, in any block size."""
 
 import re
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
+from mullab import arff
 from mullab.arff import ArffParseError, RawTable, dump_arff, parse_arff
 from mullab.core import Attribute
 
 from golden_arff import raw_table, same_table
+from oracles import dense_data_bf
 
 _BREAK = re.compile(r"\r\n|\r|\n")
 
@@ -85,3 +90,100 @@ def _tables(draw):
 @given(_tables())
 def test_dump_then_parse_gives_the_table_back(table):
     assert same_table(parse_arff(dump_arff(table)), table)
+
+
+# Dense data rows for the differential test below: numbers in the spellings
+# float and numpy's reader both take, numbers only one of them or neither
+# takes, nominal values declared with and without padding, missing cells,
+# quotes, and the whitespace str.strip removes, inside and around cells.
+_SPACE = st.sampled_from([""] * 16 + [" ", "\t", "\x0b", "\x0c", "\x1c",
+                                     "\x1d", "\x1e", "\x1f"])
+_GOOD_NUMBERS = ["1", "1.", ".5", "+1", "-0", "1E+05", "0001", "-2.5e-3",
+                 "1e308", "7"]
+_BAD_NUMBERS = ["inf", "-Infinity", "nan", "1e999", "1_0", "\u0661", "\uff11",
+                "", "x", "1 2", "1\x1c2", "1\t5", "0x1", "1,5", "?", "'1'",
+                '"2"', "1{"]
+_NOMINAL_POOL = ["a", "a ", " a", "b", "0", "1", "x y", "?", "nan", "\u00e9"]
+_BAD_NOMINAL = ["z", "?", "", "'a'", '"b"', "'a '", "A", "1.0"]
+
+
+def _cell(attr: Attribute):
+    if attr.is_nominal:
+        core = st.sampled_from(list(attr.values) * 6 + _BAD_NOMINAL)
+    else:
+        core = st.sampled_from(_GOOD_NUMBERS * 6 + _BAD_NUMBERS)
+    return st.tuples(_SPACE, core, _SPACE).map("".join)
+
+
+@st.composite
+def _dense_sections(draw):
+    """(attributes, data lines): the header declares each nominal value
+    quoted, so padding and ``?`` are part of the value."""
+    attrs = []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(_NOMINAL_POOL), min_size=1,
+                                   max_size=3, unique=True))
+            attrs.append(Attribute(f"n{j}", tuple(values)))
+        else:
+            attrs.append(Attribute(f"x{j}"))
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        cells = [draw(_cell(attr)) for attr in attrs]
+        shape = draw(st.sampled_from(["row"] * 8 + ["short", "long",
+                                                    "trailing comma",
+                                                    "comment", "blank"]))
+        if shape == "short":
+            cells.pop()
+        elif shape == "long":
+            cells.append(draw(_cell(attrs[-1])))
+        elif shape == "trailing comma":
+            cells.append("")
+        elif shape == "comment":
+            cells = ["% " + cells[0]]
+        elif shape == "blank":
+            cells = [draw(_SPACE)]
+        lines.append(",".join(cells))
+    return attrs, lines
+
+
+def _section_text(attrs, lines) -> str:
+    header = ["@relation r"]
+    for attr in attrs:
+        if attr.is_nominal:
+            values = ",".join(f"'{v}'" for v in attr.values)
+            header.append(f"@attribute {attr.name} {{{values}}}")
+        else:
+            header.append(f"@attribute {attr.name} numeric")
+    return "\n".join(header + ["@data"] + lines) + "\n"
+
+
+_TWO_NUMERIC = [Attribute("a"), Attribute("b")]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_dense_sections())
+# a bad row after clean rows of its block, and after a dirty bad row
+@example((_TWO_NUMERIC, ["1,2", "3,4", "5,nan", "?,x"]))
+@example((_TWO_NUMERIC, ["1,2", "?,x", "5,nan", "1,2,3"]))
+@example((_TWO_NUMERIC, ["1,2", "3,4", "5,6,7", "1_0,?"]))
+def test_dense_rows_read_as_the_cell_by_cell_reference(section):
+    attrs, lines = section
+    text = _section_text(attrs, lines)
+    try:
+        want = dense_data_bf(lines, attrs, len(attrs) + 3, arff._parse_cell,
+                             ArffParseError)
+    except ArffParseError as e:
+        want = (e.line, str(e))
+    for block_rows in (1, 2, 512):
+        with mock.patch.object(arff, "_BLOCK_ROWS", block_rows):
+            try:
+                got = parse_arff(text).X
+            except ArffParseError as e:
+                got = (e.line, str(e))
+        if isinstance(want, tuple):
+            assert got == want, block_rows
+        else:  # bit for bit: -0.0 is not 0.0, and NaN marks a missing cell
+            assert isinstance(got, np.ndarray), (block_rows, got)
+            assert got.shape == want.shape, block_rows
+            assert got.tobytes() == want.tobytes(), block_rows

@@ -835,6 +835,26 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             f"data error: predictions file {pred_path} has no rows\n")
 
+    @pytest.mark.parametrize("row, at", [
+        ("1,0,0.5 # junk", 0), ("# L0,L1,L2", None)],
+        ids=["trailing-text", "whole-line"])
+    def test_hash_in_predictions_is_a_data_error(self, data_files, tmp_path,
+                                                 capsys, row, at):
+        arff_path, labels_path = data_files
+        pred_path = tmp_path / "preds.csv"
+        rows = ["0.5,0.5,0.5"] * 60
+        if at is None:
+            rows.insert(0, row)  # a comment line would leave 60 rows
+        else:
+            rows[at] = row
+        pred_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = run_cli(["evaluate", "--dataset", arff_path, "--labels",
+                      labels_path, "--predictions", pred_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: bad predictions file {pred_path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_prediction_shape_mismatch_exits_2(self, data_files, tmp_path):
         arff_path, labels_path = data_files
         pred_path = tmp_path / "preds.csv"

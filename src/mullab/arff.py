@@ -21,10 +21,11 @@ non-finite numbers) and what each bad cell's error says.  A number is
 written in ASCII without ``_``: ``1_0``, ``１`` and ``٣``, which ``float``
 reads as 10, 1 and 3, are bad numeric values, and such indices are bad
 sparse indices.  Data rows are read in blocks of ``_BLOCK_ROWS`` lines.  A
-clean row is dense, in ASCII, and holds no ``_``, ``?`` or quote; all the
-clean rows of a block go through one call of numpy's C text reader, whose
-nominal columns' converters look the stripped token up in a dict of the
-values ``_parse_cell`` maps to their own index.  Its result is kept only
+clean row is dense, in ASCII, and holds no ``?`` or quote; all the clean
+rows of a block go through one call of numpy's C text reader, which
+refuses a ``_`` in a number by itself, and whose nominal columns'
+converters look the stripped token up in a dict of the values
+``_parse_cell`` maps to their own index.  Its result is kept only
 when it has one column per attribute and every value is finite.  Every
 other row, every sparse cell and every clean row of a refused result is
 parsed by ``_parse_cell``, in file order, so both paths give the same rows
@@ -235,9 +236,9 @@ def _parse_row(line: str, attributes, lineno: int) -> list:
 
 def _is_clean(line: str) -> bool:
     """Whether numpy's reader may take a data line: dense, in ASCII, and
-    free of ``_`` (which ``float`` reads in numbers and ARFF does not),
-    ``?`` and quotes (which only ``_parse_cell`` gives a meaning to)."""
-    return (line.isascii() and not line.startswith("{") and "_" not in line
+    free of ``?`` and quotes (which only ``_parse_cell`` gives a meaning
+    to).  The reader refuses a ``_`` in a number, as ARFF does."""
+    return (line.isascii() and not line.startswith("{")
             and "?" not in line and "'" not in line and '"' not in line)
 
 

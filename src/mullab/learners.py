@@ -24,7 +24,7 @@ Three families, each consumed by the problem transformations:
 * Gaussian naive Bayes: per-class Gaussian per numeric attribute with a
   variance floor, Laplace-1 smoothed categorical likelihoods, frequency
   priors, log-space posterior.  Prediction takes the query rows in blocks of
-  at most ``_NB_BLOCK_ELEMS`` (2^18) rows x classes x numeric attributes
+  at most ``_NB_BLOCK_ELEMS`` (2^16) rows x classes x numeric attributes
   elements, each computed in one reused buffer with the float operations
   of ``(log_norm - diff * diff / two_var).sum(axis=2)``, in that order.
 * Decision tree: binary splits on numeric attributes (midpoints between
@@ -53,8 +53,13 @@ Three families, each consumed by the problem transformations:
   the attribute's order.  Listed class by class, the steps are one vector
   that every attribute shares, and one stable sort of the rows' class keys
   places it along each attribute: the cost does not grow with the number
-  of classes.  The running sum rounds more with more rows (about 1e-14 in
-  gain at 3000 rows, against per-class sums).  Scores within
+  of classes.  Nodes under ``_RADIX_MIN_ROWS`` (40) rows sort int64 keys
+  (timsort), larger ones the narrowest unsigned keys (radix sort); both
+  sorts are stable, so they place the rows alike.  The cuts of ``n`` rows
+  leave ``m..n-m`` rows left and ``n-m..m`` right (``m = min_leaf``), so
+  the window ``xlx[m:n-m+1]``, read forwards and backwards, gives both
+  sides' ``xlx``.  The running sum rounds more with more rows (about 1e-14
+  in gain at 3000 rows, against per-class sums).  Scores within
   ``_GAIN_EPS`` (1e-12) of the best are tied and the first candidate wins
   (the lowest threshold, then the earliest attribute), so float rounding
   does not pick between splits that are equal in exact arithmetic.
@@ -109,9 +114,11 @@ _GAIN_EPS = 1e-12
 # Upper bound on the (attrs x rows) elements of one batch in the numeric
 # split search; it bounds the search's peak memory.
 _BATCH_ELEMS = 1 << 15
+# Nodes from this many rows on sort narrow class keys (radix), smaller ones int64.
+_RADIX_MIN_ROWS = 40
 # Upper bound on the (query rows x classes x numeric attrs) elements of one
 # block in naive Bayes prediction; it bounds the prediction's peak memory.
-_NB_BLOCK_ELEMS = 1 << 18
+_NB_BLOCK_ELEMS = 1 << 16
 # Upper bound on the (query rows x training rows) elements of one row block
 # in the kNN search; with the one distance matrix, it bounds the search's
 # peak memory.
@@ -423,14 +430,17 @@ class NaiveBayesClassifier(Classifier):
             two_var = 2.0 * self._var
             # query rows in blocks of at most _NB_BLOCK_ELEMS (classes x d)
             # elements in one reused buffer, each row with the float
-            # operations of log_norm - diff * diff / two_var
+            # operations of log_norm - diff * diff / two_var; a row copied
+            # to every class takes the means in one flat classes x d pass
             step = max(1, _NB_BLOCK_ELEMS // self._mean.size)
             buf = np.empty((min(step, len(q)),) + self._mean.shape)
             with np.errstate(over="ignore", invalid="ignore"):
                 for s in range(0, len(q), step):
                     block = qn[s:s + step, None, :]
                     b = buf[:len(block)]
-                    np.subtract(block, self._mean, out=b)
+                    np.copyto(b, block)
+                    flat = b.reshape(len(b), -1)
+                    np.subtract(flat, self._mean.ravel(), out=flat)
                     np.multiply(b, b, out=b)
                     np.divide(b, two_var, out=b)
                     np.subtract(log_norm, b, out=b)
@@ -487,7 +497,7 @@ def _split_order(order: np.ndarray, branch: np.ndarray, sizes) -> list:
     dropped."""
     # compress on the flat arrays is several times faster than a 2-D mask
     of, flat = branch[order].ravel(), order.ravel()
-    return [np.compress(of == v, flat).reshape(len(order), size)
+    return [flat.compress(of == v).reshape(len(order), size)
             for v, size in enumerate(sizes)]
 
 
@@ -556,25 +566,34 @@ class _TreeGrower:
         self.state = state
         self.n_classes = n_classes
         self._y = y
-        # class keys narrow enough for numpy's radix sort
+        # class keys narrow enough for numpy's radix sort (_RADIX_MIN_ROWS)
         self._keys = y.astype(np.min_scalar_type(n_classes - 1))
         self._rng = Xoshiro256(derive_seed(self.spec.seed, 0))
+        self._branch = np.empty(len(y), dtype=np.intp)  # _grow's scratch
+        self._fixed = (self._candidates()
+                       if self.spec.random_subset_size is None else None)
 
     # -- induction ---------------------------------------------------------
 
-    def _candidate_attrs(self, d: int) -> list[int]:
-        size = self.spec.random_subset_size
+    def _candidates(self) -> tuple:
+        """A node's ascending candidate attributes, the positions of the
+        numeric ones among them (None when all are) and of the nominal
+        ones; every node has the same without a random subset."""
+        d, size = len(self.state.enc.is_nominal), self.spec.random_subset_size
         if size is None:
-            return list(range(d))
-        if size == "sqrt":
-            size = math.ceil(math.sqrt(d))
-        size = min(size, d)
-        return sorted(self._rng.sample(d, size))
+            attrs = np.arange(d)
+        else:
+            size = math.ceil(math.sqrt(d)) if size == "sqrt" else min(size, d)
+            attrs = np.array(sorted(self._rng.sample(d, size)), dtype=np.intp)
+        nominal = self.state.enc.is_nominal[attrs]
+        if not nominal.any():
+            return attrs, None, ()
+        return attrs, np.flatnonzero(~nominal), np.flatnonzero(nominal)
 
     def _may_split(self, counts: np.ndarray, depth: int) -> bool:
         """Whether a node with class ``counts`` at ``depth`` may split."""
         spec = self.spec
-        return ((counts > 0).sum() > 1
+        return (np.count_nonzero(counts) > 1
                 and counts.sum() >= 2 * spec.min_leaf
                 and (spec.max_depth is None or depth < spec.max_depth))
 
@@ -583,7 +602,7 @@ class _TreeGrower:
         first in preorder.  A node that splits hands each child that may
         split its rows of the node's order (``TrainingState.sorted_rows``)
         and drops its own, so the pending orders cover disjoint rows."""
-        y, n_classes = self._y, self.n_classes
+        y, n_classes, branch = self._y, self.n_classes, self._branch
         root = _Node(np.bincount(y[idx], minlength=n_classes))
         if not self._may_split(root.counts, 0):
             return root
@@ -593,15 +612,19 @@ class _TreeGrower:
             if not self._split(node, idx, order):
                 continue
             parts = _parts(node, self.state.x, idx)
-            kids = [_Node(np.bincount(y[rows], minlength=n_classes))
-                    if len(rows) else None for _, rows in parts]
             if node.threshold is None:
-                node.children = kids
-            else:
-                node.left, node.right = kids
+                node.children = kids = [
+                    _Node(np.bincount(y[rows], minlength=n_classes))
+                    if len(rows) else None for _, rows in parts]
+            else:  # both sides hold min_leaf rows
+                left = np.bincount(y[parts[0][1]], minlength=n_classes)
+                kids = node.left, node.right = (_Node(left),
+                                                _Node(node.counts - left))
             grown = [(kid, rows) for kid, (_, rows) in zip(kids, parts)
                      if kid and self._may_split(kid.counts, depth + 1)]
-            branch = np.full(len(y), -1)
+            if not grown:
+                continue
+            branch[idx] = -1  # the order holds only the rows idx
             for v, (_, rows) in enumerate(grown):
                 branch[rows] = v
             orders = _split_order(order, branch, [len(r) for _, r in grown])
@@ -614,25 +637,25 @@ class _TreeGrower:
         """Give ``node``, over training rows ``idx`` in ``order``, the split
         the criterion picks, with placeholder children; False when no
         candidate is useful and the node stays a leaf."""
-        n, enc = len(idx), self.state.enc
-        parent_h = (self.state.xlx[n] - self.state.xlx[node.counts].sum()) / n
-        attrs = self._candidate_attrs(len(enc.is_nominal))
-        nominal = enc.is_nominal[attrs]
-        gain = np.empty(len(attrs))
-        ratio = np.empty(len(attrs))
-        threshold = np.empty(len(attrs))
-        num = np.flatnonzero(~nominal)
-        if num.size:
-            gain[num], ratio[num], threshold[num] = self._eval_numeric_all(
-                np.asarray(attrs)[num], order, node.counts, parent_h)
-        for i in np.flatnonzero(nominal):
-            gain[i], ratio[i] = self._eval_nominal(attrs[i], idx, parent_h)
+        n, state = len(idx), self.state
+        parent_h = (state.xlx[n] - state.xlx[node.counts].sum()) / n
+        attrs, num, nominal = self._fixed or self._candidates()
+        if num is None:
+            gain, ratio, threshold = self._eval_numeric_all(
+                attrs, order, node.counts, parent_h)
+        else:
+            gain, ratio, threshold = (np.empty(len(attrs)) for _ in range(3))
+            if num.size:
+                gain[num], ratio[num], threshold[num] = self._eval_numeric_all(
+                    attrs[num], order, node.counts, parent_h)
+            for i in nominal:
+                gain[i], ratio[i] = self._eval_nominal(attrs[i], idx, parent_h)
         pos = self._choose(gain, ratio)
         if pos is None:
             return False
-        node.attr = attrs[pos]
-        if nominal[pos]:
-            node.children = [None] * int(enc.n_values[node.attr])
+        node.attr = int(attrs[pos])
+        if state.enc.is_nominal[node.attr]:
+            node.children = [None] * int(state.enc.n_values[node.attr])
         else:
             node.threshold = float(threshold[pos])
         return True
@@ -658,14 +681,14 @@ class _TreeGrower:
             useful = gain > 0.0
             if not useful.any():
                 return None
-            average = gain[useful].mean()
+            average = gain[useful].sum() / np.count_nonzero(useful)  # mean()
             score = np.where(useful & (gain >= average - _GAIN_EPS), ratio, -1.0)
-        pos = int(np.argmax(score >= score.max() - _GAIN_EPS))
+        pos = int((score >= score.max() - _GAIN_EPS).argmax())
         return pos if score[pos] > 0.0 else None
 
     def _eval_numeric_all(self, attrs: np.ndarray, order: np.ndarray,
                           counts: np.ndarray, parent_h: float):
-        """Best binary cut of each numeric attribute in ``attrs`` at one node.
+        """Best binary cut of each numeric attribute in ``attrs`` (ascending).
 
         The node's rows are ``order`` (``TrainingState.sorted_rows``), with
         class ``counts``.  Returns ``(gain, ratio, threshold)`` arrays aligned
@@ -689,37 +712,41 @@ class _TreeGrower:
         its place in that listing, so one scatter of ``moves`` and one cumsum
         along the rows give every cut's sum.
         """
-        n, m = order.shape[1], self.spec.min_leaf
-        ranked = order[self.state.order_row[attrs]]  # attrs x sorted rows
-        sv = self.state.x[ranked, attrs[:, None]]
-        keys = self._keys[ranked]
+        n, m, state = order.shape[1], self.spec.min_leaf, self.state
+        # attrs x sorted rows; every numeric column is order as it is
+        ranked = order if len(attrs) == len(order) else order[state.order_row[attrs]]
+        sv = state.x.ravel().take(ranked * state.x.shape[1] + attrs[:, None])
+        keys = (self._y if n < _RADIX_MIN_ROWS else self._keys)[ranked]
         window = slice(m - 1, n - m)  # cuts that leave min_leaf rows per side
-        nl = np.arange(m, n - m + 1)
-        nr = n - nl
         admissible = sv[:, window] != sv[:, m:n - m + 1]
-        xlx = self.state.xlx
-        split_info = (xlx[n] - xlx[nl] - xlx[nr]) / n  # per cut
+        xlx, dxlx = state.xlx, state.dxlx
+        # xlx of the left and of the right child's row count at each cut
+        left = xlx[m:n - m + 1]
+        right = left[::-1]
+        split_info = (xlx[n] - left - right) / n  # per cut
+        children_rows = left + right
         by_ratio = self.spec.criterion == "gain_ratio"
         if by_ratio:
             score = np.empty(admissible.shape)
         # the change in the children's xlx sum as each row moves left, for
-        # the rows listed class by class in rank order: rank r of c rows
-        c = np.repeat(counts, counts)
-        r = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-        moves = self.state.dxlx[r] - self.state.dxlx[c - r - 1]
+        # the rows listed class by class in rank order: rank r = c - to_end
+        # of c rows
+        c = counts.repeat(counts)
+        to_end = counts.cumsum().repeat(counts) - np.arange(n)
+        moves = dxlx[c - to_end] - dxlx[to_end - 1]
         everything_right = xlx[counts].sum()
         gains = np.empty(admissible.shape)
+        rows = np.arange(len(attrs))
         step = max(1, _BATCH_ELEMS // n)
         for s in range(0, len(attrs), step):
             batch = keys[s:s + step]
             # each row's place in the class-by-class listing, stable so
             # that rank follows the attribute's order
-            place = np.argsort(batch, axis=1, kind="stable")
+            place = batch.argsort(axis=1, kind="stable")
             moved = np.empty(batch.shape)
-            moved[np.arange(len(batch))[:, None], place] = moves
+            moved[rows[:len(batch), None], place] = moves
             children_xlx = everything_right + moved.cumsum(axis=1)[:, window]
-            child_h = (xlx[nl] + xlx[nr] - children_xlx) / n
-            gain = parent_h - child_h
+            gain = parent_h - (children_rows - children_xlx) / n
             ok = admissible[s:s + step] & (gain > _GAIN_EPS)
             gains[s:s + step] = np.where(ok, gain, -1.0)
             if by_ratio:
@@ -727,10 +754,9 @@ class _TreeGrower:
                     ok & (split_info > _GAIN_EPS), gain / split_info, -1.0)
         if not by_ratio:
             score = gains
-        rows = np.arange(len(attrs))
         # the first score within _GAIN_EPS of the best: lowest threshold
-        pos = np.argmax(score >= score.max(axis=1, keepdims=True) - _GAIN_EPS,
-                        axis=1)
+        best = score[rows, score.argmax(axis=1)]
+        pos = (score >= (best - _GAIN_EPS)[:, None]).argmax(axis=1)
         cut = pos + (m - 1)
         lo, hi = sv[rows, cut], sv[rows, cut + 1]
         with np.errstate(over="ignore"):

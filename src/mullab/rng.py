@@ -49,10 +49,6 @@ class SplitMix64:
         return _mix64(self._state)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256:
     """xoshiro256** stream seeded via splitmix64.
 
@@ -67,15 +63,16 @@ class Xoshiro256:
             self._s[0] = _GAMMA
 
     def next_u64(self) -> int:
-        s = self._s
-        out = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
+        s0, s1, s2, s3 = self._s
+        x = (s1 * 5) & _MASK64
+        out = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64  # rotl 7
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s = [s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _MASK64]  # rotl 45
         return out
 
     def below(self, n: int) -> int:

@@ -141,6 +141,13 @@ DENSE_ROW_CASES = [
      (6, "line 6: bad numeric value '\u0663' for attribute 'a'")),
     ("underscore-beside-missing-cell", _TWO_NUMERIC, ["1,2", "?,1e9_9"],
      (6, "line 6: bad numeric value '1e9_9' for attribute 'b'")),
+    # clean rows, which numpy's reader must refuse by itself
+    ("underscore-leading", _TWO_NUMERIC, ["1,2", "_1,2"],
+     (6, "line 6: bad numeric value '_1' for attribute 'a'")),
+    ("underscore-trailing", _TWO_NUMERIC, ["1,2", "2_,2"],
+     (6, "line 6: bad numeric value '2_' for attribute 'a'")),
+    ("underscore-in-exponent", _TWO_NUMERIC, ["1,2", "1e_3,2"],
+     (6, "line 6: bad numeric value '1e_3' for attribute 'a'")),
     # numpy's reader takes '1\x1c' as 1.0 and float refuses it; _parse_cell
     # strips the token first, so both paths read 1.0
     ("separator-after-number", _TWO_NUMERIC, ["1\x1c,2", "1\x1c,?"],
@@ -208,6 +215,16 @@ def test_padded_clean_rows_skip_the_per_cell_parser(monkeypatch):
     calls = _count_per_cell(monkeypatch)
     padded = MULTILABEL_TEXT.replace(",", " ,\t")  # nominal cells too
     assert same_table(parse_arff(padded), parse_arff(MULTILABEL_TEXT))
+    assert calls == []
+
+
+def test_nominal_values_with_underscores_skip_the_per_cell_parser(
+        monkeypatch):
+    calls = _count_per_cell(monkeypatch)
+    labels = ["l0 {z_0,z_1}", "l1 {z_0,z_1}"]
+    X = parse_arff(_arff_text(["a numeric"] + labels,
+                              ["0.5,z_1,z_0", "-2,z_0,z_0", "3,z_1,z_1"])).X
+    assert X.tolist() == [[0.5, 1, 0], [-2, 0, 0], [3, 1, 1]]
     assert calls == []
 
 

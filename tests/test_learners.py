@@ -323,6 +323,21 @@ class TestNaiveBayes:
             clf._enc.transform(probe.X), clf._log_prior, clf._mean, clf._var)
         assert clf.predict_dist_many(probe.X).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("block_elems", [1 << 8, 1 << 16, 1 << 18])
+    def test_flat_mean_subtraction_matches_one_expression(self, block_elems,
+                                                          monkeypatch):
+        # 40 classes x 30 numeric attributes, 1200 elements a row: blocks of
+        # 1, 54 and 218 of the 300 query rows, the last one short
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(400, 30)) * rng.uniform(0.1, 50.0, 30)
+        y = np.arange(400) % 40
+        Q = rng.normal(size=(300, 30)) * 20.0
+        clf = fit(NaiveBayesSpec(), X, y)
+        monkeypatch.setattr(learners, "_NB_BLOCK_ELEMS", block_elems)
+        expected = naive_bayes_numeric_dist_bf(
+            clf._enc.transform(Q), clf._log_prior, clf._mean, clf._var)
+        assert clf.predict_dist_many(Q).tobytes() == expected.tobytes()
+
     def test_mirrored_gaussians_give_even_posterior(self):
         pts = [(-2.0,), (-1.0,), (-3.0,), (2.0,), (1.0,), (3.0,)]
         cls = [0, 0, 0, 1, 1, 1]

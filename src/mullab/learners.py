@@ -2,25 +2,22 @@
 
 Three families, each consumed by the problem transformations:
 
-* k-nearest-neighbours: Euclidean (or Manhattan) distance over standardized
-  numeric attributes plus 0/1 mismatch on nominal ones; neighbour class
-  frequencies with uniform weights, distance ties broken by lower training
-  row index.  Neighbours come from an exact top-k selection (a partition
-  plus ordered tie filling), not a full sort.  A ``KnnIndex`` holds the
+* k-nearest-neighbours: the distance sums, in column order, ``(q - x)^2``
+  (Euclidean, squared) or ``|q - x|`` (Manhattan) over the standardized
+  numeric attributes, then a 0/1 mismatch per nominal one; the neighbours
+  are the first k by ascending (distance, training row), so ties go to the
+  lower row, and vote with uniform weights.  A ``KnnIndex`` holds the
   encoder and the standardised training matrix and finds the neighbours; a
   ``KnnClassifier`` keeps only its class vector and counts the votes, so
   classifiers that differ only in their classes can share one index and
   one search per query matrix (a grid's shared index keeps its search of
-  the test split: ``keep``).  A search builds one query x training
-  distance matrix: the Euclidean cross term is one matrix product over the
-  whole query matrix (a product per row block could differ in the last
-  bits and flip exact distance ties), and the rest (the squared norms, the
-  clip at 0, the Manhattan terms, the nominal mismatches, the top-k
-  selection) runs in row blocks of at most ``_KNN_BLOCK_ELEMS`` (2^16)
-  elements, finishing the matrix in place.  So a search holds about one
-  distance matrix plus block-sized temporaries (1.2x the matrix traced at
-  917 x 1500, against 3.1x with whole-matrix temporaries), with the same
-  float operations per element.
+  the test split: ``keep``).  A search takes the query rows in blocks of at
+  most ``_KNN_BLOCK_ELEMS`` (2^16) query x training elements and holds no
+  larger matrix.  A Euclidean block is screened by one BLAS product for the
+  Gram form, whose rounding is bounded, and only rows within that bound of
+  the k-th screened distance are ranked on the distance itself; so the
+  neighbours do not depend on the BLAS library, its threads or the block
+  (1.1 MB traced at 917 x 1500 x 103 and k = 5; a whole matrix is 11 MB).
 * Gaussian naive Bayes: per-class Gaussian per numeric attribute with a
   variance floor, Laplace-1 smoothed categorical likelihoods, frequency
   priors, log-space posterior.  Prediction takes the query rows in blocks of
@@ -120,8 +117,7 @@ _RADIX_MIN_ROWS = 40
 # block in naive Bayes prediction; it bounds the prediction's peak memory.
 _NB_BLOCK_ELEMS = 1 << 16
 # Upper bound on the (query rows x training rows) elements of one row block
-# in the kNN search; with the one distance matrix, it bounds the search's
-# peak memory.
+# in the kNN search; it bounds the search's peak memory.
 _KNN_BLOCK_ELEMS = 1 << 16
 
 
@@ -301,42 +297,80 @@ class KnnIndex:
             self._sd = np.where(sd == 0.0, 1.0, sd)
             xn -= self._mu
             xn /= self._sd
-            self._xn = xn
+            self._xn, self._xx = xn, (xn * xn).sum(axis=1)
         else:
             self._xn = None
         self._xc = x[:, self._nom_cols]
         self.k = min(spec.k, self.n_rows)
         self._kept = None  # (query matrix, its neighbours), set by keep
 
-    def _distances(self, q: np.ndarray) -> np.ndarray:
-        """The (nq, n_rows) distances from the encoded query rows ``q`` to
-        the training rows.  A Euclidean search takes ``2 qn @ xn.T`` as one
-        product, since row-blocked products can differ from it in the last
-        bits; the rest is done in place, a row block at a time."""
-        nq, n = q.shape[0], self.n_rows
-        numeric = self._xn is not None
-        gram = numeric and self.spec.distance == "euclidean"
-        if numeric:
+    def _nearest(self, q: np.ndarray) -> np.ndarray:
+        """The ``k`` nearest training rows of each encoded query row of one
+        block ``q``, in ascending row order: the first ``k`` by ascending
+        (distance, row).  Manhattan distances are computed in full.  A
+        Euclidean search screens every training row with the Gram form
+        ``(q.q - 2 q.x) + x.x`` (one BLAS product), clipped at 0, plus the
+        mismatches; a query row that keeps more than ``k`` ranks them by
+        distance.
+
+        The screen keeps every neighbour.  Take u = 2^-53, g_m = m u /
+        (1 - m u) (Higham 2002, §3.1), m = p + c + 2 for p numeric and c
+        nominal columns, and T = |q - x|^2 + mismatches in real arithmetic.
+        The distance D adds nonnegative terms of at most 3 roundings each,
+        so |D - T| <= g_m T.  The BLAS product errs by at most g_p |q||x|
+        in any summation order, the squared norms by g_p |q|^2 and g_p
+        |x|^2, and the screen's own sums by g_2 and g_c; as |q|^2 + |x|^2 <=
+        3|q|^2 + 2T, the screened s has |s - T| <= 6 g_m T + 7 g_m |q|^2.
+        If row i is one of the k nearest by D, one of the k smallest s, s_j
+        <= tau (the k-th smallest s), has D_j >= D_i, so s_i <= (1 + 6g_m)
+        (1 + g_m) / ((1 - 6g_m)(1 - g_m)) (tau + 7 g_m |q|^2) + 7 g_m |q|^2
+        <= tau + 15 m u (tau + |q|^2).  The screen keeps s <= tau + 16 m u
+        (tau + q.q + 2^-1020): the spare m u covers rounding that bound and
+        q.q, and 2^-1020 underflow's absolute errors.
+        """
+        k, xn, xc, nom = self.k, self._xn, self._xc, self._nom_cols
+        screen = xn is not None and self.spec.distance == "euclidean"
+        if xn is not None:
             qn = (q[:, self._num_cols] - self._mu) / self._sd
-        if gram:
-            d = 2.0 * qn @ self._xn.T
+        if screen:
             qq = (qn * qn).sum(axis=1)
-            xx = (self._xn * self._xn).sum(axis=1)
+            d = qn @ xn.T
+            d *= -2.0
+            d += qq[:, None]
+            d += self._xx
+            np.clip(d, 0.0, None, out=d)
         else:
-            d = np.zeros((nq, n))
-        step = max(1, _KNN_BLOCK_ELEMS // n)
-        for s in range(0, nq, step):
-            block = d[s:s + step]
-            if gram:
-                # (|q|^2 + |x|^2) - 2 q.x, clipped at 0
-                np.subtract(qq[s:s + step, None] + xx, block, out=block)
-                np.clip(block, 0.0, None, out=block)
-            elif numeric:
-                for j in range(qn.shape[1]):
-                    block += np.abs(qn[s:s + step, j, None] - self._xn[:, j])
-            for j in range(self._nom_cols.size):
-                block += q[s:s + step, self._nom_cols[j], None] != self._xc[:, j]
-        return d
+            d = np.zeros((len(q), self.n_rows))
+            for j in range(self._num_cols.size):
+                d += np.abs(qn[:, j, None] - xn[:, j])
+        for j in range(nom.size):
+            d += q[:, nom[j], None] != xc[:, j]
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+        _check_finite("knn distances", kth)
+        if screen:
+            eps = 16 * (q.shape[1] + 2) * 2.0 ** -53  # 16 m u
+            kth = kth + eps * (kth + qq + 2.0 ** -1020)
+        kept = np.flatnonzero(d <= kth[:, None])
+        qi, ti = np.divmod(kept, self.n_rows)
+        counts = np.bincount(qi, minlength=len(q))
+        if screen:  # rank rows with spare candidates by their distance
+            dist = np.zeros(len(kept))
+            spare = np.flatnonzero(np.repeat(counts > k, counts))
+            step = max(1, _KNN_BLOCK_ELEMS // xn.shape[1])
+            for s in range(0, spare.size, step):  # block-sized terms
+                at = spare[s:s + step]
+                pi, pt = qi[at], ti[at]
+                terms = qn[pi] - xn[pt]
+                terms *= terms
+                dist[at] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+                for j in range(nom.size):  # in column order
+                    dist[at] += q[pi, nom[j]] != xc[pt, j]
+        else:
+            dist = d.ravel()[kept]
+        pick = np.lexsort((dist, qi))[(np.cumsum(counts) - counts)[:, None]
+                                      + np.arange(k)]
+        _check_finite("knn distances", dist[pick[:, -1]])
+        return np.sort(ti[pick], axis=1)
 
     def keep(self, rows: np.ndarray) -> None:
         """Search the read-only query matrix ``rows`` now, for ``neighbours``
@@ -358,22 +392,11 @@ class KnnIndex:
 
     def _search(self, rows) -> np.ndarray:
         q = self.enc.transform(rows)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            dist = self._distances(q)
-        (nq, n), k = dist.shape, self.k
-        out = np.empty((nq, k), dtype=np.intp)
-        step = max(1, _KNN_BLOCK_ELEMS // n)
-        for s in range(0, nq, step):
-            block = dist[s:s + step]
-            # exact top-k: all rows closer than the k-th distance, then rows
-            # tied with it by ascending index
-            kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
-            _check_finite("knn distances", kth)
-            chosen, tied = block < kth, block == kth
-            spare = k - chosen.sum(axis=1)  # >= 1 slots left for tied rows
-            for i in np.flatnonzero(tied.sum(axis=1) > spare):
-                tied[i, np.flatnonzero(tied[i])[spare[i]:]] = False
-            out[s:s + step] = np.nonzero(chosen | tied)[1].reshape(len(block), k)
+        out = np.empty((len(q), self.k), dtype=np.intp)
+        step = max(1, _KNN_BLOCK_ELEMS // self.n_rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked in _nearest
+            for s in range(0, len(q), step):
+                out[s:s + step] = self._nearest(q[s:s + step])
         return out
 
 

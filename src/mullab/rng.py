@@ -105,11 +105,15 @@ class Xoshiro256:
             return pool[:k]
         chosen: list[int] = []
         seen: set[int] = set()
+        limit = (1 << 64) - (1 << 64) % max(n, 1)  # below(n)'s, inlined
+        next_u64 = self.next_u64
         while len(chosen) < k:
-            j = self.below(n)
-            if j not in seen:
-                seen.add(j)
-                chosen.append(j)
+            r = next_u64()
+            if r < limit:
+                j = r % n
+                if j not in seen:
+                    seen.add(j)
+                    chosen.append(j)
         return chosen
 
 

@@ -347,6 +347,27 @@ def knn_distances_bf(qn, xn, qc, xc, distance):
     return d
 
 
+def knn_exact_distances_bf(qn, xn, qc, xc, distance):
+    """The documented kNN distance of every (query, training row) pair, one
+    float addition at a time in column order: ``(q - x)^2`` (Euclidean,
+    squared) or ``|q - x|`` (Manhattan) per standardised numeric column of
+    ``qn``/``xn``, then one per nominal column of ``qc``/``xc`` whose
+    categories differ."""
+    out = []
+    for q_num, q_nom in zip(np.asarray(qn).tolist(), np.asarray(qc).tolist()):
+        row = []
+        for x_num, x_nom in zip(np.asarray(xn).tolist(), np.asarray(xc).tolist()):
+            total = 0.0
+            for a, b in zip(q_num, x_num):
+                diff = a - b
+                total += diff * diff if distance == "euclidean" else abs(diff)
+            for a, b in zip(q_nom, x_nom):
+                total += float(a != b)
+            row.append(total)
+        out.append(row)
+    return out
+
+
 def knn_counts_bf(distances, train_classes, k, n_classes):
     """Class frequencies among the k nearest training rows of each query.
 

@@ -20,8 +20,9 @@ from mullab.learners import (
 )
 
 from oracles import (best_split_bf, best_split_c45_bf, entropy_log2,
-                     knn_counts_bf, knn_distances_bf, naive_bayes_numeric_dist_bf,
-                     naive_bayes_posterior_bf, numeric_cut_bf, tree_predict_bf)
+                     knn_counts_bf, knn_distances_bf, knn_exact_distances_bf,
+                     naive_bayes_numeric_dist_bf, naive_bayes_posterior_bf,
+                     numeric_cut_bf, tree_predict_bf)
 from synth import bits, random_dataset
 
 NUM2 = (Attribute("a"), Attribute("b"))
@@ -100,6 +101,55 @@ def test_zero_column_matrix_fits_and_predicts(spec):
     assert clf.predict_dist_many([]).shape == (0, 2)
     with pytest.raises(ValueError, match="arity 1 does not match"):
         clf.predict_dist_many([(1.0,)])
+
+
+def knn_oracle(index, rows):
+    """``knn_exact_distances_bf`` from the query rows ``rows`` to the
+    standardised training rows of ``index``."""
+    q = index.enc.transform(rows)
+    num, nom = index._num_cols, index._nom_cols
+    if num.size:
+        qn, xn = (q[:, num] - index._mu) / index._sd, index._xn
+    else:
+        qn, xn = q[:, num], np.zeros((index.n_rows, 0))
+    dist = knn_exact_distances_bf(qn, xn, q[:, nom], index._xc,
+                                  index.spec.distance)
+    return np.array(dist).reshape(len(q), index.n_rows)
+
+
+def stable_top(dist, k):
+    """The first ``k`` columns of each row by a stable sort, ascending."""
+    return np.sort(np.argsort(dist, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def planted_near_ties(seed):
+    """Real-valued training rows, queries and the planted near-ties among
+    them: (train, queries, [(query, lower row, higher row)]) where both
+    rows are at the same distance from the query.
+
+    Column 3 holds -1, 0 (six times), 1 in every 8 rows: its mean is 0 and
+    its deviation 0.5 exactly, so its standardised values are exact.  Rows
+    7 and 9 (and 10 and 15) share every other column and standardise to 2
+    and 0 (0 and 2) in it, so a query at 0.5 (standardised 1) is exactly
+    as far from both, where their Gram forms can round apart.  Rows 20 and
+    21 are duplicates and rows 25 and 26 are one ulp apart.
+    """
+    rng = np.random.default_rng(seed)
+    train = np.column_stack([rng.normal(size=(40, 3)),
+                             np.tile([-1.0, 0, 0, 0, 0, 0, 0, 1], 5),
+                             rng.integers(0, 3, 40)])
+    shared = [0, 1, 2, 4]
+    train[9, shared] = train[7, shared]
+    train[15, shared] = train[10, shared]
+    train[21] = train[20]
+    train[26] = train[25]
+    train[26, 0] = np.nextafter(train[25, 0], np.inf)
+    near = train[[7, 10, 20, 25]].copy()
+    near[:, :3] += rng.normal(scale=1e-3, size=(4, 3))
+    near[:2, 3] = 0.5
+    queries = np.vstack([near, rng.normal(size=(8, 5))])
+    queries[4:, 4] = rng.integers(0, 3, 8)
+    return train, queries, [(0, 7, 9), (1, 10, 15)]
 
 
 class TestKnn:
@@ -193,12 +243,10 @@ class TestKnn:
         distance = data.draw(st.sampled_from(["euclidean", "manhattan"]))
         attrs = tuple(Attribute(f"a{j}") for j in range(d))
         clf = fit(KnnSpec(k=k, distance=distance), pts, cls, attrs)
-        index = clf.index
-        dist = index._distances(index.enc.transform(queries))
+        dist = knn_oracle(clf.index, queries)
         expected = knn_counts_bf(dist.tolist(), cls, k, max(cls) + 1)
         assert clf.predict_dist_many(queries).tolist() == expected
-        stable = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        assert (index.neighbours(queries) == np.sort(stable, axis=1)).all()
+        assert (clf.index.neighbours(queries) == stable_top(dist, k)).all()
 
     @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
     @pytest.mark.parametrize("block_elems", [1, 4 * 30, 1 << 40])
@@ -206,7 +254,7 @@ class TestKnn:
                                              monkeypatch):
         # integer grid points plus a nominal column: distance ties
         # everywhere.  Blocks of 1 row, of 4 rows (13 queries, so the last
-        # block is short) and of all rows give the bits of one block.
+        # block is short) and of all rows pick the oracle's neighbours.
         attrs = NUM2 + (Attribute("c", ("x", "y", "z")),)
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -218,25 +266,23 @@ class TestKnn:
             for k in (1, 4, 30):
                 clf = fit(KnnSpec(k=k, distance=distance), train, y, attrs)
                 index = clf.index
-                q = index.enc.transform(queries)
+                dist = knn_oracle(index, queries)
                 monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", 1 << 40)
-                dist = index._distances(q)
                 near = index.neighbours(queries)
                 monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", block_elems)
-                assert index._distances(q).tobytes() == dist.tobytes()
                 assert np.array_equal(index.neighbours(queries), near)
                 votes = clf.predict_dist_many(queries)
                 assert votes.tolist() == knn_counts_bf(dist.tolist(), y.tolist(),
                                                        k, 3)
-                stable = np.argsort(dist, axis=1, kind="stable")[:, :k]
-                assert (near == np.sort(stable, axis=1)).all()
+                assert (near == stable_top(dist, k)).all()
 
     @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
     @pytest.mark.parametrize("block_elems", [1, 7 * 40, 1 << 16])
     def test_distances_match_whole_matrix_expressions(self, block_elems,
                                                       distance, monkeypatch):
-        # standardised real values round, so an operation done in another
-        # order or on another block shape would show in the bits
+        # standardised real values round: the documented column-order sums
+        # are the whole-matrix expressions' bits for Manhattan and within
+        # rounding of the Gram form for Euclidean, and rank the neighbours
         monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", block_elems)
         d = random_dataset(6, n=40, n_labels=1, n_num=5, n_nom=2,
                            missing_rate=0.1)
@@ -246,13 +292,48 @@ class TestKnn:
                                        d.schema.attributes).index
         q = index.enc.transform(probe.X)
         num, nom = index._num_cols, index._nom_cols
-        expected = knn_distances_bf((q[:, num] - index._mu) / index._sd,
-                                    index._xn, q[:, nom], index._xc, distance)
-        assert index._distances(q).tobytes() == expected.tobytes()
+        whole = knn_distances_bf((q[:, num] - index._mu) / index._sd,
+                                 index._xn, q[:, nom], index._xc, distance)
+        exact = knn_oracle(index, probe.X)
+        if distance == "manhattan":
+            assert exact.tobytes() == whole.tobytes()
+        else:
+            np.testing.assert_allclose(exact, whole, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(index.neighbours(probe.X),
+                              stable_top(exact, index.k))
+
+    @pytest.mark.parametrize("block_elems", [1, 7 * 40, 1 << 16, 1 << 40])
+    def test_planted_near_ties_follow_the_exact_rule(self, block_elems,
+                                                    monkeypatch):
+        # the neighbours are the oracle's first k by (distance, row) at
+        # every block size, also where the Gram form rounds a tie apart
+        monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", block_elems)
+        attrs = tuple(Attribute(f"a{j}") for j in range(4)) + (
+            Attribute("c", ("x", "y", "z")),)
+        gram_apart = 0
+        for seed in range(4):
+            train, queries, ties = planted_near_ties(seed)
+            for k in (1, 2, 3, 40):
+                index = learners.TrainingState(KnnSpec(k=k), train,
+                                               attrs).index
+                exact = knn_oracle(index, queries)
+                near = index.neighbours(queries)
+                assert np.array_equal(near, stable_top(exact, k))
+                q = index.enc.transform(queries)
+                gram = knn_distances_bf((q[:, :4] - index._mu) / index._sd,
+                                        index._xn, q[:, 4:], index._xc,
+                                        "euclidean")
+                for i, lo, hi in ties:
+                    assert exact[i, lo] == exact[i, hi]
+                    assert lo in near[i] and (k > 1 or hi not in near[i])
+                    gram_apart += gram[i, lo] != gram[i, hi]
+                if k == 2:  # the duplicates, and the rows one ulp apart
+                    assert near[2:4].tolist() == [[20, 21], [25, 26]]
+        assert gram_apart  # the plant reaches a tie that the Gram form splits
 
     def test_search_peak_memory_is_one_distance_matrix(self):
-        # 900 x 1500: the distance matrix is 10.8 MB; the row blocks add
-        # at most _KNN_BLOCK_ELEMS elements to it, not whole matrices
+        # 900 x 1500: one distance matrix would be 10.8 MB; a search holds
+        # no more than its blocks of _KNN_BLOCK_ELEMS (2^16) elements
         rng = np.random.default_rng(4)
         index = learners.TrainingState(KnnSpec(k=5),
                                        rng.normal(size=(1500, 20))).index
@@ -264,7 +345,7 @@ class TestKnn:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 900 * 1500 * 8
+        assert peak <= 0.2 * 900 * 1500 * 8
 
     def test_overflowing_column_scale_is_refused(self):
         # the column's standard deviation overflows to inf, which would

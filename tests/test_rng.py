@@ -97,6 +97,43 @@ def test_sample_distinct_and_complete():
     assert sorted(Xoshiro256(4).sample(6, 6)) == list(range(6))
 
 
+def reference_samples(seed, draws):
+    """``sample(n, k)`` for each ``(n, k)`` in ``draws`` from one stream, by
+    the documented rejection rule, then the stream's next word."""
+    stream = iter(reference_xoshiro(seed, 4096))
+
+    def below(n):
+        limit = (1 << 64) - (1 << 64) % n
+        return next(r % n for r in stream if r < limit)
+
+    out = []
+    for n, k in draws:
+        if k > n // 2:
+            pool = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = below(i + 1)
+                pool[i], pool[j] = pool[j], pool[i]
+            out.append(pool[:k])
+            continue
+        chosen = []
+        while len(chosen) < k:
+            j = below(n)
+            if j not in chosen:
+                chosen.append(j)
+        out.append(chosen)
+    return out, next(stream)
+
+
+def test_sample_follows_documented_rejection_draws():
+    # 2^63 + 5 rejects about half the words; 72 choose 9 is random-t's draw
+    draws = [(72, 9), (0, 0), (1, 0), (1, 1), (10, 4), (6, 6), (3, 1),
+             (2**63 + 5, 3), (5, 2), (1000, 12)]
+    for seed in (0, 7, 2**64 - 1):
+        gen = Xoshiro256(seed)
+        got = [gen.sample(n, k) for n, k in draws]
+        assert (got, gen.next_u64()) == reference_samples(seed, draws)
+
+
 def test_derive_seed_is_order_sensitive():
     s = 99
     assert derive_seed(s, 1, 2) != derive_seed(s, 2, 1)

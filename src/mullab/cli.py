@@ -48,9 +48,10 @@ A dataset takes 'labels' or 'trailing_labels', not both; a label flag
 replaces the config's label key.  A split takes 'ratio' or 'train' and
 'test', not both.  An experiment's 'name' is a string with no ',', '|' or
 line break, since it heads a CSV row and a markdown column, and no two
-experiments may have one name, given or derived.  ``workers``
-is how many of a grid's experiments run at once: evaluate runs one, so it
-has no --workers flag, but its config may set the key.
+experiments may have one name, given or derived.  A grid runs its
+experiments one at a time, in declaration order; ``workers`` (an integer
+>= 1) is accepted so that existing configs run, and changes nothing.
+evaluate has no --workers flag, but its config may set the key.
 The environment variable MULLAB_SEED is the seed fallback when neither the
 flag nor the config provides one.  Numeric flags and MULLAB_SEED follow the
 ARFF rule for numbers: ASCII, with no '_'.
@@ -67,7 +68,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -589,8 +589,9 @@ def cmd_info(args) -> int:
 
 
 def _run_experiments(cfg: dict, plans: list, train, test):
-    """``(name, report or error)`` per experiment, in order; the
-    experiments share the fit units that their plans list."""
+    """``(name, report or error)`` per experiment, run one at a time in
+    declaration order; the experiments share the fit units that their
+    plans list."""
     table = FitUnits(train, test, [keys for *_, keys in plans])
 
     def run_one(plan):
@@ -604,12 +605,7 @@ def _run_experiments(cfg: dict, plans: list, train, test):
         finally:
             units.close()
 
-    if cfg["workers"] > 1 and len(plans) > 1:
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            results = list(pool.map(run_one, plans))
-    else:
-        results = [run_one(plan) for plan in plans]
-    return [(plan[2], result) for plan, result in zip(plans, results)]
+    return [(plan[2], run_one(plan)) for plan in plans]
 
 
 def _render(cfg: dict, reports, meta: dict, include_average: bool = True) -> str:
@@ -760,7 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="run an experiment grid")
     _add_common(p_bench)
     p_bench.add_argument("--workers", type=_number(int),
-                         help="how many experiments run at once")
+                         help="accepted for existing scripts; experiments "
+                              "run one at a time")
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_eval = sub.add_parser("evaluate", help="run a single experiment")

@@ -1,11 +1,11 @@
 """Core domain types: attribute schemas, datasets and their summary
 statistics.
 
-Everything here is immutable after construction and safe to share across
-worker threads.  A dataset is two read-only matrices, the float features
-``X`` and the bool labels ``Y``; subsets, label restrictions and metrics
-index them.  Feature tuples (``float``, ``int`` category index, ``None``)
-appear only when ``features`` is read.
+Everything here is immutable after construction, so it is safe to share,
+also across threads.  A dataset is two read-only matrices, the float
+features ``X`` and the bool labels ``Y``; subsets, label restrictions and
+metrics index them.  Feature tuples (``float``, ``int`` category index,
+``None``) appear only when ``features`` is read.
 """
 
 from __future__ import annotations

@@ -48,9 +48,7 @@ Every unit is deterministic, so sharing one changes no result.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -347,48 +345,43 @@ class FitUnits:
     through its own ``consumer(plans[i])``.
 
     A unit is built at its first consumer's take and leaves the table at
-    its last consumer's take.  Each key has one ``Future``, so concurrent
-    consumers wait for the one build, and a build that raises raises the
-    same error in every consumer.  A key with one consumer is never stored,
-    so its unit lives as long as it would without a table."""
+    its last consumer's take, or at its last consumer's ``close``.  A
+    build that raises runs once, and its error is raised in every
+    consumer.  A key with one consumer is never stored, so its unit lives
+    as long as it would without a table."""
 
     def __init__(self, train: MLDataset, test: MLDataset, plans):
         self.train, self.queries = train, test.X
         self._left = Counter(key for keys in plans for key in set(keys))
-        self._futures: dict = {}
-        self._lock = threading.Lock()
+        self._built: dict = {}  # key -> (unit, None) or (None, error)
 
     def consumer(self, keys) -> Units:
         return Units(self, keys)
 
     def _take(self, key, build):
-        with self._lock:
-            self._left[key] -= 1
-            future = self._futures.get(key)
-            first = future is None
-            if first:
-                future = Future()
-                if self._left[key]:
-                    self._futures[key] = future
-            elif not self._left[key]:
-                del self._futures[key]
-        if first:
+        self._left[key] -= 1
+        if key not in self._built:
+            if not self._left[key]:
+                return build()
             try:
-                future.set_result(build())
+                self._built[key] = build(), None
             except BaseException as e:  # every consumer raises it
-                future.set_exception(e)
+                self._built[key] = None, e
+        unit, error = (self._built[key] if self._left[key]
+                       else self._built.pop(key))
+        if error is None:
+            return unit
         try:
-            return future.result()
+            raise error
         finally:
-            # the error's traceback holds this frame: without the future in
+            # the error's traceback holds this frame: without the error in
             # it, no cycle keeps the error and the frames it reaches alive
-            del future
+            del error
 
     def _give_up(self, key):
-        with self._lock:
-            self._left[key] -= 1
-            if not self._left[key]:
-                self._futures.pop(key, None)
+        self._left[key] -= 1
+        if not self._left[key]:
+            self._built.pop(key, None)
 
 
 class Units:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -151,6 +152,30 @@ class TestBenchmark:
                           "--workers", workers, "--out", out])
             assert rc == 0
             outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_experiments_run_on_the_calling_thread_at_any_workers(
+            self, data_files, tmp_path, monkeypatch):
+        arff_path, labels_path = data_files
+        experiments = EXPERIMENTS + [
+            {"name": "ens", "transform": "ensemble", "q": 4, "rule": "mean"}
+        ]
+        build, threads = cli._build_model, []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return build(*args)
+
+        monkeypatch.setattr(cli, "_build_model", recording)
+        outputs = []
+        for workers, flag in ((1, []), (2, []), (2, ["--workers", 8])):
+            cfg = write_config(tmp_path, arff_path, labels_path, experiments,
+                               workers=workers)
+            out = tmp_path / f"report-{len(outputs)}.csv"
+            assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
+                            "--out", out, *flag]) == 0
+            outputs.append(out.read_bytes())
+        assert threads == [threading.get_ident()] * (3 * len(experiments))
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_json_average_is_mean_of_rows(self, data_files, tmp_path):

@@ -4,11 +4,9 @@ the test rows in its index, and one fit per ensemble member that several
 ensembles have.  Sharing changes no report byte, and a unit lives no
 longer than its last consumer."""
 
+import gc
 import json
-import sys
-import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -314,54 +312,72 @@ def test_concurrent_consumers_build_each_unit_once_and_keep_none():
 
     keys = [("unit", j) for j in range(6)] + [("fails",)]
     n = 16
-    lock = threading.Lock()
-    barrier = threading.Barrier(n, timeout=60)
+    table, builds = FitUnits(train, test, [keys] * n), []
 
-    def build(key, builds):
-        with lock:
-            builds.append(key)
+    def build(key):
+        builds.append(key)
         if key == ("fails",):
             raise ValueError("no such unit")
         return Unit()
 
-    def consume(i, table, builds):
-        units = table.consumer(keys)
-        barrier.wait()
-        # consumers take the keys in different orders, and every third one
-        # gives up the last two without taking them
-        order = keys[i % len(keys):] + keys[:i % len(keys)]
-        taken = {}
-        for key in order[:-2] if i % 3 == 0 else order:
-            try:
-                taken[key] = units.take(key, lambda key=key: build(key, builds),
-                                        train)
-            except ValueError as e:
-                taken[key] = str(e)
-        units.close()
-        return taken
+    # consumers take the keys in different orders, one key each in turn,
+    # and every third one gives up the last two without taking them
+    orders = [keys[i % len(keys):] + keys[:i % len(keys)] for i in range(n)]
+    orders = [order[:-2] if i % 3 == 0 else order
+              for i, order in enumerate(orders)]
+    consumers = [table.consumer(keys) for _ in range(n)]
+    results = [{} for _ in range(n)]
+    for step in range(len(keys) + 1):
+        for units, order, taken in zip(consumers, orders, results):
+            if step == len(order):
+                units.close()
+            elif step < len(order):
+                key = order[step]
+                try:
+                    taken[key] = units.take(
+                        key, lambda key=key: build(key), train)
+                except ValueError as e:
+                    taken[key] = str(e)
+    assert sorted(builds) == sorted(keys)
+    for key in keys:
+        got = [taken[key] for taken in results if key in taken]
+        assert len(got) > n // 2
+        assert all(unit is got[0] for unit in got)
+    assert all(taken[("fails",)] == "no such unit"
+               for taken in results if ("fails",) in taken)
+    # the table kept no unit past its consumers
+    refs = {key: weakref.ref(unit) for taken in results
+            for key, unit in taken.items() if isinstance(unit, Unit)}
+    del results, taken, got
+    assert len(refs) == 6 and all(ref() is None for ref in refs.values())
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+
+def test_a_failed_build_leaves_nothing_alive():
+    train, test = correlated_dataset(3, n_train=20, n_test=5, n_labels=2,
+                                     n_features=2)
+
+    class Local:
+        pass
+
+    refs, errors = [], []
+
+    def build():
+        local = Local()
+        refs.append(weakref.ref(local))
+        raise ValueError("no such unit")
+
+    # without the cyclic collector, only reference counts free the error
+    # and the frames its traceback holds, the build's among them
+    gc.disable()
     try:
-        for _ in range(20):
-            table, builds = FitUnits(train, test, [keys] * n), []
-            # a pool per round: once it is shut down and its futures are
-            # dropped, no worker frame or future holds a consumer's result
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                futures = [pool.submit(consume, i, table, builds)
-                           for i in range(n)]
-                results = [f.result(timeout=60) for f in futures]
-            del futures
-            assert sorted(builds) == sorted(keys)
-            for key in keys:
-                got = [taken[key] for taken in results if key in taken]
-                assert len(got) > n // 2
-                assert all(unit is got[0] for unit in got)
-            assert results[1][("fails",)] == "no such unit"
-            # the table kept no unit past its consumers
-            refs = [weakref.ref(unit) for unit in results[1].values()
-                    if isinstance(unit, Unit)]
-            del results, got
-            assert len(refs) == 6 and all(ref() is None for ref in refs)
+        table = FitUnits(train, test, [["key"]] * 3)
+        for units in [table.consumer(["key"]) for _ in range(3)]:
+            try:
+                units.take("key", build, train)
+            except ValueError as e:
+                errors.append(str(e))
+            units.close()
+        assert errors == ["no such unit"] * 3 and len(refs) == 1
+        assert refs[0]() is None
     finally:
-        sys.setswitchinterval(interval)
+        gc.enable()

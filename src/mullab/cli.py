@@ -9,10 +9,10 @@ Three subcommands:
 A grid fits each identical unit once: before any data is read, every
 experiment lists the keys of its fit units (a training state, whose kNN
 index keeps one search of the test rows for every model that shares it,
-or a fitted ensemble member).  The experiments share one
-``transforms.FitUnits`` table, each through its own ``transforms.Units``
-view; the table builds each unit at its first consumer and drops it after
-its last.  Units are deterministic, so sharing one changes no result.
+or a fitted ensemble member).  The experiments run one at a time, in
+declaration order, and share one ``transforms.FitUnits`` table, which
+builds each unit at its first consumer and drops it after its last.
+Units are deterministic, so sharing one changes no result.
 
 Reports come out as markdown (metrics as rows, experiments as columns,
 AVERAGE last), CSV (one experiment per row, 6 decimals) or JSON (full
@@ -451,15 +451,21 @@ def _parse_experiments(cfg: dict) -> list:
 
 def _build_model(spec, train: MLDataset, seed: int, units=None):
     """Fit one parsed experiment; ``seed`` drives a RAKEL experiment's
-    subset draws (an ensemble carries its own), and ``units`` are the
-    grid's ``transforms.Units`` for it."""
+    subset draws (an ensemble carries its own), and ``units`` is the
+    grid's ``transforms.FitUnits`` table.  Labels that a RAKEL model, or
+    an ensemble's RAKEL member, leaves uncovered are logged."""
     if isinstance(spec, EnsembleSpec):
-        return ensemble_fit(train, spec, units)
-    model = fit_member(train, spec, seed, units)
-    if model.uncovered:
-        names = [train.schema.label_names[j] for j in model.uncovered]
-        log.warning("rakel members cover no subset containing %s; "
-                    "those labels score a neutral 0.5", names)
+        model = ensemble_fit(train, spec, units)
+        fitted = [(f"ensemble member {k}: ", member)
+                  for k, member in enumerate(model.members)]
+    else:
+        model = fit_member(train, spec, seed, units)
+        fitted = [("", model)]
+    for where, member in fitted:
+        if member.uncovered:
+            names = [train.schema.label_names[j] for j in member.uncovered]
+            log.warning("%srakel members cover no subset containing %s; "
+                        "those labels score a neutral 0.5", where, names)
     return model
 
 
@@ -593,19 +599,17 @@ def _run_experiments(cfg: dict, plans: list, train, test):
     declaration order; the experiments share the fit units that their
     plans list."""
     table = FitUnits(train, test, [keys for *_, keys in plans])
-
-    def run_one(plan):
-        spec, seed, _, keys = plan
-        units = table.consumer(keys)
+    reports = []
+    for spec, seed, name, _ in plans:
         try:
-            return evaluate(_build_model(spec, train, seed, units), test,
-                            cfg["threshold"])
+            report = evaluate(_build_model(spec, train, seed, table), test,
+                              cfg["threshold"])
         except Exception as e:  # noqa: BLE001 - row marked failed
-            return e
+            report = e
         finally:
-            units.close()
-
-    return [(plan[2], run_one(plan)) for plan in plans]
+            table.done()
+        reports.append((name, report))
+    return reports
 
 
 def _render(cfg: dict, reports, meta: dict, include_average: bool = True) -> str:

@@ -25,7 +25,7 @@ import numpy as np
 from .core import MLDataset, check_threshold
 from .learners import preset, PRESET_NAMES
 from .rng import Xoshiro256, derive_seed
-from .transforms import (MemberSpec, MultiLabelModel, PruneSpec, Units,
+from .transforms import (FitUnits, MemberSpec, MultiLabelModel, PruneSpec,
                          fit_member)
 
 COMBINATION_RULES = (
@@ -174,9 +174,9 @@ def _member_indices(n: int, spec: EnsembleSpec, member_index: int) -> list[int]:
 
 
 def ensemble_fit(train: MLDataset, spec: EnsembleSpec,
-                 units: Optional[Units] = None) -> EnsembleModel:
+                 units: Optional[FitUnits] = None) -> EnsembleModel:
     """Train each member, in index order, on its seeded subsample; with a
-    grid's ``units`` view, a member that the grid shares comes from it."""
+    grid's ``units`` table, a member that the grid shares comes from it."""
     n = len(train)
     if n == 0:
         raise ValueError("cannot fit an ensemble on an empty dataset")

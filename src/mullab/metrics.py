@@ -202,7 +202,7 @@ def evaluate(model: MultiLabelModel, test: MLDataset,
     """Score every test row, derive bipartitions (threshold ``t``) and
     rankings, and compute all five metrics; ranking loss and average
     precision are NaN when no test row defines them; ``t`` must be in
-    [0, 1].  A model fitted through a grid's ``transforms.Units`` finds
+    [0, 1].  A model fitted through a grid's ``transforms.FitUnits`` finds
     the kNN neighbours of ``test.X`` kept on its shared index."""
     check_threshold(t)
     if len(test) == 0:

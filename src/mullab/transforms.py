@@ -40,15 +40,15 @@ A grid of experiments over one train/test split may share two kinds of
 fit unit through a ``FitUnits`` table: a training state, keyed by its
 learner spec and training rows (the split, or its pruned-sets rewrite),
 whose build, for kNN, has its index keep a search of the grid's test
-rows; and a fitted ensemble member.  The table builds each once and drops
-it at its last consumer.  Without a table, a state lives only while one
-model's members are fitted, and a search only for one predict call.
+rows; and a fitted ensemble member.  The grid runs its experiments one
+at a time, and the table builds each unit once and drops it at its last
+consumer.  Without a table, a state lives only while one model's members
+are fitted, and a search only for one predict call.
 Every unit is deterministic, so sharing one changes no result.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -138,13 +138,13 @@ def _training_unit(train: MLDataset, spec: LearnerSpec,
 
 
 def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
-                 units: Optional[Units] = None,
+                 units: Optional[FitUnits] = None,
                  prune: Optional[PruneSpec] = None):
     """A ``model_class`` with one label-powerset member per label subset, in
     order, all fitted from one training state of ``train`` or, with a
     ``prune``, of its pruned-sets rewrite.  The state comes from the grid's
-    ``units`` when they share it, and else is built here and dies on
-    return."""
+    ``units`` table when the grid shares it, and else is built here and
+    dies on return."""
     if len(train) == 0:
         raise ValueError("cannot fit label powerset on an empty dataset")
     if units is None:
@@ -171,14 +171,14 @@ class LabelPowersetModel(RakelModel):
 
 
 def lp_fit(train: MLDataset, spec: LearnerSpec,
-           units: Optional[Units] = None) -> LabelPowersetModel:
+           units: Optional[FitUnits] = None) -> LabelPowersetModel:
     return _fit_members(LabelPowersetModel, train, spec,
                         [tuple(range(train.n_labels))], units)
 
 
 def rakel_fit(train: MLDataset, spec: LearnerSpec, m: Optional[int] = None,
               k: int = 3, seed: int = 0,
-              units: Optional[Units] = None) -> RakelModel:
+              units: Optional[FitUnits] = None) -> RakelModel:
     """RAKEL with ``m`` members (default 2 * n_labels) over random
     k-subsets, sampled without repetition while distinct subsets remain."""
     n_labels = train.n_labels
@@ -211,7 +211,7 @@ class BinaryRelevanceModel(RakelModel):
 
 
 def br_fit(train: MLDataset, spec: LearnerSpec,
-           units: Optional[Units] = None) -> BinaryRelevanceModel:
+           units: Optional[FitUnits] = None) -> BinaryRelevanceModel:
     """One label-powerset member per label, in label order; see the
     module docstring for constant labels and empty training sets."""
     if train.n_labels < 1:
@@ -247,7 +247,7 @@ class PrunedSetsModel(RakelModel):
 
 
 def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec,
-           units: Optional[Units] = None) -> PrunedSetsModel:
+           units: Optional[FitUnits] = None) -> PrunedSetsModel:
     """Pruned sets: label powerset fitted on ``_pruned_rows(train, prune)``,
     the pruned-sets rewrite of ``train``."""
     if len(train) == 0:
@@ -329,10 +329,10 @@ TRANSFORM_NAMES = tuple(_FITS)
 
 
 def fit_member(train: MLDataset, spec: MemberSpec, seed: int = 0,
-               units: Optional[Units] = None) -> MultiLabelModel:
+               units: Optional[FitUnits] = None) -> MultiLabelModel:
     """Fit the transform ``spec`` names; ``seed`` drives RAKEL's subset
-    draws and is unused by the other three.  ``units``, a grid's ``Units``
-    for this fit, shares the training state with the grid."""
+    draws and is unused by the other three.  ``units``, a grid's
+    ``FitUnits`` table, shares the training state with the grid."""
     return _FITS[spec.transform](train, spec, seed, units)
 
 
@@ -341,34 +341,38 @@ class FitUnits:
     and ``test`` splits: training states, each kNN one with its index's
     search of the test rows kept, and fitted ensemble members.  ``plans[i]``
     lists the keys of the units that experiment ``i`` reads
-    (``MemberSpec.units``, ``EnsembleSpec.units``), and it reads them
-    through its own ``consumer(plans[i])``.
+    (``MemberSpec.units``, ``EnsembleSpec.units``).  The experiments run
+    one at a time, in plan order: each takes its units with ``take`` and
+    ends with ``done``.
 
     A unit is built at its first consumer's take and leaves the table at
-    its last consumer's take, or at its last consumer's ``close``.  A
-    build that raises runs once, and its error is raised in every
-    consumer.  A key with one consumer is never stored, so its unit lives
-    as long as it would without a table."""
+    its last consumer's take, or at that consumer's ``done`` if it never
+    took it.  A build that raises runs once, and its error is raised in
+    every consumer.  A key with one consumer is never stored, so its unit
+    lives as long as it would without a table."""
 
     def __init__(self, train: MLDataset, test: MLDataset, plans):
         self.train, self.queries = train, test.X
-        self._left = Counter(key for keys in plans for key in set(keys))
+        self._plans = [set(keys) for keys in plans]
+        self._last = {key: i for i, keys in enumerate(plans) for key in keys}
+        self._running = 0  # the experiment that takes next
         self._built: dict = {}  # key -> (unit, None) or (None, error)
 
-    def consumer(self, keys) -> Units:
-        return Units(self, keys)
-
-    def _take(self, key, build):
-        self._left[key] -= 1
+    def take(self, key, build, source):
+        """The unit ``key`` that ``build()`` makes from ``source``.  A key
+        the running experiment did not plan, and a unit built from other
+        rows than ``train``, are built for the caller alone."""
+        if source is not self.train or key not in self._plans[self._running]:
+            return build()
+        last = self._last[key] == self._running
         if key not in self._built:
-            if not self._left[key]:
+            if last:  # no later consumer
                 return build()
             try:
                 self._built[key] = build(), None
             except BaseException as e:  # every consumer raises it
                 self._built[key] = None, e
-        unit, error = (self._built[key] if self._left[key]
-                       else self._built.pop(key))
+        unit, error = self._built.pop(key) if last else self._built[key]
         if error is None:
             return unit
         try:
@@ -378,31 +382,10 @@ class FitUnits:
             # it, no cycle keeps the error and the frames it reaches alive
             del error
 
-    def _give_up(self, key):
-        self._left[key] -= 1
-        if not self._left[key]:
-            self._built.pop(key, None)
-
-
-class Units:
-    """One experiment's view of a ``FitUnits`` table.  It takes each of its
-    planned keys once; a key it did not plan, or has taken already, and a
-    unit built from other rows than the grid's training split, are built
-    for the caller alone.  ``queries`` are the grid's test rows.  ``close``
-    gives up the keys it never took, as when the experiment failed first."""
-
-    def __init__(self, table: FitUnits, keys):
-        self._table, self._pending = table, set(keys)
-        self.queries = table.queries
-
-    def take(self, key, build, source):
-        """The unit ``key`` that ``build()`` makes from ``source``."""
-        if key not in self._pending or source is not self._table.train:
-            return build()
-        self._pending.remove(key)
-        return self._table._take(key, build)
-
-    def close(self) -> None:
-        for key in self._pending:
-            self._table._give_up(key)
-        self._pending.clear()
+    def done(self) -> None:
+        """End the running experiment: drop the units it was the last
+        consumer of, as when it failed before taking them."""
+        for key in self._plans[self._running]:
+            if self._last[key] == self._running:
+                self._built.pop(key, None)
+        self._running += 1

@@ -778,6 +778,21 @@ class TestLogging:
             f"rakel members cover no subset containing {names}; "
             "those labels score a neutral 0.5")
 
+    def test_uncovered_labels_of_ensemble_members_are_logged(self, caplog):
+        train, _ = correlated_dataset(5, n_train=30, n_test=0, n_labels=3,
+                                      n_features=2)
+        rakel = {"transform": "rakel", "learner": "nb", "m": 1, "k": 1}
+        exp = {"transform": "ensemble", "members": [rakel, {"transform": "br"},
+                                                    rakel]}
+        with caplog.at_level("WARNING", logger="mullab.cli"):
+            model = cli._build_model(cli._parse_spec(exp, 3), train, 3)
+        assert [len(m.uncovered) for m in model.members] == [2, 0, 2]
+        assert [r.levelname for r in caplog.records] == ["WARNING"] * 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"ensemble member {k}: rakel members cover no subset containing "
+            f"{[f'L{j}' for j in model.members[k].uncovered]}; "
+            "those labels score a neutral 0.5" for k in (0, 2)]
+
     @pytest.mark.parametrize("command", ["benchmark", "evaluate"])
     def test_failed_experiment_is_logged(self, command, data_files, tmp_path,
                                          caplog):

@@ -40,7 +40,7 @@ def data_path(tmp_path):
     return write_data(tmp_path, train)
 
 
-def run_grid(tmp_path, data_path, experiments, workers=1, fmt="csv"):
+def run_grid(tmp_path, data_path, experiments, fmt="csv"):
     """The exit code and report bytes of a benchmark grid over one data
     file split 67:33, or over a (train, test) pair of files."""
     if isinstance(data_path, tuple):
@@ -51,7 +51,7 @@ def run_grid(tmp_path, data_path, experiments, workers=1, fmt="csv"):
                 "split": {"ratio": 0.67}}
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(data | {
-        "seed": 5, "workers": workers, "format": fmt,
+        "seed": 5, "format": fmt,
         "experiments": experiments}), encoding="utf-8")
     out = tmp_path / "report"
     code = cli.main(["benchmark", "--config", str(cfg), "--out", str(out)])
@@ -71,16 +71,15 @@ def counting(monkeypatch, owner, name, calls, when=lambda *args: True):
     monkeypatch.setattr(owner, name, wrapped)
 
 
-@pytest.mark.parametrize("workers", [1, 8])
 def test_knn_grid_builds_one_state_one_index_and_one_search(
-        workers, data_path, tmp_path, monkeypatch):
+        data_path, tmp_path, monkeypatch):
     _, alone = run_grid(tmp_path, data_path, KNN_GRID)
     states, indexes, searches = [], [], []
     counting(monkeypatch, learners.TrainingState, "__init__", states,
              lambda state, spec, *rest: isinstance(spec, KnnSpec))
     counting(monkeypatch, learners.KnnIndex, "__init__", indexes)
     counting(monkeypatch, learners.KnnIndex, "_search", searches)
-    code, report = run_grid(tmp_path, data_path, KNN_GRID, workers)
+    code, report = run_grid(tmp_path, data_path, KNN_GRID)
     assert code == 0
     assert (len(states), len(indexes), len(searches)) == (1, 1, 1)
     assert report == alone
@@ -120,9 +119,9 @@ def test_evaluate_reads_the_search_its_shared_index_kept(monkeypatch):
     spec = MemberSpec("rakel", preset("knn"))
     searches = []
     counting(monkeypatch, learners.KnnIndex, "_search", searches)
-    units = FitUnits(train, test, [spec.units()]).consumer(spec.units())
-    model = fit_member(train, spec, units=units)
-    units.close()
+    table = FitUnits(train, test, [spec.units()])
+    model = fit_member(train, spec, units=table)
+    table.done()
     assert len(searches) == 1
     report = evaluate(model, test, 0.5)
     assert len(searches) == 1
@@ -150,19 +149,6 @@ def test_ensembles_with_one_seed_fit_each_member_once(
     for exp, line in zip(experiments, lines[1:]):
         assert run_grid(tmp_path, data_path, [exp])[1].decode().splitlines()[1] \
             == line
-
-
-def test_shared_members_under_threads_match_one_worker(data_path, tmp_path,
-                                                       monkeypatch):
-    experiments = ensembles(*({"q": 5, "rule": rule}
-                              for rule in ("mean", "max", "min",
-                                           "majority_vote")))
-    _, alone = run_grid(tmp_path, data_path, experiments)
-    calls = []
-    counting(monkeypatch, ensemble, "fit_member", calls)
-    code, report = run_grid(tmp_path, data_path, experiments, workers=8)
-    assert code == 0 and len(calls) == 5
-    assert report == alone
 
 
 def test_ensembles_with_derived_seeds_share_no_member(data_path, tmp_path,
@@ -234,8 +220,7 @@ def test_no_unit_outlives_its_last_consumer(data_path, tmp_path, monkeypatch):
     check(len(experiments))  # nothing is alive after the grid
 
 
-@pytest.mark.parametrize("workers", [1, 8])
-def test_a_shared_state_that_fails_fails_every_consumer(workers, tmp_path,
+def test_a_shared_state_that_fails_fails_every_consumer(tmp_path,
                                                         monkeypatch):
     # every value of the first column is 1e308: its mean overflows, so the
     # kNN index refuses the column scale
@@ -246,7 +231,7 @@ def test_a_shared_state_that_fails_fails_every_consumer(workers, tmp_path,
     data = write_data(tmp_path, MLDataset(train.schema, X, train.Y))
     indexes = []
     counting(monkeypatch, learners.KnnIndex, "__init__", indexes)
-    code, report = run_grid(tmp_path, data, KNN_GRID[:3], workers, "json")
+    code, report = run_grid(tmp_path, data, KNN_GRID[:3], "json")
     assert code == 3 and len(indexes) == 1
     rows = json.loads(report)["rows"]
     assert [row["experiment"] for row in rows] == ["br-knn", "lp-knn",
@@ -256,8 +241,7 @@ def test_a_shared_state_that_fails_fails_every_consumer(workers, tmp_path,
         "features"}
 
 
-@pytest.mark.parametrize("workers", [1, 8])
-def test_a_shared_search_that_fails_fails_every_consumer(workers, tmp_path,
+def test_a_shared_search_that_fails_fails_every_consumer(tmp_path,
                                                          monkeypatch):
     # one test row's distance to every training row overflows
     train, test = correlated_dataset(7, n_train=30, n_test=10, n_labels=3,
@@ -269,7 +253,7 @@ def test_a_shared_search_that_fails_fails_every_consumer(workers, tmp_path,
         path.write_text(to_arff_text(rows), encoding="utf-8")
     searches = []
     counting(monkeypatch, learners.KnnIndex, "_search", searches)
-    code, report = run_grid(tmp_path, files, KNN_GRID[:3], workers, "json")
+    code, report = run_grid(tmp_path, files, KNN_GRID[:3], "json")
     assert code == 3 and len(searches) == 1
     rows = json.loads(report)["rows"]
     assert [row["experiment"] for row in rows] == ["br-knn", "lp-knn",
@@ -284,26 +268,26 @@ def test_a_table_shares_nothing_for_other_data():
     other = train.subset(range(30))
     spec = MemberSpec("br", preset("knn"))
     table = FitUnits(train, test, [spec.units(), spec.units()])
-    grid_units, units = (table.consumer(spec.units()) for _ in range(2))
-    grid = fit_member(train, spec, units=grid_units)
+    grid = fit_member(train, spec, units=table)
+    table.done()
     expected = grid.predict_scores_many(test.X)
     # a fit on other rows, and a predict of other queries, build their own
     # state and search, and leave the grid's to the grid
-    model = fit_member(other, spec, units=units)
+    model = fit_member(other, spec, units=table)
     assert model.members[0][1].index is not grid.members[0][1].index
     alone = fit_member(other, spec)
     assert np.array_equal(model.predict_scores_many(test.X),
                           alone.predict_scores_many(test.X))
-    shared = fit_member(train, spec, units=units)
+    shared = fit_member(train, spec, units=table)
     assert shared.members[0][1].index is grid.members[0][1].index
     assert np.array_equal(shared.predict_scores_many(test.X.copy()),
                           expected)
     assert np.array_equal(grid.predict_scores_many(test.X),
                           expected)
-    units.close()
+    table.done()
 
 
-def test_concurrent_consumers_build_each_unit_once_and_keep_none():
+def test_consumers_build_each_unit_once_and_keep_none():
     train, test = correlated_dataset(3, n_train=20, n_test=5, n_labels=2,
                                      n_features=2)
 
@@ -320,24 +304,19 @@ def test_concurrent_consumers_build_each_unit_once_and_keep_none():
             raise ValueError("no such unit")
         return Unit()
 
-    # consumers take the keys in different orders, one key each in turn,
-    # and every third one gives up the last two without taking them
-    orders = [keys[i % len(keys):] + keys[:i % len(keys)] for i in range(n)]
-    orders = [order[:-2] if i % 3 == 0 else order
-              for i, order in enumerate(orders)]
-    consumers = [table.consumer(keys) for _ in range(n)]
-    results = [{} for _ in range(n)]
-    for step in range(len(keys) + 1):
-        for units, order, taken in zip(consumers, orders, results):
-            if step == len(order):
-                units.close()
-            elif step < len(order):
-                key = order[step]
-                try:
-                    taken[key] = units.take(
-                        key, lambda key=key: build(key), train)
-                except ValueError as e:
-                    taken[key] = str(e)
+    # the experiments take the keys in different orders, and every third
+    # one ends before it takes its last two
+    results = []
+    for i in range(n):
+        order = keys[i % len(keys):] + keys[:i % len(keys)]
+        taken = {}
+        for key in order[:-2] if i % 3 == 0 else order:
+            try:
+                taken[key] = table.take(key, lambda key=key: build(key), train)
+            except ValueError as e:
+                taken[key] = str(e)
+        table.done()
+        results.append(taken)
     assert sorted(builds) == sorted(keys)
     for key in keys:
         got = [taken[key] for taken in results if key in taken]
@@ -350,6 +329,36 @@ def test_concurrent_consumers_build_each_unit_once_and_keep_none():
             for key, unit in taken.items() if isinstance(unit, Unit)}
     del results, taken, got
     assert len(refs) == 6 and all(ref() is None for ref in refs.values())
+
+
+def test_a_unit_dies_at_its_last_consumers_take_or_done():
+    train, test = correlated_dataset(3, n_train=20, n_test=5, n_labels=2,
+                                     n_features=2)
+
+    class Unit:
+        pass
+
+    table = FitUnits(train, test, [["a", "b"]] * 3)
+    # without the cyclic collector, only reference counts free a unit
+    gc.disable()
+    try:
+        first = table.take("a", Unit, train), table.take("b", Unit, train)
+        refs = [weakref.ref(unit) for unit in first]
+        del first
+        table.done()
+        assert table.take("a", Unit, train) is refs[0]()
+        table.done()  # the middle experiment never takes "b"
+        assert refs[0]() is not None and refs[1]() is not None
+        # the last consumer of "a" takes it: once its caller lets go, it is
+        # dead, while the experiment still runs
+        assert table.take("a", Unit, train) is refs[0]()
+        assert refs[0]() is None
+        # the last consumer of "b" ends without taking it
+        assert refs[1]() is not None
+        table.done()
+        assert refs[1]() is None
+    finally:
+        gc.enable()
 
 
 def test_a_failed_build_leaves_nothing_alive():
@@ -371,12 +380,12 @@ def test_a_failed_build_leaves_nothing_alive():
     gc.disable()
     try:
         table = FitUnits(train, test, [["key"]] * 3)
-        for units in [table.consumer(["key"]) for _ in range(3)]:
+        for _ in range(3):
             try:
-                units.take("key", build, train)
+                table.take("key", build, train)
             except ValueError as e:
                 errors.append(str(e))
-            units.close()
+            table.done()
         assert errors == ["no such unit"] * 3 and len(refs) == 1
         assert refs[0]() is None
     finally:

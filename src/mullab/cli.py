@@ -8,10 +8,10 @@ Three subcommands:
 
 A grid fits each identical unit once: before any data is read, every
 experiment lists the keys of its fit units (a training state, whose kNN
-index keeps one search of the test rows for every model that shares it,
-or a fitted ensemble member).  The experiments run one at a time, in
-declaration order, and share one ``transforms.FitUnits`` table, which
-builds each unit at its first consumer and drops it after its last.
+index is built with one search of the test rows for every model that
+shares it, or a fitted ensemble member).  The experiments run one at a
+time, in declaration order, and share one ``transforms.FitUnits`` table,
+which builds each unit at its first consumer and drops it after its last.
 Units are deterministic, so sharing one changes no result.
 
 Reports come out as markdown (metrics as rows, experiments as columns,
@@ -88,7 +88,7 @@ from .transforms import (
     fit_member,
 )
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("mullab.cli")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -595,9 +595,9 @@ def cmd_info(args) -> int:
 
 
 def _run_experiments(cfg: dict, plans: list, train, test):
-    """``(name, report or error)`` per experiment, run one at a time in
-    declaration order; the experiments share the fit units that their
-    plans list."""
+    """``(name, report or error message)`` per experiment, run one at a
+    time in declaration order; the experiments share the fit units that
+    their plans list, and a failed row keeps only its message."""
     table = FitUnits(train, test, [keys for *_, keys in plans])
     reports = []
     for spec, seed, name, _ in plans:
@@ -605,7 +605,7 @@ def _run_experiments(cfg: dict, plans: list, train, test):
             report = evaluate(_build_model(spec, train, seed, table), test,
                               cfg["threshold"])
         except Exception as e:  # noqa: BLE001 - row marked failed
-            report = e
+            report = str(e)
         finally:
             table.done()
         reports.append((name, report))

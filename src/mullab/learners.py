@@ -10,8 +10,8 @@ Three families, each consumed by the problem transformations:
   encoder and the standardised training matrix and finds the neighbours; a
   ``KnnClassifier`` keeps only its class vector and counts the votes, so
   classifiers that differ only in their classes can share one index and
-  one search per query matrix (a grid's shared index keeps its search of
-  the test split: ``keep``).  A search takes the query rows in blocks of at
+  one search per query matrix (a grid's shared index is built with ``kept``,
+  its search of the test split).  A search takes the query rows in blocks of at
   most ``_KNN_BLOCK_ELEMS`` (2^16) query x training elements and holds no
   larger matrix.  A Euclidean block is screened by one BLAS product for the
   Gram form, whose rounding is bounded, and only rows within that bound of
@@ -284,7 +284,8 @@ class KnnIndex:
     members on one, and search it once per query matrix.
     """
 
-    def __init__(self, spec: KnnSpec, enc: _Encoder, x: np.ndarray):
+    def __init__(self, spec: KnnSpec, enc: _Encoder, x: np.ndarray,
+                 kept: Optional[np.ndarray] = None):
         self.spec = spec
         self.enc = enc
         self._num_cols, self._nom_cols = enc.num_cols, enc.nom_cols
@@ -302,7 +303,13 @@ class KnnIndex:
             self._xn = None
         self._xc = x[:, self._nom_cols]
         self.k = min(spec.k, self.n_rows)
-        self._kept = None  # (query matrix, its neighbours), set by keep
+        self._kept = None  # (query matrix, its neighbours)
+        if kept is not None:
+            if not isinstance(kept, np.ndarray) or kept.flags.writeable:
+                raise ValueError("a kept query matrix must be a read-only array")
+            found = self._search(kept)
+            found.flags.writeable = False  # every model on the index reads it
+            self._kept = kept, found
 
     def _nearest(self, q: np.ndarray) -> np.ndarray:
         """The ``k`` nearest training rows of each encoded query row of one
@@ -372,20 +379,11 @@ class KnnIndex:
         _check_finite("knn distances", dist[pick[:, -1]])
         return np.sort(ti[pick], axis=1)
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Search the read-only query matrix ``rows`` now, for ``neighbours``
-        to answer that very object.  Call it before the index is shared."""
-        if not isinstance(rows, np.ndarray) or rows.flags.writeable:
-            raise ValueError("a kept query matrix must be a read-only array")
-        found = self._search(rows)
-        found.flags.writeable = False  # every model on the index reads it
-        self._kept = rows, found
-
     def neighbours(self, rows) -> np.ndarray:
         """The (nq, k) training row indices nearest to each query row, in
         ascending index order: the rows a stable argsort of the distances
-        puts first.  The matrix given to ``keep`` is answered from its
-        search; any other, an equal copy too, is searched now."""
+        puts first.  The ``kept`` matrix, searched at the build, is answered
+        from that search; any other, an equal copy too, is searched now."""
         if self._kept is not None and rows is self._kept[0]:
             return self._kept[1]
         return self._search(rows)
@@ -857,7 +855,8 @@ class TrainingState:
     """What fitting classifiers of ``spec`` on one feature matrix reads,
     built once from ``features`` and its schema ``attributes`` (kept, so
     that ``fit`` can tell them): the query encoder ``enc`` and the encoded
-    matrix ``x``; for kNN, the ``index`` its classifiers share; for trees,
+    matrix ``x``; for kNN, the ``index`` its classifiers share, built with
+    its search of ``kept`` (a read-only query matrix, or None); for trees,
     ``order``, each numeric column's stable sort of the rows (row
     ``order_row[a]`` for column ``a``), and the ``xlx`` table of the row
     count with its steps ``dxlx``.  Fitted classifiers keep ``enc`` (and
@@ -865,7 +864,8 @@ class TrainingState:
     caller's reference."""
 
     def __init__(self, spec: LearnerSpec, features,
-                 attributes: Optional[Sequence[Attribute]] = None):
+                 attributes: Optional[Sequence[Attribute]] = None,
+                 kept: Optional[np.ndarray] = None):
         raw = np.ascontiguousarray(features, dtype=float)
         if not len(raw):
             raise ValueError("cannot fit a classifier on zero training rows")
@@ -875,7 +875,7 @@ class TrainingState:
         self.enc = _Encoder(raw, attributes)
         self.x = self.enc.encode(raw)
         if isinstance(spec, KnnSpec):
-            self.index = KnnIndex(spec, self.enc, self.x)
+            self.index = KnnIndex(spec, self.enc, self.x, kept)
         if isinstance(spec, TreeSpec):
             self.order = np.ascontiguousarray(
                 np.argsort(self.x[:, self.enc.num_cols], axis=0, kind="stable").T)

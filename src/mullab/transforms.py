@@ -33,18 +33,19 @@ members grow from one sort of each column.  A fitted model keeps no state,
 so it holds no training matrix and no column order.  A predict call asks
 each ``KnnIndex`` of its kNN members once for its neighbours of the query
 rows, and each member votes on them.  An index searches anew unless the
-rows are the very matrix it keeps a search of (``KnnIndex.keep``), so
+rows are the very matrix it was built with a search of (``kept``), so
 concurrent predicts on one model stay safe.
 
 A grid of experiments over one train/test split may share two kinds of
 fit unit through a ``FitUnits`` table: a training state, keyed by its
 learner spec and training rows (the split, or its pruned-sets rewrite),
-whose build, for kNN, has its index keep a search of the grid's test
-rows; and a fitted ensemble member.  The grid runs its experiments one
-at a time, and the table builds each unit once and drops it at its last
+whose kNN index is built with a search of the grid's test rows; and a
+fitted ensemble member.  The grid runs its experiments one at a time,
+and the table builds each unit once and drops it at its last consumer.
+It stores built units only: a failed build runs, and fails, in each
 consumer.  Without a table, a state lives only while one model's members
-are fitted, and a search only for one predict call.
-Every unit is deterministic, so sharing one changes no result.
+are fitted, and a search only for one predict call.  Every unit is
+deterministic, so sharing one changes no result.
 """
 
 from __future__ import annotations
@@ -126,14 +127,13 @@ def _training_unit(train: MLDataset, spec: LearnerSpec,
                    prune: Optional[PruneSpec], queries=None):
     """``(rows, state, fields)``: the rows a model fits on, which are
     ``train`` or, with a ``prune``, its pruned-sets rewrite; their training
-    state for ``spec``, whose kNN index keeps its search of ``queries``;
-    and the fields that the rewrite gives the model."""
+    state for ``spec``, whose kNN index is built with its search of
+    ``queries``; and the fields that the rewrite gives the model."""
     fields = {}
     if prune is not None:
         train, fields = _pruned_rows(train, prune)
-    state = learners.TrainingState(spec, train.X, train.schema.attributes)
-    if queries is not None and isinstance(spec, learners.KnnSpec):
-        state.index.keep(queries)
+    state = learners.TrainingState(spec, train.X, train.schema.attributes,
+                                   queries)
     return train, state, fields
 
 
@@ -338,17 +338,17 @@ def fit_member(train: MLDataset, spec: MemberSpec, seed: int = 0,
 
 class FitUnits:
     """The fit units that one grid's experiments share over its ``train``
-    and ``test`` splits: training states, each kNN one with its index's
-    search of the test rows kept, and fitted ensemble members.  ``plans[i]``
-    lists the keys of the units that experiment ``i`` reads
+    and ``test`` splits: training states, each kNN one with an index built
+    with a search of the test rows, and fitted ensemble members.
+    ``plans[i]`` lists the keys of the units that experiment ``i`` reads
     (``MemberSpec.units``, ``EnsembleSpec.units``).  The experiments run
     one at a time, in plan order: each takes its units with ``take`` and
     ends with ``done``.
 
     A unit is built at its first consumer's take and leaves the table at
     its last consumer's take, or at that consumer's ``done`` if it never
-    took it.  A build that raises runs once, and its error is raised in
-    every consumer.  A key with one consumer is never stored, so its unit
+    took it.  A failed build is not stored: each consumer runs it and
+    fails alike.  A key with one consumer is never stored, so its unit
     lives as long as it would without a table."""
 
     def __init__(self, train: MLDataset, test: MLDataset, plans):
@@ -356,7 +356,7 @@ class FitUnits:
         self._plans = [set(keys) for keys in plans]
         self._last = {key: i for i, keys in enumerate(plans) for key in keys}
         self._running = 0  # the experiment that takes next
-        self._built: dict = {}  # key -> (unit, None) or (None, error)
+        self._built: dict = {}  # key -> unit
 
     def take(self, key, build, source):
         """The unit ``key`` that ``build()`` makes from ``source``.  A key
@@ -368,19 +368,8 @@ class FitUnits:
         if key not in self._built:
             if last:  # no later consumer
                 return build()
-            try:
-                self._built[key] = build(), None
-            except BaseException as e:  # every consumer raises it
-                self._built[key] = None, e
-        unit, error = self._built.pop(key) if last else self._built[key]
-        if error is None:
-            return unit
-        try:
-            raise error
-        finally:
-            # the error's traceback holds this frame: without the error in
-            # it, no cycle keeps the error and the frames it reaches alive
-            del error
+            self._built[key] = build()
+        return self._built.pop(key) if last else self._built[key]
 
     def done(self) -> None:
         """End the running experiment: drop the units it was the last

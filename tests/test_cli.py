@@ -1,7 +1,12 @@
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +87,15 @@ class TestInfo:
         rc = run_cli(["info", "--dataset", tmp_path / "nope.arff",
                       "--trailing-labels", "1"])
         assert rc == 2
+
+    def test_unreadable_label_file_exits_2(self, data_files, tmp_path, capsys):
+        arff_path, _ = data_files
+        missing = tmp_path / "nope.txt"
+        assert run_cli(["info", "--dataset", arff_path,
+                        "--labels", missing]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot read label file: [Errno 2] No such file or "
+            f"directory: '{missing}'\n")
 
 
 def write_config(tmp_path, arff_path, labels_path, experiments, **extra):
@@ -220,6 +234,89 @@ class TestBenchmark:
         assert lines[1].startswith("good,0")
         assert lines[2] == "doomed,,,,,"
         assert "doomed" in capsys.readouterr().err
+
+    def test_a_failed_rows_model_is_freed_before_the_next_experiment(
+            self, tmp_path, monkeypatch, capsys):
+        # a test cell of 1e200 overflows naive Bayes' log-posterior, so each
+        # model fits and then fails in evaluate
+        train, test = correlated_dataset(7, n_train=30, n_test=10,
+                                         n_labels=3, n_features=2)
+        X = test.X.copy()
+        X[4, 0] = 1e200
+        files = (tmp_path / "train.arff", tmp_path / "test.arff")
+        for path, rows in zip(files, (train, MLDataset(test.schema, X, test.Y))):
+            path.write_text(to_arff_text(rows), encoding="utf-8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"train": str(files[0]), "test": str(files[1]),
+                        "trailing_labels": 3},
+            "experiments": [{"transform": "br", "learner": "nb"},
+                            {"transform": "lp", "learner": "nb"}]}),
+            encoding="utf-8")
+        models = []
+        build = cli._build_model
+
+        def building(*args, **kwargs):
+            # the failed row kept only its message, not the model
+            assert all(ref() is None for ref in models)
+            model = build(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(cli, "_build_model", building)
+        # without the cyclic collector, only reference counts free a model
+        gc.disable()
+        try:
+            assert run_cli(["benchmark", "--config", cfg, "--format", "json",
+                            "--out", tmp_path / "report.json"]) == 3
+        finally:
+            gc.enable()
+        assert len(models) == 2
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert [row["error"] for row in rows] == [
+            "naive Bayes log-posteriors are not finite numbers; rescale the "
+            "features"] * 2
+        assert capsys.readouterr().err.count("ERROR: ") == 2
+
+    def test_train_and_test_files_of_two_schemas_exit_2(self, data_files,
+                                                        tmp_path, capsys):
+        arff_path, _ = data_files
+        other = tmp_path / "other.arff"
+        other.write_text(arff_path.read_text(encoding="utf-8").replace(
+            "@attribute f0 ", "@attribute g0 ", 1), encoding="utf-8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"train": str(arff_path), "test": str(other),
+                        "trailing_labels": 3},
+            "experiments": [BR]}), encoding="utf-8")
+        assert run_cli(["benchmark", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "data error: train and test files disagree on schema\n")
+
+    def test_split_counts_that_miss_the_row_count_exit_2(self, data_files,
+                                                         tmp_path, capsys):
+        arff_path, labels_path = data_files
+        cfg = write_config(tmp_path, arff_path, labels_path, [BR],
+                           split={"train": 5, "test": 5})
+        assert run_cli(["benchmark", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "data error: split counts 5+5 do not sum to 60 rows\n")
+
+    def test_inline_tree_with_sqrt_subsets_is_the_random_t_preset(
+            self, data_files, tmp_path, capsys):
+        arff_path, labels_path = data_files
+        inline = {"kind": "tree", "criterion": "info_gain",
+                  "random_subset_size": "sqrt"}
+        cfg = write_config(tmp_path, arff_path, labels_path, [
+            {"name": "inline", "transform": "br", "learner": inline},
+            {"name": "preset", "transform": "br", "learner": "random-t"}])
+        out = tmp_path / "report.csv"
+        assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
+                        "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        inline_row, preset_row = out.read_text().splitlines()[1:3]
+        assert inline_row.removeprefix("inline,") == \
+            preset_row.removeprefix("preset,")
 
     @pytest.mark.parametrize("transform", ["br", "lp"])
     def test_zero_training_rows_fail_the_experiment(self, transform,
@@ -498,6 +595,45 @@ def test_config_mistake_exits_1_before_any_data_is_read(
                                    tmp_path, monkeypatch, capsys)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 1', "config {cfg} is not valid JSON: Expecting ',' delimiter: "
+                   "line 1 column 11 (char 10)"),
+    ("[1]", "config root must be a JSON object"),
+], ids=["not-json", "root-not-object"])
+def test_config_that_is_no_json_object_exits_1(text, message, tmp_path,
+                                               monkeypatch, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="utf-8")
+    err = assert_usage_error_before_data(
+        ["benchmark", "--config", cfg, "--out", tmp_path / "report.csv"],
+        tmp_path, monkeypatch, capsys)
+    assert err == f"error: {message.format(cfg=cfg)}\n"
+
+
+@pytest.mark.parametrize("drop, message", [
+    ("labels", "dataset needs 'labels' or 'trailing_labels'"),
+    ("path", "config needs dataset.path or dataset.train/test"),
+    ("split", "config needs a 'split' when dataset is one file"),
+])
+def test_config_that_leaves_the_data_open_exits_1(drop, message, data_files,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    arff_path, labels_path = data_files
+    cfg = write_config(tmp_path, arff_path, labels_path, [BR])
+    fields = json.loads(cfg.read_text(encoding="utf-8"))
+    (fields if drop == "split" else fields["dataset"]).pop(drop)
+    cfg.write_text(json.dumps(fields), encoding="utf-8")
+
+    def no_data(*args):
+        raise AssertionError("data read before the config was checked")
+
+    monkeypatch.setattr(cli, "_load_bound", no_data)
+    assert run_cli(["benchmark", "--config", cfg,
+                    "--out", tmp_path / "report.csv"]) == 1
+    assert not (tmp_path / "report.csv").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("experiments, message", [
     ([BR | {"name": "x"}, BR | {"name": "x"}],
      "experiments 0 and 1 are both named 'x'"),
@@ -687,7 +823,10 @@ def test_unwritable_out_exits_1(command, data_files, tmp_path, monkeypatch,
                              "line break, not 'x\\ny|z'\n"),
     ({"split": {"ratio": 0.75, "train": "x", "test": [1]}}, {},
      "error: give 'ratio' or 'train' and 'test', not both\n"),
-], ids=["name-comma", "name-int", "name-newline-pipe", "split-ratio-and-counts"])
+    ({}, {"learner": 5}, "error: bad learner spec 5\n"),
+    ({}, {"learner": {"kind": "svm"}}, "error: unknown learner kind 'svm'\n"),
+], ids=["name-comma", "name-int", "name-newline-pipe", "split-ratio-and-counts",
+        "learner-int", "learner-unknown-kind"])
 def test_evaluate_mistake_names_the_rule(fields, params, message, data_files,
                                          tmp_path, monkeypatch, capsys):
     # --params sets the experiment's keys, as a config entry does
@@ -807,6 +946,33 @@ class TestLogging:
             "experiment 'doomed' failed: pruning with p=10000 removed every "
             "row; lower p")
 
+    def test_python_m_cli_prints_level_and_message(self, tmp_path):
+        # run as a module, the CLI's logger must still be mullab.cli, which
+        # the handler that prints LEVEL: message is attached above
+        train, _ = correlated_dataset(5, n_train=30, n_test=0, n_labels=3,
+                                      n_features=2)
+        data = tmp_path / "data.arff"
+        data.write_text(to_arff_text(train), encoding="utf-8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"path": str(data), "trailing_labels": 3},
+            "split": {"ratio": 0.67},
+            "experiments": [
+                {"transform": "rakel", "learner": "nb", "m": 1, "k": 1},
+                {"name": "doomed", "transform": "ps", "learner": "nb",
+                 "p": 1000}]}), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "mullab.cli", "benchmark", "--config",
+             str(cfg), "--out", str(tmp_path / "report.md")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        warning, error = done.stderr.splitlines()
+        assert warning.startswith("WARNING: rakel members cover no subset ")
+        assert error == ("ERROR: experiment 'doomed' failed: pruning with "
+                         "p=1000 removed every row; lower p")
+
 
 class TestConfigHash:
     def test_changes_with_semantics_only(self):
@@ -915,6 +1081,42 @@ class TestEvaluate:
                       labels_path, "--predictions", pred_path])
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["1.5", "-0.5"])
+    def test_prediction_outside_unit_interval_exits_2(self, data_files,
+                                                      tmp_path, capsys, bad):
+        arff_path, labels_path = data_files
+        pred_path = tmp_path / "preds.csv"
+        rows = ["0.5,0.5,0.5"] * 60
+        rows[7] = f"0.5,{bad},0.5"
+        pred_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = run_cli(["evaluate", "--dataset", arff_path, "--labels",
+                      labels_path, "--predictions", pred_path])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: prediction scores must lie in [0, 1]\n")
+
+    def test_unreadable_predictions_exit_2(self, data_files, tmp_path,
+                                           capsys):
+        arff_path, labels_path = data_files
+        missing = tmp_path / "nope.csv"
+        rc = run_cli(["evaluate", "--dataset", arff_path, "--labels",
+                      labels_path, "--predictions", missing])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read predictions {missing}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_predictions_without_dataset_exit_1(self, data_files, tmp_path,
+                                                capsys):
+        _, labels_path = data_files
+        pred_path = tmp_path / "preds.csv"
+        pred_path.write_text("0.5,0.5,0.5\n", encoding="utf-8")
+        rc = run_cli(["evaluate", "--labels", labels_path,
+                      "--predictions", pred_path])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --predictions mode needs --dataset\n")
 
     def test_single_experiment_matches_library(self, data_files, capsys):
         arff_path, labels_path = data_files

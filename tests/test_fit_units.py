@@ -6,6 +6,7 @@ longer than its last consumer."""
 
 import gc
 import json
+import traceback
 import weakref
 
 import numpy as np
@@ -232,7 +233,8 @@ def test_a_shared_state_that_fails_fails_every_consumer(tmp_path,
     indexes = []
     counting(monkeypatch, learners.KnnIndex, "__init__", indexes)
     code, report = run_grid(tmp_path, data, KNN_GRID[:3], "json")
-    assert code == 3 and len(indexes) == 1
+    # the table stores no failed build: each consumer builds the index
+    assert code == 3 and len(indexes) == 3
     rows = json.loads(report)["rows"]
     assert [row["experiment"] for row in rows] == ["br-knn", "lp-knn",
                                                    "rakel-knn"]
@@ -254,7 +256,8 @@ def test_a_shared_search_that_fails_fails_every_consumer(tmp_path,
     searches = []
     counting(monkeypatch, learners.KnnIndex, "_search", searches)
     code, report = run_grid(tmp_path, files, KNN_GRID[:3], "json")
-    assert code == 3 and len(searches) == 1
+    # the table stores no failed build: each consumer runs the search
+    assert code == 3 and len(searches) == 3
     rows = json.loads(report)["rows"]
     assert [row["experiment"] for row in rows] == ["br-knn", "lp-knn",
                                                    "rakel-knn"]
@@ -317,7 +320,10 @@ def test_consumers_build_each_unit_once_and_keep_none():
                 taken[key] = str(e)
         table.done()
         results.append(taken)
-    assert sorted(builds) == sorted(keys)
+    # a failed build is stored for no later consumer: the failing key is
+    # built once per experiment that takes it, every other key once
+    fails = sum(("fails",) in taken for taken in results)
+    assert sorted(builds) == sorted(keys[:-1] + [("fails",)] * fails)
     for key in keys:
         got = [taken[key] for taken in results if key in taken]
         assert len(got) > n // 2
@@ -368,7 +374,7 @@ def test_a_failed_build_leaves_nothing_alive():
     class Local:
         pass
 
-    refs, errors = [], []
+    refs, errors, depths = [], [], []
 
     def build():
         local = Local()
@@ -385,8 +391,12 @@ def test_a_failed_build_leaves_nothing_alive():
                 table.take("key", build, train)
             except ValueError as e:
                 errors.append(str(e))
+                depths.append(len(traceback.extract_tb(e.__traceback__)))
+            # the build's frame died with its consumer's error
+            assert refs[-1]() is None
             table.done()
-        assert errors == ["no such unit"] * 3 and len(refs) == 1
-        assert refs[0]() is None
+        assert errors == ["no such unit"] * 3 and len(refs) == 3
+        # no consumer raises an error that an earlier one raised
+        assert len(set(depths)) == 1
     finally:
         gc.enable()

@@ -200,13 +200,16 @@ class TestKnn:
     def test_a_kept_search_answers_only_its_own_matrix(self, monkeypatch):
         d = random_dataset(6, n=40, n_labels=1, n_num=3, n_nom=1)
         probe = random_dataset(7, n=9, n_labels=1, n_num=3, n_nom=1)
-        index = learners.TrainingState(KnnSpec(k=4), d.X,
-                                       d.schema.attributes).index
-        expected = index.neighbours(probe.X)
+
+        def state(kept=None):
+            return learners.TrainingState(KnnSpec(k=4), d.X,
+                                          d.schema.attributes, kept=kept)
+
+        expected = state().index.neighbours(probe.X)
         for writeable in (probe.X.copy(), probe.X.tolist()):
             with pytest.raises(ValueError, match="read-only"):
-                index.keep(writeable)
-        index.keep(probe.X)
+                state(kept=writeable)
+        index = state(kept=probe.X).index
         searches = []
         search = learners.KnnIndex._search
 

@@ -21,7 +21,6 @@ from .arff import (
     RawTable,
     SplitSpec,
     bind_labels,
-    dump_arff,
     load_arff,
     load_dataset,
     parse_arff,

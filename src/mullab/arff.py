@@ -85,10 +85,10 @@ def _unquote(token: str) -> str:
     return token
 
 
-def _split_quoted(text: str, sep: str = ",") -> list[str]:
-    """Split on ``sep`` outside single/double quotes."""
+def _split_quoted(text: str) -> list[str]:
+    """Split on ',' outside single/double quotes."""
     if "'" not in text and '"' not in text:
-        return text.split(sep)
+        return text.split(",")
     parts: list[str] = []
     buf: list[str] = []
     quote = None
@@ -100,7 +100,7 @@ def _split_quoted(text: str, sep: str = ",") -> list[str]:
         elif ch in "'\"":
             quote = ch
             buf.append(ch)
-        elif ch == sep:
+        elif ch == ",":
             parts.append("".join(buf))
             buf = []
         else:
@@ -331,39 +331,6 @@ def parse_arff(source: Union[str, io.TextIOBase]) -> RawTable:
 def load_arff(path) -> RawTable:
     with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_arff(fh.read())
-
-
-def dump_arff(raw: RawTable) -> str:
-    """Debug writer producing dense ARFF; parse(dump(t)) gives back the
-    relation name, attributes and ``X`` of every table whose names hold no
-    line break and at most one kind of quote character (the dialect has no
-    escapes)."""
-
-    def quote(name: str) -> str:
-        # bare only when no character can split, end or re-read the token
-        if name and not any(ch.isspace() or ch in ",'\"{}%?" for ch in name):
-            return name
-        return f'"{name}"' if "'" in name else f"'{name}'"
-
-    out = [f"@relation {quote(raw.relation_name)}"]
-    for attr in raw.attributes:
-        if attr.is_nominal:
-            vals = ",".join(quote(v) for v in attr.values)
-            out.append(f"@attribute {quote(attr.name)} {{{vals}}}")
-        else:
-            out.append(f"@attribute {quote(attr.name)} numeric")
-    out.append("@data")
-    for row in raw.X.tolist():
-        cells = []
-        for v, attr in zip(row, raw.attributes):
-            if math.isnan(v):
-                cells.append("?")
-            elif attr.is_nominal:
-                cells.append(quote(attr.values[int(v)]))
-            else:
-                cells.append(repr(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,12 @@ replaces the config's label key.  A split takes 'ratio' or 'train' and
 'test', not both.  An experiment's 'name' is a string with no ',', '|' or
 line break, since it heads a CSV row and a markdown column, and no two
 experiments may have one name, given or derived.  A grid runs its
-experiments one at a time, in declaration order; ``workers`` (an integer
->= 1) is accepted so that existing configs run, and changes nothing.
-evaluate has no --workers flag, but its config may set the key.
+experiments one at a time, in declaration order; the config key
+``workers`` (an integer >= 1) is accepted so that existing configs run,
+and changes nothing.  No subcommand has a --workers flag.
+``evaluate --predictions`` scores the file's matrix as it is, so it
+refuses the flags that only a fitted model reads: --transform, --learner,
+--params and --split.
 The environment variable MULLAB_SEED is the seed fallback when neither the
 flag nor the config provides one.  Numeric flags and MULLAB_SEED follow the
 ARFF rule for numbers: ASCII, with no '_'.
@@ -165,9 +168,8 @@ def _merge_flags(args) -> dict:
     cfg["dataset"] = ds
     if args.split:
         cfg["split"] = _parse_split_flag(args.split)
-    for key in ("seed", "threshold", "workers", "format", "out"):
-        # evaluate runs one experiment, so it has no --workers
-        if getattr(args, key, None) is not None:
+    for key in ("seed", "threshold", "format", "out"):
+        if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     if cfg.get("seed") is None and os.environ.get("MULLAB_SEED"):
         try:
@@ -516,7 +518,7 @@ def render_csv(reports, include_average: bool = True) -> str:
         else:
             lines.append(name + "," * len(EvaluationReport.METRIC_FIELDS))
     avg = _average_row(reports) if include_average else None
-    if avg is not None and include_average:
+    if avg is not None:
         lines.append(
             "AVERAGE," + ",".join(_fmt(avg[f])
                                   for f in EvaluationReport.METRIC_FIELDS)
@@ -602,8 +604,11 @@ def _run_experiments(cfg: dict, plans: list, train, test):
     reports = []
     for spec, seed, name, _ in plans:
         try:
-            report = evaluate(_build_model(spec, train, seed, table), test,
-                              cfg["threshold"])
+            # the very test.X the table's kNN indexes kept their search of;
+            # no name holds the model, so it dies before the next build
+            scores = _build_model(spec, train, seed,
+                                  table).predict_scores_many(test.X)
+            report = evaluate(scores, test, cfg["threshold"])
         except Exception as e:  # noqa: BLE001 - row marked failed
             report = str(e)
         finally:
@@ -673,20 +678,12 @@ def _read_predictions(path, n_rows: int, m: int):
     return scores
 
 
-class _FileModel:
-    """Adapts a fixed score matrix to the model interface."""
-
-    def __init__(self, scores):
-        self._scores = scores
-        self.n_labels = scores.shape[1]
-
-    def predict_scores_many(self, rows):
-        return self._scores
-
-
 def cmd_evaluate(args) -> int:
     cfg = _merge_flags(args)
     if args.predictions:
+        for flag in ("transform", "learner", "params", "split"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} does not apply to --predictions")
         ds, _ = _data_specs(cfg)
         if not ds.get("path"):
             raise UsageError("--predictions mode needs --dataset")
@@ -694,7 +691,7 @@ def cmd_evaluate(args) -> int:
         if len(data) == 0:
             raise DataError("dataset has no rows")
         scores = _read_predictions(args.predictions, len(data), data.n_labels)
-        rep = evaluate(_FileModel(scores), data, cfg["threshold"])
+        rep = evaluate(scores, data, cfg["threshold"])
         reports = [("predictions", rep)]
     else:
         if args.transform:
@@ -759,9 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="run an experiment grid")
     _add_common(p_bench)
-    p_bench.add_argument("--workers", type=_number(int),
-                         help="accepted for existing scripts; experiments "
-                              "run one at a time")
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_eval = sub.add_parser("evaluate", help="run a single experiment")

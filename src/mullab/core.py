@@ -134,19 +134,14 @@ class MLDataset:
 
 @dataclass(frozen=True)
 class DatasetStats:
-    """Summary row for one dataset.
-
-    ``lden`` divides by the schema's full label universe.  ``lden_observed``
-    divides by the (possibly smaller) union of labels actually seen in the
-    rows; it is a diagnostic, not the headline density.
-    """
+    """Summary row for one dataset; ``lden`` divides by the schema's full
+    label universe."""
 
     n_instances: int
     n_labels: int
     lcard: float
     lden: float
     distinct_labelsets: int
-    lden_observed: float
 
 
 def label_cardinality(d: MLDataset) -> float:
@@ -164,13 +159,10 @@ def label_density(d: MLDataset) -> float:
 
 
 def dataset_stats(d: MLDataset) -> DatasetStats:
-    lcard = label_cardinality(d)
-    n_observed = int(d.Y.any(axis=0).sum())
     return DatasetStats(
         n_instances=len(d),
         n_labels=d.n_labels,
-        lcard=lcard,
+        lcard=label_cardinality(d),
         lden=label_density(d),
         distinct_labelsets=len(np.unique(d.Y, axis=0)),
-        lden_observed=lcard / n_observed if n_observed else 0.0,
     )

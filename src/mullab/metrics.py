@@ -15,13 +15,14 @@ functions raise, and ``evaluate`` reports the metric as NaN.
 
 Each measure takes n x M matrices: the bool truth ``Y`` and the bool
 prediction ``Z`` or the integer ranks ``R`` (``R[i, j]`` is label j's rank
-in row i; ``rank_matrix`` turns scores into ranks).  Per-instance terms add
-up in row order (average-precision terms in label order).
+in row i; ``rank_matrix`` turns scores into ranks), and ``evaluate`` the
+n x M score matrix of a test set.  Per-instance terms add up in row order
+(average-precision terms in label order).
 
 All functions raise ``ValueError`` on zero rows, on row-count mismatches,
-on non-bool truth or predictions and on rank rows that are not
-permutations of 1..M, and ``UniverseMismatch`` when the label counts
-differ.
+on non-bool truth or predictions, on scores that are not finite and on
+rank rows that are not permutations of 1..M, and ``UniverseMismatch``
+when the label counts differ.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MLDataset, UniverseMismatch, check_threshold
-from .transforms import MultiLabelModel
 
 
 @dataclass(frozen=True)
@@ -197,22 +197,20 @@ def average_precision(Y: np.ndarray, R: np.ndarray) -> float:
     return _with_ranks(_average_precision, Y, R)
 
 
-def evaluate(model: MultiLabelModel, test: MLDataset,
-             t: float = 0.5) -> EvaluationReport:
-    """Score every test row, derive bipartitions (threshold ``t``) and
-    rankings, and compute all five metrics; ranking loss and average
-    precision are NaN when no test row defines them; ``t`` must be in
-    [0, 1].  A model fitted through a grid's ``transforms.FitUnits`` finds
-    the kNN neighbours of ``test.X`` kept on its shared index."""
+def evaluate(scores, test: MLDataset, t: float = 0.5) -> EvaluationReport:
+    """All five metrics of ``scores``, the n x M score matrix of the rows of
+    ``test``: bipartitions at threshold ``t`` (in [0, 1]) and rankings.
+    Ranking loss and average precision are NaN when no test row defines
+    them.  A wrong label count raises ``UniverseMismatch``; a wrong row
+    count, zero rows or a score that is not finite raise ``ValueError``.
+    Scores are not held to [0, 1]: a summed probability may pass 1 by an
+    ulp."""
     check_threshold(t)
-    if len(test) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    if model.n_labels != test.n_labels:
-        raise UniverseMismatch(
-            f"model has {model.n_labels} labels, dataset has {test.n_labels}"
-        )
-    scores = model.predict_scores_many(test.X)
-    Y, Z, R = test.Y, scores >= t, rank_matrix(scores)
+    Y, scores = _checked(test.Y, np.asarray(scores, dtype=float), "scores",
+                         np.floating)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    Z, R = scores >= t, rank_matrix(scores)
     n_rel = Y.sum(axis=1)
     proper = (n_rel > 0) & (n_rel < Y.shape[1])
     return EvaluationReport(

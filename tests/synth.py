@@ -5,8 +5,11 @@ that share a common latent direction, which makes every label pair
 positively correlated by construction.
 """
 
+import math
+
 import numpy as np
 
+from mullab.arff import RawTable
 from mullab.core import Attribute, MLDataset, Schema
 
 
@@ -50,29 +53,37 @@ def min_pairwise_label_correlation(dataset) -> float:
     return min(corr[a, b] for a in range(m) for b in range(a + 1, m))
 
 
-def to_arff_text(dataset, relation="synthetic"):
-    """Serialize an MLDataset to dense ARFF with {0,1} label columns."""
-    lines = [f"@relation {relation}"]
-    for attr in dataset.schema.attributes:
-        if attr.is_nominal:
-            lines.append(f"@attribute {attr.name} {{{','.join(attr.values)}}}")
-        else:
-            lines.append(f"@attribute {attr.name} numeric")
-    for name in dataset.schema.label_names:
-        lines.append(f"@attribute {name} {{0,1}}")
+def _quote(name):
+    # bare only when no character can split, end or re-read the token
+    if name and not any(ch.isspace() or ch in ",'\"{}%?" for ch in name):
+        return name
+    return f'"{name}"' if "'" in name else f"'{name}'"
+
+
+def arff_text(raw):
+    """Dense ARFF of a RawTable.  ``parse_arff`` gives back its relation
+    name, attributes and ``X`` whenever its names hold no line break and at
+    most one kind of quote character (the dialect has no escapes)."""
+    lines = [f"@relation {_quote(raw.relation_name)}"]
+    for attr in raw.attributes:
+        kind = ("{" + ",".join(map(_quote, attr.values)) + "}"
+                if attr.is_nominal else "numeric")
+        lines.append(f"@attribute {_quote(attr.name)} {kind}")
     lines.append("@data")
-    for fv, y in zip(dataset.features, dataset.Y):
-        cells = []
-        for attr, v in zip(dataset.schema.attributes, fv):
-            if v is None:
-                cells.append("?")
-            elif attr.is_nominal:
-                cells.append(attr.values[v])
-            else:
-                cells.append(repr(float(v)))
-        cells.extend("1" if v else "0" for v in y)
-        lines.append(",".join(cells))
+    for row in raw.X.tolist():
+        lines.append(",".join(
+            "?" if math.isnan(v)
+            else _quote(attr.values[int(v)]) if attr.is_nominal else repr(v)
+            for v, attr in zip(row, raw.attributes)))
     return "\n".join(lines) + "\n"
+
+
+def to_arff_text(dataset, relation="synthetic"):
+    """Dense ARFF of an MLDataset, its labels last as {0,1} attributes."""
+    labels = tuple(Attribute(name, ("0", "1"))
+                   for name in dataset.schema.label_names)
+    return arff_text(RawTable(relation, dataset.schema.attributes + labels,
+                              np.hstack([dataset.X, dataset.Y])))
 
 
 def random_rows(seed, n=30, n_labels=3, n_num=2, n_nom=1, nom_arity=3,

@@ -133,7 +133,7 @@ def test_criterion_4_scene_rakel_knn_anchor():
     ds = load_benchmark(scene, LabelSpec.from_names(read_label_names(scene["labels"])))
     train, test = split_dataset(ds, SplitSpec(counts=(1588, 819), seed=7))
     model = rakel_fit(train, preset("knn"), k=3, seed=7)  # m defaults to 2M
-    rep = evaluate(model, test, t=0.5)
+    rep = evaluate(model.predict_scores_many(test.X), test, t=0.5)
     elapsed = time.monotonic() - started
     assert 0.08 <= rep.hamming_loss <= 0.20, rep
     assert 0.45 <= rep.accuracy <= 0.75, rep
@@ -151,9 +151,10 @@ def test_criterion_5_ensemble_beats_baseline_mean():
     for seed in range(1, 11):
         train, test = correlated_dataset(seed)
         assert min_pairwise_label_correlation(train) >= 0.3
-        ens = evaluate(ensemble_fit(train, default_ensemble_spec(seed=seed)), test)
-        base = [evaluate(lp_fit(train, preset(name)), test)
-                for name in PRESET_NAMES]
+        models = [ensemble_fit(train, default_ensemble_spec(seed=seed))]
+        models += [lp_fit(train, preset(name)) for name in PRESET_NAMES]
+        ens, *base = [evaluate(model.predict_scores_many(test.X), test)
+                      for model in models]
         mean = {f: sum(getattr(r, f) for r in base) / len(base) for f in metrics}
         wins = sum([
             ens.accuracy > mean["accuracy"],
@@ -179,24 +180,25 @@ def test_criterion_6_worker_count_determinism(tmp_path):
     labels_path = tmp_path / "labels.txt"
     labels_path.write_text("L0\nL1\nL2\n", encoding="utf-8")
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({
-        "dataset": {"path": str(arff_path), "labels": str(labels_path)},
-        "split": {"ratio": 0.67},
-        "seed": 21,
-        "experiments": [
-            {"name": "br-nb", "transform": "br", "learner": "nb"},
-            {"name": "lp-knn", "transform": "lp", "learner": "knn"},
-            {"name": "rakel-j48", "transform": "rakel", "learner": "j48",
-             "m": 4, "k": 2},
-            {"name": "ens", "transform": "ensemble", "q": 5,
-             "rule": "majority_vote"},
-        ],
-    }), encoding="utf-8")
     blobs = []
     for run, workers in enumerate((1, 8, 1, 8)):
+        cfg_path.write_text(json.dumps({
+            "dataset": {"path": str(arff_path), "labels": str(labels_path)},
+            "split": {"ratio": 0.67},
+            "seed": 21,
+            "workers": workers,
+            "experiments": [
+                {"name": "br-nb", "transform": "br", "learner": "nb"},
+                {"name": "lp-knn", "transform": "lp", "learner": "knn"},
+                {"name": "rakel-j48", "transform": "rakel", "learner": "j48",
+                 "m": 4, "k": 2},
+                {"name": "ens", "transform": "ensemble", "q": 5,
+                 "rule": "majority_vote"},
+            ],
+        }), encoding="utf-8")
         out = tmp_path / f"report-{run}.csv"
         rc = cli_main(["benchmark", "--config", str(cfg_path), "--format",
-                       "csv", "--workers", str(workers), "--out", str(out)])
+                       "csv", "--out", str(out)])
         assert rc == 0
         blobs.append(out.read_bytes())
     assert len(set(blobs)) == 1

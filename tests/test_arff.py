@@ -10,7 +10,6 @@ from mullab.arff import (
     RawTable,
     SplitSpec,
     bind_labels,
-    dump_arff,
     load_arff,
     parse_arff,
     read_label_names,
@@ -20,7 +19,7 @@ from mullab.core import dataset_stats
 
 from golden_arff import BAD_FIXTURES, GOOD_FIXTURES, same_table
 from oracles import split_quoted_bf
-from synth import random_dataset, to_arff_text
+from synth import arff_text, random_dataset, to_arff_text
 
 
 @pytest.mark.parametrize(
@@ -53,7 +52,7 @@ def test_split_quoted_matches_character_reference(text):
 def test_parse_dump_parse_fixed_point():
     for name, text, _ in GOOD_FIXTURES:
         once = parse_arff(text)
-        again = parse_arff(dump_arff(once))
+        again = parse_arff(arff_text(once))
         assert same_table(again, once), name
 
 

@@ -148,7 +148,8 @@ class TestBenchmark:
         ds = bind_labels(load_arff(arff_path),
                          LabelSpec.from_names(["L0", "L1", "L2"]))
         train, test = split_dataset(ds, SplitSpec(ratio=0.67, seed=5))
-        rep = evaluate(br_fit(train, preset("nb")), test, 0.5)
+        rep = evaluate(br_fit(train, preset("nb")).predict_scores_many(test.X),
+                       test, 0.5)
         expected = [rep.accuracy, rep.hamming_loss, rep.one_error,
                     rep.ranking_loss, rep.avg_precision]
         assert [f"{v:.6f}" for v in expected] == got[1:]
@@ -158,12 +159,13 @@ class TestBenchmark:
         experiments = EXPERIMENTS + [
             {"name": "ens", "transform": "ensemble", "q": 4, "rule": "mean"}
         ]
-        cfg = write_config(tmp_path, arff_path, labels_path, experiments)
         outputs = []
         for workers in (1, 8, 1):
+            cfg = write_config(tmp_path, arff_path, labels_path, experiments,
+                               workers=workers)
             out = tmp_path / f"report-{len(outputs)}.csv"
             rc = run_cli(["benchmark", "--config", cfg, "--format", "csv",
-                          "--workers", workers, "--out", out])
+                          "--out", out])
             assert rc == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
@@ -182,15 +184,15 @@ class TestBenchmark:
 
         monkeypatch.setattr(cli, "_build_model", recording)
         outputs = []
-        for workers, flag in ((1, []), (2, []), (2, ["--workers", 8])):
+        for workers in (1, 2):
             cfg = write_config(tmp_path, arff_path, labels_path, experiments,
                                workers=workers)
             out = tmp_path / f"report-{len(outputs)}.csv"
             assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
-                            "--out", out, *flag]) == 0
+                            "--out", out]) == 0
             outputs.append(out.read_bytes())
-        assert threads == [threading.get_ident()] * (3 * len(experiments))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert threads == [threading.get_ident()] * (2 * len(experiments))
+        assert outputs[0] == outputs[1]
 
     def test_json_average_is_mean_of_rows(self, data_files, tmp_path):
         arff_path, labels_path = data_files
@@ -719,16 +721,14 @@ def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys,
     ("evaluate", ["--seed", "1_0"], None),
     ("benchmark", ["--threshold", "0.5_0"], None),
     ("evaluate", ["--threshold", "\uff10.5"], None),
-    ("benchmark", ["--workers", "\uff12"], None),
-    ("benchmark", ["--workers", "1_0"], None),
     ("evaluate", ["--trailing-labels", "\u0663"], None),
     ("info", ["--trailing-labels", "3_0"], None),
     ("benchmark", [], "\u0661"),
     ("evaluate", [], "1_0"),
 ], ids=["split-counts-underscore", "split-ratio-underscore",
         "split-arabic-indic", "seed-arabic-indic", "seed-underscore",
-        "threshold-underscore", "threshold-fullwidth", "workers-fullwidth",
-        "workers-underscore", "trailing-labels-arabic-indic",
+        "threshold-underscore", "threshold-fullwidth",
+        "trailing-labels-arabic-indic",
         "info-trailing-labels-underscore", "env-seed-arabic-indic",
         "env-seed-underscore"])
 def test_numbers_only_python_reads_exit_1_before_any_data_is_read(
@@ -1118,6 +1118,21 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             "error: --predictions mode needs --dataset\n")
 
+    @pytest.mark.parametrize("flags", [
+        ["--transform", "bogus"], ["--learner", "nope"],
+        ["--params", '{"m":3}'], ["--split", "9:9"]],
+        ids=["transform", "learner", "params", "split"])
+    def test_predictions_refuse_the_flags_of_a_model_run(
+            self, flags, data_files, tmp_path, monkeypatch, capsys):
+        arff_path, labels_path = data_files
+        pred_path = tmp_path / "preds.csv"
+        pred_path.write_text("0.5,0.5,0.5\n" * 60, encoding="utf-8")
+        err = assert_usage_error_before_data(
+            ["evaluate", "--dataset", arff_path, "--labels", labels_path,
+             "--predictions", pred_path, "--out", tmp_path / "report.csv",
+             *flags], tmp_path, monkeypatch, capsys)
+        assert err == f"error: {flags[0]} does not apply to --predictions\n"
+
     def test_single_experiment_matches_library(self, data_files, capsys):
         arff_path, labels_path = data_files
         rc = run_cli(["evaluate", "--dataset", arff_path, "--labels",
@@ -1129,7 +1144,8 @@ class TestEvaluate:
         ds = bind_labels(load_arff(arff_path),
                          LabelSpec.from_names(["L0", "L1", "L2"]))
         train, test = split_dataset(ds, SplitSpec(ratio=0.67, seed=5))
-        rep = evaluate(br_fit(train, preset("nb")), test, 0.5)
+        rep = evaluate(br_fit(train, preset("nb")).predict_scores_many(test.X),
+                       test, 0.5)
         assert payload["rows"][0]["accuracy"] == rep.accuracy
         assert payload["rows"][0]["hamming_loss"] == rep.hamming_loss
         assert payload["rows"][0]["ranking_loss"] == rep.ranking_loss
@@ -1146,16 +1162,18 @@ class TestEvaluate:
                          LabelSpec.from_names(["L0", "L1", "L2"]))
         train, test = split_dataset(ds, SplitSpec(ratio=0.67, seed=5))
         spec = default_ensemble_spec(seed=derive_seed(5, 0))
-        rep = evaluate(ensemble_fit(train, spec), test, 0.5)
+        rep = evaluate(ensemble_fit(train, spec).predict_scores_many(test.X),
+                       test, 0.5)
         assert payload["rows"][0]["accuracy"] == rep.accuracy
         assert payload["rows"][0]["hamming_loss"] == rep.hamming_loss
 
+    @pytest.mark.parametrize("command", ["benchmark", "evaluate"])
     def test_workers_flag_exits_1_before_any_data_is_read(
-            self, data_files, tmp_path, monkeypatch, capsys):
+            self, command, data_files, tmp_path, monkeypatch, capsys):
         arff_path, labels_path = data_files
         cfg = write_config(tmp_path, arff_path, labels_path, [BR])
         err = assert_usage_error_before_data(
-            ["evaluate", "--config", cfg, "--workers", 2,
+            [command, "--config", cfg, "--workers", 2,
              "--out", tmp_path / "report.csv"],
             tmp_path, monkeypatch, capsys, err_start="usage: ")
         assert err.splitlines()[-1].endswith(

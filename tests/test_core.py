@@ -94,12 +94,11 @@ class TestStats:
         shuffled = d.subset(reversed(range(len(d))))
         assert dataset_stats(d) == dataset_stats(shuffled)
 
-    def test_observed_density_diagnostic(self):
-        # only label 0 of 4 ever used: observed universe has size 1
+    def test_density_divides_by_the_full_label_universe(self):
+        # only label 0 of 4 ever used: the density still divides by 4
         d = tiny_dataset([[0], [0]], 4)
         stats = dataset_stats(d)
         assert stats.lden == pytest.approx(0.25)
-        assert stats.lden_observed == pytest.approx(1.0)
 
 
 class TestDatasetValidation:

@@ -124,9 +124,10 @@ def test_evaluate_reads_the_search_its_shared_index_kept(monkeypatch):
     model = fit_member(train, spec, units=table)
     table.done()
     assert len(searches) == 1
-    report = evaluate(model, test, 0.5)
+    report = evaluate(model.predict_scores_many(test.X), test, 0.5)
     assert len(searches) == 1
-    assert report == evaluate(fit_member(train, spec), test, 0.5)
+    assert report == evaluate(
+        fit_member(train, spec).predict_scores_many(test.X), test, 0.5)
     assert len(searches) == 2
 
 

@@ -253,21 +253,12 @@ def eval_fixture(labelsets, m):
     return MLDataset(schema, x, label_rows(labelsets, m))
 
 
-class _MatrixModel:
-    def __init__(self, scores):
-        self._scores = np.asarray(scores, dtype=float)
-        self.n_labels = self._scores.shape[1]
-
-    def predict_scores_many(self, rows):
-        return self._scores
-
-
 class TestEvaluate:
     def test_oracle_model_is_perfect(self):
         truths = [[0], [1, 2], [0, 2]]
         test = eval_fixture(truths, 3)
         scores = [[1.0 if j in t else 0.0 for j in range(3)] for t in truths]
-        rep = evaluate(_MatrixModel(scores), test, t=0.5)
+        rep = evaluate(scores, test, t=0.5)
         assert rep.accuracy == 1.0
         assert rep.hamming_loss == 0.0
         assert rep.one_error == 0.0
@@ -276,7 +267,7 @@ class TestEvaluate:
     def test_constant_half_model_hand_values(self):
         truths = [[0], [1, 2]]
         test = eval_fixture(truths, 3)
-        rep = evaluate(_MatrixModel([[0.5] * 3] * 2), test, t=0.5)
+        rep = evaluate([[0.5] * 3] * 2, test, t=0.5)
         # 0.5 >= t, so the bipartition is the full set; ranks are 1,2,3
         assert rep.accuracy == pytest.approx(1 / 2)
         assert rep.hamming_loss == pytest.approx(1 / 2)
@@ -288,7 +279,7 @@ class TestEvaluate:
     def test_skip_counting(self):
         truths = [[], [0, 1, 2], [0]]
         test = eval_fixture(truths, 3)
-        rep = evaluate(_MatrixModel([[0.9, 0.4, 0.1]] * 3), test)
+        rep = evaluate([[0.9, 0.4, 0.1]] * 3, test)
         assert rep.n_skipped_ranking == 2
         assert rep.n_evaluated == 3
 
@@ -300,7 +291,7 @@ class TestEvaluate:
     ])
     def test_metric_no_row_defines_is_nan(self, truths, rl_defined,
                                           ap_defined):
-        rep = evaluate(_MatrixModel([[0.9, 0.4, 0.1]] * 2),
+        rep = evaluate([[0.9, 0.4, 0.1]] * 2,
                        eval_fixture(truths, 3))
         assert np.isnan(rep.ranking_loss) != rl_defined
         assert np.isnan(rep.avg_precision) != ap_defined
@@ -311,22 +302,59 @@ class TestEvaluate:
     def test_universe_mismatch(self):
         test = eval_fixture([[0]], 2)
         with pytest.raises(UniverseMismatch):
-            evaluate(_MatrixModel([[0.5, 0.5, 0.5]]), test)
+            evaluate([[0.5, 0.5, 0.5]], test)
+
+    @pytest.mark.parametrize("scores, error, message", [
+        ([[0.9, 0.1, 0.5]], ValueError, "3 truths vs 1 scores"),
+        ([[0.9, 0.1]] * 3, UniverseMismatch, "label universes differ"),
+        ([[0.9, 0.1, 0.5]] * 4, ValueError, "3 truths vs 4 scores"),
+        ([0.9, 0.1, 0.5], ValueError, "n x M matrices"),
+        ([[0.9, np.nan, 0.5]] * 3, ValueError, "scores must be finite"),
+        ([[0.9, 0.1, 0.5]] * 2 + [[-np.inf] * 3], ValueError,
+         "scores must be finite"),
+    ], ids=["one-row-for-three", "two-labels-for-three", "four-rows",
+            "vector", "nan", "minus-inf"])
+    def test_malformed_scores_rejected(self, scores, error, message):
+        test = eval_fixture([[0], [1, 2], [2]], 3)
+        with pytest.raises(error, match=message) as raised:
+            evaluate(scores, test)
+        assert type(raised.value) is error
+
+    def test_scores_past_one_by_an_ulp_are_accepted(self):
+        # a label's summed class probabilities can pass 1 by rounding
+        test = eval_fixture([[0], [1]], 2)
+        over = np.nextafter(1.0, 2.0)
+        assert evaluate([[over, 0.0], [0.0, over]], test).accuracy == 1.0
+
+    def test_tied_scores_rank_by_ascending_label_index(self):
+        # an all-zero row, an all-equal row and a row with one tied pair
+        scores = np.array([[0.0, 0.0, 0.0], [0.4, 0.4, 0.4],
+                           [0.2, 0.7, 0.7]])
+        assert rank_matrix(scores).tolist() == [[1, 2, 3], [1, 2, 3],
+                                                [3, 1, 2]]
+        # the first tied label of each row is its one relevant label...
+        first = evaluate(scores, eval_fixture([[0], [0], [1]], 3))
+        assert (first.one_error, first.ranking_loss,
+                first.avg_precision) == (0.0, 0.0, 1.0)
+        # ...or the last, ranked below every other tied label
+        last = evaluate(scores, eval_fixture([[2], [2], [2]], 3))
+        assert last.one_error == 1.0
+        assert last.avg_precision == pytest.approx((1 / 3 + 1 / 3 + 1 / 2) / 3)
 
     def test_empty_dataset(self):
         test = eval_fixture([], 2)
         with pytest.raises(ValueError):
-            evaluate(_MatrixModel(np.zeros((0, 2))), test)
+            evaluate(np.zeros((0, 2)), test)
 
     @pytest.mark.parametrize("t", [2.0, -1.0, 1.0 + 1e-9, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, t):
         test = eval_fixture([[0], [1]], 2)
         with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
-            evaluate(_MatrixModel([[0.9, 0.1], [0.2, 0.8]]), test, t=t)
+            evaluate([[0.9, 0.1], [0.2, 0.8]], test, t=t)
 
     def test_threshold_bounds_are_valid(self):
         test = eval_fixture([[0], [1]], 2)
-        model = _MatrixModel([[1.0, 0.0], [0.0, 1.0]])
+        scores = [[1.0, 0.0], [0.0, 1.0]]
         # 0: every label is predicted; 1: only scores of exactly 1
-        assert evaluate(model, test, t=0.0).hamming_loss == 0.5
-        assert evaluate(model, test, t=1.0).accuracy == 1.0
+        assert evaluate(scores, test, t=0.0).hamming_loss == 0.5
+        assert evaluate(scores, test, t=1.0).accuracy == 1.0

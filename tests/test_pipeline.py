@@ -102,7 +102,7 @@ def test_larger_scale_rakel_knn_smoke():
                                      n_features=30)
     started = time.monotonic()
     model = rakel_fit(train, preset("knn"), k=3, seed=1)
-    rep = evaluate(model, test)
+    rep = evaluate(model.predict_scores_many(test.X), test)
     elapsed = time.monotonic() - started
     assert len(model.members) == 12
     assert rep.hamming_loss < 0.5

@@ -45,16 +45,19 @@ and so is a key the entry's transform does not take: ``m``/``k`` belong to
 rakel, ``p``/``b`` to ps and ensemble, and an ensemble that lists
 ``members`` takes no ``q`` or ``learner``.
 A dataset takes 'labels' or 'trailing_labels', not both; a label flag
-replaces the config's label key.  A split takes 'ratio' or 'train' and
-'test', not both.  An experiment's 'name' is a string with no ',', '|' or
-line break, since it heads a CSV row and a markdown column, and no two
-experiments may have one name, given or derived.  A grid runs its
-experiments one at a time, in declaration order; the config key
-``workers`` (an integer >= 1) is accepted so that existing configs run,
-and changes nothing.  No subcommand has a --workers flag.
+replaces the config's label key.  It takes 'path' or 'train' and 'test',
+not both, and a split (key or --split) only with 'path'.  A split takes
+'ratio' or 'train' and 'test', not both.  An experiment's 'name' is a
+non-empty string with no ',', '|', '"' or line break, since it heads a CSV
+row and a markdown column, and is not 'AVERAGE'; no two experiments may
+have one name, given or derived.  A grid runs its experiments one at a
+time, in declaration order; the config key ``workers`` (an integer >= 1)
+is accepted so that existing configs run, and changes nothing.  No
+subcommand has a --workers flag.
 ``evaluate --predictions`` scores the file's matrix as it is, so it
-refuses the flags that only a fitted model reads: --transform, --learner,
---params and --split.
+refuses what only a fitted model reads: --transform, --learner, --params,
+--split and the config keys 'experiments' and 'split'.  Without
+--transform, --learner and --params are refused too.
 The environment variable MULLAB_SEED is the seed fallback when neither the
 flag nor the config provides one.  Numeric flags and MULLAB_SEED follow the
 ARFF rule for numbers: ASCII, with no '_'.
@@ -146,9 +149,10 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _merge_flags(args) -> dict:
-    """The config file, if any, with command-line flags overriding it;
-    every key but 'experiments' is checked here, before any data is read."""
+def _merge_flags(args) -> tuple[dict, dict, SplitSpec | None]:
+    """The config file, if any, with command-line flags overriding it, and
+    its checked dataset fields and split (``_data_specs``); every key but
+    'experiments' is checked here, before any data is read."""
     cfg = _load_config(args.config) if args.config else {}
     _known_keys(cfg, _CONFIG_KEYS, "the config")
     ds = cfg.get("dataset") or {}
@@ -192,8 +196,7 @@ def _merge_flags(args) -> dict:
         raise UsageError(f"cannot write report {out}: it is a directory")
     if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise UsageError(f"cannot write report {out}: no such directory")
-    _data_specs(cfg)
-    return cfg
+    return (cfg, *_data_specs(cfg))
 
 
 # JSON kind -> (the Python types it takes, its name)
@@ -264,9 +267,14 @@ def _data_specs(cfg: dict) -> tuple[dict, SplitSpec | None]:
                          f"not {ds['trailing_labels']}")
     if "labels" in ds and "trailing_labels" in ds:
         raise UsageError("give 'labels' or 'trailing_labels', not both")
+    pair = ds.get("train") or ds.get("test")
+    if pair and ds.get("path"):
+        raise UsageError("give 'path' or 'train' and 'test', not both")
     split = cfg.get("split")
     if split is None:
         return ds, None
+    if pair:
+        raise UsageError("give a 'split' with 'path', not 'train' and 'test'")
     if not isinstance(split, dict):
         raise UsageError(f"'split' must be a JSON object, not {split!r}")
     _known_keys(split, _SPLIT_KEYS, "'split'")
@@ -309,9 +317,8 @@ def _load_bound(path, spec: LabelSpec) -> MLDataset:
         raise DataError(f"{path}: {e}") from e
 
 
-def _resolve_data(cfg: dict) -> tuple[MLDataset, MLDataset]:
-    """Produce the train/test pair from a config."""
-    ds, split = _data_specs(cfg)
+def _resolve_data(ds: dict, split) -> tuple[MLDataset, MLDataset]:
+    """The train/test pair of the checked fields of ``_data_specs``."""
     pair = ds.get("train") and ds.get("test")
     if not (pair or ds.get("path")):
         raise UsageError("config needs dataset.path or dataset.train/test")
@@ -413,14 +420,20 @@ def _ensemble_spec(entry: dict, seed: int, prune: PruneSpec) -> EnsembleSpec:
 
 
 def _experiment_name(exp: dict) -> str:
-    """The report column of an experiment: its 'name', which must not hold
-    a CSV or markdown separator or a line break, or one made from its
-    transform and learner."""
+    """The report column of an experiment: its 'name', which a reader of
+    the report must be able to take back, or one made from its transform
+    and learner."""
     name = _fields(exp, name=str).get("name")
-    if name:
+    if name is not None:
+        if not name:
+            raise UsageError("'name' must not be empty; leave the key out")
         if not set(name).isdisjoint(",|\r\n"):
             raise UsageError(f"'name' must not contain ',', '|' or a line "
                              f"break, not {name!r}")
+        if '"' in name:
+            raise UsageError(f"'name' must not contain '\"', not {name!r}")
+        if name == "AVERAGE":
+            raise UsageError("'name' must not be 'AVERAGE', the average row")
         return name
     if exp["transform"] == "ensemble":
         return "ensemble"
@@ -626,30 +639,32 @@ def _render(cfg: dict, reports, meta: dict, include_average: bool = True) -> str
     return render_json(reports, meta)
 
 
-def cmd_benchmark(args) -> int:
-    cfg = _merge_flags(args)
-    plans = _parse_experiments(cfg)
-    started = time.monotonic()
-    train, test = _resolve_data(cfg)
-    reports = _run_experiments(cfg, plans, train, test)
-    meta = {
-        "seed": cfg["seed"],
-        "threshold": cfg["threshold"],
-        "config_hash": config_hash(cfg),
-        "n_train": len(train),
-        "n_test": len(test),
-        "wall_time_s": round(time.monotonic() - started, 3),
-    }
-    _emit(_render(cfg, reports, meta), cfg.get("out"))
-    return _exit_code(reports)
-
-
-def _exit_code(reports) -> int:
-    """Log every failed experiment; EXIT_EXPERIMENT if there was one."""
+def _report(cfg: dict, reports, started: float, n_train: int | None,
+            n_test: int, include_average: bool = True) -> int:
+    """Emit the report and log every failed row; EXIT_EXPERIMENT if any."""
+    meta = {"seed": cfg["seed"], "threshold": cfg["threshold"],
+            "config_hash": config_hash(cfg), "n_train": n_train,
+            "n_test": n_test,
+            "wall_time_s": round(time.monotonic() - started, 3)}
+    _emit(_render(cfg, reports, meta, include_average), cfg.get("out"))
     failed = [(n, r) for n, r in reports if not isinstance(r, EvaluationReport)]
     for name, err in failed:
         log.error("experiment %r failed: %s", name, err)
     return EXIT_EXPERIMENT if failed else EXIT_OK
+
+
+def _run(cfg: dict, plans: list, ds: dict, split: SplitSpec | None,
+         include_average: bool = True) -> int:
+    """Load the data, run ``plans`` on it and report, for both subcommands."""
+    started = time.monotonic()
+    train, test = _resolve_data(ds, split)
+    return _report(cfg, _run_experiments(cfg, plans, train, test), started,
+                   len(train), len(test), include_average)
+
+
+def cmd_benchmark(args) -> int:
+    cfg, ds, split = _merge_flags(args)
+    return _run(cfg, _parse_experiments(cfg), ds, split)
 
 
 def _read_predictions(path, n_rows: int, m: int):
@@ -679,47 +694,47 @@ def _read_predictions(path, n_rows: int, m: int):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _merge_flags(args)
+    cfg, ds, split = _merge_flags(args)
     if args.predictions:
         for flag in ("transform", "learner", "params", "split"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} does not apply to --predictions")
-        ds, _ = _data_specs(cfg)
+        for key in ("experiments", "split"):
+            if cfg.get(key) is not None:
+                raise UsageError(f"{key!r} does not apply to --predictions")
         if not ds.get("path"):
             raise UsageError("--predictions mode needs --dataset")
+        started = time.monotonic()
         data = _load_bound(ds["path"], _label_spec(ds))
         if len(data) == 0:
             raise DataError("dataset has no rows")
         scores = _read_predictions(args.predictions, len(data), data.n_labels)
-        rep = evaluate(scores, data, cfg["threshold"])
-        reports = [("predictions", rep)]
+        reports = [("predictions", evaluate(scores, data, cfg["threshold"]))]
+        # the scores come from a model trained elsewhere, on rows not known
+        return _report(cfg, reports, started, None, len(data),
+                       include_average=False)
+    if args.transform:
+        exp = {"transform": args.transform}
+        if args.learner:
+            exp["learner"] = args.learner
+        if args.params:
+            try:
+                params = json.loads(args.params)
+            except json.JSONDecodeError as e:
+                raise UsageError(f"--params is not valid JSON: {e}") from e
+            if not isinstance(params, dict):
+                raise UsageError("--params must be a JSON object")
+            exp.update(params)
+        cfg["experiments"] = [exp]
     else:
-        if args.transform:
-            exp = {"transform": args.transform}
-            if args.learner:
-                exp["learner"] = args.learner
-            if args.params:
-                try:
-                    params = json.loads(args.params)
-                except json.JSONDecodeError as e:
-                    raise UsageError(f"--params is not valid JSON: {e}") from e
-                if not isinstance(params, dict):
-                    raise UsageError("--params must be a JSON object")
-                exp.update(params)
-            cfg["experiments"] = [exp]
-        plans = _parse_experiments(cfg) if cfg.get("experiments") else []
-        if len(plans) != 1:
-            raise UsageError("evaluate needs exactly one experiment "
-                             "(--transform or a single-experiment config)")
-        train, test = _resolve_data(cfg)
-        reports = _run_experiments(cfg, plans, train, test)
-    meta = {
-        "seed": cfg["seed"],
-        "threshold": cfg["threshold"],
-        "config_hash": config_hash(cfg),
-    }
-    _emit(_render(cfg, reports, meta, include_average=False), cfg.get("out"))
-    return _exit_code(reports)
+        for flag in ("learner", "params"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} needs --transform")
+    plans = _parse_experiments(cfg) if cfg.get("experiments") else []
+    if len(plans) != 1:
+        raise UsageError("evaluate needs exactly one experiment "
+                         "(--transform or a single-experiment config)")
+    return _run(cfg, plans, ds, split, include_average=False)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,12 @@ rows are the very matrix it was built with a search of (``kept``), so
 concurrent predicts on one model stay safe.
 
 A grid of experiments over one train/test split may share two kinds of
-fit unit through a ``FitUnits`` table: a training state, keyed by its
-learner spec and training rows (the split, or its pruned-sets rewrite),
-whose kNN index is built with a search of the grid's test rows; and a
-fitted ensemble member.  The grid runs its experiments one at a time,
-and the table builds each unit once and drops it at its last consumer.
+fit unit through a ``FitUnits`` table: a training state of the split,
+keyed by its learner spec, whose kNN index is built with a search of the
+grid's test rows; and a fitted ensemble member.  Pruned sets fit on their
+own rewrite of the split, outside the table.  The grid runs its
+experiments one at a time, and the table builds each unit once and drops
+it at its last consumer.
 It stores built units only: a failed build runs, and fails, in each
 consumer.  Without a table, a state lives only while one model's members
 are fitted, and a search only for one predict call.  Every unit is
@@ -117,46 +118,29 @@ class RakelModel(MultiLabelModel):
         return out
 
 
-def _state_key(spec: LearnerSpec, prune: Optional[PruneSpec]) -> tuple:
-    """The ``FitUnits`` key of the training state that ``_training_unit``
-    builds for a grid's training split."""
-    return ("state", spec, prune)
-
-
-def _training_unit(train: MLDataset, spec: LearnerSpec,
-                   prune: Optional[PruneSpec], queries=None):
-    """``(rows, state, fields)``: the rows a model fits on, which are
-    ``train`` or, with a ``prune``, its pruned-sets rewrite; their training
-    state for ``spec``, whose kNN index is built with its search of
-    ``queries``; and the fields that the rewrite gives the model."""
-    fields = {}
-    if prune is not None:
-        train, fields = _pruned_rows(train, prune)
-    state = learners.TrainingState(spec, train.X, train.schema.attributes,
-                                   queries)
-    return train, state, fields
+def _state_key(spec: LearnerSpec) -> tuple:
+    """The ``FitUnits`` key of the training state of a grid's training
+    split for ``spec``."""
+    return ("state", spec)
 
 
 def _fit_members(model_class, train: MLDataset, spec: LearnerSpec, subsets,
-                 units: Optional[FitUnits] = None,
-                 prune: Optional[PruneSpec] = None):
+                 units: Optional[FitUnits] = None, **fields):
     """A ``model_class`` with one label-powerset member per label subset, in
-    order, all fitted from one training state of ``train`` or, with a
-    ``prune``, of its pruned-sets rewrite.  The state comes from the grid's
-    ``units`` table when the grid shares it, and else is built here and
-    dies on return."""
+    order, and the model ``fields``, all members fitted from one training
+    state of ``train``.  The state comes from the grid's ``units`` table
+    when the grid shares it, and else is built here and dies on return."""
     if len(train) == 0:
         raise ValueError("cannot fit label powerset on an empty dataset")
     if units is None:
-        rows, shared, fields = _training_unit(train, spec, prune)
+        shared = learners.TrainingState(spec, train.X, train.schema.attributes)
     else:
-        rows, shared, fields = units.take(
-            _state_key(spec, prune),
-            lambda: _training_unit(train, spec, prune, units.queries), train)
+        shared = units.take(_state_key(spec), lambda: learners.TrainingState(
+            spec, train.X, train.schema.attributes, units.queries), train)
     members = []
     for labels in subsets:
-        classes, y, _ = _distinct_rows(rows.Y[:, list(labels)])
-        clf = learners.fit(spec, rows.X, y, rows.schema.attributes, shared)
+        classes, y, _ = _distinct_rows(train.Y[:, list(labels)])
+        clf = learners.fit(spec, train.X, y, train.schema.attributes, shared)
         members.append((labels, clf, classes))
     return model_class(train.n_labels, members, **fields)
 
@@ -246,14 +230,15 @@ class PrunedSetsModel(RakelModel):
         self.n_reintroduced = n_reintroduced
 
 
-def ps_fit(train: MLDataset, spec: LearnerSpec, prune: PruneSpec,
-           units: Optional[FitUnits] = None) -> PrunedSetsModel:
+def ps_fit(train: MLDataset, spec: LearnerSpec,
+           prune: PruneSpec) -> PrunedSetsModel:
     """Pruned sets: label powerset fitted on ``_pruned_rows(train, prune)``,
-    the pruned-sets rewrite of ``train``."""
+    the pruned-sets rewrite of ``train``, outside any ``FitUnits`` table."""
     if len(train) == 0:
         raise ValueError("cannot fit pruned sets on an empty dataset")
-    return _fit_members(PrunedSetsModel, train, spec,
-                        [tuple(range(train.n_labels))], units, prune)
+    rows, fields = _pruned_rows(train, prune)
+    return _fit_members(PrunedSetsModel, rows, spec,
+                        [tuple(range(train.n_labels))], **fields)
 
 
 def _pruned_rows(train: MLDataset, prune: PruneSpec):
@@ -310,10 +295,10 @@ class MemberSpec:
             raise ValueError("rakel subset size k must be >= 1")
 
     def units(self) -> tuple:
-        """The key of the ``FitUnits`` training state that a fit of this
-        spec on a grid's training split reads."""
-        return (_state_key(self.learner,
-                           self.prune if self.transform == "ps" else None),)
+        """The keys of the ``FitUnits`` training states that a fit of this
+        spec on a grid's training split reads: none for ps, which fits on
+        its own rewrite of the split."""
+        return () if self.transform == "ps" else (_state_key(self.learner),)
 
 
 _FITS = {
@@ -322,7 +307,7 @@ _FITS = {
     "rakel": lambda train, spec, seed, units: rakel_fit(
         train, spec.learner, m=spec.m, k=spec.k, seed=seed, units=units),
     "ps": lambda train, spec, seed, units: ps_fit(
-        train, spec.learner, spec.prune, units),
+        train, spec.learner, spec.prune),
 }
 
 TRANSFORM_NAMES = tuple(_FITS)
@@ -348,8 +333,8 @@ class FitUnits:
     A unit is built at its first consumer's take and leaves the table at
     its last consumer's take, or at that consumer's ``done`` if it never
     took it.  A failed build is not stored: each consumer runs it and
-    fails alike.  A key with one consumer is never stored, so its unit
-    lives as long as it would without a table."""
+    fails alike.  A key with one consumer leaves the table in the take
+    that builds it, so its unit lives as long as it would without one."""
 
     def __init__(self, train: MLDataset, test: MLDataset, plans):
         self.train, self.queries = train, test.X
@@ -366,8 +351,6 @@ class FitUnits:
             return build()
         last = self._last[key] == self._running
         if key not in self._built:
-            if last:  # no later consumer
-                return build()
             self._built[key] = build()
         return self._built.pop(key) if last else self._built[key]
 

@@ -825,8 +825,13 @@ def test_unwritable_out_exits_1(command, data_files, tmp_path, monkeypatch,
      "error: give 'ratio' or 'train' and 'test', not both\n"),
     ({}, {"learner": 5}, "error: bad learner spec 5\n"),
     ({}, {"learner": {"kind": "svm"}}, "error: unknown learner kind 'svm'\n"),
+    ({}, {"name": "AVERAGE"}, "error: 'name' must not be 'AVERAGE', the "
+                              "average row\n"),
+    ({}, {"name": '"q'}, "error: 'name' must not contain '\"', not '\"q'\n"),
+    ({}, {"name": ""}, "error: 'name' must not be empty; leave the key out\n"),
 ], ids=["name-comma", "name-int", "name-newline-pipe", "split-ratio-and-counts",
-        "learner-int", "learner-unknown-kind"])
+        "learner-int", "learner-unknown-kind", "name-average", "name-quote",
+        "name-empty"])
 def test_evaluate_mistake_names_the_rule(fields, params, message, data_files,
                                          tmp_path, monkeypatch, capsys):
     # --params sets the experiment's keys, as a config entry does
@@ -837,6 +842,43 @@ def test_evaluate_mistake_names_the_rule(fields, params, message, data_files,
          "--params", json.dumps(params), "--out", tmp_path / "report.csv"],
         tmp_path, monkeypatch, capsys)
     assert err == message
+
+
+# Inputs that would otherwise be silently ignored: "{arff}" is the data
+# file, "{missing}" a file that does not exist.
+@pytest.mark.parametrize("command, dataset, split, flags, message", [
+    ("benchmark", {"path": "{arff}", "train": "{arff}", "test": "{arff}"},
+     {"ratio": 0.67}, [], "give 'path' or 'train' and 'test', not both"),
+    ("evaluate", {"path": "{arff}", "train": "{missing}"}, {"ratio": 0.67},
+     [], "give 'path' or 'train' and 'test', not both"),
+    ("benchmark", {"path": "{missing}", "train": "{arff}", "test": "{arff}"},
+     None, [], "give 'path' or 'train' and 'test', not both"),
+    ("benchmark", {"train": "{arff}", "test": "{arff}"},
+     {"train": 1, "test": 1}, [],
+     "give a 'split' with 'path', not 'train' and 'test'"),
+    ("evaluate", {"train": "{arff}", "test": "{arff}"}, None,
+     ["--split", "1:1"],
+     "give a 'split' with 'path', not 'train' and 'test'"),
+    ("evaluate", {"path": "{arff}"}, {"ratio": 0.67}, ["--learner", "bogus"],
+     "--learner needs --transform"),
+    ("evaluate", {"path": "{arff}"}, {"ratio": 0.67},
+     ["--params", '{"k":2}'], "--params needs --transform"),
+], ids=["path-and-pair", "path-and-missing-train", "missing-path-and-pair",
+        "pair-and-split-key", "pair-and-split-flag", "learner-alone",
+        "params-alone"])
+def test_ignored_input_exits_1_before_any_data_is_read(
+        command, dataset, split, flags, message, data_files, tmp_path,
+        monkeypatch, capsys):
+    arff_path, labels_path = data_files
+    files = {"arff": str(arff_path), "missing": str(tmp_path / "no.arff")}
+    cfg = write_config(tmp_path, arff_path, labels_path, [BR], split=split,
+                       dataset={key: value.format(**files)
+                                for key, value in dataset.items()}
+                       | {"labels": str(labels_path)})
+    err = assert_usage_error_before_data(
+        [command, "--config", cfg, "--out", tmp_path / "report.csv", *flags],
+        tmp_path, monkeypatch, capsys)
+    assert err == f"error: {message}\n"
 
 
 def test_features_too_large_for_naive_bayes_fail_the_experiment(tmp_path,
@@ -1118,20 +1160,31 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             "error: --predictions mode needs --dataset\n")
 
-    @pytest.mark.parametrize("flags", [
-        ["--transform", "bogus"], ["--learner", "nope"],
-        ["--params", '{"m":3}'], ["--split", "9:9"]],
-        ids=["transform", "learner", "params", "split"])
+    @pytest.mark.parametrize("flags, fields, refused", [
+        (["--transform", "bogus"], {}, "--transform"),
+        (["--learner", "nope"], {}, "--learner"),
+        (["--params", '{"m":3}'], {}, "--params"),
+        (["--split", "9:9"], {}, "--split"),
+        ([], {"experiments": [BR]}, "'experiments'"),
+        ([], {"split": {"ratio": 0.5}}, "'split'")],
+        ids=["transform", "learner", "params", "split", "config-experiments",
+             "config-split"])
     def test_predictions_refuse_the_flags_of_a_model_run(
-            self, flags, data_files, tmp_path, monkeypatch, capsys):
+            self, flags, fields, refused, data_files, tmp_path, monkeypatch,
+            capsys):
+        # a config key that only a fitted model reads is refused as its
+        # flag is
         arff_path, labels_path = data_files
         pred_path = tmp_path / "preds.csv"
         pred_path.write_text("0.5,0.5,0.5\n" * 60, encoding="utf-8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(fields), encoding="utf-8")
         err = assert_usage_error_before_data(
-            ["evaluate", "--dataset", arff_path, "--labels", labels_path,
-             "--predictions", pred_path, "--out", tmp_path / "report.csv",
-             *flags], tmp_path, monkeypatch, capsys)
-        assert err == f"error: {flags[0]} does not apply to --predictions\n"
+            ["evaluate", "--config", cfg, "--dataset", arff_path,
+             "--labels", labels_path, "--predictions", pred_path,
+             "--out", tmp_path / "report.csv", *flags],
+            tmp_path, monkeypatch, capsys)
+        assert err == f"error: {refused} does not apply to --predictions\n"
 
     def test_single_experiment_matches_library(self, data_files, capsys):
         arff_path, labels_path = data_files
@@ -1149,6 +1202,8 @@ class TestEvaluate:
         assert payload["rows"][0]["accuracy"] == rep.accuracy
         assert payload["rows"][0]["hamming_loss"] == rep.hamming_loss
         assert payload["rows"][0]["ranking_loss"] == rep.ranking_loss
+        assert payload["meta"]["n_train"] == len(train)
+        assert payload["meta"]["n_test"] == len(test)
 
     def test_default_ensemble_matches_library_composition(self, data_files,
                                                           capsys):

@@ -1,7 +1,8 @@
-"""A grid fits each identical unit once: one training state per learner
-spec and training rows, whose build, for a shared kNN state, also searches
-the test rows in its index, and one fit per ensemble member that several
-ensembles have.  Sharing changes no report byte, and a unit lives no
+"""A grid fits each identical unit once: one training state of the
+training split per learner spec, whose build, for a shared kNN state, also
+searches the test rows in its index, and one fit per ensemble member that
+several ensembles have.  Pruned sets fit on their own rewrite of the split,
+outside the table.  Sharing changes no report byte, and a unit lives no
 longer than its last consumer."""
 
 import gc
@@ -91,13 +92,14 @@ def test_knn_grid_builds_one_state_one_index_and_one_search(
             == line
 
 
-def test_pruned_sets_share_a_state_only_with_equal_p_and_b(
-        data_path, tmp_path, monkeypatch):
+def test_pruned_sets_fit_outside_the_table(data_path, tmp_path, monkeypatch):
+    # the ps experiments sit between two consumers of one shared kNN state
     experiments = [
+        {"name": "lp-knn", "transform": "lp", "learner": "knn"},
         {"name": "ps-a", "transform": "ps", "learner": "knn", "p": 2, "b": 2},
         {"name": "ps-b", "transform": "ps", "learner": "knn", "p": 2, "b": 2},
         {"name": "ps-p3", "transform": "ps", "learner": "knn", "p": 3, "b": 2},
-        {"name": "lp-knn", "transform": "lp", "learner": "knn"},
+        {"name": "br-knn", "transform": "br", "learner": "knn"},
     ]
     states, searches = [], []
     counting(monkeypatch, learners.TrainingState, "__init__", states,
@@ -105,9 +107,9 @@ def test_pruned_sets_share_a_state_only_with_equal_p_and_b(
     counting(monkeypatch, learners.KnnIndex, "_search", searches)
     code, report = run_grid(tmp_path, data_path, experiments)
     assert code == 0
-    # ps-a and ps-b share one state and its search; ps-p3 and lp-knn each
-    # build their own
-    assert (len(states), len(searches)) == (3, 3)
+    # lp-knn and br-knn share one state and its search; each ps experiment
+    # builds its own state of its rewrite and searches at predict time
+    assert (len(states), len(searches)) == (4, 4)
     lines = report.decode().splitlines()
     for exp, line in zip(experiments, lines[1:]):
         assert run_grid(tmp_path, data_path, [exp])[1].decode().splitlines()[1] \

@@ -44,23 +44,27 @@ A key this schema does not list, at any level, is a config error (exit 1),
 and so is a key the entry's transform does not take: ``m``/``k`` belong to
 rakel, ``p``/``b`` to ps and ensemble, and an ensemble that lists
 ``members`` takes no ``q`` or ``learner``.
+A flag or key counts as given when it is set and not null, even if empty,
+so an empty value is checked like any other, and refused.  A preset is named
+exactly (``learners.PRESET_NAMES``); an inline learner's kind is 'knn',
+'nb' or 'tree'.  An ensemble takes 'threshold' only with a voting rule.
 A dataset takes 'labels' or 'trailing_labels', not both; a label flag
 replaces the config's label key.  It takes 'path' or 'train' and 'test',
 not both, and a split (key or --split) only with 'path'.  A split takes
 'ratio' or 'train' and 'test', not both.  An experiment's 'name' is a
 non-empty string with no ',', '|', '"' or line break, since it heads a CSV
 row and a markdown column, and is not 'AVERAGE'; no two experiments may
-have one name, given or derived.  A grid runs its experiments one at a
-time, in declaration order; the config key ``workers`` (an integer >= 1)
-is accepted so that existing configs run, and changes nothing.  No
+have one name, given or derived.  The config key ``workers`` (an integer
+>= 1) is accepted so that existing configs run, and changes nothing.  No
 subcommand has a --workers flag.
 ``evaluate --predictions`` scores the file's matrix as it is, so it
 refuses what only a fitted model reads: --transform, --learner, --params,
 --split and the config keys 'experiments' and 'split'.  Without
---transform, --learner and --params are refused too.
-The environment variable MULLAB_SEED is the seed fallback when neither the
-flag nor the config provides one.  Numeric flags and MULLAB_SEED follow the
-ARFF rule for numbers: ASCII, with no '_'.
+--transform, --learner and --params are refused too, and --params may not
+set a key that --transform or --learner sets.
+The environment variable MULLAB_SEED, unless empty, is the seed fallback
+when neither the flag nor the config provides one.  Numeric flags and
+MULLAB_SEED follow the ARFF rule for numbers: ASCII, with no '_'.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ import numpy as np
 from . import arff
 from .arff import ArffParseError, LabelSpec, SplitSpec
 from .core import MLDataset, dataset_stats
-from .ensemble import EnsembleSpec, default_ensemble_spec, ensemble_fit
+from .ensemble import (_VOTING_RULES, EnsembleSpec, default_ensemble_spec,
+                       ensemble_fit)
 from .learners import KnnSpec, LearnerSpec, NaiveBayesSpec, TreeSpec, preset
 from .metrics import EvaluationReport, evaluate
 from .rng import derive_seed
@@ -109,7 +114,7 @@ _METRIC_ROWS = (
     ("AvPre ↑", "avg_precision"),
 )
 
-_FORMATS = ("md", "markdown", "csv", "json")
+_FORMATS = ("md", "csv", "json")
 
 # The keys each part of a config may set; any other key is a UsageError.
 _CONFIG_KEYS = ("dataset", "split", "seed", "threshold", "workers", "format",
@@ -153,13 +158,13 @@ def _merge_flags(args) -> tuple[dict, dict, SplitSpec | None]:
     """The config file, if any, with command-line flags overriding it, and
     its checked dataset fields and split (``_data_specs``); every key but
     'experiments' is checked here, before any data is read."""
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = {} if args.config is None else _load_config(args.config)
     _known_keys(cfg, _CONFIG_KEYS, "the config")
-    ds = cfg.get("dataset") or {}
+    ds = {} if cfg.get("dataset") is None else cfg["dataset"]
     if not isinstance(ds, dict):
         raise UsageError(f"'dataset' must be a JSON object, not {ds!r}")
     ds = dict(ds)
-    if args.dataset:
+    if args.dataset is not None:
         ds.pop("train", None)
         ds.pop("test", None)
         ds["path"] = args.dataset
@@ -170,7 +175,7 @@ def _merge_flags(args) -> tuple[dict, dict, SplitSpec | None]:
         ds.pop("trailing_labels", None)
         ds.update(flags)
     cfg["dataset"] = ds
-    if args.split:
+    if args.split is not None:
         cfg["split"] = _parse_split_flag(args.split)
     for key in ("seed", "threshold", "format", "out"):
         if getattr(args, key) is not None:
@@ -192,10 +197,13 @@ def _merge_flags(args) -> tuple[dict, dict, SplitSpec | None]:
         raise UsageError(f"'format' must be one of {', '.join(_FORMATS)}, "
                          f"not {cfg['format']!r}")
     out = cfg.get("out")
-    if out and os.path.isdir(out):
-        raise UsageError(f"cannot write report {out}: it is a directory")
-    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
-        raise UsageError(f"cannot write report {out}: no such directory")
+    if out is not None:
+        if out == "":
+            raise UsageError("'out' must not be empty")
+        if os.path.isdir(out):
+            raise UsageError(f"cannot write report {out}: it is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise UsageError(f"cannot write report {out}: no such directory")
     return (cfg, *_data_specs(cfg))
 
 
@@ -267,8 +275,8 @@ def _data_specs(cfg: dict) -> tuple[dict, SplitSpec | None]:
                          f"not {ds['trailing_labels']}")
     if "labels" in ds and "trailing_labels" in ds:
         raise UsageError("give 'labels' or 'trailing_labels', not both")
-    pair = ds.get("train") or ds.get("test")
-    if pair and ds.get("path"):
+    pair = "train" in ds or "test" in ds
+    if pair and "path" in ds:
         raise UsageError("give 'path' or 'train' and 'test', not both")
     split = cfg.get("split")
     if split is None:
@@ -295,7 +303,7 @@ def _data_specs(cfg: dict) -> tuple[dict, SplitSpec | None]:
 
 
 def _label_spec(ds: dict) -> LabelSpec:
-    if ds.get("labels"):
+    if "labels" in ds:
         try:
             names = arff.read_label_names(ds["labels"])
         except OSError as e:
@@ -303,7 +311,7 @@ def _label_spec(ds: dict) -> LabelSpec:
         except ValueError as e:
             raise DataError(str(e)) from e
         return LabelSpec.from_names(names)
-    if ds.get("trailing_labels"):
+    if "trailing_labels" in ds:
         return LabelSpec.trailing(ds["trailing_labels"])
     raise UsageError("dataset needs 'labels' or 'trailing_labels'")
 
@@ -319,8 +327,8 @@ def _load_bound(path, spec: LabelSpec) -> MLDataset:
 
 def _resolve_data(ds: dict, split) -> tuple[MLDataset, MLDataset]:
     """The train/test pair of the checked fields of ``_data_specs``."""
-    pair = ds.get("train") and ds.get("test")
-    if not (pair or ds.get("path")):
+    pair = "train" in ds and "test" in ds
+    if not (pair or "path" in ds):
         raise UsageError("config needs dataset.path or dataset.train/test")
     if not pair and split is None:
         raise UsageError("config needs a 'split' when dataset is one file")
@@ -338,11 +346,10 @@ def _resolve_data(ds: dict, split) -> tuple[MLDataset, MLDataset]:
         raise DataError(str(e)) from e
 
 
-_NB = (NaiveBayesSpec, {"variance_floor": float})
 # inline learner kind -> (its spec, the JSON kind of each option)
 _LEARNER_KINDS = {
     "knn": (KnnSpec, {"k": int, "distance": str}),
-    "nb": _NB, "naive_bayes": _NB,
+    "nb": (NaiveBayesSpec, {"variance_floor": float}),
     "tree": (TreeSpec, {"criterion": str, "random_subset_size": int,
                         "rep_pruning": bool, "min_leaf": int,
                         "max_depth": int, "seed": int}),
@@ -412,11 +419,13 @@ def _ensemble_spec(entry: dict, seed: int, prune: PruneSpec) -> EnsembleSpec:
                                   for w in entry["weights"])
     if entry.get("members") is not None:
         members = tuple(_parse_spec(mc, prune=prune) for mc in entry["members"])
-        return EnsembleSpec(members=members, seed=seed, **fields)
-    # a default ensemble's learner is a preset name; inline learner specs
-    # go in 'members'
-    return default_ensemble_spec(prune=prune, seed=seed, **fields,
-                                 **_fields(entry, q=int, learner=str))
+        spec = EnsembleSpec(members=members, seed=seed, **fields)
+    else:  # its learner is a preset name; inline specs go in 'members'
+        spec = default_ensemble_spec(prune=prune, seed=seed, **fields,
+                                     **_fields(entry, q=int, learner=str))
+    if "threshold" in fields and spec.rule not in _VOTING_RULES:
+        raise ValueError(f"rule {spec.rule!r} takes no threshold")
+    return spec
 
 
 def _experiment_name(exp: dict) -> str:
@@ -425,7 +434,7 @@ def _experiment_name(exp: dict) -> str:
     and learner."""
     name = _fields(exp, name=str).get("name")
     if name is not None:
-        if not name:
+        if name == "":
             raise UsageError("'name' must not be empty; leave the key out")
         if not set(name).isdisjoint(",|\r\n"):
             raise UsageError(f"'name' must not contain ',', '|' or a line "
@@ -437,7 +446,9 @@ def _experiment_name(exp: dict) -> str:
         return name
     if exp["transform"] == "ensemble":
         return "ensemble"
-    learner = exp.get("learner") or DEFAULT_LEARNER
+    learner = exp.get("learner")
+    if learner is None:
+        learner = DEFAULT_LEARNER
     lname = learner if isinstance(learner, str) else learner["kind"]
     return f"{exp['transform']}-{lname}"
 
@@ -447,7 +458,7 @@ def _parse_experiments(cfg: dict) -> list:
     data is read or model trained: ``units`` are the keys of the fit units
     it reads.  Two experiments with one name are a UsageError."""
     experiments = cfg.get("experiments")
-    if not (isinstance(experiments, list) and experiments
+    if not (isinstance(experiments, list) and len(experiments) > 0
             and all(isinstance(exp, dict) for exp in experiments)):
         raise UsageError("config needs 'experiments': a non-empty list of "
                          "JSON objects")
@@ -546,10 +557,8 @@ def render_markdown(reports, meta: dict, include_average: bool = True) -> str:
              "| --- |" + " --- |" * len(cols)]
     avg = _average_row(reports)
     for title, field in _METRIC_ROWS:
-        cells = []
-        for _, rep in reports:
-            cells.append(_fmt(getattr(rep, field))
-                         if isinstance(rep, EvaluationReport) else "failed")
+        cells = [_fmt(getattr(rep, field)) if isinstance(rep, EvaluationReport)
+                 else "failed" for _, rep in reports]
         if include_average and len(reports) > 1:
             cells.append(_fmt(avg[field]) if avg else "failed")
         lines.append(f"| {title} | " + " | ".join(cells) + " |")
@@ -576,17 +585,6 @@ def render_json(reports, meta: dict) -> str:
          "average": avg and _json_metrics(avg)},
         indent=2, sort_keys=True,
     ) + "\n"
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise UsageError(f"cannot write report {out_path}: {e}") from e
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +630,7 @@ def _run_experiments(cfg: dict, plans: list, train, test):
 
 def _render(cfg: dict, reports, meta: dict, include_average: bool = True) -> str:
     fmt = cfg["format"]
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         return render_markdown(reports, meta, include_average)
     if fmt == "csv":
         return render_csv(reports, include_average)
@@ -646,7 +644,15 @@ def _report(cfg: dict, reports, started: float, n_train: int | None,
             "config_hash": config_hash(cfg), "n_train": n_train,
             "n_test": n_test,
             "wall_time_s": round(time.monotonic() - started, 3)}
-    _emit(_render(cfg, reports, meta, include_average), cfg.get("out"))
+    text, out = _render(cfg, reports, meta, include_average), cfg.get("out")
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write report {out}: {e}") from e
     failed = [(n, r) for n, r in reports if not isinstance(r, EvaluationReport)]
     for name, err in failed:
         log.error("experiment %r failed: %s", name, err)
@@ -695,14 +701,14 @@ def _read_predictions(path, n_rows: int, m: int):
 
 def cmd_evaluate(args) -> int:
     cfg, ds, split = _merge_flags(args)
-    if args.predictions:
+    if args.predictions is not None:
         for flag in ("transform", "learner", "params", "split"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} does not apply to --predictions")
         for key in ("experiments", "split"):
             if cfg.get(key) is not None:
                 raise UsageError(f"{key!r} does not apply to --predictions")
-        if not ds.get("path"):
+        if "path" not in ds:
             raise UsageError("--predictions mode needs --dataset")
         started = time.monotonic()
         data = _load_bound(ds["path"], _label_spec(ds))
@@ -713,24 +719,27 @@ def cmd_evaluate(args) -> int:
         # the scores come from a model trained elsewhere, on rows not known
         return _report(cfg, reports, started, None, len(data),
                        include_average=False)
-    if args.transform:
+    if args.transform is not None:
         exp = {"transform": args.transform}
-        if args.learner:
+        if args.learner is not None:
             exp["learner"] = args.learner
-        if args.params:
+        if args.params is not None:
             try:
                 params = json.loads(args.params)
             except json.JSONDecodeError as e:
                 raise UsageError(f"--params is not valid JSON: {e}") from e
             if not isinstance(params, dict):
                 raise UsageError("--params must be a JSON object")
+            for key in exp:
+                if key in params:
+                    raise UsageError(f"--params and --{key} both set {key!r}")
             exp.update(params)
         cfg["experiments"] = [exp]
     else:
         for flag in ("learner", "params"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} needs --transform")
-    plans = _parse_experiments(cfg) if cfg.get("experiments") else []
+    plans = [] if cfg.get("experiments") is None else _parse_experiments(cfg)
     if len(plans) != 1:
         raise UsageError("evaluate needs exactly one experiment "
                          "(--transform or a single-experiment config)")
@@ -750,7 +759,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--split", help="ntrain:ntest or a train ratio in (0,1)")
     p.add_argument("--seed", type=_number(int))
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--format", choices=["md", "csv", "json"])
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--threshold", type=_number(float))
     p.add_argument("--out", help="write the report here instead of stdout")
 

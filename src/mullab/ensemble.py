@@ -38,6 +38,8 @@ COMBINATION_RULES = (
 )
 
 _WEIGHTED_RULES = ("weighted_mean", "weighted_majority_vote")
+# the rules that threshold each member at EnsembleSpec.threshold
+_VOTING_RULES = ("majority_vote", "weighted_majority_vote")
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def default_ensemble_spec(*, q: int = 10, prune: PruneSpec = PruneSpec(),
     """Default ensemble: q pruned-sets members whose base learners cycle
     through the five presets (pass ``learner`` for a homogeneous ensemble).
     ``spec`` sets any other EnsembleSpec field, such as ``seed``."""
-    names = (learner,) if learner else PRESET_NAMES
+    names = PRESET_NAMES if learner is None else (learner,)
     members = tuple(
         MemberSpec(learner=preset(names[i % len(names)]), prune=prune)
         for i in range(q)
@@ -129,18 +131,15 @@ def combine(member_scores: Sequence[np.ndarray], rule: str,
     w = _checked_weights(rule, weights, arr.shape[0])
     if w is not None:
         w = w.reshape((-1,) + (1,) * (arr.ndim - 1))
-    if rule == "mean":
-        return arr.mean(axis=0)
-    if rule == "weighted_mean":
-        return (w * arr).sum(axis=0) / w.sum()
     if rule == "max":
         return arr.max(axis=0)
     if rule == "min":
         return arr.min(axis=0)
-    votes = (arr >= t).astype(float)
-    if rule == "majority_vote":
-        return votes.mean(axis=0)
-    return (w * votes).sum(axis=0) / w.sum()
+    if rule in _VOTING_RULES:
+        arr = (arr >= t).astype(float)  # each member's votes
+    if w is None:
+        return arr.mean(axis=0)
+    return (w * arr).sum(axis=0) / w.sum()
 
 
 class EnsembleModel(MultiLabelModel):

@@ -90,8 +90,8 @@ attribute; nominal cells go to a dedicated extra category.  Every learner is
 deterministic given (spec, data, seed), and trained classifiers are
 immutable, so concurrent predict calls are safe.
 
-``preset(name)`` returns the named default configurations used by the
-benchmark CLI: "nb", "knn", "random-t", "reptree", "j48".
+``preset(name)`` returns the spec of a named default configuration, by its
+exact name: "nb", "knn", "random-t", "reptree" or "j48" (``PRESET_NAMES``).
 """
 
 from __future__ import annotations
@@ -168,34 +168,25 @@ class TreeSpec:
 
 LearnerSpec = Union[KnnSpec, NaiveBayesSpec, TreeSpec]
 
-PRESET_NAMES = ("nb", "knn", "random-t", "reptree", "j48")
-
-_PRESET_ALIASES = {
-    "nb": "nb", "naive-bayes": "nb", "naivebayes": "nb",
-    "knn": "knn", "k-nn": "knn",
-    "random-t": "random-t", "rt": "random-t", "random-tree": "random-t",
-    "randomtree": "random-t",
-    "reptree": "reptree", "rep-tree": "reptree",
-    "j48": "j48",
+# preset name -> its spec, in the order that default ensembles cycle
+_PRESETS = {
+    "nb": NaiveBayesSpec(),
+    "knn": KnnSpec(k=5),
+    # ceil(sqrt(d)) attributes per node; Weka's RandomTree draws
+    # int(log2(d) + 1) and allows one-row leaves
+    "random-t": TreeSpec(criterion="info_gain", random_subset_size="sqrt"),
+    "reptree": TreeSpec(criterion="info_gain", rep_pruning=True),
+    "j48": TreeSpec(criterion="c45"),
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> LearnerSpec:
-    """Named default learner configurations (see PRESET_NAMES)."""
-    key = _PRESET_ALIASES.get(name.strip().lower().replace("_", "-"))
-    if key is None:
-        raise ValueError(f"unknown learner preset {name!r}")
-    if key == "nb":
-        return NaiveBayesSpec()
-    if key == "knn":
-        return KnnSpec(k=5)
-    if key == "random-t":
-        # ceil(sqrt(d)) attributes per node; Weka's RandomTree draws
-        # int(log2(d) + 1) and allows one-row leaves
-        return TreeSpec(criterion="info_gain", random_subset_size="sqrt")
-    if key == "reptree":
-        return TreeSpec(criterion="info_gain", rep_pruning=True)
-    return TreeSpec(criterion="c45")  # j48
+    """The spec of the preset named exactly ``name``, one of PRESET_NAMES."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown learner preset {name!r}; presets: "
+                         f"{', '.join(PRESET_NAMES)}")
+    return _PRESETS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -547,6 +547,8 @@ def test_ensemble_members_null_takes_the_default_members():
     {"experiments": [BR],
      "dataset": {"path": "x.arff", "trailing_labels": 3.5}},
     {"experiments": [BR], "format": "xml"},
+    {"experiments": [BR], "format": "markdown"},
+    {"experiments": [{"transform": "br", "learner": {"kind": "naive_bayes"}}]},
     {"experiments": [BR], "out": 1},
     {"experiments": [BR], "out": True},
     {"experiments": [{"transform": "br", "learner": {"kind": "knn", "k": 2.5}}]},
@@ -576,7 +578,7 @@ def test_ensemble_members_null_takes_the_default_members():
         "split-ratio-and-counts", "name-comma", "name-int", "name-newline-pipe",
         "name-pipe", "name-carriage-return", "name-duplicate",
         "name-duplicate-derived", "trailing-labels-string", "trailing-labels-3.5",
-        "format-xml", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
+        "format-xml", "format-markdown", "kind-naive-bayes", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
         "tree-max-depth-string", "tree-seed-string", "tree-max-depth-negative",
         "tree-subset-zero", "tree-subset-negative",
         *(f"unknown-key-{key}" for key, _ in UNKNOWN_KEYS),
@@ -879,6 +881,81 @@ def test_ignored_input_exits_1_before_any_data_is_read(
         [command, "--config", cfg, "--out", tmp_path / "report.csv", *flags],
         tmp_path, monkeypatch, capsys)
     assert err == f"error: {message}\n"
+
+
+# An empty value, a value that another input would silently replace and a
+# value that nothing reads fail on that value.  "{cfg}" is a config of one br-nb experiment, with
+# the config ``fields`` added.  Exit 1 reads no data; exit 2 fails to read
+# the empty file name, as for a missing file.
+ENSEMBLE_MEAN = {"transform": "ensemble", "q": 2, "rule": "mean"}
+
+
+@pytest.mark.parametrize("args, fields, code, message", [
+    (["evaluate", "--config", "{cfg}", "--transform", "br", "--learner", ""],
+     {}, 1, "error: bad experiment {'transform': 'br', 'learner': ''}: "
+            "unknown learner preset ''; presets: nb, knn, random-t, reptree, "
+            "j48\n"),
+    (["evaluate", "--config", "{cfg}", "--transform", "br", "--params", ""],
+     {}, 1, "error: --params is not valid JSON: Expecting value: line 1 "
+            "column 1 (char 0)\n"),
+    (["benchmark", "--config", "{cfg}", "--split", ""], {}, 1,
+     "error: bad --split ''\n"),
+    (["evaluate", "--config", "{cfg}", "--transform", ""], {}, 1,
+     "error: unknown transform ''\n"),
+    (["benchmark", "--config", ""], {}, 1, "error: cannot read config : "),
+    (["benchmark", "--config", "{cfg}", "--out", ""], {}, 1,
+     "error: 'out' must not be empty\n"),
+    (["benchmark", "--config", "{cfg}"], {"out": ""}, 1,
+     "error: 'out' must not be empty\n"),
+    (["benchmark", "--config", "{cfg}"], {"dataset": ""}, 1,
+     "error: 'dataset' must be a JSON object, not ''\n"),
+    (["benchmark", "--config", "{cfg}"],
+     {"experiments": [{"transform": "ensemble", "q": 2, "learner": ""}]}, 1,
+     "error: bad experiment {'transform': 'ensemble', 'q': 2, 'learner': ''}"
+     ": unknown learner preset ''; presets: nb, knn, random-t, reptree, "
+     "j48\n"),
+    (["evaluate", "--config", "{cfg}", "--transform", "br", "--learner", "nb",
+      "--params", '{"transform": "lp"}'], {}, 1,
+     "error: --params and --transform both set 'transform'\n"),
+    (["evaluate", "--config", "{cfg}", "--transform", "br", "--learner", "nb",
+      "--params", '{"learner": "knn"}'], {}, 1,
+     "error: --params and --learner both set 'learner'\n"),
+    (["benchmark", "--config", "{cfg}"],
+     {"experiments": [ENSEMBLE_MEAN | {"threshold": 0.9}]}, 1,
+     f"error: bad experiment {ENSEMBLE_MEAN | {'threshold': 0.9}}: "
+     f"rule 'mean' takes no threshold\n"),
+    (["benchmark", "--config", "{cfg}", "--dataset", ""], {}, 2,
+     "data error: cannot read : "),
+    (["benchmark", "--config", "{cfg}", "--labels", ""], {}, 2,
+     "data error: cannot read label file: "),
+    (["evaluate", "--dataset", "{arff}", "--labels", "{labels}",
+      "--predictions", ""], {}, 2, "data error: cannot read predictions : "),
+], ids=["learner-empty", "params-empty", "split-empty", "transform-empty",
+        "config-empty", "out-empty", "config-out-empty", "config-dataset-empty",
+        "ensemble-learner-empty", "params-repeat-transform",
+        "params-repeat-learner", "ensemble-mean-threshold", "dataset-empty",
+        "labels-empty", "predictions-empty"])
+def test_empty_or_replaced_input_fails_on_its_value(
+        args, fields, code, message, data_files, tmp_path, monkeypatch,
+        capsys):
+    arff_path, labels_path = data_files
+    files = {"{arff}": arff_path, "{labels}": labels_path,
+             "{cfg}": write_config(tmp_path, arff_path, labels_path,
+                                   **{"experiments": [BR]} | fields)}
+    args = [files.get(arg, arg) for arg in args]
+    # an empty 'out' is the mistake under test; the flag would hide it
+    if "out" not in fields:
+        args[1:1] = ["--out", str(tmp_path / "report.csv")]
+    if code == 1:
+        err = assert_usage_error_before_data(args, tmp_path, monkeypatch,
+                                             capsys)
+    else:
+        assert run_cli(args) == code
+        assert not (tmp_path / "report.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+    assert err.startswith(message)
 
 
 def test_features_too_large_for_naive_bayes_fail_the_experiment(tmp_path,

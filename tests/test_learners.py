@@ -1111,9 +1111,16 @@ class TestPresets:
             assert preset(name) is not None
 
     def test_aliases(self):
-        assert preset("K-NN") == preset("knn")
-        assert preset("Naive_Bayes") == preset("nb")
-        assert preset("RANDOM-T") == preset("random-t")
+        # a preset has one spelling: no case folding, no aliases
+        for name in ("K-NN", "Naive_Bayes", "RANDOM-T", "rt", " nb "):
+            with pytest.raises(ValueError, match="unknown learner preset"):
+                preset(name)
+        assert PRESET_NAMES == ("nb", "knn", "random-t", "reptree", "j48")
+        assert [preset(name) for name in PRESET_NAMES] == [
+            NaiveBayesSpec(), KnnSpec(k=5),
+            TreeSpec(criterion="info_gain", random_subset_size="sqrt"),
+            TreeSpec(criterion="info_gain", rep_pruning=True),
+            TreeSpec(criterion="c45")]
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

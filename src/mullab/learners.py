@@ -28,12 +28,11 @@ Three families, each consumed by the problem transformations:
   consecutive distinct sorted values, "<= threshold" goes left), multiway
   splits on nominal ones, optional per-node random attribute subsets and
   optional reduced-error pruning on a seeded held-out third of the training
-  rows.  The criterion is info gain, gain ratio, or ``c45`` (the ``j48``
-  preset): C4.5's rules, where each numeric threshold is chosen by gain
-  less the MDL cost log2(admissible cuts) / n (Quinlan 1996), and the
-  attribute by the best gain ratio among candidates whose gain is at least
-  the average (Quinlan 1993).  Plain gain ratio favours cuts that peel
-  ``min_leaf`` rows off one side and grows deep trees.  Leaf distributions
+  rows.  The criterion is ``c45`` (the default, and the ``j48`` preset) or
+  info gain.  Each numeric threshold is chosen by gain; ``c45`` follows
+  C4.5's rules, where that gain loses the MDL cost log2(admissible cuts) / n
+  (Quinlan 1996), and the attribute is the best gain ratio among candidates
+  whose gain is at least the average (Quinlan 1993).  Leaf distributions
   are Laplace-1 smoothed class frequencies.  Split search is exhaustive and
   batched per node, with no sort of values: the training state of a
   matrix sorts each numeric column once (stably), a tree's root takes that
@@ -56,10 +55,12 @@ Three families, each consumed by the problem transformations:
   leave ``m..n-m`` rows left and ``n-m..m`` right (``m = min_leaf``), so
   the window ``xlx[m:n-m+1]``, read forwards and backwards, gives both
   sides' ``xlx``.  The running sum rounds more with more rows (about 1e-14
-  in gain at 3000 rows, against per-class sums).  Scores within
-  ``_GAIN_EPS`` (1e-12) of the best are tied and the first candidate wins
-  (the lowest threshold, then the earliest attribute), so float rounding
-  does not pick between splits that are equal in exact arithmetic.
+  in gain at 3000 rows, against per-class sums); a gain ratio, which only
+  ``c45``'s choice among attributes reads, carries that rounding divided by
+  the cut's split info.  Scores within ``_GAIN_EPS`` (1e-12) of the best
+  are tied and the first candidate wins (the lowest threshold, then the
+  earliest attribute), so float rounding does not pick between splits that
+  are equal in exact arithmetic.
   Growing, pruning and prediction route index arrays of rows through one
   split test (``_parts``); a row whose category grew no child stops at its
   node.
@@ -144,7 +145,7 @@ class NaiveBayesSpec:
 
 @dataclass(frozen=True)
 class TreeSpec:
-    criterion: str = "gain_ratio"  # gain_ratio | info_gain | c45
+    criterion: str = "c45"  # c45 | info_gain
     random_subset_size: Union[int, str, None] = None  # int, "sqrt", or None (all)
     rep_pruning: bool = False
     min_leaf: int = 2
@@ -152,8 +153,9 @@ class TreeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.criterion not in ("gain_ratio", "info_gain", "c45"):
-            raise ValueError(f"unknown tree criterion {self.criterion!r}")
+        if self.criterion not in ("c45", "info_gain"):
+            raise ValueError(f"unknown tree criterion {self.criterion!r}; "
+                             f"criteria: c45, info_gain")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
@@ -653,16 +655,16 @@ class _TreeGrower:
         parent_h = (state.xlx[n] - state.xlx[node.counts].sum()) / n
         attrs, num, nominal = self._fixed or self._candidates()
         if num is None:
-            gain, ratio, threshold = self._eval_numeric_all(
+            gain, info, threshold = self._eval_numeric_all(
                 attrs, order, node.counts, parent_h)
         else:
-            gain, ratio, threshold = (np.empty(len(attrs)) for _ in range(3))
+            gain, info, threshold = (np.empty(len(attrs)) for _ in range(3))
             if num.size:
-                gain[num], ratio[num], threshold[num] = self._eval_numeric_all(
+                gain[num], info[num], threshold[num] = self._eval_numeric_all(
                     attrs[num], order, node.counts, parent_h)
             for i in nominal:
-                gain[i], ratio[i] = self._eval_nominal(attrs[i], idx, parent_h)
-        pos = self._choose(gain, ratio)
+                gain[i], info[i] = self._eval_nominal(attrs[i], idx, parent_h)
+        pos = self._choose(gain, info)
         if pos is None:
             return False
         node.attr = int(attrs[pos])
@@ -672,28 +674,26 @@ class _TreeGrower:
             node.threshold = float(threshold[pos])
         return True
 
-    def _choose(self, gain: np.ndarray, ratio: np.ndarray) -> Optional[int]:
+    def _choose(self, gain: np.ndarray, info: np.ndarray) -> Optional[int]:
         """Position of the candidate split the criterion picks, or None when
         no candidate is useful; the earliest candidate whose score is within
         ``_GAIN_EPS`` of the best wins.
 
-        ``c45`` averages the gains of the candidates whose gain is positive
-        and picks the best gain ratio among those whose gain is at least
-        that average (Quinlan 1993, C4.5), less ``_GAIN_EPS`` so that equal
-        gains all qualify whatever the rounding of their mean.
+        ``info_gain`` scores the gains.  ``c45`` averages the gains of the
+        candidates whose gain is positive and picks the best gain ratio
+        (gain / split ``info``) among those whose gain is at least that
+        average (Quinlan 1993, C4.5), less ``_GAIN_EPS`` so that equal gains
+        all qualify whatever the rounding of their mean.
         """
         if not len(gain):
             return None
-        criterion = self.spec.criterion
-        if criterion == "info_gain":
-            score = gain
-        elif criterion == "gain_ratio":
-            score = ratio
-        else:
+        score = gain
+        if self.spec.criterion == "c45":
             useful = gain > 0.0
             if not useful.any():
                 return None
             average = gain[useful].sum() / np.count_nonzero(useful)  # mean()
+            ratio = np.where(useful & (info > _GAIN_EPS), gain / info, -1.0)
             score = np.where(useful & (gain >= average - _GAIN_EPS), ratio, -1.0)
         pos = int((score >= score.max() - _GAIN_EPS).argmax())
         return pos if score[pos] > 0.0 else None
@@ -703,18 +703,16 @@ class _TreeGrower:
         """Best binary cut of each numeric attribute in ``attrs`` (ascending).
 
         The node's rows are ``order`` (``TrainingState.sorted_rows``), with
-        class ``counts``.  Returns ``(gain, ratio, threshold)`` arrays aligned
-        with ``attrs``: the information gain, gain ratio and threshold of
-        each attribute's chosen cut; a gain or ratio <= 0 means the attribute
-        has no useful cut.  Cut ``i`` sends sorted rows ``0..i`` left; only
-        cuts between distinct values that leave ``min_leaf`` rows on each
-        side count, and the lowest threshold whose score is within
-        ``_GAIN_EPS`` of the best wins.  ``gain_ratio`` picks the cut by gain
-        ratio, the other criteria by gain.  ``c45`` then subtracts
-        log2(admissible cuts) / n, the cost of choosing the threshold
-        (Quinlan 1996, "Improved use of continuous attributes in C4.5"), from
-        the gain.  The split info of every cut is computed once and read at
-        the chosen one.
+        class ``counts``.  Returns ``(gain, info, threshold)`` arrays aligned
+        with ``attrs``: the information gain, split info and threshold of
+        each attribute's chosen cut; a gain <= 0 means the attribute has no
+        useful cut.  Cut ``i`` sends sorted rows ``0..i`` left; only cuts
+        between distinct values that leave ``min_leaf`` rows on each side
+        count, and the lowest threshold whose gain is within ``_GAIN_EPS`` of
+        the best wins.  ``c45`` then subtracts log2(admissible cuts) / n, the
+        cost of choosing the threshold (Quinlan 1996, "Improved use of
+        continuous attributes in C4.5"), from the gain.  Only ``c45`` reads
+        the split info (in ``_choose``); under ``info_gain`` it is NaN.
 
         The node's rows arrive sorted by each attribute, and the attributes
         are scored together in batches of at most ``_BATCH_ELEMS`` (attrs x
@@ -735,11 +733,7 @@ class _TreeGrower:
         # xlx of the left and of the right child's row count at each cut
         left = xlx[m:n - m + 1]
         right = left[::-1]
-        split_info = (xlx[n] - left - right) / n  # per cut
         children_rows = left + right
-        by_ratio = self.spec.criterion == "gain_ratio"
-        if by_ratio:
-            score = np.empty(admissible.shape)
         # the change in the children's xlx sum as each row moves left, for
         # the rows listed class by class in rank order: rank r = c - to_end
         # of c rows
@@ -761,14 +755,9 @@ class _TreeGrower:
             gain = parent_h - (children_rows - children_xlx) / n
             ok = admissible[s:s + step] & (gain > _GAIN_EPS)
             gains[s:s + step] = np.where(ok, gain, -1.0)
-            if by_ratio:
-                score[s:s + step] = np.where(
-                    ok & (split_info > _GAIN_EPS), gain / split_info, -1.0)
-        if not by_ratio:
-            score = gains
-        # the first score within _GAIN_EPS of the best: lowest threshold
-        best = score[rows, score.argmax(axis=1)]
-        pos = (score >= (best - _GAIN_EPS)[:, None]).argmax(axis=1)
+        # the first gain within _GAIN_EPS of the best: lowest threshold
+        best = gains[rows, gains.argmax(axis=1)]
+        pos = (gains >= (best - _GAIN_EPS)[:, None]).argmax(axis=1)
         cut = pos + (m - 1)
         lo, hi = sv[rows, cut], sv[rows, cut + 1]
         with np.errstate(over="ignore"):
@@ -777,22 +766,20 @@ class _TreeGrower:
         # and that of two huge ones overflows to inf
         threshold = np.where(threshold >= hi, lo, threshold)
         gain = gains[rows, pos]
-        if by_ratio:
-            return gain, score[rows, pos], threshold
-        if self.spec.criterion == "c45":
-            # without an admissible cut the gain is -1 already; the floor
-            # only keeps log2 finite
-            tested = np.maximum(admissible.sum(axis=1), 1)
-            gain = gain - np.log2(tested) / n
-            gain = np.where(gain > 0.0, gain, -1.0)
-        info = split_info[pos]
-        ratio = np.where((gain > 0.0) & (info > _GAIN_EPS), gain / info, -1.0)
-        return gain, ratio, threshold
+        if self.spec.criterion != "c45":
+            return gain, np.full(len(attrs), np.nan), threshold
+        # without an admissible cut the gain is -1 already; the floor only
+        # keeps log2 finite
+        tested = np.maximum(admissible.sum(axis=1), 1)
+        gain = gain - np.log2(tested) / n
+        gain = np.where(gain > 0.0, gain, -1.0)
+        info = (xlx[n] - left[pos] - right[pos]) / n
+        return gain, info, threshold
 
     def _eval_nominal(self, a: int, idx: np.ndarray, parent_h: float):
-        """``(gain, ratio)`` of the multiway split on nominal attribute
-        ``a``: its information gain and gain ratio, each -1.0 when the split
-        is not allowed or gains nothing."""
+        """``(gain, info)`` of the multiway split on nominal attribute ``a``:
+        its information gain, -1.0 when the split is not allowed or gains
+        nothing, and under ``c45`` its split info (NaN otherwise)."""
         arity = int(self.state.enc.n_values[a])
         cats = self.state.x[idx, a].astype(int)
         table = np.bincount(cats * self.n_classes + self._y[idx],
@@ -801,16 +788,16 @@ class _TreeGrower:
         sizes = table.sum(axis=1)
         nonempty = sizes > 0
         if nonempty.sum() < 2:
-            return -1.0, -1.0
+            return -1.0, math.nan
         if (sizes[nonempty] < self.spec.min_leaf).any():
-            return -1.0, -1.0
+            return -1.0, math.nan
         n, xlx = len(idx), self.state.xlx
         gain = parent_h - (xlx[sizes].sum() - xlx[table].sum()) / n
         if gain <= _GAIN_EPS:
-            return -1.0, -1.0
-        split_info = (xlx[n] - xlx[sizes].sum()) / n
-        ratio = gain / split_info if split_info > _GAIN_EPS else -1.0
-        return float(gain), float(ratio)
+            return -1.0, math.nan
+        if self.spec.criterion != "c45":
+            return float(gain), math.nan
+        return float(gain), float((xlx[n] - xlx[sizes].sum()) / n)
 
     # -- reduced-error pruning ----------------------------------------------
 

@@ -152,15 +152,14 @@ def entropy_log2(counts):
 
 def numeric_cut_bf(values, classes, criterion, min_leaf=1):
     """The cut a tree node chooses on one numeric attribute, as (gain,
-    ratio, threshold), scored with the direct log2 entropy.
+    split info, threshold), scored with the direct log2 entropy.
 
     The cuts are the midpoints between consecutive distinct sorted values
     that leave ``min_leaf`` rows on each side.  A cut with gain <= 1e-12
-    scores -1; otherwise it scores its gain ratio (``gain_ratio``) or its
-    gain (``info_gain``, ``c45``), and the lowest threshold whose score is
-    within 1e-12 of the best wins.  ``c45`` then takes log2(number of cuts)
-    / n off the gain.  A gain that ends up <= 0 is -1, and so is its ratio;
-    the threshold is None when no cut gains."""
+    scores -1; otherwise it scores its gain, and the lowest threshold whose
+    gain is within 1e-12 of the best wins.  ``c45`` then takes log2(number
+    of cuts) / n off the gain.  A gain that ends up <= 0 is -1; the split
+    info and the threshold are None when no cut gains."""
     n = len(values)
     n_classes = max(classes) + 1
     ordered = sorted(zip(values, classes), key=lambda vc: vc[0])
@@ -186,25 +185,22 @@ def numeric_cut_bf(values, classes, criterion, min_leaf=1):
         cuts.append((threshold, gain, _entropy_of([i, n - i])))
     useful = [cut for cut in cuts if cut[1] > 1e-12]
     if not useful:
-        return -1.0, -1.0, None
-
-    def score(cut):
-        return cut[1] / cut[2] if criterion == "gain_ratio" else cut[1]
-
-    best = max(score(cut) for cut in useful)
+        return -1.0, None, None
+    best = max(cut[1] for cut in useful)
     threshold, gain, info = next(cut for cut in useful
-                                 if score(cut) >= best - 1e-12)
+                                 if cut[1] >= best - 1e-12)
     if criterion == "c45":
         gain -= math.log2(len(cuts)) / n
         if gain <= 0:
-            return -1.0, -1.0, threshold
-    return gain, gain / info, threshold
+            return -1.0, info, threshold
+    return gain, info, threshold
 
 
-def best_split_bf(rows, classes, criterion, min_leaf=1):
-    """Enumerate every (attribute, midpoint) split and return the winner as
-    (attr, threshold, metric).  Ties keep the lowest attribute, then the
-    lowest threshold, matching a first-strictly-greater scan."""
+def best_split_bf(rows, classes, min_leaf=1):
+    """Enumerate every (attribute, midpoint) split and return the one of
+    highest information gain as (attr, threshold, gain).  Ties keep the
+    lowest attribute, then the lowest threshold, matching a
+    first-strictly-greater scan."""
     n = len(rows)
     d = len(rows[0])
     n_classes = max(classes) + 1
@@ -223,16 +219,8 @@ def best_split_bf(rows, classes, criterion, min_leaf=1):
                 + len(right) * _entropy_of([right.count(c) for c in range(n_classes)])
             ) / n
             gain = parent - h
-            if gain <= 1e-12:
-                continue
-            if criterion == "gain_ratio":
-                pl, pr = len(left) / n, len(right) / n
-                split_info = -(pl * math.log2(pl) + pr * math.log2(pr))
-                metric = gain / split_info
-            else:
-                metric = gain
-            if best is None or metric > best[2]:
-                best = (a, t, metric)
+            if gain > 1e-12 and (best is None or gain > best[2]):
+                best = (a, t, gain)
     return best
 
 

@@ -320,6 +320,20 @@ class TestBenchmark:
         assert inline_row.removeprefix("inline,") == \
             preset_row.removeprefix("preset,")
 
+    def test_inline_tree_without_criterion_is_the_j48_preset(
+            self, data_files, tmp_path, capsys):
+        arff_path, labels_path = data_files
+        reports = []
+        for learner in ({"kind": "tree"}, "j48"):
+            cfg = write_config(tmp_path, arff_path, labels_path, [
+                {"name": "tree", "transform": "rakel", "learner": learner}])
+            out = tmp_path / "report.csv"
+            assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
+                            "--out", out]) == 0
+            reports.append(out.read_bytes())
+        assert capsys.readouterr().err == ""
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("transform", ["br", "lp"])
     def test_zero_training_rows_fail_the_experiment(self, transform,
                                                     data_files, tmp_path,
@@ -563,6 +577,8 @@ def test_ensemble_members_null_takes_the_default_members():
                       "learner": {"kind": "tree", "random_subset_size": 0}}]},
     {"experiments": [{"transform": "br",
                       "learner": {"kind": "tree", "random_subset_size": -3}}]},
+    {"experiments": [{"transform": "br",
+                      "learner": {"kind": "tree", "criterion": "gain_ratio"}}]},
     *({"experiments": [BR]} | fields for _, fields in UNKNOWN_KEYS),
     *(fields for _, _, fields in UNUSED_KEYS),
     b'\xff\xfe{"seed": 1}',  # the bytes of the file: not UTF-8
@@ -580,7 +596,7 @@ def test_ensemble_members_null_takes_the_default_members():
         "name-duplicate-derived", "trailing-labels-string", "trailing-labels-3.5",
         "format-xml", "format-markdown", "kind-naive-bayes", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
         "tree-max-depth-string", "tree-seed-string", "tree-max-depth-negative",
-        "tree-subset-zero", "tree-subset-negative",
+        "tree-subset-zero", "tree-subset-negative", "tree-criterion-gain-ratio",
         *(f"unknown-key-{key}" for key, _ in UNKNOWN_KEYS),
         *(f"unused-key-{name}" for name, _, _ in UNUSED_KEYS),
         "config-not-utf-8"])

@@ -37,7 +37,7 @@ def assert_valid_dist(dist):
 ALL_SPECS = [
     KnnSpec(k=3),
     NaiveBayesSpec(),
-    TreeSpec(criterion="gain_ratio"),
+    TreeSpec(criterion="info_gain"),
     TreeSpec(criterion="info_gain", rep_pruning=True, seed=5),
     TreeSpec(criterion="info_gain", random_subset_size=1, seed=2),
     TreeSpec(criterion="c45"),
@@ -90,7 +90,7 @@ def test_empty_training_yields_degenerate_model():
 
 
 @pytest.mark.parametrize("spec", [preset(name) for name in PRESET_NAMES]
-                         + [TreeSpec(criterion="gain_ratio")])
+                         + [TreeSpec(criterion="info_gain")])
 def test_zero_column_matrix_fits_and_predicts(spec):
     clf = fit(spec, np.empty((6, 0)), [0, 1, 0, 1, 0, 1])
     for n in (2, 0):
@@ -487,10 +487,10 @@ class TestTree:
         ]
         cls = [0, 0, 0, 1, 0, 1, 1, 1]
         attrs = tuple(Attribute(f"a{j}") for j in range(3))
-        for criterion in ("gain_ratio", "info_gain"):
-            spec = TreeSpec(criterion=criterion, min_leaf=1)
-            clf = fit(spec, rows, cls, attrs)
-            expect_attr, expect_thr, _ = best_split_bf(rows, cls, criterion)
+        for criterion, expect in (("c45", best_split_c45_bf(rows, cls)),
+                                  ("info_gain", best_split_bf(rows, cls))):
+            clf = fit(TreeSpec(criterion=criterion, min_leaf=1), rows, cls, attrs)
+            expect_attr, expect_thr, _ = expect
             root = clf.root.structure()
             assert root[0] == "num"
             assert root[1] == expect_attr
@@ -528,10 +528,8 @@ class TestTree:
         rows = [(float(i),) for i in range(10)]
         cls = [0, 0, 0, 0, 1, 1, 0, 0, 1, 1]
         attrs = (Attribute("a"),)
-        # plain gain ratio cuts the last min_leaf rows off; c45 takes the
-        # balanced cut with the higher gain
-        plain = fit(TreeSpec(criterion="gain_ratio", min_leaf=2), rows, cls, attrs)
-        assert plain.root.structure()[2] == best_split_bf(rows, cls, "gain_ratio", 2)[1] == 7.5
+        # a ratio over every cut would cut the last min_leaf rows off (7.5);
+        # c45 takes the balanced cut with the higher gain
         c45 = fit(TreeSpec(criterion="c45", min_leaf=2), rows, cls, attrs)
         assert c45.root.structure()[2] == best_split_c45_bf(rows, cls, 2)[1] == 3.5
 
@@ -548,7 +546,7 @@ class TestTree:
         assert abs(table_h - entropy_log2(k)) <= 1e-12
 
     @pytest.mark.parametrize("min_leaf", [1, 2])
-    @pytest.mark.parametrize("criterion", ["info_gain", "gain_ratio", "c45"])
+    @pytest.mark.parametrize("criterion", ["info_gain", "c45"])
     def test_numeric_cut_scores_match_log2_formula(self, criterion, min_leaf):
         # random nodes (row subsets) over coarse columns, where values
         # repeat and cuts tie, and a fine one
@@ -566,15 +564,17 @@ class TestTree:
             idx = np.sort(rng.choice(n, int(rng.integers(2 * min_leaf, n + 1)),
                                      replace=False))
             parent_h = float(entropy_log2(np.bincount(y[idx])))
-            gain, ratio, threshold = grower._eval_numeric_all(
+            gain, info, threshold = grower._eval_numeric_all(
                 attrs, state.sorted_rows(idx), np.bincount(y[idx]), parent_h)
             for a in attrs:
-                g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
+                g, i, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
                                          criterion, min_leaf)
                 assert abs(gain[a] - g) <= 1e-12
-                assert abs(ratio[a] - r) <= 1e-12
                 if g > 0:
                     assert threshold[a] == t
+                    if criterion == "c45":
+                        assert abs(info[a] - i) <= 1e-12
+                        assert abs(gain[a] / info[a] - g / i) <= 1e-12
 
     @staticmethod
     def _log2_gain(classes, i):
@@ -618,7 +618,7 @@ class TestTree:
                   (Attribute("a"), Attribute("b")))
         assert clf.root.structure()[:3] == ("num", 0, 13.5)
 
-    @pytest.mark.parametrize("criterion", ["info_gain", "gain_ratio", "c45"])
+    @pytest.mark.parametrize("criterion", ["info_gain", "c45"])
     def test_numeric_cut_scores_match_log2_formula_over_many_classes(
             self, criterion):
         # 11 classes, 8 or more at every node: from 8 terms on, numpy's
@@ -638,26 +638,27 @@ class TestTree:
                                      replace=False))
             counts = np.bincount(y[idx])
             assert (counts > 0).sum() >= 8
-            gain, ratio, threshold = grower._eval_numeric_all(
+            gain, info, threshold = grower._eval_numeric_all(
                 attrs, state.sorted_rows(idx), counts,
                 float(entropy_log2(counts)))
             for a in attrs:
-                g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
+                g, i, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
                                          criterion, 2)
                 assert abs(gain[a] - g) <= 1e-12
-                assert abs(ratio[a] - r) <= 1e-12
                 if g > 0:
                     assert threshold[a] == t
+                    if criterion == "c45":
+                        assert abs(info[a] - i) <= 1e-12
+                        assert abs(gain[a] / info[a] - g / i) <= 1e-12
 
-    @pytest.mark.parametrize("criterion", ["info_gain", "gain_ratio", "c45"])
+    @pytest.mark.parametrize("criterion", ["info_gain", "c45"])
     def test_numeric_cut_scores_match_log2_formula_on_yeast_like_nodes(
             self, criterion):
         # Yeast's label powerset has about 200 classes, a few frequent and
         # most rare, over 1500 training rows: the search's running sum
         # over a node's rows rounds more the more rows it has.  A ratio
-        # carries its gain's rounding divided by the cut's split info,
-        # about 0.02 where gain_ratio peels 2 of 1000 rows off, so ratios
-        # are compared in gain units (ratio x split info)
+        # carries its gain's rounding divided by the cut's split info, so
+        # ratios are compared in gain units (ratio x split info)
         rng = np.random.default_rng(20)
         n = 1500
         X = np.column_stack([rng.integers(0, 40, n) / 8, rng.random(n),
@@ -671,17 +672,19 @@ class TestTree:
             idx = np.sort(rng.choice(n, size, replace=False))
             counts = np.bincount(y[idx])
             assert (counts > 0).sum() >= 150
-            gain, ratio, threshold = grower._eval_numeric_all(
+            gain, info, threshold = grower._eval_numeric_all(
                 attrs, state.sorted_rows(idx), counts,
                 float(entropy_log2(counts)))
             for a in attrs:
-                g, r, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
+                g, i, t = numeric_cut_bf(X[idx, a].tolist(), y[idx].tolist(),
                                          criterion, 2)
                 assert abs(gain[a] - g) <= 1e-12
-                info = g / r if r > 0 else 1.0
-                assert abs(ratio[a] - r) * min(info, 1.0) <= 1e-12
                 if g > 0:
                     assert threshold[a] == t
+                    if criterion == "c45":
+                        assert abs(info[a] - i) <= 1e-12
+                        assert (abs(gain[a] / info[a] - g / i) * min(i, 1.0)
+                                <= 1e-12)
 
     @pytest.mark.parametrize("labels", [(0, 255, 256), (0, 40000, 70000)])
     @pytest.mark.parametrize("name", ["random-t", "reptree", "j48"])
@@ -823,11 +826,8 @@ class TestTree:
     # of the best are tied, so these digests hold whether entropies come
     # from the count table or the direct log2 formula; without that rule,
     # regrouping the float sums changes some of them.  A change that alters
-    # splits on purpose records new digests and says so.  "gain_ratio" is
-    # the plain gain-ratio tree, without j48's C4.5 rules.
+    # splits on purpose records new digests and says so.
     PINNED_STRUCTURES = {
-        ("gain_ratio", 1): "d5f8e555bb46450fe2b975e23b53f88f9f88ecea4b8e23d45dbe3261817a8afc",
-        ("gain_ratio", 2): "21056a4cf4c44df8bbc4c489089a8e795e2da0f35aeb51c77aa90ac401f70c6e",
         ("j48", 1): "3d15ee0ce171c780c06b324453df793a6da95dd26a0854d0491a100bf3c4af8a",
         ("j48", 2): "c554c16c2f58c30d1866c70db297bfc4391c5adab6bcf0197a9a86385dbf857a",
         ("reptree", 1): "da0acceafb493efd8ba6feac7d1db42e5c8e4e68103fe27d179171dbd92740a2",
@@ -859,9 +859,8 @@ class TestTree:
     def test_whole_tree_structure_is_pinned(self, name, min_leaf):
         rows, classes, attrs = self._lp_tree_data()
         assert len(set(classes)) >= 8
-        seed = {"gain_ratio": 0, "j48": 0, "reptree": 3, "random-t": 11}[name]
-        base = TreeSpec(criterion=name) if name == "gain_ratio" else preset(name)
-        spec = dataclasses.replace(base, min_leaf=min_leaf, seed=seed)
+        seed = {"j48": 0, "reptree": 3, "random-t": 11}[name]
+        spec = dataclasses.replace(preset(name), min_leaf=min_leaf, seed=seed)
         clf = fit(spec, rows, classes, attrs)
         digest = hashlib.sha256(repr(clf.root.structure()).encode()).hexdigest()
         assert digest == self.PINNED_STRUCTURES[(name, min_leaf)]
@@ -948,8 +947,9 @@ class TestTree:
         assert clf.prune_error_before is None
 
     def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            TreeSpec(criterion="gini")
+        for criterion in ("gini", "gain_ratio"):
+            with pytest.raises(ValueError, match="criteria: c45, info_gain"):
+                TreeSpec(criterion=criterion)
         with pytest.raises(ValueError):
             TreeSpec(min_leaf=0)
         with pytest.raises(ValueError):
@@ -1044,7 +1044,7 @@ PRESETS = [preset(name) for name in PRESET_NAMES]
 
 
 def preset_ids(spec):
-    return PRESET_NAMES[PRESETS.index(spec)] if spec in PRESETS else "gain-ratio"
+    return PRESET_NAMES[PRESETS.index(spec)]
 
 
 class TestTrainingState:
@@ -1085,8 +1085,7 @@ class TestTrainingState:
         fit(spec, d.X, [0, 1] * 10, d.schema.attributes)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("spec", PRESETS + [TreeSpec(criterion="gain_ratio")],
-                             ids=preset_ids)
+    @pytest.mark.parametrize("spec", PRESETS, ids=preset_ids)
     def test_one_class_fit_is_the_specs_own_classifier(self, spec):
         d = random_dataset(5, n=30, n_labels=1, n_num=2, n_nom=1,
                            missing_rate=0.2)
@@ -1131,6 +1130,7 @@ class TestPresets:
         assert preset("nb") == NaiveBayesSpec(variance_floor=1e-6)
         j48 = preset("j48")
         assert j48.criterion == "c45" and not j48.rep_pruning
+        assert TreeSpec() == j48
         rep = preset("reptree")
         assert rep.criterion == "info_gain" and rep.rep_pruning
         rnd = preset("random-t")

@@ -46,8 +46,10 @@ rakel, ``p``/``b`` to ps and ensemble, and an ensemble that lists
 ``members`` takes no ``q`` or ``learner``.
 A flag or key counts as given when it is set and not null, even if empty,
 so an empty value is checked like any other, and refused.  A preset is named
-exactly (``learners.PRESET_NAMES``); an inline learner's kind is 'knn',
-'nb' or 'tree'.  An ensemble takes 'threshold' only with a voting rule.
+exactly (``learners.PRESET_NAMES``); an inline learner's kind is 'knn'
+(options: 'k'), 'nb' (none) or 'tree' ('criterion', 'random_subset_size',
+'rep_pruning', 'min_leaf', 'seed').  An ensemble takes 'threshold' only
+with a voting rule.
 A dataset takes 'labels' or 'trailing_labels', not both; a label flag
 replaces the config's label key.  It takes 'path' or 'train' and 'test',
 not both, and a split (key or --split) only with 'path'.  A split takes
@@ -62,9 +64,9 @@ refuses what only a fitted model reads: --transform, --learner, --params,
 --split and the config keys 'experiments' and 'split'.  Without
 --transform, --learner and --params are refused too, and --params may not
 set a key that --transform or --learner sets.
-The environment variable MULLAB_SEED, unless empty, is the seed fallback
-when neither the flag nor the config provides one.  Numeric flags and
-MULLAB_SEED follow the ARFF rule for numbers: ASCII, with no '_'.
+Without a --seed flag or a 'seed' key the seed is 0; no environment
+variable is read.  Numeric flags follow the ARFF rule for numbers: ASCII,
+with no '_'.
 """
 
 from __future__ import annotations
@@ -180,11 +182,6 @@ def _merge_flags(args) -> tuple[dict, dict, SplitSpec | None]:
     for key in ("seed", "threshold", "format", "out"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-    if cfg.get("seed") is None and os.environ.get("MULLAB_SEED"):
-        try:
-            cfg["seed"] = _number(int)(os.environ["MULLAB_SEED"])
-        except ValueError:
-            raise UsageError("MULLAB_SEED must be an integer") from None
     cfg.update({"seed": 0, "threshold": 0.5, "workers": 1, "format": "md"}
                | _fields(cfg, seed=int, threshold=float, workers=int,
                          format=str, out=str))
@@ -348,11 +345,10 @@ def _resolve_data(ds: dict, split) -> tuple[MLDataset, MLDataset]:
 
 # inline learner kind -> (its spec, the JSON kind of each option)
 _LEARNER_KINDS = {
-    "knn": (KnnSpec, {"k": int, "distance": str}),
-    "nb": (NaiveBayesSpec, {"variance_floor": float}),
+    "knn": (KnnSpec, {"k": int}),
+    "nb": (NaiveBayesSpec, {}),
     "tree": (TreeSpec, {"criterion": str, "random_subset_size": int,
-                        "rep_pruning": bool, "min_leaf": int,
-                        "max_depth": int, "seed": int}),
+                        "rep_pruning": bool, "min_leaf": int, "seed": int}),
 }
 
 
@@ -361,15 +357,14 @@ def _parse_learner(value) -> LearnerSpec:
         return preset(value)
     if not isinstance(value, dict):
         raise UsageError(f"bad learner spec {value!r}")
-    opts = {key: v for key, v in value.items() if v is not None}
-    kind = opts.pop("kind", None)
+    kind = value.get("kind")
     if kind not in _LEARNER_KINDS:
         raise UsageError(f"unknown learner kind {kind!r}")
     spec, kinds = _LEARNER_KINDS[kind]
-    if opts.get("random_subset_size") == "sqrt":
+    _known_keys(value, ("kind",) + tuple(kinds), f"a {kind!r} learner")
+    if value.get("random_subset_size") == "sqrt":
         kinds = dict(kinds, random_subset_size=str)
-    # an option the spec does not have stays in, so the spec rejects it
-    return spec(**opts | _fields(opts, **kinds))
+    return spec(**_fields(value, **kinds))
 
 
 def _parse_spec(entry, seed: int = 0, prune: PruneSpec | None = None):

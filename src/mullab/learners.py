@@ -3,8 +3,8 @@
 Three families, each consumed by the problem transformations:
 
 * k-nearest-neighbours: the distance sums, in column order, ``(q - x)^2``
-  (Euclidean, squared) or ``|q - x|`` (Manhattan) over the standardized
-  numeric attributes, then a 0/1 mismatch per nominal one; the neighbours
+  (squared Euclidean) over the standardized numeric attributes, then a 0/1
+  mismatch per nominal one; the neighbours
   are the first k by ascending (distance, training row), so ties go to the
   lower row, and vote with uniform weights.  A ``KnnIndex`` holds the
   encoder and the standardised training matrix and finds the neighbours; a
@@ -13,13 +13,13 @@ Three families, each consumed by the problem transformations:
   one search per query matrix (a grid's shared index is built with ``kept``,
   its search of the test split).  A search takes the query rows in blocks of at
   most ``_KNN_BLOCK_ELEMS`` (2^16) query x training elements and holds no
-  larger matrix.  A Euclidean block is screened by one BLAS product for the
-  Gram form, whose rounding is bounded, and only rows within that bound of
+  larger matrix.  A block with numeric attributes is screened by one BLAS
+  product for the Gram form, whose rounding is bounded, and only rows within that bound of
   the k-th screened distance are ranked on the distance itself; so the
   neighbours do not depend on the BLAS library, its threads or the block
   (1.1 MB traced at 917 x 1500 x 103 and k = 5; a whole matrix is 11 MB).
-* Gaussian naive Bayes: per-class Gaussian per numeric attribute with a
-  variance floor, Laplace-1 smoothed categorical likelihoods, frequency
+* Gaussian naive Bayes: per-class Gaussian per numeric attribute with the
+  variance floor ``_VARIANCE_FLOOR`` (1e-6), Laplace-1 smoothed categorical likelihoods, frequency
   priors, log-space posterior.  Prediction takes the query rows in blocks of
   at most ``_NB_BLOCK_ELEMS`` (2^16) rows x classes x numeric attributes
   elements, each computed in one reused buffer with the float operations
@@ -114,6 +114,8 @@ _GAIN_EPS = 1e-12
 _BATCH_ELEMS = 1 << 15
 # Nodes from this many rows on sort narrow class keys (radix), smaller ones int64.
 _RADIX_MIN_ROWS = 40
+# The least variance of a naive Bayes Gaussian.
+_VARIANCE_FLOOR = 1e-6
 # Upper bound on the (query rows x classes x numeric attrs) elements of one
 # block in naive Bayes prediction; it bounds the prediction's peak memory.
 _NB_BLOCK_ELEMS = 1 << 16
@@ -125,22 +127,15 @@ _KNN_BLOCK_ELEMS = 1 << 16
 @dataclass(frozen=True)
 class KnnSpec:
     k: int = 5
-    distance: str = "euclidean"  # euclidean | manhattan
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("knn k must be >= 1")
-        if self.distance not in ("euclidean", "manhattan"):
-            raise ValueError(f"unknown knn distance {self.distance!r}")
 
 
 @dataclass(frozen=True)
 class NaiveBayesSpec:
-    variance_floor: float = 1e-6
-
-    def __post_init__(self):
-        if self.variance_floor <= 0:
-            raise ValueError("variance_floor must be > 0")
+    pass
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,6 @@ class TreeSpec:
     random_subset_size: Union[int, str, None] = None  # int, "sqrt", or None (all)
     rep_pruning: bool = False
     min_leaf: int = 2
-    max_depth: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -158,8 +152,6 @@ class TreeSpec:
                              f"criteria: c45, info_gain")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, not {self.max_depth}")
         if isinstance(self.random_subset_size, str):
             if self.random_subset_size != "sqrt":
                 raise ValueError("random_subset_size must be an int, 'sqrt' or None")
@@ -279,7 +271,6 @@ class KnnIndex:
 
     def __init__(self, spec: KnnSpec, enc: _Encoder, x: np.ndarray,
                  kept: Optional[np.ndarray] = None):
-        self.spec = spec
         self.enc = enc
         self._num_cols, self._nom_cols = enc.num_cols, enc.nom_cols
         self.n_rows = x.shape[0]
@@ -307,11 +298,11 @@ class KnnIndex:
     def _nearest(self, q: np.ndarray) -> np.ndarray:
         """The ``k`` nearest training rows of each encoded query row of one
         block ``q``, in ascending row order: the first ``k`` by ascending
-        (distance, row).  Manhattan distances are computed in full.  A
-        Euclidean search screens every training row with the Gram form
-        ``(q.q - 2 q.x) + x.x`` (one BLAS product), clipped at 0, plus the
-        mismatches; a query row that keeps more than ``k`` ranks them by
-        distance.
+        (distance, row).  Without numeric columns the distances (mismatch
+        counts) are computed in full.  With them, the search screens every
+        training row with the Gram form ``(q.q - 2 q.x) + x.x`` (one BLAS
+        product), clipped at 0, plus the mismatches; a query row that keeps
+        more than ``k`` ranks them by distance.
 
         The screen keeps every neighbour.  Take u = 2^-53, g_m = m u /
         (1 - m u) (Higham 2002, §3.1), m = p + c + 2 for p numeric and c
@@ -329,10 +320,9 @@ class KnnIndex:
         q.q, and 2^-1020 underflow's absolute errors.
         """
         k, xn, xc, nom = self.k, self._xn, self._xc, self._nom_cols
-        screen = xn is not None and self.spec.distance == "euclidean"
-        if xn is not None:
-            qn = (q[:, self._num_cols] - self._mu) / self._sd
+        screen = xn is not None
         if screen:
+            qn = (q[:, self._num_cols] - self._mu) / self._sd
             qq = (qn * qn).sum(axis=1)
             d = qn @ xn.T
             d *= -2.0
@@ -341,8 +331,6 @@ class KnnIndex:
             np.clip(d, 0.0, None, out=d)
         else:
             d = np.zeros((len(q), self.n_rows))
-            for j in range(self._num_cols.size):
-                d += np.abs(qn[:, j, None] - xn[:, j])
         for j in range(nom.size):
             d += q[:, nom[j], None] != xc[:, j]
         kth = np.partition(d, k - 1, axis=1)[:, k - 1]
@@ -412,20 +400,19 @@ class KnnClassifier(Classifier):
 
 class NaiveBayesClassifier(Classifier):
     def __init__(self, state: TrainingState, y: np.ndarray, n_classes: int):
-        self.spec = spec = state.spec
         self.n_classes = n_classes
         self._enc = enc = state.enc
         x, num = state.x, enc.num_cols
         counts = np.bincount(y, minlength=n_classes).astype(float)
         self._mean = np.zeros((n_classes, num.size))
-        self._var = np.full((n_classes, num.size), spec.variance_floor)
+        self._var = np.full((n_classes, num.size), _VARIANCE_FLOOR)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             self._log_prior = np.log(counts / len(y))
             for c in range(n_classes):
                 xc = x[y == c][:, num]
                 if len(xc):
                     self._mean[c] = xc.mean(axis=0)
-                    self._var[c] = np.maximum(xc.var(axis=0), spec.variance_floor)
+                    self._var[c] = np.maximum(xc.var(axis=0), _VARIANCE_FLOOR)
         _check_finite("naive Bayes means or variances", self._mean, self._var)
         self._nom_loglik = []
         for j in enc.nom_cols:
@@ -604,12 +591,10 @@ class _TreeGrower:
             return attrs, None, ()
         return attrs, np.flatnonzero(~nominal), np.flatnonzero(nominal)
 
-    def _may_split(self, counts: np.ndarray, depth: int) -> bool:
-        """Whether a node with class ``counts`` at ``depth`` may split."""
-        spec = self.spec
+    def _may_split(self, counts: np.ndarray) -> bool:
+        """Whether a node with class ``counts`` may split."""
         return (np.count_nonzero(counts) > 1
-                and counts.sum() >= 2 * spec.min_leaf
-                and (spec.max_depth is None or depth < spec.max_depth))
+                and counts.sum() >= 2 * self.spec.min_leaf)
 
     def _grow(self, idx: np.ndarray) -> _Node:
         """The tree grown on the ascending training rows ``idx``, depth
@@ -618,11 +603,11 @@ class _TreeGrower:
         and drops its own, so the pending orders cover disjoint rows."""
         y, n_classes, branch = self._y, self.n_classes, self._branch
         root = _Node(np.bincount(y[idx], minlength=n_classes))
-        if not self._may_split(root.counts, 0):
+        if not self._may_split(root.counts):
             return root
-        todo = [(root, idx, self.state.sorted_rows(idx), 0)]
+        todo = [(root, idx, self.state.sorted_rows(idx))]
         while todo:
-            node, idx, order, depth = todo.pop()
+            node, idx, order = todo.pop()
             if not self._split(node, idx, order):
                 continue
             parts = _parts(node, self.state.x, idx)
@@ -635,7 +620,7 @@ class _TreeGrower:
                 kids = node.left, node.right = (_Node(left),
                                                 _Node(node.counts - left))
             grown = [(kid, rows) for kid, (_, rows) in zip(kids, parts)
-                     if kid and self._may_split(kid.counts, depth + 1)]
+                     if kid and self._may_split(kid.counts)]
             if not grown:
                 continue
             branch[idx] = -1  # the order holds only the rows idx
@@ -643,7 +628,7 @@ class _TreeGrower:
                 branch[rows] = v
             orders = _split_order(order, branch, [len(r) for _, r in grown])
             # reversed, so that the first child is grown first
-            todo += [(kid, rows, sub, depth + 1)
+            todo += [(kid, rows, sub)
                      for (kid, rows), sub in zip(grown[::-1], orders[::-1])]
         return root
 

@@ -315,32 +315,26 @@ def tree_predict_bf(root, rows, n_classes):
     return out, stopped
 
 
-def knn_distances_bf(qn, xn, qc, xc, distance):
+def knn_distances_bf(qn, xn, qc, xc):
     """The (queries x training rows) kNN distances as whole-matrix
     expressions: over the standardised numeric columns ``qn``/``xn``,
-    ``(|q|^2 + |x|^2) - 2 q.x`` clipped at 0 (Euclidean, squared) or the
-    sum of absolute differences column by column (Manhattan), then one per
-    nominal column of ``qc``/``xc`` whose categories differ."""
+    ``(|q|^2 + |x|^2) - 2 q.x`` clipped at 0 (Euclidean, squared), then one
+    per nominal column of ``qc``/``xc`` whose categories differ."""
     d = np.zeros((len(qn), len(xn)))
     if qn.shape[1]:
-        if distance == "euclidean":
-            d += ((qn * qn).sum(axis=1)[:, None] + (xn * xn).sum(axis=1)[None, :]
-                  - 2.0 * qn @ xn.T)
-            np.clip(d, 0.0, None, out=d)
-        else:
-            for j in range(qn.shape[1]):
-                d += np.abs(qn[:, j][:, None] - xn[None, :, j])
+        d += ((qn * qn).sum(axis=1)[:, None] + (xn * xn).sum(axis=1)[None, :]
+              - 2.0 * qn @ xn.T)
+        np.clip(d, 0.0, None, out=d)
     for j in range(qc.shape[1]):
         d += qc[:, j][:, None] != xc[None, :, j]
     return d
 
 
-def knn_exact_distances_bf(qn, xn, qc, xc, distance):
+def knn_exact_distances_bf(qn, xn, qc, xc):
     """The documented kNN distance of every (query, training row) pair, one
     float addition at a time in column order: ``(q - x)^2`` (Euclidean,
-    squared) or ``|q - x|`` (Manhattan) per standardised numeric column of
-    ``qn``/``xn``, then one per nominal column of ``qc``/``xc`` whose
-    categories differ."""
+    squared) per standardised numeric column of ``qn``/``xn``, then one per
+    nominal column of ``qc``/``xc`` whose categories differ."""
     out = []
     for q_num, q_nom in zip(np.asarray(qn).tolist(), np.asarray(qc).tolist()):
         row = []
@@ -348,7 +342,7 @@ def knn_exact_distances_bf(qn, xn, qc, xc, distance):
             total = 0.0
             for a, b in zip(q_num, x_num):
                 diff = a - b
-                total += diff * diff if distance == "euclidean" else abs(diff)
+                total += diff * diff
             for a, b in zip(q_nom, x_nom):
                 total += float(a != b)
             row.append(total)

@@ -367,7 +367,8 @@ class TestBenchmark:
         cfg = write_config(tmp_path, arff_path, labels_path, [])
         assert run_cli(["benchmark", "--config", cfg]) == 1
 
-    def test_env_seed_fallback(self, data_files, tmp_path, monkeypatch):
+    def test_env_seed_is_not_read(self, data_files, tmp_path, monkeypatch):
+        # the seed comes from --seed or the config, else it is 0
         arff_path, labels_path = data_files
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -375,15 +376,18 @@ class TestBenchmark:
             "split": {"ratio": 0.67},
             "experiments": [{"name": "br-nb", "transform": "br", "learner": "nb"}],
         }), encoding="utf-8")
-        monkeypatch.setenv("MULLAB_SEED", "5")
-        out_env = tmp_path / "env.csv"
-        assert run_cli(["benchmark", "--config", cfg_path, "--format", "csv",
-                        "--out", out_env]) == 0
-        monkeypatch.delenv("MULLAB_SEED")
-        out_flag = tmp_path / "flag.csv"
-        assert run_cli(["benchmark", "--config", cfg_path, "--format", "csv",
-                        "--seed", 5, "--out", out_flag]) == 0
-        assert out_env.read_bytes() == out_flag.read_bytes()
+        reports = {}
+        for name, env, flags in (("env", "5", []), ("none", None, []),
+                                 ("flag", None, ["--seed", 5])):
+            if env is None:
+                monkeypatch.delenv("MULLAB_SEED", raising=False)
+            else:
+                monkeypatch.setenv("MULLAB_SEED", env)
+            reports[name] = tmp_path / f"{name}.csv"
+            assert run_cli(["benchmark", "--config", cfg_path, "--format",
+                            "csv", "--out", reports[name], *flags]) == 0
+        assert reports["env"].read_bytes() == reports["none"].read_bytes()
+        assert reports["env"].read_bytes() != reports["flag"].read_bytes()
 
     @staticmethod
     def _missing_and_nominal_config(tmp_path):
@@ -462,6 +466,13 @@ UNKNOWN_KEYS = (
     ("lables", {"dataset": {"path": "x.arff", "lables": "x.xml"}}),
     ("shuffle", {"split": {"ratio": 0.5, "shuffle": True}}),
     ("thresold", {"thresold": 0.9}),
+    # options that inline learners do not take, null ones too
+    ("distance", {"experiments": [{"transform": "br", "learner": {
+        "kind": "knn", "distance": "manhattan"}}]}),
+    ("variance_floor", {"experiments": [{"transform": "lp", "learner": {
+        "kind": "nb", "variance_floor": None}}]}),
+    ("max_depth", {"experiments": [{"transform": "ensemble", "members": [{
+        "learner": {"kind": "tree", "max_depth": 3}}]}]}),
 )
 
 
@@ -595,7 +606,8 @@ def test_ensemble_members_null_takes_the_default_members():
         "name-pipe", "name-carriage-return", "name-duplicate",
         "name-duplicate-derived", "trailing-labels-string", "trailing-labels-3.5",
         "format-xml", "format-markdown", "kind-naive-bayes", "out-int", "out-bool", "knn-k-2.5", "knn-k-true",
-        "tree-max-depth-string", "tree-seed-string", "tree-max-depth-negative",
+        "tree-unknown-max-depth-string", "tree-seed-string",
+        "tree-unknown-max-depth-negative",
         "tree-subset-zero", "tree-subset-negative", "tree-criterion-gain-ratio",
         *(f"unknown-key-{key}" for key, _ in UNKNOWN_KEYS),
         *(f"unused-key-{name}" for name, _, _ in UNUSED_KEYS),
@@ -731,29 +743,24 @@ def assert_usage_error_before_data(args, tmp_path, monkeypatch, capsys,
 
 # Numbers that int() or float() read but ARFF does not: '_' between digits,
 # Arabic-Indic and fullwidth digits.
-@pytest.mark.parametrize("command, flags, env_seed", [
-    ("benchmark", ["--split", "39_1:2_02"], None),
-    ("evaluate", ["--split", "0.6_6"], None),
-    ("benchmark", ["--split", "\u0663\u0669\u0661:202"], None),
-    ("benchmark", ["--seed", "\u0661"], None),
-    ("evaluate", ["--seed", "1_0"], None),
-    ("benchmark", ["--threshold", "0.5_0"], None),
-    ("evaluate", ["--threshold", "\uff10.5"], None),
-    ("evaluate", ["--trailing-labels", "\u0663"], None),
-    ("info", ["--trailing-labels", "3_0"], None),
-    ("benchmark", [], "\u0661"),
-    ("evaluate", [], "1_0"),
+@pytest.mark.parametrize("command, flags", [
+    ("benchmark", ["--split", "39_1:2_02"]),
+    ("evaluate", ["--split", "0.6_6"]),
+    ("benchmark", ["--split", "\u0663\u0669\u0661:202"]),
+    ("benchmark", ["--seed", "\u0661"]),
+    ("evaluate", ["--seed", "1_0"]),
+    ("benchmark", ["--threshold", "0.5_0"]),
+    ("evaluate", ["--threshold", "\uff10.5"]),
+    ("evaluate", ["--trailing-labels", "\u0663"]),
+    ("info", ["--trailing-labels", "3_0"]),
 ], ids=["split-counts-underscore", "split-ratio-underscore",
         "split-arabic-indic", "seed-arabic-indic", "seed-underscore",
         "threshold-underscore", "threshold-fullwidth",
         "trailing-labels-arabic-indic",
-        "info-trailing-labels-underscore", "env-seed-arabic-indic",
-        "env-seed-underscore"])
+        "info-trailing-labels-underscore"])
 def test_numbers_only_python_reads_exit_1_before_any_data_is_read(
-        command, flags, env_seed, data_files, tmp_path, monkeypatch, capsys):
+        command, flags, data_files, tmp_path, monkeypatch, capsys):
     arff_path, labels_path = data_files
-    if env_seed is not None:
-        monkeypatch.setenv("MULLAB_SEED", env_seed)
     if command == "info":
         args = ["info", "--dataset", arff_path]
     else:
@@ -764,7 +771,7 @@ def test_numbers_only_python_reads_exit_1_before_any_data_is_read(
         args = [command, "--config", cfg, "--out", tmp_path / "report.csv"]
     # argparse refuses a flag's type with its usage line; the rest are
     # config errors
-    by_argparse = flags and flags[0] != "--split"
+    by_argparse = flags[0] != "--split"
     err = assert_usage_error_before_data(
         args + flags, tmp_path, monkeypatch, capsys,
         err_start="usage: " if by_argparse else "error: ")
@@ -772,7 +779,7 @@ def test_numbers_only_python_reads_exit_1_before_any_data_is_read(
     if by_argparse:
         assert f"argument {flags[0]}: invalid" in last
     else:
-        assert ("--split" if flags else "MULLAB_SEED") in last
+        assert "--split" in last
 
 
 @pytest.mark.parametrize("command, source", [

@@ -103,17 +103,21 @@ def test_zero_column_matrix_fits_and_predicts(spec):
         clf.predict_dist_many([(1.0,)])
 
 
+def standardised(index, q):
+    """The standardised numeric columns of the encoded query rows ``q``
+    and of the training rows of ``index`` (none when it has none)."""
+    num = index._num_cols
+    if num.size:
+        return (q[:, num] - index._mu) / index._sd, index._xn
+    return q[:, num], np.zeros((index.n_rows, 0))
+
+
 def knn_oracle(index, rows):
     """``knn_exact_distances_bf`` from the query rows ``rows`` to the
     standardised training rows of ``index``."""
     q = index.enc.transform(rows)
-    num, nom = index._num_cols, index._nom_cols
-    if num.size:
-        qn, xn = (q[:, num] - index._mu) / index._sd, index._xn
-    else:
-        qn, xn = q[:, num], np.zeros((index.n_rows, 0))
-    dist = knn_exact_distances_bf(qn, xn, q[:, nom], index._xc,
-                                  index.spec.distance)
+    dist = knn_exact_distances_bf(*standardised(index, q),
+                                  q[:, index._nom_cols], index._xc)
     return np.array(dist).reshape(len(q), index.n_rows)
 
 
@@ -192,11 +196,6 @@ class TestKnn:
         clf = fit(KnnSpec(k=1), pts, [0, 1, 1], attrs)
         assert clf.predict_dist_many([(0,)]).tolist() == [[1.0, 0.0]]
 
-    def test_manhattan_distance_supported(self):
-        pts = [(0.0, 0.0), (10.0, 10.0)]
-        clf = fit(KnnSpec(k=1, distance="manhattan"), pts, [0, 1], NUM2)
-        assert clf.predict_dist_many([(1.0, 1.0)]).tolist() == [[1.0, 0.0]]
-
     def test_a_kept_search_answers_only_its_own_matrix(self, monkeypatch):
         d = random_dataset(6, n=40, n_labels=1, n_num=3, n_nom=1)
         probe = random_dataset(7, n=9, n_labels=1, n_num=3, n_nom=1)
@@ -243,31 +242,34 @@ class TestKnn:
         queries = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1,
                                      max_size=6))
         k = data.draw(st.integers(1, len(pts)))
-        distance = data.draw(st.sampled_from(["euclidean", "manhattan"]))
         attrs = tuple(Attribute(f"a{j}") for j in range(d))
-        clf = fit(KnnSpec(k=k, distance=distance), pts, cls, attrs)
+        clf = fit(KnnSpec(k=k), pts, cls, attrs)
         dist = knn_oracle(clf.index, queries)
         expected = knn_counts_bf(dist.tolist(), cls, k, max(cls) + 1)
         assert clf.predict_dist_many(queries).tolist() == expected
         assert (clf.index.neighbours(queries) == stable_top(dist, k)).all()
 
-    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    # the distance the data drives: squared Euclidean plus mismatches
+    # (screened), or mismatches alone (no numeric column, not screened)
+    @pytest.mark.parametrize("distance", ["euclidean", "mismatch"])
     @pytest.mark.parametrize("block_elems", [1, 4 * 30, 1 << 40])
     def test_blocked_search_is_bit_identical(self, block_elems, distance,
                                              monkeypatch):
-        # integer grid points plus a nominal column: distance ties
-        # everywhere.  Blocks of 1 row, of 4 rows (13 queries, so the last
-        # block is short) and of all rows pick the oracle's neighbours.
-        attrs = NUM2 + (Attribute("c", ("x", "y", "z")),)
+        # integer grid points plus a nominal column, or the nominal column
+        # alone: distance ties everywhere.  Blocks of 1 row, of 4 rows (13
+        # queries, so the last block is short) and of all rows pick the
+        # oracle's neighbours.
+        cols = slice(0 if distance == "euclidean" else 2, None)
+        attrs = (NUM2 + (Attribute("c", ("x", "y", "z")),))[cols]
         for seed in range(3):
             rng = np.random.default_rng(seed)
             grid = [np.column_stack([rng.integers(-1, 2, (n, 2)),
                                      rng.integers(0, 3, n)]).astype(float)
                     for n in (30, 13)]
-            train, queries = grid
+            train, queries = (g[:, cols] for g in grid)
             y = rng.integers(0, 3, 30)
             for k in (1, 4, 30):
-                clf = fit(KnnSpec(k=k, distance=distance), train, y, attrs)
+                clf = fit(KnnSpec(k=k), train, y, attrs)
                 index = clf.index
                 dist = knn_oracle(index, queries)
                 monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", 1 << 40)
@@ -279,26 +281,26 @@ class TestKnn:
                                                        k, 3)
                 assert (near == stable_top(dist, k)).all()
 
-    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("distance", ["euclidean", "mismatch"])
     @pytest.mark.parametrize("block_elems", [1, 7 * 40, 1 << 16])
     def test_distances_match_whole_matrix_expressions(self, block_elems,
                                                       distance, monkeypatch):
         # standardised real values round: the documented column-order sums
-        # are the whole-matrix expressions' bits for Manhattan and within
-        # rounding of the Gram form for Euclidean, and rank the neighbours
+        # are within rounding of the Gram form, and rank the neighbours;
+        # mismatch counts alone are the whole-matrix expressions' bits
         monkeypatch.setattr(learners, "_KNN_BLOCK_ELEMS", block_elems)
-        d = random_dataset(6, n=40, n_labels=1, n_num=5, n_nom=2,
+        n_num = 5 if distance == "euclidean" else 0
+        d = random_dataset(6, n=40, n_labels=1, n_num=n_num, n_nom=2,
                            missing_rate=0.1)
-        probe = random_dataset(7, n=23, n_labels=1, n_num=5, n_nom=2,
+        probe = random_dataset(7, n=23, n_labels=1, n_num=n_num, n_nom=2,
                                missing_rate=0.1)
-        index = learners.TrainingState(KnnSpec(distance=distance), d.X,
+        index = learners.TrainingState(KnnSpec(), d.X,
                                        d.schema.attributes).index
         q = index.enc.transform(probe.X)
-        num, nom = index._num_cols, index._nom_cols
-        whole = knn_distances_bf((q[:, num] - index._mu) / index._sd,
-                                 index._xn, q[:, nom], index._xc, distance)
+        whole = knn_distances_bf(*standardised(index, q),
+                                 q[:, index._nom_cols], index._xc)
         exact = knn_oracle(index, probe.X)
-        if distance == "manhattan":
+        if distance == "mismatch":
             assert exact.tobytes() == whole.tobytes()
         else:
             np.testing.assert_allclose(exact, whole, rtol=1e-12, atol=1e-12)
@@ -324,8 +326,7 @@ class TestKnn:
                 assert np.array_equal(near, stable_top(exact, k))
                 q = index.enc.transform(queries)
                 gram = knn_distances_bf((q[:, :4] - index._mu) / index._sd,
-                                        index._xn, q[:, 4:], index._xc,
-                                        "euclidean")
+                                        index._xn, q[:, 4:], index._xc)
                 for i, lo, hi in ties:
                     assert exact[i, lo] == exact[i, hi]
                     assert lo in near[i] and (k > 1 or hi not in near[i])
@@ -369,8 +370,8 @@ class TestKnn:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             KnnSpec(k=0)
-        with pytest.raises(ValueError):
-            KnnSpec(distance="cosine")
+        with pytest.raises(TypeError):  # one distance, not an option
+            KnnSpec(distance="euclidean")
 
 
 class TestNaiveBayes:
@@ -432,18 +433,19 @@ class TestNaiveBayes:
         rng = np.random.default_rng(8)
         pts = [tuple(float(v) for v in rng.normal(size=3)) for _ in range(30)]
         cls = [int(rng.integers(3)) for _ in range(30)]
-        spec = NaiveBayesSpec(variance_floor=1e-6)
         attrs = tuple(Attribute(f"a{j}") for j in range(3))
-        clf = fit(spec, pts, cls, attrs)
+        clf = fit(NaiveBayesSpec(), pts, cls, attrs)
         for q, got in zip(pts[:5], clf.predict_dist_many(pts[:5])):
-            expected = naive_bayes_posterior_bf(pts, cls, q, spec.variance_floor)
+            expected = naive_bayes_posterior_bf(pts, cls, q, 1e-6)
             for c, p in expected.items():
                 assert got[c] == pytest.approx(p, abs=1e-9)
 
     def test_variance_floor_prevents_degenerate_gaussian(self):
         pts = [(1.0,), (1.0,), (2.0,), (2.5,)]
-        clf = fit(NaiveBayesSpec(variance_floor=1e-6), pts, [0, 0, 1, 1],
-                  (Attribute("a"),))
+        clf = fit(NaiveBayesSpec(), pts, [0, 0, 1, 1], (Attribute("a"),))
+        assert clf._var[0].tolist() == [1e-6]  # the one floor, not an option
+        with pytest.raises(TypeError):
+            NaiveBayesSpec(variance_floor=1e-3)
         assert_valid_dist(clf.predict_dist_many([(1.0,)])[0])
 
     def test_overflowing_variance_is_refused(self):
@@ -593,7 +595,7 @@ class TestTree:
         classes = [2, 0, 0, 1, 2, 1, 2, 1, 1, 0, 1, 2, 2, 2, 0, 1, 0]
         gains = [self._log2_gain(classes, i) for i in range(1, 17)]
         assert gains[13] > gains[2] == max(gains[:13])
-        clf = fit(TreeSpec(criterion="info_gain", min_leaf=1, max_depth=1),
+        clf = fit(TreeSpec(criterion="info_gain", min_leaf=1),
                   [(float(v),) for v in range(17)], classes, (Attribute("a"),))
         assert clf.root.structure()[:3] == ("num", 0, 2.5)
 
@@ -613,7 +615,7 @@ class TestTree:
         assert by_b == [relabel[y] for y in classes]
         best_a = max(self._log2_gain(classes, i) for i in range(1, 18))
         assert max(self._log2_gain(by_b, i) for i in range(1, 18)) > best_a
-        clf = fit(TreeSpec(criterion="info_gain", min_leaf=1, max_depth=1),
+        clf = fit(TreeSpec(criterion="info_gain", min_leaf=1),
                   [(float(k), b[k]) for k in range(len(classes))], classes,
                   (Attribute("a"), Attribute("b")))
         assert clf.root.structure()[:3] == ("num", 0, 13.5)
@@ -794,12 +796,6 @@ class TestTree:
         if structure[0] == "num":
             assert structure[2] == pytest.approx(1.5)
 
-    def test_max_depth_zero_is_a_stump(self):
-        pts = [(0.0,), (1.0,), (2.0,), (3.0,)]
-        clf = fit(TreeSpec(max_depth=0, min_leaf=1), pts, [0, 0, 1, 1],
-                  (Attribute("a"),))
-        assert clf.root.structure()[0] == "leaf"
-
     def test_nominal_multiway_split(self):
         attrs = (Attribute("c", ("x", "y", "z")),)
         pts = [(0,), (0,), (1,), (1,), (2,), (2,)]
@@ -954,10 +950,11 @@ class TestTree:
             TreeSpec(min_leaf=0)
         with pytest.raises(ValueError):
             TreeSpec(random_subset_size="log")
-        for bad in ({"max_depth": -1}, {"random_subset_size": 0},
-                    {"random_subset_size": -3}):
+        for bad in ({"random_subset_size": 0}, {"random_subset_size": -3}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TreeSpec(**bad)
+        with pytest.raises(TypeError):  # trees grow until min_leaf stops them
+            TreeSpec(max_depth=1)
 
 
 class TestMissingValues:
@@ -1127,7 +1124,7 @@ class TestPresets:
 
     def test_preset_shapes(self):
         assert preset("knn") == KnnSpec(k=5)
-        assert preset("nb") == NaiveBayesSpec(variance_floor=1e-6)
+        assert preset("nb") == NaiveBayesSpec()
         j48 = preset("j48")
         assert j48.criterion == "c45" and not j48.rep_pruning
         assert TreeSpec() == j48

@@ -69,7 +69,7 @@ class TestBinaryRelevance:
                               clf.predict_dist_many(d.X)[:, 1])
 
     def test_scores_match_hand_naive_bayes(self):
-        model = br_fit(BR_FIXTURE, NaiveBayesSpec(variance_floor=1e-6))
+        model = br_fit(BR_FIXTURE, NaiveBayesSpec())
         rows = BR_FIXTURE.X.tolist()
         for x, scores in zip(rows, model.predict_scores_many(BR_FIXTURE.X)):
             for j in range(2):
@@ -406,9 +406,8 @@ class TestSharedKnnSearch:
         y = self.TRAIN.Y
         assert (y.any(axis=0) & ~y.all(axis=0)).all()
 
-    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
-    def test_br_scores_equal_each_label_classifier(self, distance):
-        spec = KnnSpec(k=5, distance=distance)
+    def test_br_scores_equal_each_label_classifier(self):
+        spec = KnnSpec(k=5)
         model = br_fit(self.TRAIN, spec)
         attrs = self.TRAIN.schema.attributes
         expected = np.empty((len(self.PROBE), 6))
@@ -422,9 +421,8 @@ class TestSharedKnnSearch:
             expected[:, j] = own[:, 1]
         assert np.array_equal(model.predict_scores_many(self.PROBE.X), expected)
 
-    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
-    def test_rakel_scores_equal_each_member_classifier(self, distance):
-        spec = KnnSpec(k=4, distance=distance)
+    def test_rakel_scores_equal_each_member_classifier(self):
+        spec = KnnSpec(k=4)
         model = rakel_fit(self.TRAIN, spec, m=12, k=3, seed=5)
         sums = np.zeros((len(self.PROBE), 6))
         cover = np.zeros(6)
@@ -439,11 +437,9 @@ class TestSharedKnnSearch:
         expected[:, cover > 0] = sums[:, cover > 0] / cover[cover > 0]
         assert np.array_equal(model.predict_scores_many(self.PROBE.X), expected)
 
-    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
     @pytest.mark.parametrize("transform", ["lp", "ps"])
-    def test_lp_and_ps_scores_equal_their_classifier(self, transform,
-                                                     distance):
-        spec = KnnSpec(k=4, distance=distance)
+    def test_lp_and_ps_scores_equal_their_classifier(self, transform):
+        spec = KnnSpec(k=4)
         if transform == "lp":
             model = lp_fit(self.TRAIN, spec)
         else:
@@ -462,8 +458,7 @@ class TestSharedKnnSearch:
         assert np.array_equal(model.predict_scores_many(self.PROBE.X),
                               own @ classes)
 
-    @pytest.mark.parametrize("distance", ["euclidean", "manhattan"])
-    def test_one_encoder_one_index_one_search(self, distance, monkeypatch):
+    def test_one_encoder_one_index_one_search(self, monkeypatch):
         counts = {"encoders": 0, "indexes": 0, "searches": 0}
 
         def counting(name, original):
@@ -478,7 +473,7 @@ class TestSharedKnnSearch:
             "indexes", learners.KnnIndex.__init__))
         monkeypatch.setattr(learners.KnnIndex, "neighbours", counting(
             "searches", learners.KnnIndex.neighbours))
-        spec = KnnSpec(k=3, distance=distance)
+        spec = KnnSpec(k=3)
         for fit_model, n_models in (
                 (lambda: br_fit(self.TRAIN, spec), 6),
                 (lambda: rakel_fit(self.TRAIN, spec, m=12, k=2, seed=1), 12),

@@ -32,8 +32,8 @@ Three families, each consumed by the problem transformations:
   info gain.  Each numeric threshold is chosen by gain; ``c45`` follows
   C4.5's rules, where that gain loses the MDL cost log2(admissible cuts) / n
   (Quinlan 1996), and the attribute is the best gain ratio among candidates
-  whose gain is at least the average (Quinlan 1993).  Leaf distributions
-  are Laplace-1 smoothed class frequencies.  Split search is exhaustive and
+  whose gain is at least the average (Quinlan 1993).  A leaf predicts its
+  class frequencies, unsmoothed, as Weka's trees do.  Split search is exhaustive and
   batched per node, with no sort of values: the training state of a
   matrix sorts each numeric column once (stably), a tree's root takes that
   order filtered to its rows, and each child takes its parent's order
@@ -547,8 +547,7 @@ class TreeClassifier(Classifier):
         while todo:
             node, idx = todo.pop()
             if node.attr is None:
-                out[idx] = ((node.counts + 1.0)
-                            / (node.counts.sum() + self.n_classes))
+                out[idx] = node.counts / node.counts.sum()
                 continue
             for child, part in _parts(node, q, idx):
                 if len(part):

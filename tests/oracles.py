@@ -291,13 +291,13 @@ def best_split_c45_bf(rows, classes, min_leaf=1, nominal=()):
 # k-nearest-neighbour vote oracle (over a given distance matrix)
 # ---------------------------------------------------------------------------
 
-def tree_predict_bf(root, rows, n_classes):
+def tree_predict_bf(root, rows):
     """Class distributions of a fitted tree for encoded rows (missing cells
     already filled in), walking one row at a time from ``root``: ``<=
     threshold`` goes left, and a nominal category with no grown child stops
-    at its node.  A row gets the Laplace-1 smoothed class counts of the node
-    it stops at.  Returns the distributions and how many rows stopped at an
-    ungrown category."""
+    at its node.  A row gets the class frequencies of the node it stops at,
+    each class count over the node's row count, unsmoothed.  Returns the
+    distributions and how many rows stopped at an ungrown category."""
     out, stopped = [], 0
     for row in rows:
         node = root
@@ -311,7 +311,7 @@ def tree_predict_bf(root, rows, n_classes):
                 break
             node = child
         counts = [int(c) for c in node.counts]
-        out.append([(c + 1) / (sum(counts) + n_classes) for c in counts])
+        out.append([c / sum(counts) for c in counts])
     return out, stopped
 
 

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
     "emotions-readme-grid":
-        "25bad59cbbf476dc37935ed0065830573290df9ddc890db5279138810ec78b29",
+        "46d47f719b6220940a55409e95bea5608b7e08d0b8c1bb0b1fc5ca7d3967aea8",
     "scene-wide-knn":
         "30f2208abad766b6d14fb87c4e007c3b4d0716812890d60707449dae3f6a5db1",
     "yeast-many-labels":

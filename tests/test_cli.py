@@ -407,15 +407,15 @@ class TestBenchmark:
         ])
 
     def test_report_with_missing_and_nominal_cells_is_pinned(self, tmp_path):
-        # the digest was recorded before features were encoded once per
-        # dataset; it covers mean imputation, the missing category and
-        # nominal distances, which the dense benchmark data never reach
+        # it covers mean imputation, the missing category and nominal
+        # distances, which the dense benchmark data never reach; re-pinned
+        # only for unsmoothed tree leaves
         cfg = self._missing_and_nominal_config(tmp_path)
         out = tmp_path / "report.csv"
         assert run_cli(["benchmark", "--config", cfg, "--format", "csv",
                         "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "70b19512c701ba4181b93ca9531564cc38044415523d38a8dd4a3e2c2d1c632b")
+            "111e96d8aca813870aa85208ddd448eaf72865d9b7fdd36da64c068ad4decdd2")
 
     def test_full_precision_json_is_pinned(self, tmp_path):
         # CSV rounds to 6 decimals; the JSON rows keep every bit, so a
@@ -430,7 +430,7 @@ class TestBenchmark:
         pinned = json.dumps({"rows": payload["rows"],
                              "average": payload["average"]}, sort_keys=True)
         assert hashlib.sha256(pinned.encode("utf-8")).hexdigest() == (
-            "d321d5431dab34ea32192e515217473eb2c9000c6ba2fbfe0cd67aee19d02c4f")
+            "8d7098f8b016505d22e6c14b72e1422ebca2713798babaae24ae1ff22677c842")
 
 
 def test_default_ensemble_takes_weights_and_replacement():

@@ -781,9 +781,17 @@ class TestTree:
         cls = [0] * 4 + [1] * 4
         clf = fit(TreeSpec(min_leaf=1), pts, cls, NUM2)
         left, right = clf.predict_dist_many([(0.0, 1.0), (13.0, 1.0)])
-        # Laplace smoothing keeps leaves shy of certainty
-        assert left[0] == pytest.approx(5 / 6)
-        assert right[1] == pytest.approx(5 / 6)
+        # a pure leaf predicts its class with certainty, unsmoothed
+        assert left.tolist() == [1.0, 0.0]
+        assert right.tolist() == [0.0, 1.0]
+
+    def test_leaf_predicts_its_class_frequencies(self):
+        # one value, so no cut: the root is a leaf with counts (3, 1)
+        clf = fit(TreeSpec(min_leaf=1), [(1.0,)] * 4, [0, 1, 0, 0],
+                  (Attribute("a"),))
+        assert clf.root.structure() == ("leaf", (3, 1))
+        assert clf.predict_dist_many([(1.0,), (5.0,)]).tolist() == [
+            [0.75, 0.25], [0.75, 0.25]]
 
     def test_min_leaf_respected(self):
         pts = [(0.0,), (1.0,), (2.0,), (3.0,)]
@@ -882,7 +890,7 @@ class TestTree:
         probe = random_dataset(1, n=200, n_labels=2, n_num=2, n_nom=2,
                                nom_arity=4, missing_rate=0.2).X
         expected, stopped = tree_predict_bf(
-            clf.root, clf._enc.transform(probe).tolist(), clf.n_classes)
+            clf.root, clf._enc.transform(probe).tolist())
         assert stopped > 0
         assert np.array_equal(clf.predict_dist_many(probe), expected)
         assert np.array_equal(clf.predict_dist_many(probe[:1]), expected[:1])
@@ -900,13 +908,11 @@ class TestTree:
         prune, grow = sorted(perm[:len(y) // 3]), sorted(perm[len(y) // 3:])
         unpruned = fit(dataclasses.replace(spec, rep_pruning=False),
                        X[grow], y[grow], attrs)
-        stopped = tree_predict_bf(unpruned.root, X[prune].tolist(),
-                                  unpruned.n_classes)[1]
+        stopped = tree_predict_bf(unpruned.root, X[prune].tolist())[1]
         assert stopped > 0
 
         def fold_errors(tree):
-            dist, _ = tree_predict_bf(tree.root, X[prune].tolist(),
-                                      tree.n_classes)
+            dist, _ = tree_predict_bf(tree.root, X[prune].tolist())
             return int((np.argmax(dist, axis=1) != y[prune]).sum())
 
         assert unpruned.n_classes == clf.n_classes

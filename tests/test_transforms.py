@@ -10,6 +10,7 @@ from mullab import learners
 from mullab.core import Attribute, MLDataset, Schema
 from mullab.learners import (PRESET_NAMES, KnnSpec, NaiveBayesSpec, TreeSpec,
                              preset)
+from mullab.metrics import rank_matrix
 from mullab.transforms import (
     TRANSFORM_NAMES,
     MemberSpec,
@@ -192,6 +193,17 @@ class TestLabelPowerset:
         d = make_dataset([(0.0,), (1.0,)], [[0, 1], [0, 1]], 2)
         model = lp_fit(d, NaiveBayesSpec())
         assert model.predict_scores_many(np.array([(0.5,)])).tolist() == [[1.0, 1.0]]
+
+    def test_pure_tree_leaves_give_tied_zero_scores_ranked_by_label(self):
+        # each leaf holds one labelset, so it scores that labelset's labels
+        # exactly 1 and every other label exactly 0; the tied zeros rank by
+        # ascending label index
+        d = make_dataset([(float(v),) for v in range(8)],
+                         [[2]] * 4 + [[3, 0]] * 4, 4)
+        model = lp_fit(d, TreeSpec(min_leaf=1))
+        scores = model.predict_scores_many(np.array([(0.0,), (7.0,)]))
+        assert scores.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]]
+        assert rank_matrix(scores).tolist() == [[2, 3, 1, 4], [1, 3, 4, 2]]
 
 
 class TestRakel:

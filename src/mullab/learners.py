@@ -4,26 +4,27 @@ Three families, each consumed by the problem transformations:
 
 * k-nearest-neighbours: the distance sums, in column order, ``(q - x)^2``
   (squared Euclidean) over the standardized numeric attributes, then a 0/1
-  mismatch per nominal one; the neighbours
-  are the first k by ascending (distance, training row), so ties go to the
-  lower row, and vote with uniform weights.  A ``KnnIndex`` holds the
-  encoder and the standardised training matrix and finds the neighbours; a
-  ``KnnClassifier`` keeps only its class vector and counts the votes, so
-  classifiers that differ only in their classes can share one index and
-  one search per query matrix (a grid's shared index is built with ``kept``,
-  its search of the test split).  A search takes the query rows in blocks of at
-  most ``_KNN_BLOCK_ELEMS`` (2^16) query x training elements and holds no
-  larger matrix.  A block with numeric attributes is screened by one BLAS
-  product for the Gram form, whose rounding is bounded, and only rows within that bound of
-  the k-th screened distance are ranked on the distance itself; so the
-  neighbours do not depend on the BLAS library, its threads or the block
-  (1.1 MB traced at 917 x 1500 x 103 and k = 5; a whole matrix is 11 MB).
+  mismatch per nominal one; the neighbours are the first k by ascending
+  (distance, training row), so ties go to the lower row, and vote with
+  uniform weights.  A ``KnnIndex`` holds the encoder and the standardised
+  training matrix and finds the neighbours; a ``KnnClassifier`` keeps only
+  its class vector and counts the votes, so classifiers that differ only in
+  their classes can share one index and one search per query matrix (a grid's
+  shared index is built with ``kept``, its search of the test split).  A
+  search takes the query rows in blocks of at most ``_KNN_BLOCK_ELEMS``
+  (2^16) query x training elements and holds no larger matrix.  A block with
+  numeric attributes is screened by one BLAS product for the Gram form, whose
+  rounding is bounded, and only rows within that bound of the k-th screened
+  distance are ranked on the distance itself; so the neighbours do not depend
+  on the BLAS library, its threads or the block (1.1 MB traced at 917 x 1500
+  x 103 and k = 5; a whole matrix is 11 MB).
 * Gaussian naive Bayes: per-class Gaussian per numeric attribute with the
-  variance floor ``_VARIANCE_FLOOR`` (1e-6), Laplace-1 smoothed categorical likelihoods, frequency
-  priors, log-space posterior.  Prediction takes the query rows in blocks of
-  at most ``_NB_BLOCK_ELEMS`` (2^16) rows x classes x numeric attributes
-  elements, each computed in one reused buffer with the float operations
-  of ``(log_norm - diff * diff / two_var).sum(axis=2)``, in that order.
+  variance floor ``_VARIANCE_FLOOR`` (1e-6), Laplace-1 smoothed categorical
+  likelihoods, frequency priors, log-space posterior.  Prediction takes the
+  query rows in blocks of at most ``_NB_BLOCK_ELEMS`` (2^16) rows x classes x
+  numeric attributes elements, each computed in one reused buffer with the
+  float operations of ``(log_norm - diff * diff / two_var).sum(axis=2)``, in
+  that order.
 * Decision tree: binary splits on numeric attributes (midpoints between
   consecutive distinct sorted values, "<= threshold" goes left), multiway
   splits on nominal ones, optional per-node random attribute subsets and
@@ -33,10 +34,10 @@ Three families, each consumed by the problem transformations:
   C4.5's rules, where that gain loses the MDL cost log2(admissible cuts) / n
   (Quinlan 1996), and the attribute is the best gain ratio among candidates
   whose gain is at least the average (Quinlan 1993).  A leaf predicts its
-  class frequencies, unsmoothed, as Weka's trees do.  Split search is exhaustive and
-  batched per node, with no sort of values: the training state of a
-  matrix sorts each numeric column once (stably), a tree's root takes that
-  order filtered to its rows, and each child takes its parent's order
+  class frequencies, unsmoothed, as Weka's trees do.  Split search is
+  exhaustive and batched per node, with no sort of values: the training state
+  of a matrix sorts each numeric column once (stably), a tree's root takes
+  that order filtered to its rows, and each child takes its parent's order
   filtered to the child's rows, which is what a stable sort of the child's
   rows gives.  All numeric candidates are scored in one vectorised pass over
   every cut that ``min_leaf`` allows.  Entropies come from integer class

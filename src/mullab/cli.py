@@ -358,7 +358,7 @@ def _parse_learner(value) -> LearnerSpec:
     if not isinstance(value, dict):
         raise UsageError(f"bad learner spec {value!r}")
     kind = value.get("kind")
-    if kind not in _LEARNER_KINDS:
+    if not isinstance(kind, str) or kind not in _LEARNER_KINDS:
         raise UsageError(f"unknown learner kind {kind!r}")
     spec, kinds = _LEARNER_KINDS[kind]
     _known_keys(value, ("kind",) + tuple(kinds), f"a {kind!r} learner")

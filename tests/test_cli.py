@@ -850,12 +850,17 @@ def test_unwritable_out_exits_1(command, data_files, tmp_path, monkeypatch,
      "error: give 'ratio' or 'train' and 'test', not both\n"),
     ({}, {"learner": 5}, "error: bad learner spec 5\n"),
     ({}, {"learner": {"kind": "svm"}}, "error: unknown learner kind 'svm'\n"),
+    ({}, {"learner": {"kind": ["knn"]}},
+     "error: unknown learner kind ['knn']\n"),
+    ({}, {"learner": {"kind": "knn", "distance": "manhattan"}},
+     "error: unknown key 'distance' in a 'knn' learner; known keys: kind, k\n"),
     ({}, {"name": "AVERAGE"}, "error: 'name' must not be 'AVERAGE', the "
                               "average row\n"),
     ({}, {"name": '"q'}, "error: 'name' must not contain '\"', not '\"q'\n"),
     ({}, {"name": ""}, "error: 'name' must not be empty; leave the key out\n"),
 ], ids=["name-comma", "name-int", "name-newline-pipe", "split-ratio-and-counts",
-        "learner-int", "learner-unknown-kind", "name-average", "name-quote",
+        "learner-int", "learner-unknown-kind", "learner-list-kind",
+        "learner-deleted-option", "name-average", "name-quote",
         "name-empty"])
 def test_evaluate_mistake_names_the_rule(fields, params, message, data_files,
                                          tmp_path, monkeypatch, capsys):
